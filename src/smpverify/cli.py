@@ -52,8 +52,16 @@ def _parse_phi(text: str) -> float:
         head = m.group(1)
         num = float(head) if head not in ("", "+", "-") else (-1.0 if head == "-" else 1.0)
         den = float(m.group(2)) if m.group(2) else 1.0
-        return num * math.pi / den
-    return float(t)
+        value = num * math.pi / den
+    else:
+        value = float(t)
+    return _finite(value, "--phi", text)
+
+
+def _finite(value: float, flag: str, text: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 def _add_family_options(p: argparse.ArgumentParser) -> None:
@@ -102,6 +110,8 @@ def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
             parser.error("need --c p/q or --kappa value")
         if args.kappa and ctx is not None:
             parser.error("--c and --kappa are mutually exclusive")
+        if args.kappa:
+            _finite(float(args.kappa), "--kappa", args.kappa)
         if args.family == "alt":
             kappa = float(ctx.power(3)) if ctx is not None else float(args.kappa)
             return example_alt(kappa, phi)
@@ -123,15 +133,22 @@ def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
         return example_main(float(args.kappa), phi)
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
+    except ZeroDivisionError as exc:
+        parser.error(f"division by zero: {exc}")
 
 
 def _parse_mu(args, parser) -> Scalar | None:
     if getattr(args, "mu", None) is None:
         return None
     try:
-        return parse_scalar(args.mu)
+        mu = parse_scalar(args.mu)
     except ValueError as exc:
         parser.error(f"bad --mu: {exc}")
+    except ZeroDivisionError as exc:
+        parser.error(f"bad --mu: division by zero: {exc}")
+    if not mu.is_exact and not math.isfinite(mu.value):
+        parser.error(f"--mu must be finite, got {args.mu!r}")
+    return mu
 
 
 def _mu_for_set(mset: MatrixSet, mu: Scalar):

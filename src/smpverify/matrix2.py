@@ -23,6 +23,7 @@ __all__ = [
     "rot90",
     "quarter_turn",
     "spectral_radius",
+    "radius_from_invariants",
     "similarity",
     "eigenvector_unit_first",
 ]
@@ -195,12 +196,23 @@ def spectral_radius(m: Mat2) -> Scalar:
     t = m.trace()
     d = m.det()
     disc = t * t - 4 * d
-    tf, df = float(t), float(d)
-    if disc >= 0:
-        r = math.sqrt(max(float(disc), 0.0))
-        return Scalar.flt(max(abs((tf + r) / 2), abs((tf - r) / 2)))
+    return Scalar.flt(
+        radius_from_invariants(float(t), float(d), float(disc) if disc >= 0 else None)
+    )
+
+
+def radius_from_invariants(t: float, d: float, disc: float | None) -> float:
+    """Spectral radius from the float trace t and determinant d.
+
+    `disc` is the float discriminant t*t - 4*d when its sign, decided by
+    the caller on the input backend, is >= 0, and None when the
+    eigenvalues are a complex-conjugate pair.
+    """
+    if disc is not None:
+        r = math.sqrt(max(disc, 0.0))
+        return max(abs((t + r) / 2), abs((t - r) / 2))
     # Complex-conjugate pair: |lambda|^2 = det, which is positive here.
-    return Scalar.flt(math.sqrt(df))
+    return math.sqrt(d)
 
 
 def similarity(s: Mat2, x: Mat2) -> Mat2:

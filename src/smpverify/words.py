@@ -13,11 +13,27 @@ The finite bounds are the brute-force oracle of the workbench:
 The first maximum runs over one representative per cyclic class (the
 spectral radius is invariant under rotation of factors); the second runs
 over all 2**n words because norms are not cyclic-invariant.
+
+Both run on plain row-major 4-tuples rather than Mat2.  An exact pair is
+scaled by the lcm D of its eight entry denominators, so a length-n product
+is an int tuple standing for itself divided by D**n and all arithmetic is
+on Python ints.  A float pair keeps its floats, with D = 1, and multiplies
+in the same order as Mat2 @, so it rounds exactly as Mat2 would.
+
+Floats enter only at the end of each product.  rho_bar_n forms trace,
+determinant and discriminant as ints, decides the discriminant's sign
+exactly, and then divides by D**n or D**(2n); int / int is correctly
+rounded, so every value matches float() of the exact rational.  rho_n
+with the default box norm compares int row sums and divides the largest
+by D**n once.  Any other norm gets one Mat2 per leaf, built from the
+tuple, through its matrix_norm(Mat2) method.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .matrix2 import Mat2
 from .scalar import Scalar
@@ -134,8 +150,14 @@ class BoxNorm:
     """Operator norm induced by the max-absolute-coordinate vector norm."""
 
     def matrix_norm(self, m: Mat2) -> Scalar:
-        rows = (abs(m.m11) + abs(m.m12), abs(m.m21) + abs(m.m22))
-        return rows[0] if rows[0] >= rows[1] else rows[1]
+        return _box_norm(m.entries())
+
+
+def _box_norm(entries):
+    """Larger absolute row sum of row-major entries; any ordered numbers."""
+    m11, m12, m21, m22 = entries
+    rows = (abs(m11) + abs(m12), abs(m21) + abs(m22))
+    return rows[0] if rows[0] >= rows[1] else rows[1]
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -143,6 +165,34 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError("need n >= 1")
     if n > cap:
         raise ValueError(f"word length {n} exceeds cap {cap}")
+
+
+def _scaled_pair(a: Mat2, b: Mat2):
+    """Row-major 4-tuples of D*a and D*b, and the scale D.
+
+    Exact pairs are scaled by the lcm D of their eight denominators, so
+    the tuples hold ints; float pairs keep their floats, with D = 1.
+    """
+    if a.is_exact != b.is_exact:
+        raise TypeError("matrix backends must match")
+    entries = a.entries() + b.entries()
+    if not a.is_exact:
+        return tuple(e.value for e in entries[:4]), tuple(e.value for e in entries[4:]), 1
+    d = math.lcm(*(e.value.denominator for e in entries))
+    scaled = [e.value.numerator * (d // e.value.denominator) for e in entries]
+    return tuple(scaled[:4]), tuple(scaled[4:]), d
+
+
+def _mul(x, y):
+    """Row-major 2x2 product x @ y, in the operation order of Mat2 @."""
+    x11, x12, x21, x22 = x
+    y11, y12, y21, y22 = y
+    return (
+        x11 * y11 + x12 * y21,
+        x11 * y12 + x12 * y22,
+        x21 * y11 + x22 * y21,
+        x21 * y12 + x22 * y22,
+    )
 
 
 def rho_bar_n(
@@ -158,10 +208,24 @@ def rho_bar_n(
     within tie_rel_tol (relative) of the maximum.
     """
     _check_cap(n, cap)
+    ta, tb, d = _scaled_pair(a, b)
+    factors = {"A": ta, "B": tb}
+    dn, dn2 = d**n, d ** (2 * n)
     scored = []
     for w in necklaces(n):
-        r = float(matrix2.spectral_radius(evaluate(w, a, b))) ** (1.0 / n)
-        scored.append((r, w))
+        p = factors[w.symbols[0]]
+        for sym in w.symbols[1:]:
+            p = _mul(factors[sym], p)
+        # p is D**n times the product: trace scales by D**n, det and
+        # discriminant by D**(2n).  The discriminant's sign is decided
+        # before any rounding.
+        t = p[0] + p[3]
+        det = p[0] * p[3] - p[1] * p[2]
+        disc = t * t - 4 * det
+        r = matrix2.radius_from_invariants(
+            t / dn, det / dn2, disc / dn2 if disc >= 0 else None
+        )
+        scored.append((r ** (1.0 / n), w))
     best = max(r for r, _ in scored)
     cut = best - tie_rel_tol * max(1.0, abs(best))
     maximizers = tuple(w for r, w in scored if r >= cut)
@@ -182,24 +246,32 @@ def rho_n(
     the matrices are exact) and only the final root is floating point.
     """
     _check_cap(n, cap)
+    ta, tb, d = _scaled_pair(a, b)
+    dn = d**n
     if norm is None:
-        norm = BoxNorm()
-    best: Scalar | None = None
-
+        leaf = _box_norm
+    elif a.is_exact:
+        def leaf(p):
+            return norm.matrix_norm(Mat2(*(Scalar(Fraction(x, dn)) for x in p)))
+    else:
+        def leaf(p):
+            return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
+    best = None
     # Depth-first over suffix products; each step applies one more factor
     # on the left, so depth k holds the product of the last k factors.
-    def walk(product: Mat2, depth: int) -> None:
-        nonlocal best
+    stack = [(tb, 1), (ta, 1)]
+    while stack:
+        p, depth = stack.pop()
         if depth == n:
-            v = norm.matrix_norm(product)
+            v = leaf(p)
             if best is None or v > best:
                 best = v
-            return
-        walk(a @ product, depth + 1)
-        walk(b @ product, depth + 1)
-
-    walk(a, 1)
-    walk(b, 1)
+            continue
+        stack.append((_mul(tb, p), depth + 1))
+        stack.append((_mul(ta, p), depth + 1))
+    if norm is None:
+        # int / int rounds correctly, as float(Fraction) does.
+        best = best / dn
     return Scalar.flt(float(best) ** (1.0 / n))
 
 
@@ -212,6 +284,7 @@ def bounds_table(
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[BoundsRow]:
     """Rows for n = 1..n_max with both bound columns filled."""
+    _check_cap(n_max, cap)
     rows = []
     for n in range(1, n_max + 1):
         lower = rho_bar_n(a, b, n, tie_rel_tol=tie_rel_tol, cap=cap)

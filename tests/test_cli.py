@@ -36,6 +36,16 @@ class TestBounds:
             main(["bounds", "--family", "main", "--c", "11/10", "--max-n", "0"])
         assert exc.value.code == 2
 
+    def test_cap_is_checked_before_enumerating(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("enumerated a word length")
+
+        monkeypatch.setattr("smpverify.words.rho_bar_n", boom)
+        monkeypatch.setattr("smpverify.words.rho_n", boom)
+        code, _, err = run(capsys, "bounds", "--c", "11/10", "--max-n", "21")
+        assert code == 2
+        assert "exceeds cap 20" in err
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "bounds.csv"
         code, _, _ = run(
@@ -100,6 +110,31 @@ class TestCertify:
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--mu", "5/4"])
         assert exc.value.code == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--c", "1/0", "--mu", "5/4"], "division by zero"),
+            (["--c", "11/10", "--mu", "5/0"], "bad --mu: division by zero"),
+            (["--kappa", "1.331", "--mu", "1.2", "--phi", "pi/0"], "division by zero"),
+            (["--family", "main", "--kappa", "inf", "--mu", "1.2"], "--kappa must be finite"),
+            (["--family", "alt", "--kappa", "nan", "--mu", "1.2"], "--kappa must be finite"),
+            (["--c", "11/10", "--mu", "nan"], "--mu must be finite"),
+            (["--kappa", "1.331", "--mu", "inf"], "--mu must be finite"),
+            (["--kappa", "1.331", "--mu", "1.2", "--phi", "inf"], "--phi must be finite"),
+            (["--kappa", "1.331", "--mu", "1.2", "--phi", "nan"], "--phi must be finite"),
+        ],
+    )
+    def test_usage_error_with_one_line_message(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
 
 
 class TestScan:

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from smpverify import matrix2
+from smpverify.families import example_main_special
 from smpverify.matrix2 import Mat2
-from smpverify.scalar import Scalar
+from smpverify.scalar import KappaContext, Scalar
 from smpverify.words import (
     BoxNorm,
     Word,
@@ -171,3 +174,95 @@ class TestFormatting:
         lines = csv.splitlines()
         assert lines[0] == "n,rho_bar_n,rho_n,maximizers"
         assert lines[3].startswith("3,1.21,") and lines[3].endswith("AAB;ABB")
+
+
+def brute_bounds(a, b, n, tie_rel_tol=1e-9):
+    """Independent oracle on Mat2: (rho_bar, float(rho_n), maximizers).
+
+    Walks all 2**n words; rho_bar scores the words that are their own least
+    rotation (the necklace representatives), rho_n scores every word with
+    the box norm.
+    """
+    scored, best_norm = [], None
+    for k in range(2**n):
+        s = "".join("AB"[(k >> i) & 1] for i in range(n))
+        m = evaluate(Word.from_display(s), a, b)
+        v = BoxNorm().matrix_norm(m)
+        if best_norm is None or v > best_norm:
+            best_norm = v
+        if s == min(s[i:] + s[:i] for i in range(n)):
+            r = float(matrix2.spectral_radius(m)) ** (1.0 / n)
+            scored.append((r, s))
+    best = max(r for r, _ in scored)
+    cut = best - tie_rel_tol * max(1.0, abs(best))
+    maximizers = tuple(sorted(s for r, s in scored if r >= cut))
+    return best, float(best_norm) ** (1.0 / n), maximizers
+
+
+def assert_matches_brute_force(a, b, n):
+    row = rho_bar_n(a, b, n)
+    got = (row.rho_bar, float(rho_n(a, b, n)), tuple(w.display for w in row.maximizers))
+    assert got == brute_bounds(a, b, n)
+
+
+class CountingNorm:
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def matrix_norm(self, m):
+        self.calls += 1
+        return self.inner.matrix_norm(m)
+
+
+fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+pair_st = st.tuples(*([fractions_st] * 8))
+
+
+class TestScaledOracle:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_main_at_233_224(self, n):
+        mset = example_main_special(KappaContext(Fraction(233, 224)))
+        assert_matches_brute_force(mset.a, mset.b, n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_float_main(self, main_float, n):
+        assert_matches_brute_force(main_float.a, main_float.b, n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_float_alt(self, alt_float, n):
+        assert_matches_brute_force(alt_float.a, alt_float.b, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(pair_st, st.integers(1, 6))
+    @example(
+        (Fraction(-2, 3), Fraction(1, 4), Fraction(5, 7), Fraction(-1, 2),
+         Fraction(3, 5), Fraction(-7, 11), Fraction(1, 9), Fraction(2)),
+        5,
+    )
+    def test_random_exact_pair(self, entries, n):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_matches_brute_force(a, b, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counting_norm_sees_every_word(self, main_exact, n):
+        counter = CountingNorm(BoxNorm())
+        got = rho_n(main_exact.a, main_exact.b, n, norm=counter)
+        assert counter.calls == 2**n
+        assert got == rho_n(main_exact.a, main_exact.b, n)
+
+    def test_mixed_backends_raise(self, main_exact, main_float):
+        for fn in (rho_n, rho_bar_n):
+            with pytest.raises(TypeError):
+                fn(main_exact.a, main_float.b, 3)
+            with pytest.raises(TypeError):
+                fn(main_float.a, main_exact.b, 3)
+
+    def test_box_oracle_does_not_use_mat2_products(self, monkeypatch, main_exact):
+        expected = (rho_bar_n(main_exact.a, main_exact.b, 6), rho_n(main_exact.a, main_exact.b, 6))
+
+        def no_matmul(self, other):
+            raise AssertionError("Mat2 @ called")
+
+        monkeypatch.setattr(Mat2, "__matmul__", no_matmul)
+        got = (rho_bar_n(main_exact.a, main_exact.b, 6), rho_n(main_exact.a, main_exact.b, 6))
+        assert got == expected
