@@ -64,6 +64,17 @@ def _finite(value: float, flag: str, text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """--tol: a finite relative tolerance > 0, checked at parse time."""
+    try:
+        value = _finite(float(text), "--tol", text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"--tol must be > 0, got {text!r}")
+    return value
+
+
 def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family", choices=("main", "alt", "custom"), default="main",
@@ -289,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run the full certificate")
     _add_family_options(p)
     p.add_argument("--mu", help="polygon scale, p/q or decimal")
-    p.add_argument("--tol", type=float, default=None, help="float-backend tolerance")
+    p.add_argument(
+        "--tol", type=_tolerance, default=None,
+        help="float-backend relative tolerance, finite and > 0",
+    )
     p.add_argument("--kv", action="store_true", help="print machine-readable lines")
     p.add_argument("--report", help="write the machine-readable report here")
     p.set_defaults(func=cmd_certify)

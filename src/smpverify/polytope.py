@@ -18,6 +18,26 @@ with T the quarter-turn rotation; h = s + t, and z lies in the triangle
 x, y, 0 exactly when s, t >= 0 and h <= 1.  On the exact backend every one
 of these quantities is a rational number, so the certificate carries no
 rounding at all.
+
+The Minkowski gauge and the induced matrix norm evaluate these ratios for
+the twelve edges (v_i, v_{i+1}) many times over, so each polygon keeps an
+edge table, built on its first gauge call: per edge the rotated endpoints
+T v_{i+1} and T v_i, the products (v_i, T v_{i+1}) and (v_{i+1}, T v_i), the
+difference v_{i+1} - v_i and a collinearity flag.  On the exact backend the
+vertices are scaled by the lcm D of their 24 denominators and a query point
+by the lcm E of its own two, so the table and the point are Python ints:
+the signs of s and t are decided on ints without a division, and h is
+built once as the Fraction (v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)).
+On the float backend the table holds the vertex floats and s, t, h are
+formed with the operations of sector_coords and triangle_h in the same
+order, so every value is bit-identical to theirs; the tolerance is read at
+call time and never stored.
+
+The gauge keeps the sector rule: the first sector in index order whose s
+and t pass the tolerance test.  The equivalent max_i |(f_i, z)| over six
+edge functionals is not used, because eight of the 24 images lie on a
+vertex ray, where two functionals tie exactly but may differ by one ulp in
+floats, which would change printed float values.
 """
 
 from __future__ import annotations
@@ -25,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .families import (
     DISTINGUISHED_PHI,
@@ -37,7 +59,13 @@ from .families import (
 )
 from .matrix2 import Mat2, Vec2, dot, rot90
 from .permutability import ReducibleSetError, TauMap, friedland_permutable, verify_tau
-from .scalar import FloatKappa, KappaContext, Scalar
+from .scalar import (
+    BackendMismatchError,
+    FloatKappa,
+    KappaContext,
+    Scalar,
+    default_tolerance,
+)
 from .words import Word, factor_counts
 
 __all__ = [
@@ -86,15 +114,21 @@ def _as_kappa(kappa) -> KappaContext | FloatKappa:
     return FloatKappa(float(kappa))
 
 
+def _collinear_float(x1: float, x2: float, y1: float, y2: float, denom: float) -> bool:
+    """Float rule for collinear generators x, y: the product denom =
+    (x, Ty) is negligible next to |x| |y|."""
+    scale = math.hypot(x1, x2) * math.hypot(y1, y2)
+    return abs(denom) <= 1e-14 * max(1.0, scale)
+
+
 def _check_denominator(x: Vec2, y: Vec2, denom: Scalar) -> None:
     if denom.is_exact:
-        if denom == 0:
-            raise DegenerateSectorError("sector generators are collinear")
-        return
-    scale = math.hypot(float(x.x1), float(x.x2)) * math.hypot(
-        float(y.x1), float(y.x2)
-    )
-    if abs(float(denom)) <= 1e-14 * max(1.0, scale):
+        collinear = denom == 0
+    else:
+        collinear = _collinear_float(
+            float(x.x1), float(x.x2), float(y.x1), float(y.x2), float(denom)
+        )
+    if collinear:
         raise DegenerateSectorError("sector generators are collinear")
 
 
@@ -117,10 +151,94 @@ def triangle_h(x: Vec2, y: Vec2, z: Vec2) -> Scalar:
     return dot(y - x, rot90(z)) / y_tx
 
 
+_NO_SECTOR = "no sector contains the point; polygon is not convex?"
+
+
+class _EdgeTable(NamedTuple):
+    """A polygon's vertices and edges as plain numbers (module docstring).
+
+    `scale` is D (1 on the float backend) and `vertices` holds D * v_i.
+    Each edge row (x, y) = (v_i, v_{i+1}) is
+    (Ty_1, Ty_2, Tx_1, Tx_2, (x, Ty), (y, Tx), d_1, d_2, collinear)
+    with d = y - x.  (y, Tx) == -(x, Ty) holds for floats too, bit for
+    bit: both sums round the same two products, with opposite signs.
+    """
+
+    scale: int
+    vertices: tuple[tuple, ...]
+    edges: tuple[tuple, ...]
+
+
+def _common_scale(values) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of some Fractions, and D times each."""
+    d = math.lcm(*(q.denominator for q in values))
+    return d, [q.numerator * (d // q.denominator) for q in values]
+
+
+def _build_edge_table(vertices: tuple[Vec2, ...]) -> _EdgeTable:
+    exact = vertices[0].is_exact
+    coords = [(v.x1.value, v.x2.value) for v in vertices]
+    if exact:
+        d, flat = _common_scale([q for pair in coords for q in pair])
+        coords = list(zip(flat[0::2], flat[1::2]))
+    else:
+        d = 1
+    edges = []
+    for i, (x1, x2) in enumerate(coords):
+        y1, y2 = coords[(i + 1) % len(coords)]
+        x_ty = x1 * -y2 + x2 * y1
+        y_tx = y1 * -x2 + y2 * x1
+        collinear = x_ty == 0 if exact else _collinear_float(x1, x2, y1, y2, x_ty)
+        edges.append((-y2, y1, -x2, x1, x_ty, y_tx, y1 - x1, y2 - x2, collinear))
+    return _EdgeTable(d, tuple(coords), tuple(edges))
+
+
+def _gauge_exact(table: _EdgeTable, z1: int, z2: int, e: int) -> Fraction:
+    """Gauge of the point (z1, z2) / e, for ints z1, z2 and e > 0.
+
+    With Z = (z1, z2): s = (Z, Ty) D / (E (x, Ty)), t = (Z, Tx) D / (E (y, Tx))
+    and D, E > 0, so each sign is that of an int product.
+    """
+    if z1 == 0 and z2 == 0:
+        return Fraction(0)
+    for ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear in table.edges:
+        if collinear:
+            raise DegenerateSectorError("sector generators are collinear")
+        if (z1 * ty1 + z2 * ty2) * x_ty >= 0 and (z1 * tx1 + z2 * tx2) * y_tx >= 0:
+            return Fraction((d1 * -z2 + d2 * z1) * table.scale, e * y_tx)
+    raise ValueError(_NO_SECTOR)
+
+
+def _gauge_float(table: _EdgeTable, z1: float, z2: float, tol: float) -> float:
+    """Gauge of the point (z1, z2); s, t and h round exactly as in
+    sector_coords and triangle_h, and s, t >= -tol is Scalar.ge(0, tol)."""
+    if z1 == 0 and z2 == 0:
+        return 0.0
+    for ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear in table.edges:
+        if collinear:
+            raise DegenerateSectorError("sector generators are collinear")
+        s = (z1 * ty1 + z2 * ty2) / x_ty
+        t = (z1 * tx1 + z2 * tx2) / y_tx
+        if s >= -tol and t >= -tol:
+            return (d1 * -z2 + d2 * z1) / y_tx
+    raise ValueError(_NO_SECTOR)
+
+
+def _check_backend(poly: "Polygon", exact: bool) -> None:
+    if exact != poly.is_exact:
+        raise BackendMismatchError(
+            "cannot combine exact and float values with one polygon"
+        )
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Balanced twelve-gon: vertices in clockwise index order, plus the
-    parameters that generated it."""
+    parameters that generated it.
+
+    The edge table and the convexity levels are computed on first use and
+    kept for the life of the polygon.
+    """
 
     vertices: tuple[Vec2, ...]
     mu: Scalar
@@ -140,18 +258,51 @@ class Polygon:
         """1-indexed vertex access with wraparound (v13 == v1)."""
         return self.vertices[(i - 1) % 12]
 
+    @cached_property
+    def _edge_table(self) -> _EdgeTable:
+        return _build_edge_table(self.vertices)
+
+    @cached_property
+    def _convexity_levels(self) -> tuple[tuple[int, Scalar], ...]:
+        return tuple(
+            (i, triangle_h(self.v(i - 1), self.v(i + 1), self.v(i)))
+            for i in range(1, 7)
+        )
+
     def gauge(self, x: Vec2, rel_tol: float | None = None) -> Scalar:
         return polygon_gauge(self, x, rel_tol)
 
     def matrix_norm(self, m: Mat2, rel_tol: float | None = None) -> Scalar:
         """Operator norm induced by the polygon gauge: the maximum of the
-        gauge over the images of the vertices."""
+        gauge over the images of the vertices.
+
+        The images are formed from the edge table's vertices, not with
+        Mat2 @: on the exact backend m is scaled by the lcm F of its four
+        denominators, so each image is an int point over E = F * D; on the
+        float backend each coordinate is computed as Mat2 @ computes it.
+        """
+        _check_backend(self, m.is_exact)
+        table = self._edge_table
+        entries = [q.value for q in m.entries()]
+        if self.is_exact:
+            f, (m11, m12, m21, m22) = _common_scale(entries)
+            e = f * table.scale
+            values = (
+                _gauge_exact(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, e)
+                for x1, x2 in table.vertices
+            )
+        else:
+            m11, m12, m21, m22 = entries
+            tol = default_tolerance() if rel_tol is None else rel_tol
+            values = (
+                _gauge_float(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, tol)
+                for x1, x2 in table.vertices
+            )
         best = None
-        for vert in self.vertices:
-            g = polygon_gauge(self, m @ vert, rel_tol)
+        for g in values:
             if best is None or g > best:
                 best = g
-        return best
+        return Scalar(best)
 
 
 def _coerce_mu(mu, exact: bool) -> Scalar:
@@ -456,33 +607,32 @@ def vertex_order_check(poly: Polygon, rel_tol: float | None = None) -> OrderRepo
 
 def convexity_values(poly: Polygon) -> list[tuple[int, Scalar]]:
     """h(v_{i-1}, v_{i+1}, v_i) for i = 1..6; the polygon is convex iff
-    every level is >= 1 (the mirrored half repeats by symmetry)."""
-    return [
-        (i, triangle_h(poly.v(i - 1), poly.v(i + 1), poly.v(i)))
-        for i in range(1, 7)
-    ]
+    every level is >= 1 (the mirrored half repeats by symmetry).  The
+    levels are computed once per polygon."""
+    return list(poly._convexity_levels)
 
 
 def convexity_check(poly: Polygon, rel_tol: float | None = None) -> bool:
-    return all(h.ge(1, rel_tol) for _, h in convexity_values(poly))
+    return all(h.ge(1, rel_tol) for _, h in poly._convexity_levels)
 
 
 def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float | None = None) -> Scalar:
     """Minkowski gauge of the polygon: 0 at the origin, 1 on the boundary.
 
-    Locates the sector (v_i, v_{i+1}) containing x in index order and
-    returns the level h there.  Requires a convex polygon with verified
-    vertex order to be a norm.
+    Locates the first sector (v_i, v_{i+1}) in index order that contains
+    x and returns the level h there.  The search reads the polygon's edge
+    table (module docstring): exact points are scaled to ints and decided
+    without a division, float points are computed as sector_coords and
+    triangle_h compute them, with the tolerance applied here.  Requires a
+    convex polygon with verified vertex order to be a norm.
     """
-    zero = Scalar.zero_like(x.x1)
-    if x.x1 == zero and x.x2 == zero:
-        return zero
-    for i in range(1, 13):
-        vi, vj = poly.v(i), poly.v(i + 1)
-        s, t = sector_coords(vi, vj, x)
-        if s.ge(0, rel_tol) and t.ge(0, rel_tol):
-            return triangle_h(vi, vj, x)
-    raise ValueError("no sector contains the point; polygon is not convex?")
+    _check_backend(poly, x.is_exact)
+    table = poly._edge_table
+    if poly.is_exact:
+        e, (z1, z2) = _common_scale((x.x1.value, x.x2.value))
+        return Scalar(_gauge_exact(table, z1, z2, e))
+    tol = default_tolerance() if rel_tol is None else rel_tol
+    return Scalar(_gauge_float(table, x.x1.value, x.x2.value, tol))
 
 
 _AUTOMATIC_IDENTITIES = (

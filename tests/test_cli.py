@@ -125,6 +125,10 @@ class TestBadInput:
             (["--kappa", "1.331", "--mu", "inf"], "--mu must be finite"),
             (["--kappa", "1.331", "--mu", "1.2", "--phi", "inf"], "--phi must be finite"),
             (["--kappa", "1.331", "--mu", "1.2", "--phi", "nan"], "--phi must be finite"),
+            (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol", "nan"], "--tol must be finite"),
+            (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol", "inf"], "--tol must be finite"),
+            (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol", "0"], "--tol must be > 0"),
+            (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol=-1e-12"], "--tol must be > 0"),
         ],
     )
     def test_usage_error_with_one_line_message(self, capsys, argv, message):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-
+from smpverify import polytope
 from smpverify.families import (
     DISTINGUISHED_PHI,
     eigenvectors_from_products,
@@ -12,13 +14,15 @@ from smpverify.families import (
     example_main_special,
     normalize,
 )
-from smpverify.matrix2 import Vec2
+from smpverify.matrix2 import Mat2, Vec2
 from smpverify.polytope import (
     DegenerateSectorError,
+    Polygon,
     admissible_mu_interval,
     build_polygon,
     certify_smp,
     convexity_check,
+    convexity_values,
     empirical_mu_thresholds,
     images,
     kappa_max,
@@ -31,7 +35,7 @@ from smpverify.polytope import (
     verify_inclusions,
     vertex_order_check,
 )
-from smpverify.scalar import KappaContext, Scalar
+from smpverify.scalar import FloatKappa, KappaContext, Scalar
 
 MU54 = Scalar.exact(Fraction(5, 4))
 
@@ -288,6 +292,249 @@ class TestGauge:
     def test_induced_matrix_norms_are_one(self, poly_exact, norm_exact):
         assert poly_exact.matrix_norm(norm_exact.at) == Scalar.exact(1)
         assert poly_exact.matrix_norm(norm_exact.bt) == Scalar.exact(1)
+
+
+def reference_gauge(poly, z, rel_tol=None):
+    """The sector search on the public primitives: the first sector in
+    index order whose s and t pass Scalar.ge(0), and its level h."""
+    if z.x1 == 0 and z.x2 == 0:
+        return Scalar.zero_like(z.x1)
+    for i in range(1, 13):
+        x, y = poly.v(i), poly.v(i + 1)
+        s, t = sector_coords(x, y, z)
+        if s.ge(0, rel_tol) and t.ge(0, rel_tol):
+            return triangle_h(x, y, z)
+    raise ValueError("no sector contains the point")
+
+
+def reference_matrix_norm(poly, m, rel_tol=None):
+    best = None
+    for vert in poly.vertices:
+        g = reference_gauge(poly, m @ vert, rel_tol)
+        if best is None or g > best:
+            best = g
+    return best
+
+
+def same_value(a, b):
+    """== on the exact backend, bit-equal floats on the float backend."""
+    if a.is_exact or b.is_exact:
+        return a.is_exact == b.is_exact and a == b
+    return a.value.hex() == b.value.hex()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateSectorError, ValueError) as exc:
+        return type(exc)
+
+
+def same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return same_value(a, b)
+
+
+C96 = Fraction((2**95 + 3) * 107 // 100, 2**95 + 3)
+
+
+def exact_case(c):
+    ctx = KappaContext(c)
+    mset = example_main_special(ctx)
+    norm = normalize(mset)
+    v, w = eigenvectors_from_products(norm)
+    mu1, mu2 = admissible_mu_interval(ctx)
+    return norm, build_polygon(norm, v, w, (mu1 + mu2) / 2)
+
+
+GAUGE_CASES = {
+    "exact c=11/10": lambda: exact_case(Fraction(11, 10)),
+    "exact c=233/224": lambda: exact_case(Fraction(233, 224)),
+    "exact 96-bit c": lambda: exact_case(C96),
+    "float main": lambda: float_pipeline(1.331, 1.25),
+    "float alt": lambda: float_pipeline(1.331, 1.07, family="alt"),
+    "float main not convex": lambda: float_pipeline(1.331, 1.04),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GAUGE_CASES))
+def gauge_case(request):
+    return GAUGE_CASES[request.param]()
+
+
+def probe_points(poly, norm):
+    ipts = images(poly, norm)
+    one = Scalar.one_like(poly.mu)
+    pts = list(ipts.a) + list(ipts.b) + list(poly.vertices)
+    for alpha in (Fraction(3, 7), Fraction(-2, 5), Fraction(2)):
+        factor = Scalar.exact(alpha) if poly.is_exact else Scalar.flt(float(alpha))
+        pts += [vert.scale(factor) for vert in poly.vertices]
+    pts.append(Vec2(one - one, one - one))
+    return pts
+
+
+def hand_built(points, exact=True):
+    """A polygon from twelve integer points, with no construction checks."""
+    make = Vec2.exact if exact else Vec2.flt
+    verts = tuple(make(x1, x2) for x1, x2 in points)
+    one = Scalar.exact(1) if exact else Scalar.flt(1)
+    return Polygon(vertices=verts, mu=one, kappa=one, ctx=None, family="custom")
+
+
+DODECAGON = [
+    (10, 0), (9, -5), (5, -9), (0, -10), (-5, -9), (-9, -5),
+    (-10, 0), (-9, 5), (-5, 9), (0, 10), (5, 9), (9, 5),
+]
+
+
+class TestEdgeTableGauge:
+    """polygon_gauge and matrix_norm against the sector search on
+    sector_coords and triangle_h."""
+
+    def test_probe_points_match_reference(self, gauge_case):
+        norm, poly = gauge_case
+        tols = (None,) if poly.is_exact else (None, 1e-15, 1e-6)
+        for tol in tols:
+            for z in probe_points(poly, norm):
+                assert same_outcome(
+                    outcome(polygon_gauge, poly, z, tol),
+                    outcome(reference_gauge, poly, z, tol),
+                ), (z, tol)
+
+    def test_matrix_norm_matches_reference(self, gauge_case):
+        norm, poly = gauge_case
+        for m in (norm.at, norm.bt, norm.at @ norm.bt, -norm.bt):
+            assert same_outcome(
+                outcome(poly.matrix_norm, m), outcome(reference_matrix_norm, poly, m)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**12),
+        st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    )
+    def test_exact_random_points(self, poly_exact, z1, z2):
+        z = Vec2.exact(z1, z2)
+        assert same_value(polygon_gauge(poly_exact, z), reference_gauge(poly_exact, z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-50, 50), st.floats(-50, 50))
+    def test_float_random_points(self, z1, z2):
+        _, poly = GAUGE_CASES["float alt"]()
+        z = Vec2.flt(z1, z2)
+        assert same_value(polygon_gauge(poly, z), reference_gauge(poly, z))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.fractions(-3, 3, max_denominator=10**9), min_size=4, max_size=4))
+    def test_exact_random_matrices(self, poly_exact, entries):
+        m = Mat2.exact(*entries)
+        assert same_outcome(
+            outcome(poly_exact.matrix_norm, m),
+            outcome(reference_matrix_norm, poly_exact, m),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-3, 3), min_size=4, max_size=4))
+    def test_float_random_matrices(self, entries):
+        _, poly = GAUGE_CASES["float main"]()
+        m = Mat2.flt(*entries)
+        assert same_outcome(
+            outcome(poly.matrix_norm, m), outcome(reference_matrix_norm, poly, m)
+        )
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_degenerate_sector_raises_where_the_search_reaches_it(self, exact):
+        points = list(DODECAGON)
+        points[5] = (-10, -18)  # v6 = 2 v5: the sector (v5, v6) is degenerate
+        poly = hand_built(points, exact)
+        make = Vec2.exact if exact else Vec2.flt
+        before = make(7, -7)  # in the sector (v2, v3), reached first
+        after = make(-7, 7)  # in the sector (v8, v9), past (v5, v6)
+        assert same_value(polygon_gauge(poly, before), reference_gauge(poly, before))
+        with pytest.raises(DegenerateSectorError):
+            reference_gauge(poly, after)
+        with pytest.raises(DegenerateSectorError):
+            polygon_gauge(poly, after)
+        with pytest.raises(DegenerateSectorError):
+            poly.matrix_norm(Mat2.exact(1, 0, 0, 1) if exact else Mat2.flt(1, 0, 0, 1))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_point_in_no_sector_raises(self, exact):
+        # Twelve rays between 0 and 110 degrees: the sectors miss the
+        # lower-left quadrant.
+        points = [
+            (round(100 * math.cos(math.radians(a))), round(100 * math.sin(math.radians(a))))
+            for a in range(110, -10, -10)
+        ]
+        poly = hand_built(points, exact)
+        make = Vec2.exact if exact else Vec2.flt
+        inside = make(30, 40)
+        assert same_value(polygon_gauge(poly, inside), reference_gauge(poly, inside))
+        for fn in (reference_gauge, polygon_gauge):
+            with pytest.raises(ValueError, match="no sector contains the point"):
+                fn(poly, make(-1, -1))
+
+    def test_exact_paths_use_no_mat2_or_sector_primitives(self, monkeypatch):
+        norm, poly = exact_case(Fraction(11, 10))
+        points = probe_points(poly, norm)
+        expected = [reference_gauge(poly, z) for z in points]
+        expected_norms = [reference_matrix_norm(poly, m) for m in (norm.at, norm.bt)]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("per-point Mat2/Scalar work in the gauge")
+
+        monkeypatch.setattr(polytope, "sector_coords", boom)
+        monkeypatch.setattr(polytope, "triangle_h", boom)
+        monkeypatch.setattr(Mat2, "__matmul__", boom)
+        assert [polygon_gauge(poly, z) for z in points] == expected
+        assert [poly.matrix_norm(m) for m in (norm.at, norm.bt)] == expected_norms
+
+    def test_edge_table_built_once_per_polygon(self, monkeypatch):
+        builds = []
+        real = polytope._build_edge_table
+
+        def counting(vertices):
+            builds.append(vertices)
+            return real(vertices)
+
+        monkeypatch.setattr(polytope, "_build_edge_table", counting)
+        mset = example_main_special(KappaContext(Fraction(11, 10)))
+        empirical_mu_thresholds(mset)
+        norm, poly = exact_case(Fraction(11, 10))
+        assert builds == []  # building a polygon takes no gauge
+        for z in probe_points(poly, norm):
+            polygon_gauge(poly, z)
+        poly.matrix_norm(norm.at)
+        poly.matrix_norm(norm.bt)
+        verify_inclusions(poly, norm)
+        assert len(builds) == 1
+        _, other = exact_case(Fraction(233, 224))
+        other.gauge(other.v(1))
+        assert len(builds) == 2
+
+    def test_convexity_levels_computed_once(self, monkeypatch):
+        calls = []
+        real = polytope.triangle_h
+
+        def counting(x, y, z):
+            calls.append(z)
+            return real(x, y, z)
+
+        monkeypatch.setattr(polytope, "triangle_h", counting)
+        _, poly = exact_case(Fraction(11, 10))
+        levels = convexity_values(poly)
+        assert convexity_check(poly) and convexity_check(poly, 1e-3)
+        assert convexity_values(poly) == levels
+        assert len(calls) == 6
+
+    def test_convexity_tolerance_applies_at_call_time(self):
+        w = omega_thresholds(FloatKappa(1.331))
+        lower = max(float(w[0]), float(w[2]), float(w[4]))
+        _, poly = float_pipeline(1.331, lower * (1 - 1e-9))
+        assert convexity_check(poly, 1e-6)
+        assert not convexity_check(poly, 1e-12)
+        assert convexity_check(poly, 1e-6)
 
 
 class TestInclusions:
