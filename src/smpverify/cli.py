@@ -12,6 +12,7 @@ silently less exact than its flags promise.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -328,8 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

@@ -440,7 +440,14 @@ CHECKS = [
 
 
 def run_selftest(write=print) -> int:
-    """Run every reference check; returns 0 when all pass, 1 otherwise."""
+    """Run every reference check; returns 0 when all pass, 1 otherwise.
+
+    The checks are assert statements, so under python -O, which strips
+    them, nothing runs and the return is 2.
+    """
+    if not __debug__:
+        write("error: assertions are disabled (python -O); the checks cannot run")
+        return 2
     failures = 0
     for name, fn in CHECKS:
         try:

@@ -14,19 +14,36 @@ The first maximum runs over one representative per cyclic class (the
 spectral radius is invariant under rotation of factors); the second runs
 over all 2**n words because norms are not cyclic-invariant.
 
-Both run on plain row-major 4-tuples rather than Mat2.  An exact pair is
-scaled by the lcm D of its eight entry denominators, so a length-n product
-is an int tuple standing for itself divided by D**n and all arithmetic is
-on Python ints.  A float pair keeps its floats, with D = 1, and multiplies
-in the same order as Mat2 @, so it rounds exactly as Mat2 would.
+Both come from one depth-first walk of the tree of suffix products.  A
+node at depth k is the product of the last k factors of a word, and its
+two children multiply one more factor on the left, in the operation order
+of Mat2 @.  rho_n to n, rho_bar_n to n and bounds_table to n_max are one
+walk each.  Every node's product is formed once, with the association of
+evaluate, so floats round exactly as Mat2 would.  The walk keeps an
+explicit stack, never a whole level of the tree.
 
-Floats enter only at the end of each product.  rho_bar_n forms trace,
+A node is named by an int code: A = 0, B = 1, with the leftmost display
+symbol in the top bit, so for one length code order is the lexicographic
+order of the display strings.  One run of the prenecklace generator fills
+the set of necklace codes for every length up to the walk's depth.  A
+necklace node gets a spectral radius; every node at a scored depth gets a
+norm.  A node is expanded only if a requested score lies at or below it:
+with norms requested every node is, and rho_bar_n alone expands only the
+suffixes of the length-n necklaces.
+
+The walk runs on plain row-major 4-tuples rather than Mat2.  An exact pair
+is scaled by the lcm D of its eight entry denominators, so a depth-k node
+is an int tuple standing for itself divided by D**k and all arithmetic is
+on Python ints.  A float pair keeps its floats, with D = 1.
+
+Floats enter only at the end of each product.  A radius forms trace,
 determinant and discriminant as ints, decides the discriminant's sign
-exactly, and then divides by D**n or D**(2n); int / int is correctly
-rounded, so every value matches float() of the exact rational.  rho_n
-with the default box norm compares int row sums and divides the largest
-by D**n once.  Any other norm gets one Mat2 per leaf, built from the
-tuple, through its matrix_norm(Mat2) method.
+exactly, and then divides by D**k or D**(2k); int / int is correctly
+rounded, so every value matches float() of the exact rational.  The
+default box norm compares int row sums and divides the largest by D**k
+once.  Any other norm gets one Mat2 per node, built from the tuple,
+through its matrix_norm(Mat2) method.  A Word is built only for the
+maximizers.
 """
 
 from __future__ import annotations
@@ -107,29 +124,45 @@ def cyclic_normal_form(w: Word) -> Word:
 
 
 def necklaces(n: int) -> list[Word]:
-    """One representative per cyclic class of {A,B}**n, sorted.
-
-    Uses the classic recursive pre-necklace generator, which emits exactly
-    the lexicographically least rotations in increasing order.
-    """
+    """One representative per cyclic class of {A,B}**n, sorted."""
     if n < 1:
         raise ValueError("need n >= 1")
-    a = [0] * (n + 1)
-    out: list[str] = []
+    return [Word.from_display(_display(code, n)) for code in _necklace_codes(n)[n]]
 
-    def gen(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0:
-                out.append("".join(_ALPHABET[a[i]] for i in range(1, n + 1)))
+
+_BITS_TO_SYMBOLS = str.maketrans("01", "AB")
+
+
+def _display(code: int, n: int) -> str:
+    """Display string of a length-n code."""
+    return format(code, f"0{n}b").translate(_BITS_TO_SYMBOLS)
+
+
+def _necklace_codes(n_max: int) -> list[list[int]]:
+    """Codes of the necklaces of each length k = 0..n_max, ascending.
+
+    One run of the recursive prenecklace generator of Fredricksen, Kessler
+    and Maiorana.  Every prefix it visits is a prenecklace, and one of
+    length k with period p is a necklace iff p divides k.  It visits the
+    prefixes of each length in lexicographic order, which is code order.
+    """
+    codes: list[list[int]] = [[] for _ in range(n_max + 1)]
+    a = [0] * (n_max + 1)
+
+    def gen(t: int, p: int, code: int) -> None:
+        # a[1..t-1] is a prenecklace with period p, and code encodes it.
+        if (t - 1) % p == 0:
+            codes[t - 1].append(code)
+        if t > n_max:
             return
         a[t] = a[t - p]
-        gen(t + 1, p)
-        for j in range(a[t - p] + 1, 2):
-            a[t] = j
-            gen(t + 1, t)
+        gen(t + 1, p, 2 * code + a[t])
+        if a[t - p] == 0:
+            a[t] = 1
+            gen(t + 1, t, 2 * code + 1)
 
-    gen(1, 1)
-    return [Word.from_display(s) for s in out]
+    gen(1, 1, 0)
+    return codes
 
 
 def factor_counts(w: Word) -> tuple[int, int]:
@@ -150,14 +183,9 @@ class BoxNorm:
     """Operator norm induced by the max-absolute-coordinate vector norm."""
 
     def matrix_norm(self, m: Mat2) -> Scalar:
-        return _box_norm(m.entries())
-
-
-def _box_norm(entries):
-    """Larger absolute row sum of row-major entries; any ordered numbers."""
-    m11, m12, m21, m22 = entries
-    rows = (abs(m11) + abs(m12), abs(m21) + abs(m22))
-    return rows[0] if rows[0] >= rows[1] else rows[1]
+        m11, m12, m21, m22 = m.entries()
+        r0, r1 = abs(m11) + abs(m12), abs(m21) + abs(m22)
+        return r0 if r0 >= r1 else r1
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -183,16 +211,90 @@ def _scaled_pair(a: Mat2, b: Mat2):
     return tuple(scaled[:4]), tuple(scaled[4:]), d
 
 
-def _mul(x, y):
-    """Row-major 2x2 product x @ y, in the operation order of Mat2 @."""
-    x11, x12, x21, x22 = x
-    y11, y12, y21, y22 = y
-    return (
-        x11 * y11 + x12 * y21,
-        x11 * y12 + x12 * y22,
-        x21 * y11 + x22 * y21,
-        x21 * y12 + x22 * y22,
-    )
+def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
+    """One depth-first walk of the suffix-product tree of (a, b) to depth hi.
+
+    Scores the nodes at depths lo..hi: the norm of every node when `norms`
+    is true (BoxNorm if `norm` is None, else norm.matrix_norm), and the
+    rooted spectral radius of every necklace when `radii` is true.  Returns
+    (rho, bars), keyed by depth k: rho[k] is the largest norm at depth k
+    to the power 1/k, and bars[k] is (rho_bar, maximizers).
+    """
+    ta, tb, d = _scaled_pair(a, b)
+    dk = [d**k for k in range(2 * hi + 1)]
+    if norm is None:
+        leaf = None
+    elif a.is_exact:
+        def leaf(p, k):
+            return norm.matrix_norm(Mat2(*(Scalar(Fraction(x, dk[k])) for x in p)))
+    else:
+        def leaf(p, k):
+            return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
+    necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
+    live = None
+    if not norms:
+        # Expand only the suffixes of the necklaces that are scored.
+        live = [set() for _ in range(hi + 2)]
+        for k in range(hi, 0, -1):
+            live[k] = {c & ((1 << k) - 1) for c in live[k + 1]}
+            if k >= lo:
+                live[k].update(necklace[k])
+    top = [None] * (hi + 1)
+    scored = [[] for _ in range(hi + 1)]
+    a11, a12, a21, a22 = ta
+    b11, b12, b21, b22 = tb
+    # A node is (*product, depth k, code).  Its children apply one more
+    # factor on the left, in the operation order of Mat2 @, and set bit k
+    # of the code for B.
+    stack = [(*tb, 1, 1), (*ta, 1, 0)]
+    if live is not None:
+        stack = [node for node in stack if node[5] in live[1]]
+    push, pop = stack.append, stack.pop
+    while stack:
+        p11, p12, p21, p22, k, code = pop()
+        if k >= lo:
+            if norms:
+                if leaf is None:
+                    # BoxNorm, inlined: the larger absolute row sum.
+                    r0, r1 = abs(p11) + abs(p12), abs(p21) + abs(p22)
+                    v = r0 if r0 >= r1 else r1
+                else:
+                    v = leaf((p11, p12, p21, p22), k)
+                best = top[k]
+                if best is None or v > best:
+                    top[k] = v
+            if radii and code in necklace[k]:
+                # p is D**k times the product: trace scales by D**k, det
+                # and discriminant by D**(2k).  The discriminant's sign is
+                # decided before any rounding.
+                t = p11 + p22
+                det = p11 * p22 - p12 * p21
+                disc = t * t - 4 * det
+                r = matrix2.radius_from_invariants(
+                    t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
+                )
+                scored[k].append((r ** (1.0 / k), code))
+            if k == hi:
+                continue
+        bcode = code | 1 << k
+        if live is None or bcode in live[k + 1]:
+            push((b11 * p11 + b12 * p21, b11 * p12 + b12 * p22,
+                  b21 * p11 + b22 * p21, b21 * p12 + b22 * p22, k + 1, bcode))
+        if live is None or code in live[k + 1]:
+            push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
+                  a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
+    rho, bars = {}, {}
+    for k in range(lo, hi + 1):
+        if norms:
+            # int / int rounds correctly, as float(Fraction) does.
+            best = top[k] / dk[k] if leaf is None else top[k]
+            rho[k] = float(best) ** (1.0 / k)
+        if radii:
+            best = max(r for r, _ in scored[k])
+            cut = best - tie_rel_tol * max(1.0, abs(best))
+            codes = sorted(c for r, c in scored[k] if r >= cut)
+            bars[k] = (best, tuple(Word.from_display(_display(c, k)) for c in codes))
+    return rho, bars
 
 
 def rho_bar_n(
@@ -208,27 +310,8 @@ def rho_bar_n(
     within tie_rel_tol (relative) of the maximum.
     """
     _check_cap(n, cap)
-    ta, tb, d = _scaled_pair(a, b)
-    factors = {"A": ta, "B": tb}
-    dn, dn2 = d**n, d ** (2 * n)
-    scored = []
-    for w in necklaces(n):
-        p = factors[w.symbols[0]]
-        for sym in w.symbols[1:]:
-            p = _mul(factors[sym], p)
-        # p is D**n times the product: trace scales by D**n, det and
-        # discriminant by D**(2n).  The discriminant's sign is decided
-        # before any rounding.
-        t = p[0] + p[3]
-        det = p[0] * p[3] - p[1] * p[2]
-        disc = t * t - 4 * det
-        r = matrix2.radius_from_invariants(
-            t / dn, det / dn2, disc / dn2 if disc >= 0 else None
-        )
-        scored.append((r ** (1.0 / n), w))
-    best = max(r for r, _ in scored)
-    cut = best - tie_rel_tol * max(1.0, abs(best))
-    maximizers = tuple(w for r, w in scored if r >= cut)
+    _, bars = _walk(a, b, n, n, norms=False, tie_rel_tol=tie_rel_tol)
+    best, maximizers = bars[n]
     return BoundsRow(n=n, rho_bar=best, rho=None, maximizers=maximizers)
 
 
@@ -246,33 +329,8 @@ def rho_n(
     the matrices are exact) and only the final root is floating point.
     """
     _check_cap(n, cap)
-    ta, tb, d = _scaled_pair(a, b)
-    dn = d**n
-    if norm is None:
-        leaf = _box_norm
-    elif a.is_exact:
-        def leaf(p):
-            return norm.matrix_norm(Mat2(*(Scalar(Fraction(x, dn)) for x in p)))
-    else:
-        def leaf(p):
-            return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
-    best = None
-    # Depth-first over suffix products; each step applies one more factor
-    # on the left, so depth k holds the product of the last k factors.
-    stack = [(tb, 1), (ta, 1)]
-    while stack:
-        p, depth = stack.pop()
-        if depth == n:
-            v = leaf(p)
-            if best is None or v > best:
-                best = v
-            continue
-        stack.append((_mul(tb, p), depth + 1))
-        stack.append((_mul(ta, p), depth + 1))
-    if norm is None:
-        # int / int rounds correctly, as float(Fraction) does.
-        best = best / dn
-    return Scalar.flt(float(best) ** (1.0 / n))
+    rho, _ = _walk(a, b, n, n, norm=norm, radii=False)
+    return Scalar.flt(rho[n])
 
 
 def bounds_table(
@@ -283,18 +341,13 @@ def bounds_table(
     tie_rel_tol: float = 1e-9,
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[BoundsRow]:
-    """Rows for n = 1..n_max with both bound columns filled."""
+    """Rows for n = 1..n_max with both bound columns filled, from one walk."""
     _check_cap(n_max, cap)
-    rows = []
-    for n in range(1, n_max + 1):
-        lower = rho_bar_n(a, b, n, tie_rel_tol=tie_rel_tol, cap=cap)
-        upper = rho_n(a, b, n, norm=norm, cap=cap)
-        rows.append(
-            BoundsRow(
-                n=n, rho_bar=lower.rho_bar, rho=float(upper), maximizers=lower.maximizers
-            )
-        )
-    return rows
+    rho, bars = _walk(a, b, 1, n_max, norm=norm, tie_rel_tol=tie_rel_tol)
+    return [
+        BoundsRow(n=n, rho_bar=bars[n][0], rho=rho[n], maximizers=bars[n][1])
+        for n in range(1, n_max + 1)
+    ]
 
 
 def _fmt_maximizers(row: BoundsRow) -> str:

@@ -1,6 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from smpverify import cli
 from smpverify.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(*argv, flags=()):
+    """(exit code, stdout, stderr) of the CLI in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "smpverify.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def run(capsys, *argv):
@@ -42,6 +60,7 @@ class TestBounds:
 
         monkeypatch.setattr("smpverify.words.rho_bar_n", boom)
         monkeypatch.setattr("smpverify.words.rho_n", boom)
+        monkeypatch.setattr("smpverify.words._walk", boom)
         code, _, err = run(capsys, "bounds", "--c", "11/10", "--max-n", "21")
         assert code == 2
         assert "exceeds cap 20" in err
@@ -245,3 +264,50 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "35/35 checks passed" in out
     assert "FAIL" not in out
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        calls = []
+        real_build = cli.build_parser
+
+        def counting_build():
+            calls.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._shared_parser.cache_clear()
+        try:
+            for argv in (
+                ["scan", "--family", "main", "--kappa", "1.331"],
+                ["bounds", "--c", "11/10", "--max-n", "3"],
+                ["certify", "--c", "11/10", "--mu", "5/4"],
+            ):
+                assert run(capsys, *argv)[0] == 0
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_reused_parser_output_matches_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        bad = ["certify", "--c", "11/10", "--mu", "5/4", "--tol", "0"]
+        good = ["certify", "--c", "11/10", "--mu", "5/4", "--kv"]
+        expected = {"bad": run_fresh(*bad), "good": run_fresh(*good)}
+        assert expected["bad"][0] == 2 and expected["good"][0] == 0
+        for name, argv in (("bad", bad), ("good", good), ("bad", bad)):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected[name]
+
+
+def test_selftest_refuses_to_run_without_assertions():
+    code, out, _ = run_fresh("selftest", flags=("-O",))
+    assert code != 0
+    assert "checks passed" not in out
+    assert "assertions are disabled" in out

@@ -5,11 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smpverify import matrix2
-from smpverify.families import example_main_special
+from smpverify import matrix2, words
+from smpverify.families import (
+    DISTINGUISHED_PHI,
+    eigenvectors_from_products,
+    example_alt,
+    example_main,
+    example_main_special,
+    normalize,
+)
 from smpverify.matrix2 import Mat2
+from smpverify.polytope import build_polygon
 from smpverify.scalar import KappaContext, Scalar
 from smpverify.words import (
+    BoundsRow,
     BoxNorm,
     Word,
     bounds_table,
@@ -176,18 +185,19 @@ class TestFormatting:
         assert lines[3].startswith("3,1.21,") and lines[3].endswith("AAB;ABB")
 
 
-def brute_bounds(a, b, n, tie_rel_tol=1e-9):
+def brute_bounds(a, b, n, tie_rel_tol=1e-9, norm=None):
     """Independent oracle on Mat2: (rho_bar, float(rho_n), maximizers).
 
     Walks all 2**n words; rho_bar scores the words that are their own least
     rotation (the necklace representatives), rho_n scores every word with
-    the box norm.
+    `norm` (the box norm by default).
     """
+    norm = BoxNorm() if norm is None else norm
     scored, best_norm = [], None
     for k in range(2**n):
         s = "".join("AB"[(k >> i) & 1] for i in range(n))
         m = evaluate(Word.from_display(s), a, b)
-        v = BoxNorm().matrix_norm(m)
+        v = norm.matrix_norm(m)
         if best_norm is None or v > best_norm:
             best_norm = v
         if s == min(s[i:] + s[:i] for i in range(n)):
@@ -266,3 +276,102 @@ class TestScaledOracle:
         monkeypatch.setattr(Mat2, "__matmul__", no_matmul)
         got = (rho_bar_n(main_exact.a, main_exact.b, 6), rho_n(main_exact.a, main_exact.b, 6))
         assert got == expected
+
+
+def _polygon(mset, mu):
+    norm = normalize(mset)
+    v, w = eigenvectors_from_products(norm)
+    return build_polygon(norm, v, w, mu)
+
+
+def _exact_main(p, q):
+    return example_main_special(KappaContext(Fraction(p, q)))
+
+
+# Each case gives a pair and the norm of the rho_n column; None is the box norm.
+WALK_CASES = {
+    "exact 11/10, box": lambda: (_exact_main(11, 10), None),
+    "exact 11/10, polygon": lambda: (
+        _exact_main(11, 10), Scalar.exact(Fraction(5, 4))
+    ),
+    "exact 233/224, box": lambda: (_exact_main(233, 224), None),
+    "exact 233/224, polygon": lambda: (
+        _exact_main(233, 224), Scalar.exact(Fraction(217, 200))
+    ),
+    "float main, box": lambda: (example_main(1.331, DISTINGUISHED_PHI), None),
+    "float main, polygon": lambda: (example_main(1.331, DISTINGUISHED_PHI), 1.25),
+    "float alt, box": lambda: (example_alt(1.331, DISTINGUISHED_PHI), None),
+    "float alt, polygon": lambda: (example_alt(1.331, DISTINGUISHED_PHI), 1.07),
+}
+
+
+def bit_rows(rows):
+    """Rows as tuples with every float as its hex form, so == is bit equality."""
+    return [
+        (row.n, row.rho_bar.hex(), row.rho.hex(), tuple(w.display for w in row.maximizers))
+        for row in rows
+    ]
+
+
+def per_n_rows(a, b, n_max, norm=None):
+    """The table from one rho_bar_n and one rho_n walk per length."""
+    rows = []
+    for n in range(1, n_max + 1):
+        lower = rho_bar_n(a, b, n)
+        upper = float(rho_n(a, b, n, norm=norm))
+        rows.append(BoundsRow(n=n, rho_bar=lower.rho_bar, rho=upper, maximizers=lower.maximizers))
+    return rows
+
+
+def brute_rows(a, b, n_max, norm=None):
+    rows = []
+    for n in range(1, n_max + 1):
+        rho_bar, rho, maximizers = brute_bounds(a, b, n, norm=norm)
+        rows.append((n, rho_bar.hex(), rho.hex(), maximizers))
+    return rows
+
+
+def assert_one_walk_matches(a, b, n_max, norm=None):
+    table = bit_rows(bounds_table(a, b, n_max, norm=norm))
+    assert table == bit_rows(per_n_rows(a, b, n_max, norm=norm))
+    assert table == brute_rows(a, b, n_max, norm=norm)
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("case", sorted(WALK_CASES))
+    def test_table_matches_per_length_walks_and_brute_force(self, case):
+        mset, mu = WALK_CASES[case]()
+        norm = None if mu is None else _polygon(mset, mu)
+        assert_one_walk_matches(mset.a, mset.b, 9, norm=norm)
+
+    @settings(max_examples=10, deadline=None)
+    @given(pair_st, st.integers(1, 9))
+    def test_random_exact_pair(self, entries, n_max):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_one_walk_matches(a, b, n_max)
+
+    def test_necklace_codes_match_brute_force(self):
+        codes = words._necklace_codes(14)
+        for n in range(1, 15):
+            brute = [int(s.translate(str.maketrans("AB", "01")), 2) for s in brute_necklaces(n)]
+            assert codes[n] == brute
+            assert [words._display(c, n) for c in codes[n]] == brute_necklaces(n)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 8])
+    def test_counting_norm_sees_every_node_once(self, main_exact, n_max):
+        counter = CountingNorm(BoxNorm())
+        rows = bounds_table(main_exact.a, main_exact.b, n_max, norm=counter)
+        assert counter.calls == 2 ** (n_max + 1) - 2
+        assert [row.rho for row in rows] == [
+            row.rho for row in bounds_table(main_exact.a, main_exact.b, n_max)
+        ]
+
+    def test_table_does_not_use_mat2_products(self, monkeypatch, main_exact):
+        a, b = main_exact.a, main_exact.b
+        expected = (bounds_table(a, b, 7), rho_bar_n(a, b, 7))
+
+        def no_matmul(self, other):
+            raise AssertionError("Mat2 @ called")
+
+        monkeypatch.setattr(Mat2, "__matmul__", no_matmul)
+        assert (bounds_table(a, b, 7), rho_bar_n(a, b, 7)) == expected
