@@ -79,6 +79,21 @@ def _reducible_phi(s: float) -> bool:
     return abs(s) < 1e-15
 
 
+def _check_finite(kappa: float, a: Mat2, b: Mat2, tau_s: Mat2) -> None:
+    """Reject a kappa at which the pair or its two products leave binary64.
+
+    A non-finite entry would otherwise surface as a failed check of the
+    certificate (e.g. tau not swapping the pair) rather than as bad input.
+    """
+    checked = (("A", a), ("B", b), ("tau_s", tau_s), ("A @ B", a @ b), ("B @ A", b @ a))
+    for name, m in checked:
+        if not all(math.isfinite(e.value) for e in m.entries()):
+            raise ValueError(
+                f"kappa = {kappa!r} is out of float range: "
+                f"{name} has a non-finite entry"
+            )
+
+
 def example_alt(kappa: float, phi: float) -> MatrixSet:
     """Rotation-with-stretching pair; float backend.
 
@@ -91,10 +106,12 @@ def example_alt(kappa: float, phi: float) -> MatrixSet:
     c, s = _snap_angle(phi)
     a = Mat2.flt(c, -s / kappa, kappa * s, c)
     b = Mat2.flt(c, -kappa * s, s / kappa, c)
+    tau_s = quarter_turn(exact=False)
+    _check_finite(kappa, a, b, tau_s)
     return MatrixSet(
         a=a,
         b=b,
-        tau_s=quarter_turn(exact=False),
+        tau_s=tau_s,
         family="alt",
         kappa=Scalar.flt(kappa),
         phi=float(phi),
@@ -113,6 +130,7 @@ def example_main(kappa: float, phi: float) -> MatrixSet:
     b = Mat2.flt(0.0, -kappa, 1.0 / kappa, t2)
     d = t2 * kappa / (kappa * kappa + 1.0)
     tau_s = Mat2.flt(d, 1.0, -1.0, -d)
+    _check_finite(kappa, a, b, tau_s)
     return MatrixSet(
         a=a,
         b=b,

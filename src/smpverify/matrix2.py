@@ -4,6 +4,13 @@ Everything is closed form: trace, determinant, inverse, spectra.  The
 spectral radius is the only operation that leaves the rationals (it takes
 a square root), so it always returns a float-backend scalar; exact
 certificate logic sticks to trace/determinant comparisons instead.
+
+Cost model: Mat2 and Vec2 check at construction, with one chained identity
+test of their entries' `is_exact` flags, that every entry has one backend.
+`Mat2 @ Mat2` and `Mat2 @ Vec2` check the two operands' backends once,
+then compute on the raw values, each entry as (a*b) + (c*d) in the order
+of the scalar formula, so floats round exactly as Scalar arithmetic would;
+only the result entries are wrapped.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .scalar import Scalar, default_tolerance
+from .scalar import BackendMismatchError, Scalar, default_tolerance
 
 __all__ = [
     "Vec2",
@@ -37,11 +44,10 @@ class EigenvectorError(ValueError):
     """Eigenvector extraction failed (bad eigenvalue or degenerate direction)."""
 
 
-def _check_same_backend(scalars) -> bool:
-    kinds = {s.is_exact for s in scalars}
-    if len(kinds) > 1:
-        raise TypeError("all entries must share one backend")
-    return kinds.pop()
+def _mismatch(left, right) -> BackendMismatchError:
+    return BackendMismatchError(
+        f"cannot combine {left.backend} and {right.backend} scalars"
+    )
 
 
 @dataclass(frozen=True)
@@ -50,7 +56,8 @@ class Vec2:
     x2: Scalar
 
     def __post_init__(self):
-        _check_same_backend((self.x1, self.x2))
+        if self.x1.is_exact is not self.x2.is_exact:
+            raise TypeError("all entries must share one backend")
 
     @classmethod
     def exact(cls, x1, x2) -> "Vec2":
@@ -102,7 +109,13 @@ class Mat2:
     m22: Scalar
 
     def __post_init__(self):
-        _check_same_backend((self.m11, self.m12, self.m21, self.m22))
+        if not (
+            self.m11.is_exact
+            is self.m12.is_exact
+            is self.m21.is_exact
+            is self.m22.is_exact
+        ):
+            raise TypeError("all entries must share one backend")
 
     @classmethod
     def exact(cls, m11, m12, m21, m22) -> "Mat2":
@@ -146,16 +159,25 @@ class Mat2:
 
     def __matmul__(self, other):
         if isinstance(other, Mat2):
+            if self.m11.is_exact is not other.m11.is_exact:
+                raise _mismatch(self.m11, other.m11)
+            a11, a12 = self.m11.value, self.m12.value
+            a21, a22 = self.m21.value, self.m22.value
+            b11, b12 = other.m11.value, other.m12.value
+            b21, b22 = other.m21.value, other.m22.value
             return Mat2(
-                self.m11 * other.m11 + self.m12 * other.m21,
-                self.m11 * other.m12 + self.m12 * other.m22,
-                self.m21 * other.m11 + self.m22 * other.m21,
-                self.m21 * other.m12 + self.m22 * other.m22,
+                Scalar(a11 * b11 + a12 * b21),
+                Scalar(a11 * b12 + a12 * b22),
+                Scalar(a21 * b11 + a22 * b21),
+                Scalar(a21 * b12 + a22 * b22),
             )
         if isinstance(other, Vec2):
+            if self.m11.is_exact is not other.x1.is_exact:
+                raise _mismatch(self.m11, other.x1)
+            x1, x2 = other.x1.value, other.x2.value
             return Vec2(
-                self.m11 * other.x1 + self.m12 * other.x2,
-                self.m21 * other.x1 + self.m22 * other.x2,
+                Scalar(self.m11.value * x1 + self.m12.value * x2),
+                Scalar(self.m21.value * x1 + self.m22.value * x2),
             )
         return NotImplemented
 

@@ -218,7 +218,9 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
     is true (BoxNorm if `norm` is None, else norm.matrix_norm), and the
     rooted spectral radius of every necklace when `radii` is true.  Returns
     (rho, bars), keyed by depth k: rho[k] is the largest norm at depth k
-    to the power 1/k, and bars[k] is (rho_bar, maximizers).
+    to the power 1/k, and bars[k] is (rho_bar, maximizers).  On the float
+    backend a score that is not finite raises ValueError naming the least
+    word length where one occurs.
     """
     ta, tb, d = _scaled_pair(a, b)
     dk = [d**k for k in range(2 * hi + 1)]
@@ -230,6 +232,10 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
     else:
         def leaf(p, k):
             return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
+    # Float products can overflow.  The least depth with a non-finite score
+    # is raised after the walk; exact products are ints and never overflow.
+    finite = None if a.is_exact else math.isfinite
+    overflow = hi + 1
     necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
     live = None
     if not norms:
@@ -260,6 +266,11 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
                     v = r0 if r0 >= r1 else r1
                 else:
                     v = leaf((p11, p12, p21, p22), k)
+                # Both row sums are checked: a nan row loses the comparison.
+                if finite is not None and not (
+                    finite(r0) and finite(r1) if leaf is None else finite(v)
+                ):
+                    overflow = min(overflow, k)
                 best = top[k]
                 if best is None or v > best:
                     top[k] = v
@@ -270,10 +281,17 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
                 t = p11 + p22
                 det = p11 * p22 - p12 * p21
                 disc = t * t - 4 * det
-                r = matrix2.radius_from_invariants(
-                    t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
-                )
-                scored[k].append((r ** (1.0 / k), code))
+                if finite is not None and not finite(disc):
+                    # A finite disc gives a finite radius; any other
+                    # leaves the radius inf or nan.
+                    overflow = min(overflow, k)
+                else:
+                    r = matrix2.radius_from_invariants(
+                        t / dk[k],
+                        det / dk[2 * k],
+                        disc / dk[2 * k] if disc >= 0 else None,
+                    )
+                    scored[k].append((r ** (1.0 / k), code))
             if k == hi:
                 continue
         bcode = code | 1 << k
@@ -283,6 +301,11 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
         if live is None or code in live[k + 1]:
             push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
                   a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
+    if overflow <= hi:
+        raise ValueError(
+            f"float products overflow at word length {overflow}: "
+            "a norm or spectral radius is not finite"
+        )
     rho, bars = {}, {}
     for k in range(lo, hi + 1):
         if norms:

@@ -65,6 +65,28 @@ class TestBounds:
         assert code == 2
         assert "exceeds cap 20" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kappa", "1e200", "--max-n", "4"], "A @ B has a non-finite entry"),
+            (["--family", "alt", "--kappa", "1e200", "--max-n", "4"], "A @ B has a non-finite entry"),
+            (["--kappa", "1e100", "--max-n", "3"], "overflow at word length 2"),
+            (["--family", "alt", "--kappa", "1e100", "--max-n", "3"], "overflow at word length 2"),
+            (["--kappa", "1e20", "--max-n", "18"], "overflow at word length 8"),
+        ],
+    )
+    def test_float_overflow_is_a_usage_error(self, capsys, argv, message):
+        try:
+            code = main(["bounds", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "bounds.csv"
         code, _, _ = run(
@@ -148,6 +170,8 @@ class TestBadInput:
             (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol", "inf"], "--tol must be finite"),
             (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol", "0"], "--tol must be > 0"),
             (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol=-1e-12"], "--tol must be > 0"),
+            (["--family", "main", "--kappa", "1e200", "--mu", "1.2"], "A @ B has a non-finite entry"),
+            (["--family", "alt", "--kappa", "1e200", "--mu", "1.2"], "A @ B has a non-finite entry"),
         ],
     )
     def test_usage_error_with_one_line_message(self, capsys, argv, message):

@@ -11,13 +11,14 @@ from smpverify.matrix2 import (
     Mat2,
     SingularMatrixError,
     Vec2,
+    dot,
     eigenvector_unit_first,
     mul,
     quarter_turn,
     similarity,
     spectral_radius,
 )
-from smpverify.scalar import Scalar
+from smpverify.scalar import BackendMismatchError, Scalar
 
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=7
@@ -157,3 +158,81 @@ class TestSerialization:
         strings = main_exact.a.as_strings()
         assert strings == ("0", "-1000/1331", "1331/1000", "-1")
         assert Mat2.from_strings(strings) == main_exact.a
+
+
+class NoArithmetic(Fraction):
+    """A Fraction that fails any product it enters."""
+
+    def __mul__(self, other):
+        raise AssertionError("arithmetic ran")
+
+    __rmul__ = __mul__
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def _hex(values):
+    return tuple(float.hex(v) for v in values)
+
+
+class TestBackendContract:
+    def test_mixed_entries_rejected(self):
+        with pytest.raises(TypeError):
+            Mat2(Scalar.flt(1.0), Scalar.flt(0.0), Scalar.flt(0.0), Scalar.exact(1))
+        with pytest.raises(TypeError):
+            Vec2(Scalar.exact(1), Scalar.flt(0.0))
+
+    def test_mixed_products_raise_before_arithmetic(self):
+        guarded = Mat2(*(Scalar(NoArithmetic(v)) for v in (1, 2, 3, 4)))
+        assert guarded.is_exact
+        with pytest.raises(BackendMismatchError):
+            guarded @ Mat2.flt(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(BackendMismatchError):
+            Mat2.flt(1.0, 0.0, 0.0, 1.0) @ guarded
+        with pytest.raises(BackendMismatchError):
+            guarded @ Vec2.flt(1.0, 0.0)
+        with pytest.raises(BackendMismatchError):
+            Mat2.flt(1.0, 0.0, 0.0, 1.0) @ Vec2(*(Scalar(NoArithmetic(v)) for v in (1, 2)))
+
+    def test_mixed_dot_raises(self):
+        with pytest.raises(BackendMismatchError):
+            dot(Vec2.exact(1, 2), Vec2.flt(1.0, 2.0))
+
+    def test_product_with_other_types(self):
+        with pytest.raises(TypeError):
+            Mat2.exact(1, 0, 0, 1) @ 2
+
+    @given(st.tuples(*(finite_floats,) * 4), st.tuples(*(finite_floats,) * 6))
+    def test_float_products_match_the_scalar_formula_bit_for_bit(self, me, ne):
+        a11, a12, a21, a22 = me
+        b11, b12, b21, b22, x1, x2 = ne
+        got = Mat2.flt(*me) @ Mat2.flt(b11, b12, b21, b22)
+        want = (
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
+        )
+        assert not got.is_exact
+        assert _hex(e.value for e in got.entries()) == _hex(want)
+        v = Mat2.flt(*me) @ Vec2.flt(x1, x2)
+        assert _hex((v.x1.value, v.x2.value)) == _hex(
+            (a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
+        )
+
+    @given(st.tuples(*(small_fractions,) * 4), st.tuples(*(small_fractions,) * 6))
+    def test_exact_products_match_the_fraction_formula(self, me, ne):
+        a11, a12, a21, a22 = me
+        b11, b12, b21, b22, x1, x2 = ne
+        got = Mat2.exact(*me) @ Mat2.exact(b11, b12, b21, b22)
+        assert got.is_exact
+        assert tuple(e.value for e in got.entries()) == (
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
+        )
+        assert all(type(e.value) is Fraction for e in got.entries())
+        v = Mat2.exact(*me) @ Vec2.exact(x1, x2)
+        assert (v.x1.value, v.x2.value) == (a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)

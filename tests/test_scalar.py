@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +50,50 @@ class TestScalarArithmetic:
         )
         with pytest.raises(ZeroDivisionError):
             Scalar.exact(0) ** -1
+
+
+class HalfFraction(Fraction):
+    """A Fraction subclass: not caught by the exact type test."""
+
+
+class TestBackendAtConstruction:
+    @pytest.mark.parametrize("value", [True, False, 1, 0, "1", None, 1j])
+    def test_rejects_everything_but_fraction_and_float(self, value):
+        with pytest.raises(TypeError):
+            Scalar(value)
+
+    def test_plain_types(self):
+        assert Scalar(Fraction(1, 3)).is_exact is True
+        assert Scalar(0.5).is_exact is False
+
+    def test_fraction_subclass_is_exact(self):
+        s = Scalar(HalfFraction(1, 2))
+        assert s.is_exact is True
+        assert s.backend == "exact"
+        assert (s + Scalar.exact(Fraction(1, 2))).as_fraction() == 1
+        with pytest.raises(BackendMismatchError):
+            s * Scalar.flt(2.0)
+
+    def test_numpy_float64_is_float(self):
+        s = Scalar(np.float64(0.25))
+        assert s.is_exact is False
+        assert s.backend == "float"
+        assert float(s * Scalar.flt(4.0)) == 1.0
+        with pytest.raises(BackendMismatchError):
+            s + Scalar.exact(1)
+
+    def test_results_keep_the_backend(self):
+        e, f = Scalar.exact(Fraction(2, 3)), Scalar.flt(1.5)
+        for r in (e + 1, e - e, e * e, e / 2, 2 / e, e**-2, -e, abs(e)):
+            assert r.is_exact is True and type(r.value) is Fraction
+        for r in (f + 1, f - f, f * f, f / 2, 2 / f, f**-2, -f, abs(f)):
+            assert r.is_exact is False and type(r.value) is float
+
+    def test_hash_and_str_unchanged(self):
+        assert hash(Scalar.exact(Fraction(1, 2))) == hash((True, Fraction(1, 2)))
+        assert hash(Scalar.flt(0.5)) == hash((False, 0.5))
+        assert repr(Scalar.flt(0.5)) == "Scalar(0.5)"
+        assert repr(Scalar.exact(Fraction(1, 2))) == "Scalar(Fraction(1, 2))"
 
 
 class TestToleranceComparisons:

@@ -375,3 +375,35 @@ class TestOneWalk:
 
         monkeypatch.setattr(Mat2, "__matmul__", no_matmul)
         assert (bounds_table(a, b, 7), rho_bar_n(a, b, 7)) == expected
+
+
+class TestFloatOverflow:
+    """A non-finite float score is an error, not a dropped or inf row."""
+
+    @pytest.mark.parametrize(
+        "call, length",
+        [
+            (lambda a, b: rho_bar_n(a, b, 2), 2),
+            (lambda a, b: rho_bar_n(a, b, 5), 5),
+            (lambda a, b: rho_n(a, b, 4), 4),
+            (lambda a, b: rho_n(a, b, 4, norm=BoxNorm()), 4),
+            (lambda a, b: bounds_table(a, b, 3), 2),
+        ],
+    )
+    def test_raises_naming_the_least_word_length(self, call, length):
+        mset = example_main(1e100, DISTINGUISHED_PHI)
+        with pytest.raises(ValueError, match=f"overflow at word length {length}:"):
+            call(mset.a, mset.b)
+
+    def test_finite_rows_below_the_overflow_are_unchanged(self):
+        mset = example_main(1e100, DISTINGUISHED_PHI)
+        assert float(rho_n(mset.a, mset.b, 3)) == 9.999999999999872e99
+        assert bounds_table(mset.a, mset.b, 1)[0].rho == 1e100
+
+    def test_nan_row_does_not_hide_behind_a_finite_row(self):
+        # The box norm takes the larger row sum; a nan first row loses that
+        # comparison, so both row sums are checked.
+        nan_first_row = Mat2.flt(math.nan, 0.0, 1.0, 1.0)
+        eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="word length 1:"):
+            rho_n(nan_first_row, eye, 1)
