@@ -26,12 +26,21 @@ T v_{i+1} and T v_i, the products (v_i, T v_{i+1}) and (v_{i+1}, T v_i), the
 difference v_{i+1} - v_i and a collinearity flag.  On the exact backend the
 vertices are scaled by the lcm D of their 24 denominators and a query point
 by the lcm E of its own two, so the table and the point are Python ints:
-the signs of s and t are decided on ints without a division, and h is
-built once as the Fraction (v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)).
+the signs of s and t are decided by comparing the sign of the int
+(Z, Ty) with that of the table's (x, Ty), with neither a division nor a
+product of the two, and h is built once as the Fraction
+(v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)).
 On the float backend the table holds the vertex floats and s, t, h are
 formed with the operations of sector_coords and triangle_h in the same
 order, so every value is bit-identical to theirs; the tolerance is read at
 call time and never stored.
+
+certify_smp evaluates each of the 24 image gauges once.  verify_inclusions
+gauges every a_i = A~ v_i and b_i = B~ v_i of a convex polygon, and the
+induced norms of A~ and B~ are the largest of those values: the points and
+the function that Polygon.matrix_norm would use, so the values are the
+same, bit for bit on floats.  Polygon.matrix_norm serves other matrices,
+such as the word products of `bounds --norm polygon`.
 
 The gauge keeps the sector rule: the first sector in index order whose s
 and t pass the tolerance test.  The equivalent max_i |(f_i, z)| over six
@@ -197,15 +206,22 @@ def _gauge_exact(table: _EdgeTable, z1: int, z2: int, e: int) -> Fraction:
     """Gauge of the point (z1, z2) / e, for ints z1, z2 and e > 0.
 
     With Z = (z1, z2): s = (Z, Ty) D / (E (x, Ty)), t = (Z, Tx) D / (E (y, Tx))
-    and D, E > 0, so each sign is that of an int product.
+    and D, E > 0.  A non-collinear edge has (x, Ty) != 0, so s >= 0 exactly
+    when (Z, Ty) is zero or has the sign of (x, Ty), and likewise for t:
+    the signs are compared, the products never formed.
     """
     if z1 == 0 and z2 == 0:
         return Fraction(0)
     for ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear in table.edges:
         if collinear:
             raise DegenerateSectorError("sector generators are collinear")
-        if (z1 * ty1 + z2 * ty2) * x_ty >= 0 and (z1 * tx1 + z2 * tx2) * y_tx >= 0:
-            return Fraction((d1 * -z2 + d2 * z1) * table.scale, e * y_tx)
+        s = z1 * ty1 + z2 * ty2
+        if s and (s > 0) is not (x_ty > 0):
+            continue
+        t = z1 * tx1 + z2 * tx2
+        if t and (t > 0) is not (y_tx > 0):
+            continue
+        return Fraction((d1 * -z2 + d2 * z1) * table.scale, e * y_tx)
     raise ValueError(_NO_SECTOR)
 
 
@@ -298,11 +314,16 @@ class Polygon:
                 _gauge_float(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, tol)
                 for x1, x2 in table.vertices
             )
-        best = None
-        for g in values:
-            if best is None or g > best:
-                best = g
-        return Scalar(best)
+        return Scalar(_largest(values))
+
+
+def _largest(values):
+    """The first of the largest values, compared with >."""
+    best = None
+    for g in values:
+        if best is None or g > best:
+            best = g
+    return best
 
 
 def _coerce_mu(mu, exact: bool) -> Scalar:
@@ -1000,7 +1021,14 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float | None = None) -> Certificat
     if not (order.passed and convex_ok and incl.passed):
         return finish()
 
-    norms = (poly.matrix_norm(norm.at, rel_tol), poly.matrix_norm(norm.bt, rel_tol))
+    # The induced norms of A~ and B~ are the largest gauges of the images
+    # a_i and b_i, which verify_inclusions has evaluated on this convex
+    # polygon with this tolerance: Polygon.matrix_norm would recompute the
+    # same values from the same points.
+    norms = tuple(
+        _largest(g for label, g, _ in incl.gauge_values if label[0] == kind)
+        for kind in "ab"
+    )
     ok = all(n.isclose(1, rel_tol) and n.le(1, rel_tol) for n in norms)
     add(
         "extremal_norm",

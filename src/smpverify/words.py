@@ -39,11 +39,13 @@ on Python ints.  A float pair keeps its floats, with D = 1.
 Floats enter only at the end of each product.  A radius forms trace,
 determinant and discriminant as ints, decides the discriminant's sign
 exactly, and then divides by D**k or D**(2k); int / int is correctly
-rounded, so every value matches float() of the exact rational.  The
-default box norm compares int row sums and divides the largest by D**k
-once.  Any other norm gets one Mat2 per node, built from the tuple,
-through its matrix_norm(Mat2) method.  A Word is built only for the
-maximizers.
+rounded, so every value matches float() of the exact rational, or raises
+OverflowError when that rational is too large for a float; the walk then
+raises ValueError naming the least such word length, as it does for a
+float product that overflows.  The default box norm compares int row sums
+and divides the largest by D**k once.  Any other norm gets one Mat2 per
+node, built from the tuple, through its matrix_norm(Mat2) method.  A Word
+is built only for the maximizers.
 """
 
 from __future__ import annotations
@@ -218,9 +220,10 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
     is true (BoxNorm if `norm` is None, else norm.matrix_norm), and the
     rooted spectral radius of every necklace when `radii` is true.  Returns
     (rho, bars), keyed by depth k: rho[k] is the largest norm at depth k
-    to the power 1/k, and bars[k] is (rho_bar, maximizers).  On the float
-    backend a score that is not finite raises ValueError naming the least
-    word length where one occurs.
+    to the power 1/k, and bars[k] is (rho_bar, maximizers).  A score that
+    is not finite (float backend) or too large to convert to a float (exact
+    backend) raises ValueError naming the least word length where one
+    occurs.
     """
     ta, tb, d = _scaled_pair(a, b)
     dk = [d**k for k in range(2 * hi + 1)]
@@ -232,8 +235,9 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
     else:
         def leaf(p, k):
             return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
-    # Float products can overflow.  The least depth with a non-finite score
-    # is raised after the walk; exact products are ints and never overflow.
+    # Float products can overflow, and exact ones can outgrow the float
+    # range of their scores.  The least depth where either happens is
+    # raised after the walk.
     finite = None if a.is_exact else math.isfinite
     overflow = hi + 1
     necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
@@ -286,12 +290,17 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
                     # leaves the radius inf or nan.
                     overflow = min(overflow, k)
                 else:
-                    r = matrix2.radius_from_invariants(
-                        t / dk[k],
-                        det / dk[2 * k],
-                        disc / dk[2 * k] if disc >= 0 else None,
-                    )
-                    scored[k].append((r ** (1.0 / k), code))
+                    try:
+                        r = matrix2.radius_from_invariants(
+                            t / dk[k],
+                            det / dk[2 * k],
+                            disc / dk[2 * k] if disc >= 0 else None,
+                        )
+                    except OverflowError:
+                        # An exact quotient too large for a float.
+                        overflow = min(overflow, k)
+                    else:
+                        scored[k].append((r ** (1.0 / k), code))
             if k == hi:
                 continue
         bcode = code | 1 << k
@@ -301,18 +310,28 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
         if live is None or code in live[k + 1]:
             push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
                   a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
+    rho, bars = {}, {}
+    if norms:
+        for k in range(lo, min(overflow, hi + 1)):
+            try:
+                # int / int rounds correctly, as float(Fraction) does.
+                best = float(top[k] / dk[k] if leaf is None else top[k])
+            except OverflowError:
+                overflow = k
+                break
+            rho[k] = best ** (1.0 / k)
     if overflow <= hi:
+        if finite is None:
+            raise ValueError(
+                f"exact products leave the float range at word length {overflow}: "
+                "a norm, trace or determinant is too large for a float"
+            )
         raise ValueError(
             f"float products overflow at word length {overflow}: "
             "a norm or spectral radius is not finite"
         )
-    rho, bars = {}, {}
-    for k in range(lo, hi + 1):
-        if norms:
-            # int / int rounds correctly, as float(Fraction) does.
-            best = top[k] / dk[k] if leaf is None else top[k]
-            rho[k] = float(best) ** (1.0 / k)
-        if radii:
+    if radii:
+        for k in range(lo, hi + 1):
             best = max(r for r, _ in scored[k])
             cut = best - tie_rel_tol * max(1.0, abs(best))
             codes = sorted(c for r, c in scored[k] if r >= cut)

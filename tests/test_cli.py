@@ -183,6 +183,32 @@ class TestBadInput:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--c", "10000000000000000000000000000000000000000", "--max-n", "4"],
+                "exact products leave the float range at word length 2",
+            ),
+        ],
+    )
+    def test_bounds_usage_error_with_one_line_message(self, capsys, argv, message):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+
+    def test_exact_bounds_overflow_in_a_fresh_process(self):
+        code, out, err = run_fresh(
+            "bounds", "--c", "10000000000000000000000000000000000000000", "--max-n", "4"
+        )
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            "error: exact products leave the float range at word length 2: "
+            "a norm, trace or determinant is too large for a float"
+        ]
+
 
 class TestScan:
     def test_main_kappa_max(self, capsys):

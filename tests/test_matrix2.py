@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from smpverify.matrix2 import (
@@ -236,3 +236,65 @@ class TestBackendContract:
         assert all(type(e.value) is Fraction for e in got.entries())
         v = Mat2.exact(*me) @ Vec2.exact(x1, x2)
         assert (v.x1.value, v.x2.value) == (a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
+
+
+huge_ints = st.integers(2**300, 2**340)
+signs = st.sampled_from((-1, 1))
+# Zeros, small entries, and entries whose numerator, denominator or both
+# have 300 bits or more, of either sign.
+wide_fractions = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(lambda s, p, q: Fraction(s * p, q), signs, huge_ints, huge_ints),
+    st.builds(lambda s, p: Fraction(s * p), signs, huge_ints),
+    st.builds(lambda s, q: Fraction(s, q), signs, huge_ints),
+    st.builds(lambda s, p, q: Fraction(s * p, q), signs, huge_ints, st.integers(1, 99)),
+)
+
+P301 = 2**301 + 1
+WIDE = (Fraction(-P301, 3**190), Fraction(0), Fraction(7, P301), Fraction(-(3**200), 5))
+
+
+def _reduced(q):
+    return type(q) is Fraction and q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+
+
+class TestExactKernel:
+    """Exact products and dot go through one reduction per entry; each entry
+    must still be the rational that plain Fraction arithmetic gives."""
+
+    @given(st.tuples(*(wide_fractions,) * 4), st.tuples(*(wide_fractions,) * 6))
+    @example(WIDE, WIDE + WIDE[:2])
+    @example((Fraction(0),) * 4, (Fraction(0),) * 6)
+    def test_products_and_dot_equal_the_fraction_formula(self, me, ne):
+        a11, a12, a21, a22 = me
+        b11, b12, b21, b22, x1, x2 = ne
+        got = Mat2.exact(*me) @ Mat2.exact(b11, b12, b21, b22)
+        want = (
+            a11 * b11 + a12 * b21,
+            a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21,
+            a21 * b12 + a22 * b22,
+        )
+        assert got.is_exact
+        assert tuple(e.value for e in got.entries()) == want
+        assert all(_reduced(e.value) for e in got.entries())
+        v = Mat2.exact(*me) @ Vec2.exact(x1, x2)
+        assert v.is_exact
+        assert (v.x1.value, v.x2.value) == (a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
+        assert _reduced(v.x1.value) and _reduced(v.x2.value)
+        d = dot(Vec2.exact(a11, a12), Vec2.exact(x1, x2))
+        assert d.is_exact
+        assert d.value == a11 * x1 + a12 * x2 and _reduced(d.value)
+
+    def test_wide_example_reaches_300_bits(self):
+        got = Mat2.exact(*WIDE) @ Mat2.exact(*WIDE)
+        assert max(e.value.numerator.bit_length() for e in got.entries()) >= 300
+        assert max(e.value.denominator.bit_length() for e in got.entries()) >= 300
+
+    @given(st.tuples(*(finite_floats,) * 4))
+    def test_float_dot_matches_the_scalar_formula_bit_for_bit(self, e):
+        x1, x2, y1, y2 = e
+        got = dot(Vec2.flt(x1, x2), Vec2.flt(y1, y2))
+        assert not got.is_exact
+        assert _hex((got.value,)) == _hex((x1 * y1 + x2 * y2,))

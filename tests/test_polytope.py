@@ -14,7 +14,7 @@ from smpverify.families import (
     example_main_special,
     normalize,
 )
-from smpverify.matrix2 import Mat2, Vec2
+from smpverify.matrix2 import Mat2, Vec2, dot, rot90
 from smpverify.polytope import (
     DegenerateSectorError,
     Polygon,
@@ -535,6 +535,92 @@ class TestEdgeTableGauge:
         assert convexity_check(poly, 1e-6)
         assert not convexity_check(poly, 1e-12)
         assert convexity_check(poly, 1e-6)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("orientation", ["clockwise", "counterclockwise"])
+    def test_gauge_on_either_orientation_matches_reference(self, orientation, exact):
+        """The exact gauge decides s, t >= 0 from the signs of (Z, Ty) and
+        (x, Ty); a counterclockwise polygon makes every (x, Ty) negative and
+        every (y, Tx) positive, the reverse of a clockwise one."""
+        points = DODECAGON if orientation == "clockwise" else DODECAGON[::-1]
+        poly = hand_built(points, exact)
+        for i in range(1, 13):
+            x_ty = float(dot(poly.v(i), rot90(poly.v(i + 1))))
+            assert (x_ty > 0) if orientation == "clockwise" else (x_ty < 0)
+        make = Vec2.exact if exact else Vec2.flt
+        probes = [make(z1, z2) for z1 in range(-12, 13, 3) for z2 in range(-12, 13, 4)]
+        for alpha in (Fraction(3, 7), Fraction(-2, 5), Fraction(2)):
+            factor = Scalar.exact(alpha) if exact else Scalar.flt(float(alpha))
+            probes += [vert.scale(factor) for vert in poly.vertices]
+        half = Scalar.exact(Fraction(1, 2)) if exact else Scalar.flt(0.5)
+        probes += [(poly.v(i) + poly.v(i + 1)).scale(half) for i in range(1, 13)]
+        for z in probes:
+            assert same_value(polygon_gauge(poly, z), reference_gauge(poly, z)), z
+        make_m = Mat2.exact if exact else Mat2.flt
+        for entries in ((1, 0, 0, 1), (2, -1, 1, 3), (0, -1, 1, 0), (-3, 2, 5, -1)):
+            m = make_m(*entries)
+            assert same_value(poly.matrix_norm(m), reference_matrix_norm(poly, m)), entries
+
+
+# certify inputs of the benchmark workloads (seed 1) and of the README.
+EXTREMAL_CASES = {
+    "exact c=11/10": ("exact", Fraction(11, 10), Fraction(5, 4)),
+    "exact 8-bit": ("exact", Fraction(187, 179), Fraction(199, 160)),
+    "exact 32-bit": (
+        "exact", Fraction(2871565111, 2779534860), Fraction(2031088220, 1746211629)
+    ),
+    "exact 96-bit": (
+        "exact",
+        Fraction(70785979157745727053458571264, 64850217601772588892838711231),
+        Fraction(73222642098272525192820459026, 57481355634328442291876795687),
+    ),
+    "float alt 1.331": ("alt", 1.331, 1.07),
+    "float alt 1.259015": ("alt", 1.259015, 1.042857241),
+    "float main 1.248918": ("main", 1.248918, 1.258584838),
+    "float alt 1.420795": ("alt", 1.420795, 1.121675232),
+}
+
+
+def extremal_case(name):
+    kind, param, mu = EXTREMAL_CASES[name]
+    if kind == "exact":
+        return example_main_special(KappaContext(param)), Scalar.exact(mu)
+    build = example_main if kind == "main" else example_alt
+    return build(param, DISTINGUISHED_PHI), Scalar.flt(mu)
+
+
+class TestExtremalNormReuse:
+    """certify_smp reads the induced norms off the inclusion gauges."""
+
+    @pytest.mark.parametrize("name", sorted(EXTREMAL_CASES))
+    def test_reported_norms_equal_matrix_norm(self, name):
+        mset, mu = extremal_case(name)
+        cert = certify_smp(mset, mu)
+        assert cert.passed
+        kv = dict(cert.as_kv())
+        norm = normalize(mset)
+        v, w = eigenvectors_from_products(norm)
+        poly = build_polygon(norm, v, w, mu)
+        for key, m in (("norm.at", norm.at), ("norm.bt", norm.bt)):
+            expected = poly.matrix_norm(m)
+            if mset.is_exact:
+                assert Fraction(kv[key]) == expected.value
+            else:
+                # repr round-trips, so the printed float is the float.
+                assert float(kv[key]).hex() == expected.value.hex()
+
+    @pytest.mark.parametrize("name", sorted(EXTREMAL_CASES))
+    def test_certifies_without_matrix_norm(self, name, monkeypatch):
+        mset, mu = extremal_case(name)
+        expected = certify_smp(mset, mu).as_kv()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Polygon.matrix_norm called")
+
+        monkeypatch.setattr(Polygon, "matrix_norm", boom)
+        cert = certify_smp(mset, mu)
+        assert cert.passed
+        assert cert.as_kv() == expected
 
 
 class TestInclusions:

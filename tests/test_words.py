@@ -407,3 +407,41 @@ class TestFloatOverflow:
         eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="word length 1:"):
             rho_n(nan_first_row, eye, 1)
+
+
+class TestExactOverflow:
+    """An exact score too large for a float is an error naming the least
+    word length, as on the float backend, not an OverflowError."""
+
+    C40 = 10**40  # A has the entries 10**120 and 10**-120
+
+    @pytest.mark.parametrize(
+        "call, length",
+        [
+            (lambda a, b, poly: rho_bar_n(a, b, 2), 2),
+            (lambda a, b, poly: rho_bar_n(a, b, 5), 5),
+            (lambda a, b, poly: rho_n(a, b, 3), 3),
+            (lambda a, b, poly: rho_n(a, b, 4, norm=BoxNorm()), 4),
+            (lambda a, b, poly: rho_n(a, b, 3, norm=poly), 3),
+            (lambda a, b, poly: bounds_table(a, b, 4), 2),
+            (lambda a, b, poly: bounds_table(a, b, 4, norm=poly), 2),
+        ],
+        ids=[
+            "rho_bar_n 2", "rho_bar_n 5", "rho_n 3", "rho_n 4 box", "rho_n 3 polygon",
+            "bounds_table 4", "bounds_table 4 polygon",
+        ],
+    )
+    def test_raises_naming_the_least_word_length(self, call, length):
+        mset = _exact_main(self.C40, 1)
+        poly = _polygon(mset, Scalar.exact(Fraction(5, 4)))
+        with pytest.raises(ValueError, match=f"float range at word length {length}:"):
+            call(mset.a, mset.b, poly)
+
+    def test_rows_below_the_overflow_are_unchanged(self):
+        mset = _exact_main(self.C40, 1)
+        a, b = mset.a, mset.b
+        products = (evaluate(Word.from_display(s), a, b) for s in ("AA", "AB", "BA", "BB"))
+        box = max(BoxNorm().matrix_norm(m) for m in products)
+        assert float(rho_n(a, b, 2)) == float(box) ** 0.5
+        assert bounds_table(a, b, 1)[0].rho == 1e120
+        assert rho_bar_n(a, b, 1).rho_bar == 1.0
