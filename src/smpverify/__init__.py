@@ -10,9 +10,7 @@ from .scalar import (
     FloatKappa,
     KappaContext,
     Scalar,
-    kappa_power,
     parse_scalar,
-    to_float,
 )
 from .matrix2 import (
     EigenvectorError,
@@ -20,7 +18,6 @@ from .matrix2 import (
     SingularMatrixError,
     Vec2,
     eigenvector_unit_first,
-    mul,
     quarter_turn,
     similarity,
     spectral_radius,

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import figures, polytope, words
 from .families import (
-    DISTINGUISHED_PHI,
     MatrixSet,
+    at_distinguished_angle,
     custom_set,
     eigenvectors_from_products,
     example_alt,
@@ -38,7 +38,7 @@ from .permutability import (
     is_irreducible,
     verify_tau,
 )
-from .scalar import KappaContext, Scalar, parse_scalar
+from .scalar import REL_TOL, KappaContext, Scalar, parse_scalar
 
 __all__ = ["main", "build_parser"]
 
@@ -109,6 +109,16 @@ def _load_custom(path: str, ctx: KappaContext | None) -> MatrixSet:
     return custom_set(a, b, tau_s=tau_s, ctx=ctx)
 
 
+def _float_kappa(ctx: KappaContext) -> float:
+    """kappa = c**3 as a float, for a run that leaves the exact backend."""
+    try:
+        return float(ctx.power(3))
+    except OverflowError:
+        raise ValueError(
+            "--c is out of float range: kappa = c**3 is too large for a float"
+        ) from None
+
+
 def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
     """MatrixSet from the family flags; may downgrade exact->float (warned)."""
     try:
@@ -125,15 +135,12 @@ def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
         if args.kappa:
             _finite(float(args.kappa), "--kappa", args.kappa)
         if args.family == "alt":
-            kappa = float(ctx.power(3)) if ctx is not None else float(args.kappa)
+            kappa = _float_kappa(ctx) if ctx is not None else float(args.kappa)
             return example_alt(kappa, phi)
         # main family
         if ctx is not None:
             exact_mu_ok = mu is None or mu.is_exact
-            at_special_angle = math.isclose(
-                phi, DISTINGUISHED_PHI, rel_tol=0, abs_tol=1e-13
-            )
-            if exact_mu_ok and at_special_angle:
+            if exact_mu_ok and at_distinguished_angle(phi):
                 return example_main_special(ctx)
             if not exact_mu_ok:
                 print(
@@ -141,7 +148,7 @@ def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
                     "the run will not be exact",
                     file=sys.stderr,
                 )
-            return example_main(float(ctx.power(3)), phi)
+            return example_main(_float_kappa(ctx), phi)
         return example_main(float(args.kappa), phi)
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
@@ -169,10 +176,10 @@ def _mu_for_set(mset: MatrixSet, mu: Scalar):
     return mu
 
 
-def _polygon_for(mset: MatrixSet, mu: Scalar, rel_tol=None):
-    norm = normalize(mset, rel_tol)
-    v, w = eigenvectors_from_products(norm, rel_tol)
-    poly = polytope.build_polygon(norm, v, w, _mu_for_set(mset, mu), rel_tol)
+def _polygon_for(mset: MatrixSet, mu: Scalar):
+    norm = normalize(mset)
+    v, w = eigenvectors_from_products(norm)
+    poly = polytope.build_polygon(norm, v, w, _mu_for_set(mset, mu))
     return norm, poly
 
 
@@ -302,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(p)
     p.add_argument("--mu", help="polygon scale, p/q or decimal")
     p.add_argument(
-        "--tol", type=_tolerance, default=None,
-        help="float-backend relative tolerance, finite and > 0",
+        "--tol", type=_tolerance, default=REL_TOL,
+        help=f"float-backend relative tolerance, finite and > 0 (default: {REL_TOL})",
     )
     p.add_argument("--kv", action="store_true", help="print machine-readable lines")
     p.add_argument("--report", help="write the machine-readable report here")

@@ -16,12 +16,13 @@ import math
 from dataclasses import dataclass
 
 from .matrix2 import Mat2, Vec2, eigenvector_unit_first, quarter_turn, spectral_radius
-from .scalar import FloatKappa, KappaContext, Scalar
+from .scalar import REL_TOL, KappaContext, Scalar
 
 __all__ = [
     "MatrixSet",
     "NormalizedSet",
     "DISTINGUISHED_PHI",
+    "at_distinguished_angle",
     "example_alt",
     "example_main",
     "example_main_special",
@@ -51,9 +52,6 @@ class MatrixSet:
     def is_exact(self) -> bool:
         return self.a.is_exact
 
-    def kappa_like(self) -> KappaContext | FloatKappa:
-        return self.ctx if self.ctx is not None else FloatKappa(float(self.kappa))
-
 
 @dataclass(frozen=True)
 class NormalizedSet:
@@ -68,9 +66,14 @@ class NormalizedSet:
     source: MatrixSet
 
 
+def at_distinguished_angle(phi: float) -> bool:
+    """True iff phi is 2*pi/3 up to the rounding of a parsed angle."""
+    return math.isclose(phi, DISTINGUISHED_PHI, rel_tol=0, abs_tol=1e-13)
+
+
 def _snap_angle(phi: float) -> tuple[float, float]:
     """cos/sin with the distinguished angle snapped to exact halves."""
-    if math.isclose(phi, DISTINGUISHED_PHI, rel_tol=0, abs_tol=1e-13):
+    if at_distinguished_angle(phi):
         return -0.5, math.sqrt(3.0) / 2.0
     return math.cos(phi), math.sin(phi)
 
@@ -185,15 +188,7 @@ def custom_set(
     )
 
 
-def _check_cube_identity(m: Mat2, rel_tol: float | None) -> bool:
-    cube = m @ m @ m
-    identity = Mat2.identity_like(m)
-    if m.is_exact:
-        return cube == identity
-    return cube.isclose(identity, rel_tol)
-
-
-def normalize(mset: MatrixSet, rel_tol: float | None = None) -> NormalizedSet:
+def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
     """Divide both matrices by lam**(1/3), lam the top eigenvalue of BAA.
 
     Requires A**3 = B**3 = I (that is what makes the twelve-vertex
@@ -206,7 +201,7 @@ def normalize(mset: MatrixSet, rel_tol: float | None = None) -> NormalizedSet:
             "exact pairs need a cube-root context (kappa = c**3) to normalize"
         )
     for m, name in ((a, "A"), (b, "B")):
-        if not _check_cube_identity(m, rel_tol):
+        if not (m @ m @ m).isclose(Mat2.identity_like(m), rel_tol):
             raise ValueError(f"{name}**3 is not the identity; cannot normalize")
     baa = b @ a @ a
     if mset.ctx is not None:
@@ -224,11 +219,7 @@ def normalize(mset: MatrixSet, rel_tol: float | None = None) -> NormalizedSet:
     # Sanity: the normalized cubes must equal (1/lam) * I.
     cube = at @ at @ at
     expected = Mat2.identity_like(at).scale(1 / lam)
-    if at.is_exact:
-        ok = cube == expected
-    else:
-        ok = cube.isclose(expected, rel_tol)
-    if not ok:
+    if not cube.isclose(expected, rel_tol):
         raise ValueError("normalization failed the cube identity")
     return norm
 
@@ -243,7 +234,7 @@ def eigenvectors_vw(ctx: KappaContext) -> tuple[Vec2, Vec2]:
 
 
 def eigenvectors_from_products(
-    norm: NormalizedSet, rel_tol: float | None = None
+    norm: NormalizedSet, rel_tol: float = REL_TOL
 ) -> tuple[Vec2, Vec2]:
     """Fixed vectors of B~A~A~ and B~B~A~ (eigenvalue 1), first coordinate 1.
 

@@ -23,14 +23,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import BackendMismatchError, Scalar, default_tolerance
+from .scalar import REL_TOL, BackendMismatchError, Scalar
 
 __all__ = [
     "Vec2",
     "Mat2",
     "SingularMatrixError",
     "EigenvectorError",
-    "mul",
     "dot",
     "rot90",
     "quarter_turn",
@@ -88,7 +87,7 @@ class Vec2:
     def scale(self, s: Scalar) -> "Vec2":
         return Vec2(self.x1 * s, self.x2 * s)
 
-    def isclose(self, other: "Vec2", rel_tol: float | None = None) -> bool:
+    def isclose(self, other: "Vec2", rel_tol: float = REL_TOL) -> bool:
         return self.x1.isclose(other.x1, rel_tol) and self.x2.isclose(
             other.x2, rel_tol
         )
@@ -223,7 +222,7 @@ class Mat2:
             raise SingularMatrixError("matrix is singular")
         return Mat2(self.m22 / d, -self.m12 / d, -self.m21 / d, self.m11 / d)
 
-    def isclose(self, other: "Mat2", rel_tol: float | None = None) -> bool:
+    def isclose(self, other: "Mat2", rel_tol: float = REL_TOL) -> bool:
         return all(
             a.isclose(b, rel_tol) for a, b in zip(self.entries(), other.entries())
         )
@@ -234,23 +233,25 @@ def quarter_turn(exact: bool = True) -> Mat2:
     return Mat2.exact(0, -1, 1, 0) if exact else Mat2.flt(0.0, -1.0, 1.0, 0.0)
 
 
-def mul(m: Mat2, n: Mat2) -> Mat2:
-    """Matrix product m @ n."""
-    return m @ n
-
-
 def spectral_radius(m: Mat2) -> Scalar:
     """Largest eigenvalue modulus; always a float-backend scalar.
 
     The discriminant sign is decided on the input backend, so the complex
-    vs. real branch is exact for exact matrices.
+    vs. real branch is exact for exact matrices.  An exact matrix whose
+    trace, determinant or discriminant is too large for a float raises
+    ValueError.
     """
     t = m.trace()
     d = m.det()
     disc = t * t - 4 * d
-    return Scalar.flt(
-        radius_from_invariants(float(t), float(d), float(disc) if disc >= 0 else None)
-    )
+    try:
+        invariants = (float(t), float(d), float(disc) if disc >= 0 else None)
+    except OverflowError:
+        raise ValueError(
+            "exact matrix leaves the float range: its trace, determinant or "
+            "discriminant is too large for a float"
+        ) from None
+    return Scalar.flt(radius_from_invariants(*invariants))
 
 
 def radius_from_invariants(t: float, d: float, disc: float | None) -> float:
@@ -273,7 +274,7 @@ def similarity(s: Mat2, x: Mat2) -> Mat2:
 
 
 def eigenvector_unit_first(
-    m: Mat2, lam: Scalar | int, rel_tol: float | None = None
+    m: Mat2, lam: Scalar | int, rel_tol: float = REL_TOL
 ) -> Vec2:
     """Eigenvector of a simple real eigenvalue, scaled to first coordinate 1.
 
@@ -294,11 +295,10 @@ def eigenvector_unit_first(
         if simple == 0:
             raise EigenvectorError("eigenvalue is not simple")
     else:
-        tol = default_tolerance() if rel_tol is None else rel_tol
         lam_f = float(lam)
-        if abs(float(residual)) > tol * max(1.0, lam_f * lam_f):
+        if abs(float(residual)) > rel_tol * max(1.0, lam_f * lam_f):
             raise EigenvectorError(f"{lam} is not an eigenvalue (residual too large)")
-        if abs(float(simple)) <= tol * max(1.0, abs(lam_f)):
+        if abs(float(simple)) <= rel_tol * max(1.0, abs(lam_f)):
             raise EigenvectorError("eigenvalue is not simple")
     # Rows of (m - lam*I); the eigenvector is orthogonal to both, so take
     # the more robust nonzero row (a, b) and use (b, -a).
@@ -312,8 +312,7 @@ def eigenvector_unit_first(
     if m.is_exact:
         first_zero = x1 == 0
     else:
-        tol = default_tolerance() if rel_tol is None else rel_tol
-        first_zero = abs(float(x1)) <= tol * abs(float(x2))
+        first_zero = abs(float(x1)) <= rel_tol * abs(float(x2))
     if first_zero:
         raise EigenvectorError("eigenvector is parallel to (0, 1)")
     one = Scalar.one_like(x1)

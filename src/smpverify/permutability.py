@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .matrix2 import Mat2, Vec2, similarity
-from .scalar import Scalar
+from .scalar import REL_TOL, Scalar
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
 __all__ = [
@@ -141,25 +141,24 @@ def _float_direction_invariant(m: Mat2, u: Vec2, tol: float) -> bool:
     return abs(cross) <= tol * max(1.0, scale)
 
 
-def is_irreducible(a: Mat2, b: Mat2, rel_tol: float | None = None) -> bool:
+def is_irreducible(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
     """True iff a and b share no common real eigendirection.
 
     Exact matrices get an exact answer (including irrational
     eigendirections, via proportionality of the invariant-line
-    quadratics); float matrices use a residual tolerance, default 1e-10.
+    quadratics); float matrices use the residual tolerance rel_tol.
     """
     if a.is_exact != b.is_exact:
         raise TypeError("matrix backends must match")
     if a.is_exact:
         return _exact_is_irreducible(a, b)
-    tol = 1e-10 if rel_tol is None else rel_tol
-    dirs_a = _float_real_eigendirections(a, tol)
+    dirs_a = _float_real_eigendirections(a, rel_tol)
     if dirs_a is None:
-        dirs_b = _float_real_eigendirections(b, tol)
+        dirs_b = _float_real_eigendirections(b, rel_tol)
         return dirs_b is not None and len(dirs_b) == 0
     if not dirs_a:
         return True
-    return not any(_float_direction_invariant(b, u, tol) for u in dirs_a)
+    return not any(_float_direction_invariant(b, u, rel_tol) for u in dirs_a)
 
 
 def friedland_5tuple(a: Mat2, b: Mat2):
@@ -173,7 +172,7 @@ def friedland_5tuple(a: Mat2, b: Mat2):
     )
 
 
-def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float | None = None) -> bool:
+def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
     """Trace/determinant permutability test for an irreducible pair."""
     if a == b:
         raise ValueError("the pair must consist of two distinct matrices")
@@ -181,20 +180,14 @@ def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float | None = None) -> bool
         raise ReducibleSetError(
             "criterion inapplicable: the pair has a common invariant line"
         )
-    if a.is_exact:
-        return a.trace() == b.trace() and a.det() == b.det()
     return a.trace().isclose(b.trace(), rel_tol) and a.det().isclose(
         b.det(), rel_tol
     )
 
 
-def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float | None = None) -> bool:
+def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float = REL_TOL) -> bool:
     """Check the swap identities tau(a) == b and tau(b) == a."""
-    ta, tb = tau.apply(a), tau.apply(b)
-    if a.is_exact:
-        return ta == b and tb == a
-    tol = 1e-10 if rel_tol is None else rel_tol
-    return ta.isclose(b, tol) and tb.isclose(a, tol)
+    return tau.apply(a).isclose(b, rel_tol) and tau.apply(b).isclose(a, rel_tol)
 
 
 def tau_word(w: Word) -> Word:
@@ -264,7 +257,7 @@ class SwapSpectrumReport:
 
 
 def swap_spectrum_check(
-    a: Mat2, b: Mat2, tau: TauMap, w: Word, rel_tol: float | None = None
+    a: Mat2, b: Mat2, tau: TauMap, w: Word, rel_tol: float = REL_TOL
 ) -> SwapSpectrumReport:
     """Compare a word's product with its swap image's product.
 
@@ -277,12 +270,8 @@ def swap_spectrum_check(
     iw = tau_word(w)
     m = evaluate(w, a, b)
     tm = evaluate(iw, a, b)
-    if a.is_exact:
-        trace_equal = m.trace() == tm.trace()
-        det_equal = m.det() == tm.det()
-    else:
-        trace_equal = m.trace().isclose(tm.trace(), rel_tol)
-        det_equal = m.det().isclose(tm.det(), rel_tol)
+    trace_equal = m.trace().isclose(tm.trace(), rel_tol)
+    det_equal = m.det().isclose(tm.det(), rel_tol)
     counts = factor_counts(w)
     image_counts = factor_counts(iw)
     odd = len(w) % 2 == 1

@@ -68,13 +68,7 @@ from .families import (
 )
 from .matrix2 import Mat2, Vec2, dot, rot90
 from .permutability import ReducibleSetError, TauMap, friedland_permutable, verify_tau
-from .scalar import (
-    BackendMismatchError,
-    FloatKappa,
-    KappaContext,
-    Scalar,
-    default_tolerance,
-)
+from .scalar import REL_TOL, BackendMismatchError, FloatKappa, KappaContext, Scalar
 from .words import Word, factor_counts
 
 __all__ = [
@@ -285,10 +279,10 @@ class Polygon:
             for i in range(1, 7)
         )
 
-    def gauge(self, x: Vec2, rel_tol: float | None = None) -> Scalar:
+    def gauge(self, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
         return polygon_gauge(self, x, rel_tol)
 
-    def matrix_norm(self, m: Mat2, rel_tol: float | None = None) -> Scalar:
+    def matrix_norm(self, m: Mat2, rel_tol: float = REL_TOL) -> Scalar:
         """Operator norm induced by the polygon gauge: the maximum of the
         gauge over the images of the vertices.
 
@@ -309,9 +303,8 @@ class Polygon:
             )
         else:
             m11, m12, m21, m22 = entries
-            tol = default_tolerance() if rel_tol is None else rel_tol
             values = (
-                _gauge_float(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, tol)
+                _gauge_float(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, rel_tol)
                 for x1, x2 in table.vertices
             )
         return Scalar(_largest(values))
@@ -343,7 +336,7 @@ def _coerce_mu(mu, exact: bool) -> Scalar:
 
 
 def build_polygon(
-    norm: NormalizedSet, v: Vec2, w: Vec2, mu, rel_tol: float | None = None
+    norm: NormalizedSet, v: Vec2, w: Vec2, mu, rel_tol: float = REL_TOL
 ) -> Polygon:
     """Vertices v1..v12 from the fixed vectors and the scale mu > 0.
 
@@ -356,12 +349,7 @@ def build_polygon(
     if not mu > 0:
         raise ValueError(f"need mu > 0, got {mu}")
     for vec, m3, name in ((v, bt @ at @ at, "v"), (w, bt @ bt @ at, "w")):
-        image = m3 @ vec
-        if at.is_exact:
-            ok = image == vec
-        else:
-            ok = image.isclose(vec, rel_tol)
-        if not ok:
+        if not (m3 @ vec).isclose(vec, rel_tol):
             raise ValueError(f"{name} is not fixed by its triple product")
     v1 = v.scale(mu)
     v2 = w
@@ -376,8 +364,7 @@ def build_polygon(
         (v6, bt @ (at @ w), "v6"),
     )
     for built, unrolled, name in direct:
-        ok = built == unrolled if at.is_exact else built.isclose(unrolled, rel_tol)
-        if not ok:
+        if not built.isclose(unrolled, rel_tol):
             raise RuntimeError(f"vertex cross-check failed for {name}")
     base = (v1, v2, v3, v4, v5, v6)
     verts = base + tuple(-x for x in base)
@@ -458,7 +445,7 @@ def _threshold_h_values(norm: NormalizedSet, v: Vec2, w: Vec2, mu) -> tuple:
 
 
 def empirical_mu_thresholds(
-    mset: MatrixSet, rel_tol: float | None = None
+    mset: MatrixSet, rel_tol: float = REL_TOL
 ) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """Scale thresholds extracted from the construction itself.
 
@@ -477,8 +464,7 @@ def empirical_mu_thresholds(
         samples[m] = _threshold_h_values(norm, v, w, mu)
 
     def check_model(expected: Scalar, actual: Scalar) -> None:
-        ok = expected == actual if exact else expected.isclose(actual, rel_tol)
-        if not ok:
+        if not expected.isclose(actual, rel_tol):
             raise RuntimeError("inclusion level does not follow the affine model")
 
     out = []
@@ -593,7 +579,7 @@ class OrderReport:
         return items
 
 
-def vertex_order_check(poly: Polygon, rel_tol: float | None = None) -> OrderReport:
+def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> OrderReport:
     """All fifteen products (v_i, T v_j), i < j <= 6, must be positive:
     the rays are then pairwise distinct and the clockwise traversal meets
     the vertices in index order, for any kappa > 1 and mu > 0."""
@@ -614,9 +600,7 @@ def vertex_order_check(poly: Polygon, rel_tol: float | None = None) -> OrderRepo
         )
         closed = _order_products_closed(pw, poly.mu)
         for i, j, val in products:
-            expected = closed[(i, j)]
-            ok = val == expected if poly.is_exact else val.isclose(expected, rel_tol)
-            if not ok:
+            if not val.isclose(closed[(i, j)], rel_tol):
                 match = False
     return OrderReport(
         products=tuple(products),
@@ -633,11 +617,11 @@ def convexity_values(poly: Polygon) -> list[tuple[int, Scalar]]:
     return list(poly._convexity_levels)
 
 
-def convexity_check(poly: Polygon, rel_tol: float | None = None) -> bool:
+def convexity_check(poly: Polygon, rel_tol: float = REL_TOL) -> bool:
     return all(h.ge(1, rel_tol) for _, h in poly._convexity_levels)
 
 
-def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float | None = None) -> Scalar:
+def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
     """Minkowski gauge of the polygon: 0 at the origin, 1 on the boundary.
 
     Locates the first sector (v_i, v_{i+1}) in index order that contains
@@ -652,8 +636,7 @@ def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float | None = None) -> Scala
     if poly.is_exact:
         e, (z1, z2) = _common_scale((x.x1.value, x.x2.value))
         return Scalar(_gauge_exact(table, z1, z2, e))
-    tol = default_tolerance() if rel_tol is None else rel_tol
-    return Scalar(_gauge_float(table, x.x1.value, x.x2.value, tol))
+    return Scalar(_gauge_float(table, x.x1.value, x.x2.value, rel_tol))
 
 
 _AUTOMATIC_IDENTITIES = (
@@ -735,7 +718,7 @@ class InclusionReport:
 
 
 def verify_inclusions(
-    poly: Polygon, norm: NormalizedSet, rel_tol: float | None = None
+    poly: Polygon, norm: NormalizedSet, rel_tol: float = REL_TOL
 ) -> InclusionReport:
     """All 24 image points must stay inside the polygon.
 
@@ -750,14 +733,12 @@ def verify_inclusions(
     ipts = images(poly, norm)
     lists = {"a": ipts.a, "b": ipts.b}
     lam = norm.lam
-    exact = poly.is_exact
 
     automatic = []
     for label, kind, idx, target, scaled in _AUTOMATIC_IDENTITIES:
         point = lists[kind][idx - 1]
         expected = poly.v(target).scale(1 / lam) if scaled else poly.v(target)
-        ok = point == expected if exact else point.isclose(expected, rel_tol)
-        automatic.append((label, ok))
+        automatic.append((label, point.isclose(expected, rel_tol)))
 
     nonobvious = []
     for label, kind, idx, (i, j) in _NONOBVIOUS:
@@ -855,10 +836,6 @@ class Certificate:
         return all(names.get(n, False) for n in _CHECK_SEQUENCE)
 
     @property
-    def failed_checks(self) -> list[str]:
-        return [c.name for c in self.checks if not c.passed]
-
-    @property
     def first_failure(self) -> CheckResult | None:
         for c in self.checks:
             if not c.passed:
@@ -916,7 +893,7 @@ class Certificate:
         return "\n".join(lines)
 
 
-def certify_smp(mset: MatrixSet, mu, rel_tol: float | None = None) -> Certificate:
+def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     """Run the whole pipeline and assemble the verification record.
 
     Never raises on a failed condition: every failure is recorded in the

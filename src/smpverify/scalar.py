@@ -10,6 +10,13 @@ backend mirrors the same operations in binary64 for parameter scans.
 Backends never mix silently: combining an exact and a float scalar raises
 BackendMismatchError, so a certificate that starts exact stays exact.
 
+Tolerance policy: `isclose`, `le` and `ge` are the one comparison
+primitive of the package.  On the exact backend they compare exactly and
+ignore their tolerance; on the float backend they allow the relative slack
+`rel_tol`, whose default everywhere is the module constant REL_TOL.  There
+is no process-wide setting: a caller that wants another tolerance passes
+it (the command line does so with `certify --tol`).
+
 Cost model: a Scalar's backend is fixed once, at construction, by an exact
 type test (`type(value) is Fraction` or `is float`) and stored in the
 `is_exact` slot.  Only a subclass of Fraction or float, or a rejected
@@ -30,30 +37,13 @@ __all__ = [
     "Scalar",
     "KappaContext",
     "FloatKappa",
-    "kappa_power",
-    "to_float",
     "parse_scalar",
-    "default_tolerance",
-    "set_default_tolerance",
+    "REL_TOL",
 ]
 
-# Single global relative tolerance used by float-backend comparisons.
-_DEFAULT_REL_TOL = 1e-12
-
-
-def default_tolerance() -> float:
-    return _DEFAULT_REL_TOL
-
-
-def set_default_tolerance(tol: float) -> None:
-    global _DEFAULT_REL_TOL
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    _DEFAULT_REL_TOL = tol
-
-
-def _tol(tol: float | None) -> float:
-    return _DEFAULT_REL_TOL if tol is None else tol
+# The relative tolerance of float-backend comparisons, unless a caller
+# passes another.
+REL_TOL = 1e-12
 
 
 class BackendMismatchError(TypeError):
@@ -103,9 +93,6 @@ class Scalar:
         if not self.is_exact:
             raise BackendMismatchError("float scalar has no exact value")
         return self.value
-
-    def to_float(self) -> "Scalar":
-        return Scalar(float(self.value))
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -203,28 +190,25 @@ class Scalar:
 
     # -- tolerance-aware comparison (float backend only) --------------
 
-    def isclose(self, other, rel_tol: float | None = None) -> bool:
+    def isclose(self, other, rel_tol: float = REL_TOL) -> bool:
         """Equality check: exact on the exact backend, tolerant on float."""
         ov = self._cmp_value(other)
         if self.is_exact:
             return self.value == ov
-        t = _tol(rel_tol)
-        return math.isclose(self.value, ov, rel_tol=t, abs_tol=t)
+        return math.isclose(self.value, ov, rel_tol=rel_tol, abs_tol=rel_tol)
 
-    def le(self, other, rel_tol: float | None = None) -> bool:
+    def le(self, other, rel_tol: float = REL_TOL) -> bool:
         """self <= other, allowing a relative slack on the float backend."""
         ov = self._cmp_value(other)
         if self.is_exact:
             return self.value <= ov
-        t = _tol(rel_tol)
-        return self.value <= ov + t * max(1.0, abs(ov))
+        return self.value <= ov + rel_tol * max(1.0, abs(ov))
 
-    def ge(self, other, rel_tol: float | None = None) -> bool:
+    def ge(self, other, rel_tol: float = REL_TOL) -> bool:
         ov = self._cmp_value(other)
         if self.is_exact:
             return self.value >= ov
-        t = _tol(rel_tol)
-        return self.value >= ov - t * max(1.0, abs(ov))
+        return self.value >= ov - rel_tol * max(1.0, abs(ov))
 
     # -- formatting ---------------------------------------------------
 
@@ -238,11 +222,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.value!r})"
-
-
-def to_float(s: Scalar) -> Scalar:
-    """Nearest binary64 value of a scalar, as a float-backend scalar."""
-    return s.to_float()
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -313,7 +292,3 @@ class FloatKappa:
     def is_exact(self) -> bool:
         return False
 
-
-def kappa_power(ctx: KappaContext | FloatKappa, k_thirds: int) -> Scalar:
-    """kappa**(k_thirds/3) in the backend of the given context."""
-    return ctx.power(k_thirds)

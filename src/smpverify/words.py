@@ -76,6 +76,10 @@ __all__ = [
 
 DEFAULT_WORD_CAP = 20
 
+# Necklaces whose rooted spectral radius lies within this relative distance
+# of the largest are all listed as maximizers.
+_TIE_TOL = 1e-9
+
 _ALPHABET = ("A", "B")
 
 
@@ -213,7 +217,7 @@ def _scaled_pair(a: Mat2, b: Mat2):
     return tuple(scaled[:4]), tuple(scaled[4:]), d
 
 
-def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
+def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     """One depth-first walk of the suffix-product tree of (a, b) to depth hi.
 
     Scores the nodes at depths lo..hi: the norm of every node when `norms`
@@ -333,7 +337,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True, tie_rel_tol=1e-9):
     if radii:
         for k in range(lo, hi + 1):
             best = max(r for r, _ in scored[k])
-            cut = best - tie_rel_tol * max(1.0, abs(best))
+            cut = best - _TIE_TOL * max(1.0, abs(best))
             codes = sorted(c for r, c in scored[k] if r >= cut)
             bars[k] = (best, tuple(Word.from_display(_display(c, k)) for c in codes))
     return rho, bars
@@ -343,16 +347,15 @@ def rho_bar_n(
     a: Mat2,
     b: Mat2,
     n: int,
-    tie_rel_tol: float = 1e-9,
     cap: int = DEFAULT_WORD_CAP,
 ) -> BoundsRow:
     """Brute-force lower bound row: max of rooted spectral radii.
 
     The maximizer list holds every necklace whose rooted spectral radius is
-    within tie_rel_tol (relative) of the maximum.
+    within a relative distance of 1e-9 of the maximum.
     """
     _check_cap(n, cap)
-    _, bars = _walk(a, b, n, n, norms=False, tie_rel_tol=tie_rel_tol)
+    _, bars = _walk(a, b, n, n, norms=False)
     best, maximizers = bars[n]
     return BoundsRow(n=n, rho_bar=best, rho=None, maximizers=maximizers)
 
@@ -380,12 +383,11 @@ def bounds_table(
     b: Mat2,
     n_max: int,
     norm=None,
-    tie_rel_tol: float = 1e-9,
     cap: int = DEFAULT_WORD_CAP,
 ) -> list[BoundsRow]:
     """Rows for n = 1..n_max with both bound columns filled, from one walk."""
     _check_cap(n_max, cap)
-    rho, bars = _walk(a, b, 1, n_max, norm=norm, tie_rel_tol=tie_rel_tol)
+    rho, bars = _walk(a, b, 1, n_max, norm=norm)
     return [
         BoundsRow(n=n, rho_bar=bars[n][0], rho=rho[n], maximizers=bars[n][1])
         for n in range(1, n_max + 1)

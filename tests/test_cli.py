@@ -9,6 +9,8 @@ from smpverify import cli
 from smpverify.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# An exact --c whose cube is beyond the float range: 1 followed by 110 zeros.
+BEYOND_FLOAT = "1" + "0" * 110
 
 
 def run_fresh(*argv, flags=()):
@@ -172,6 +174,9 @@ class TestBadInput:
             (["--family", "alt", "--kappa", "1.331", "--mu", "1.07", "--tol=-1e-12"], "--tol must be > 0"),
             (["--family", "main", "--kappa", "1e200", "--mu", "1.2"], "A @ B has a non-finite entry"),
             (["--family", "alt", "--kappa", "1e200", "--mu", "1.2"], "A @ B has a non-finite entry"),
+            (["--family", "alt", "--c", BEYOND_FLOAT, "--mu", "5/4"], "--c is out of float range"),
+            (["--family", "main", "--phi", "0.5", "--c", BEYOND_FLOAT, "--mu", "5/4"],
+             "--c is out of float range"),
         ],
     )
     def test_usage_error_with_one_line_message(self, capsys, argv, message):
@@ -198,6 +203,17 @@ class TestBadInput:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+
+    def test_exact_c_beyond_float_range_in_a_fresh_process(self):
+        code, out, err = run_fresh(
+            "certify", "--family", "alt", "--c", BEYOND_FLOAT, "--mu", "5/4"
+        )
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "smpverify: error: --c is out of float range: "
+            "kappa = c**3 is too large for a float"
+        )
 
     def test_exact_bounds_overflow_in_a_fresh_process(self):
         code, out, err = run_fresh(

@@ -13,7 +13,6 @@ from smpverify.matrix2 import (
     Vec2,
     dot,
     eigenvector_unit_first,
-    mul,
     quarter_turn,
     similarity,
     spectral_radius,
@@ -32,11 +31,11 @@ def exact_mats(draw_tuple):
 class TestProducts:
     def test_identity_neutral(self, main_exact):
         eye = Mat2.identity_like(main_exact.a)
-        assert mul(eye, main_exact.a) == main_exact.a
+        assert eye @ main_exact.a == main_exact.a
 
     def test_triple_product_closed_form(self, ctx11, main_exact):
         kappa = ctx11.power(3)
-        baa = mul(main_exact.b, mul(main_exact.a, main_exact.a))
+        baa = main_exact.b @ (main_exact.a @ main_exact.a)
         assert baa == Mat2(
             kappa * kappa, Scalar.exact(0), kappa - 1 / kappa, 1 / (kappa * kappa)
         )
@@ -87,6 +86,15 @@ class TestSpectralRadius:
             m = Mat2.flt(*entries)
             expected = max(abs(np.linalg.eigvals(entries.reshape(2, 2))))
             assert math.isclose(float(spectral_radius(m)), expected, rel_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [(10**400, 0, 0, 1), (0, 10**200, -(10**200), 0), (10**200, 0, 0, 1)],
+        ids=["trace", "determinant", "discriminant"],
+    )
+    def test_exact_invariant_beyond_float_range_is_a_value_error(self, entries):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            spectral_radius(Mat2.exact(*entries))
 
     def test_exact_branch_against_numpy_oracle(self):
         rng = np.random.default_rng(7)

@@ -35,7 +35,7 @@ from smpverify.polytope import (
     verify_inclusions,
     vertex_order_check,
 )
-from smpverify.scalar import FloatKappa, KappaContext, Scalar
+from smpverify.scalar import REL_TOL, FloatKappa, KappaContext, Scalar
 
 MU54 = Scalar.exact(Fraction(5, 4))
 
@@ -294,7 +294,7 @@ class TestGauge:
         assert poly_exact.matrix_norm(norm_exact.bt) == Scalar.exact(1)
 
 
-def reference_gauge(poly, z, rel_tol=None):
+def reference_gauge(poly, z, rel_tol=REL_TOL):
     """The sector search on the public primitives: the first sector in
     index order whose s and t pass Scalar.ge(0), and its level h."""
     if z.x1 == 0 and z.x2 == 0:
@@ -307,7 +307,7 @@ def reference_gauge(poly, z, rel_tol=None):
     raise ValueError("no sector contains the point")
 
 
-def reference_matrix_norm(poly, m, rel_tol=None):
+def reference_matrix_norm(poly, m, rel_tol=REL_TOL):
     best = None
     for vert in poly.vertices:
         g = reference_gauge(poly, m @ vert, rel_tol)
@@ -394,7 +394,7 @@ class TestEdgeTableGauge:
 
     def test_probe_points_match_reference(self, gauge_case):
         norm, poly = gauge_case
-        tols = (None,) if poly.is_exact else (None, 1e-15, 1e-6)
+        tols = (REL_TOL,) if poly.is_exact else (REL_TOL, 1e-15, 1e-6)
         for tol in tols:
             for z in probe_points(poly, norm):
                 assert same_outcome(

@@ -11,9 +11,7 @@ from smpverify.scalar import (
     FloatKappa,
     KappaContext,
     Scalar,
-    kappa_power,
     parse_scalar,
-    to_float,
 )
 
 
@@ -109,19 +107,6 @@ class TestToleranceComparisons:
         assert not Scalar.flt(1.0 + 1e-9).le(1)
         assert Scalar.flt(1.0 + 1e-9).le(1, rel_tol=1e-8)
 
-    def test_global_tolerance_is_configurable(self):
-        from smpverify.scalar import default_tolerance, set_default_tolerance
-
-        original = default_tolerance()
-        try:
-            set_default_tolerance(1e-6)
-            assert Scalar.flt(1.0 + 1e-7).isclose(Scalar.flt(1.0))
-        finally:
-            set_default_tolerance(original)
-        assert not Scalar.flt(1.0 + 1e-7).isclose(Scalar.flt(1.0))
-        with pytest.raises(ValueError):
-            set_default_tolerance(0.0)
-
 
 class TestSerialization:
     def test_exact_serializes_decimal_free(self):
@@ -132,9 +117,9 @@ class TestSerialization:
         assert str(Scalar.flt(1.331)) == "1.331"
 
     def test_to_float_examples(self):
-        assert float(to_float(Scalar.exact(Fraction(1331, 1000)))) == 1.331
-        assert float(to_float(Scalar.exact(Fraction(1, 3)))) == 0.3333333333333333
-        assert float(to_float(Scalar.exact(0))) == 0.0
+        assert float(Scalar.exact(Fraction(1331, 1000))) == 1.331
+        assert float(Scalar.exact(Fraction(1, 3))) == 0.3333333333333333
+        assert float(Scalar.exact(0)) == 0.0
 
     def test_parse_scalar(self):
         assert parse_scalar("11/10").as_fraction() == Fraction(11, 10)
@@ -153,10 +138,10 @@ class TestKappaContext:
 
     def test_power_examples(self):
         ctx = KappaContext(Fraction(11, 10))
-        assert kappa_power(ctx, 3).as_fraction() == Fraction(1331, 1000)
-        assert kappa_power(ctx, 0).as_fraction() == 1
-        assert kappa_power(ctx, 2).as_fraction() == Fraction(121, 100)
-        assert kappa_power(ctx, -3).as_fraction() == Fraction(1000, 1331)
+        assert ctx.power(3).as_fraction() == Fraction(1331, 1000)
+        assert ctx.power(0).as_fraction() == 1
+        assert ctx.power(2).as_fraction() == Fraction(121, 100)
+        assert ctx.power(-3).as_fraction() == Fraction(1000, 1331)
 
     @given(st.integers(-12, 12), st.integers(-12, 12))
     def test_power_is_additive(self, j, k):
