@@ -72,7 +72,6 @@ from .polytope import (
     omega_thresholds,
     polygon_gauge,
     sector_coords,
-    symbolic_conformance,
     triangle_h,
     verify_inclusions,
     vertex_order_check,

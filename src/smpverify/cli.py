@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mu", help="polygon scale (for --norm polygon)")
     p.add_argument("--csv", help="also write the table as CSV to this path")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, parser=p)
 
     p = sub.add_parser("certify", help="run the full certificate")
     _add_family_options(p)
@@ -314,24 +314,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kv", action="store_true", help="print machine-readable lines")
     p.add_argument("--report", help="write the machine-readable report here")
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(func=cmd_certify, parser=p)
 
     p = sub.add_parser("scan", help="thresholds and the admissible kappa range")
     _add_family_options(p)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, parser=p)
 
     p = sub.add_parser("permutable", help="irreducibility and swap-permutability")
     _add_family_options(p)
-    p.set_defaults(func=cmd_permutable)
+    p.set_defaults(func=cmd_permutable, parser=p)
 
     p = sub.add_parser("figure", help="render the polygon and its images as SVG")
     _add_family_options(p)
     p.add_argument("--mu", help="polygon scale, p/q or decimal")
     p.add_argument("--output", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_figure)
+    p.set_defaults(func=cmd_figure, parser=p)
 
     p = sub.add_parser("selftest", help="run the built-in reference checks")
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, parser=p)
 
     return parser
 
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -217,44 +217,6 @@ class SwapSpectrumReport:
             ok = ok and bool(self.counts_differ) and bool(self.normal_forms_distinct)
         return ok
 
-    def as_kv(self) -> list[tuple[str, str]]:
-        items = [
-            ("word", self.word.display),
-            ("image_word", self.image_word.display),
-            ("trace_equal", str(self.trace_equal).lower()),
-            ("det_equal", str(self.det_equal).lower()),
-            ("count_a", str(self.counts[0])),
-            ("count_b", str(self.counts[1])),
-            ("image_count_a", str(self.image_counts[0])),
-            ("image_count_b", str(self.image_counts[1])),
-            ("odd_length", str(self.odd_length).lower()),
-        ]
-        if self.odd_length:
-            items.append(("counts_differ", str(self.counts_differ).lower()))
-            items.append(
-                ("normal_forms_distinct", str(self.normal_forms_distinct).lower())
-            )
-        items.append(("passed", str(self.passed).lower()))
-        return items
-
-    def as_text(self) -> str:
-        lines = [f"product {self.word.display} vs swap image {self.image_word.display}"]
-        lines.append(
-            f"  isospectral: trace {'==' if self.trace_equal else '!='}, "
-            f"det {'==' if self.det_equal else '!='}"
-        )
-        lines.append(
-            f"  factor counts: {self.counts} vs {self.image_counts}"
-            + ("" if self.odd_length else "  (even length: count clause skipped)")
-        )
-        if self.odd_length:
-            lines.append(
-                f"  counts differ: {self.counts_differ}; "
-                f"cyclic classes distinct: {self.normal_forms_distinct}"
-            )
-        lines.append(f"  passed: {self.passed}")
-        return "\n".join(lines)
-
 
 def swap_spectrum_check(
     a: Mat2, b: Mat2, tau: TauMap, w: Word, rel_tol: float = REL_TOL

@@ -63,7 +63,6 @@ from .families import (
     NormalizedSet,
     eigenvectors_from_products,
     example_alt,
-    example_main_special,
     normalize,
 )
 from .matrix2 import Mat2, Vec2, dot, rot90
@@ -79,7 +78,6 @@ __all__ = [
     "CheckResult",
     "SmpClass",
     "Certificate",
-    "ConformanceReport",
     "DegenerateSectorError",
     "sector_coords",
     "triangle_h",
@@ -96,7 +94,6 @@ __all__ = [
     "polygon_gauge",
     "verify_inclusions",
     "certify_smp",
-    "symbolic_conformance",
 ]
 
 
@@ -1021,131 +1018,3 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
         SmpClass(Word.from_display("ABB"), *factor_counts(Word.from_display("ABB"))),
     )
     return finish(rho_bar=norm.scale, smp=smp)
-
-
-# -- symbolic conformance --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConformanceReport:
-    """Exact agreement between constructed geometry and the closed-form
-    tables of the zero-corner family."""
-
-    entries: tuple[tuple[str, str, str, bool], ...]  # name, actual, expected, match
-    notes: tuple[str, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(ok for _, _, _, ok in self.entries)
-
-    def as_text(self) -> str:
-        lines = []
-        for name, actual, expected, ok in self.entries:
-            mark = "ok " if ok else "BAD"
-            lines.append(f"  [{mark}] {name}: {actual} vs {expected}")
-        lines.extend(f"  note: {n}" for n in self.notes)
-        return "\n".join(lines)
-
-
-def symbolic_conformance(ctx: KappaContext, mu) -> ConformanceReport:
-    """Compare every tabulated quantity with its constructed value, exactly.
-
-    Covers the fifteen ordering products, the eight sector coordinates and
-    four inclusion levels of the nonobvious points, and the six convexity
-    levels (equivalently the omega thresholds).  Also records which of the
-    two candidate points, b7 or b3, carries the value 1/kappa^4 as its
-    second coordinate in the (v2, v3) sector; the two are easy to mix up.
-    """
-    mset = example_main_special(ctx)
-    norm = normalize(mset)
-    v, w = eigenvectors_from_products(norm)
-    mu = _coerce_mu(mu, True)
-    poly = build_polygon(norm, v, w, mu)
-    pw = ctx.power
-    at, bt = norm.at, norm.bt
-
-    entries = []
-
-    def record(name, actual: Scalar, expected: Scalar):
-        entries.append((name, str(actual), str(expected), actual == expected))
-
-    closed = _order_products_closed(pw, mu)
-    for (i, j), expected in sorted(closed.items()):
-        actual = dot(poly.v(i), rot90(poly.v(j)))
-        record(f"dot.v{i}.Tv{j}", actual, expected)
-
-    k4 = pw(12)
-    k6 = pw(18)
-    k2_plus_1 = pw(6) + 1
-    points = {
-        "a4": at @ poly.v(4),
-        "a6": at @ poly.v(6),
-        "b3": bt @ poly.v(3),
-        "b7": bt @ poly.v(7),
-    }
-    sectors = {"a4": (11, 12), "a6": (2, 3), "b3": (11, 12), "b7": (2, 3)}
-    s_expected = {
-        "a4": (k4 - 1) / (k4 * mu),
-        "a6": 1 / k4,
-        "b3": 1 / k4,
-        "b7": (k6 - 1) * mu / (pw(14) * k2_plus_1),
-    }
-    t_expected = {
-        "a4": 1 / k4,
-        "a6": (k4 - 1) / (pw(10) * mu),
-        "b3": (k6 - 1) * mu / (k4 * k2_plus_1),
-        "b7": 1 / k4,
-    }
-    h_expected = {
-        "a4": (k4 + mu - 1) / (k4 * mu),
-        "a6": (pw(2) * (k4 - 1) + mu) / (k4 * mu),
-        "b3": ((k6 - 1) * mu + pw(6) + 1) / (k4 * k2_plus_1),
-        "b7": ((k6 - 1) * mu + pw(2) * k2_plus_1) / (pw(14) * k2_plus_1),
-    }
-    st_actual = {}
-    for label in ("a4", "a6", "b3", "b7"):
-        i, j = sectors[label]
-        x, y, z = poly.v(i), poly.v(j), points[label]
-        s, t = sector_coords(x, y, z)
-        st_actual[label] = (s, t)
-        record(f"s.v{i}_v{j}.{label}", s, s_expected[label])
-        record(f"t.v{i}_v{j}.{label}", t, t_expected[label])
-        record(f"h.v{i}_v{j}.{label}", triangle_h(x, y, z), h_expected[label])
-
-    # b3 and b7 are easy to confuse in the (v2, v3) sector; record which
-    # one actually carries the second coordinate 1/kappa^4.
-    quarter_power = 1 / k4
-    t_b7 = st_actual["b7"][1]
-    _, t_b3_in_23 = sector_coords(poly.v(2), poly.v(3), points["b3"])
-    notes = []
-    if t_b7 == quarter_power and t_b3_in_23 != quarter_power:
-        notes.append(
-            "t = 1/kappa^4 in the (v2, v3) sector belongs to b7, not b3 "
-            f"(t(v2,v3,b3) = {t_b3_in_23})"
-        )
-    elif t_b3_in_23 == quarter_power:
-        notes.append("t(v2,v3,b3) also equals 1/kappa^4")
-
-    # Convexity levels against their closed forms and the omega thresholds.
-    omegas = omega_thresholds(ctx)
-    conv = dict(convexity_values(poly))
-    conv_closed = {
-        1: (pw(4) + 1) * mu / k2_plus_1,
-        2: k2_plus_1 * (pw(6) + pw(2)) / ((k4 + pw(6) + 1) * mu),
-        3: (pw(8) + 1) * mu / (pw(2) * k2_plus_1),
-        4: k2_plus_1 * (pw(6) + pw(2)) / ((k4 + pw(6) + 1) * mu),
-        5: (pw(4) + 1) * mu / k2_plus_1,
-        6: k2_plus_1 * (pw(8) + 1) / ((k4 + pw(6) + 1) * mu),
-    }
-    for i in range(1, 7):
-        record(f"h.convexity.v{i}", conv[i], conv_closed[i])
-    # Each level relates to its omega threshold by h*omega == mu (lower
-    # rows) or h*mu == omega (upper rows); this pins the omega forms to
-    # the constructed geometry.
-    for i, omega in enumerate(omegas, start=1):
-        if i in (1, 3, 5):
-            record(f"omega.{i}.times_h", conv[i] * omega, mu)
-        else:
-            record(f"omega.{i}.times_mu", conv[i] * mu, omega)
-
-    return ConformanceReport(entries=tuple(entries), notes=tuple(notes))

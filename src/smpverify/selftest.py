@@ -1,8 +1,10 @@
-"""Built-in reference checks.
+"""The registry of reference checks.
 
 Every check pins an externally known value of the construction (closed
-forms, thresholds, certificates) against the implementation and prints one
-pass/fail line.  The CLI exposes this as the `selftest` subcommand.
+forms, thresholds, certificates) against the implementation.  CHECKS is
+the one list of them: `smpverify selftest` runs it and prints one
+pass/fail line per check, and tests/test_selftest.py runs each check as
+its own pytest case.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ def _approx(actual, expected, tol=1e-9):
     ), f"{float(actual)!r} != {float(expected)!r}"
 
 
-def _exact_polygon(mu=Fraction(5, 4)):
-    mset = example_main_special(_ctx())
-    norm = normalize(mset)
+def _exact_polygon(mu=Fraction(5, 4), c=Fraction(11, 10)):
+    norm = normalize(example_main_special(KappaContext(c)))
     v, w = eigenvectors_from_products(norm)
     return norm, polytope.build_polygon(norm, v, w, Scalar.exact(mu))
 
@@ -248,39 +249,84 @@ def check_image_identities():
     assert ipts.b[1] == poly.v(10).scale(1 / norm.lam)
 
 
-def check_sector_closed_forms():
-    ctx = _ctx()
-    mu = Scalar.exact(Fraction(5, 4))
-    norm, poly = _exact_polygon()
-    k4 = ctx.power(12)
-    a4 = norm.at @ poly.v(4)
-    s, t = polytope.sector_coords(poly.v(11), poly.v(12), a4)
-    assert s == (k4 - 1) / (k4 * mu)
-    assert t == 1 / k4
-    a6 = norm.at @ poly.v(6)
-    s, t = polytope.sector_coords(poly.v(2), poly.v(3), a6)
-    assert s == 1 / k4
-    assert t == (k4 - 1) / (ctx.power(10) * mu)
-    x = poly.v(7)
-    assert polytope.sector_coords(poly.v(7), poly.v(8), x) == (
-        Scalar.exact(1),
-        Scalar.exact(0),
-    )
+def check_closed_form_tables(c=Fraction(11, 10), mu=Fraction(5, 4)):
+    """The closed-form tables of the zero-corner family against the built
+    polygon, compared exactly; returns the names of the compared entries.
 
+    Covers the fifteen order products, s, t and h of the nonobvious points
+    in their sectors, the six convexity levels and the omega thresholds.
+    """
+    ctx = KappaContext(c)
+    pw = ctx.power
+    norm, poly = _exact_polygon(mu, c)
+    mu = Scalar.exact(mu)
+    compared = []
 
-def check_triangle_closed_forms():
-    ctx = _ctx()
-    mu = Scalar.exact(Fraction(5, 4))
-    norm, poly = _exact_polygon()
-    k4 = ctx.power(12)
-    a4 = norm.at @ poly.v(4)
-    assert polytope.triangle_h(poly.v(11), poly.v(12), a4) == (k4 + mu - 1) / (
-        k4 * mu
+    def expect(name, actual, expected):
+        assert actual == expected, f"{name}: {actual} != {expected}"
+        compared.append(name)
+
+    order = polytope.vertex_order_check(poly)
+    assert order.closed_form_checked and order.closed_form_match, (
+        "order products differ from their closed forms"
     )
-    assert polytope.triangle_h(poly.v(12), poly.v(2), poly.v(1)) == (
-        ctx.power(4) + 1
-    ) * mu / (ctx.power(6) + 1)
-    assert polytope.triangle_h(poly.v(3), poly.v(4), poly.v(3)) == Scalar.exact(1)
+    assert len(order.products) == 15
+    compared.extend(f"order.v{i}_Tv{j}" for i, j, _ in order.products)
+
+    k4, k6, k2_plus_1 = pw(12), pw(18), pw(6) + 1
+    b3 = norm.bt @ poly.v(3)
+    nonobvious = (
+        # (label, point, sector, s, t, h)
+        ("a4", norm.at @ poly.v(4), (11, 12),
+         (k4 - 1) / (k4 * mu), 1 / k4, (k4 + mu - 1) / (k4 * mu)),
+        ("a6", norm.at @ poly.v(6), (2, 3),
+         1 / k4, (k4 - 1) / (pw(10) * mu), (pw(2) * (k4 - 1) + mu) / (k4 * mu)),
+        ("b3", b3, (11, 12),
+         1 / k4, (k6 - 1) * mu / (k4 * k2_plus_1),
+         ((k6 - 1) * mu + pw(6) + 1) / (k4 * k2_plus_1)),
+        ("b7", norm.bt @ poly.v(7), (2, 3),
+         (k6 - 1) * mu / (pw(14) * k2_plus_1), 1 / k4,
+         ((k6 - 1) * mu + pw(2) * k2_plus_1) / (pw(14) * k2_plus_1)),
+    )
+    for label, z, (i, j), s, t, h in nonobvious:
+        x, y = poly.v(i), poly.v(j)
+        got_s, got_t = polytope.sector_coords(x, y, z)
+        expect(f"s.v{i}_v{j}.{label}", got_s, s)
+        expect(f"t.v{i}_v{j}.{label}", got_t, t)
+        expect(f"h.v{i}_v{j}.{label}", polytope.triangle_h(x, y, z), h)
+    # b3 and b7 are easy to mix up: in the (v2, v3) sector the second
+    # coordinate 1/kappa^4 belongs to b7 (checked above), not to b3.
+    _, t_b3 = polytope.sector_coords(poly.v(2), poly.v(3), b3)
+    assert t_b3 != 1 / k4, f"t(v2,v3,b3) = {t_b3} also equals 1/kappa^4"
+    compared.append("b7/b3.t.v2_v3")
+
+    # Convexity level i is h(v_{i-1}, v_{i+1}, v_i); level 1 is h(v12, v2, v1).
+    levels = dict(polytope.convexity_values(poly))
+    low = (pw(4) + 1) * mu / k2_plus_1
+    high = k2_plus_1 * (pw(6) + pw(2)) / ((k4 + pw(6) + 1) * mu)
+    closed = (
+        low,
+        high,
+        (pw(8) + 1) * mu / (pw(2) * k2_plus_1),
+        high,
+        low,
+        k2_plus_1 * (pw(8) + 1) / ((k4 + pw(6) + 1) * mu),
+    )
+    for i, h in enumerate(closed, start=1):
+        expect(f"h.convexity.v{i}", levels[i], h)
+    # Each level meets its omega threshold as h*omega == mu (odd rows) or
+    # h*mu == omega (even rows), which pins the omega forms to the geometry.
+    for i, omega in enumerate(polytope.omega_thresholds(ctx), start=1):
+        if i % 2:
+            expect(f"omega.{i}.times_h", levels[i] * omega, mu)
+        else:
+            expect(f"omega.{i}.times_mu", levels[i] * mu, omega)
+
+    one, zero = Scalar.exact(1), Scalar.exact(0)
+    v3, v7 = poly.v(3), poly.v(7)
+    expect("st.v7_v8.v7", polytope.sector_coords(v7, poly.v(8), v7), (one, zero))
+    expect("level.v3_v4.v3", polytope.triangle_h(v3, poly.v(4), v3), one)
+    return compared
 
 
 def check_mu_thresholds():
@@ -425,8 +471,7 @@ CHECKS = [
     ("fixed-vector residuals", check_fixed_vector_residuals),
     ("vertex construction orbit", check_vertex_construction),
     ("image identities", check_image_identities),
-    ("sector closed forms", check_sector_closed_forms),
-    ("triangle closed forms", check_triangle_closed_forms),
+    ("closed-form tables", check_closed_form_tables),
     ("mu thresholds", check_mu_thresholds),
     ("omega thresholds", check_omega_thresholds),
     ("admissible interval", check_admissible_interval),

@@ -24,6 +24,7 @@ from smpverify.families import (
 from smpverify.matrix2 import Mat2
 from smpverify.permutability import TauMap, swap_spectrum_check
 from smpverify.scalar import KappaContext, Scalar
+from smpverify.selftest import check_closed_form_tables
 from smpverify.words import Word
 
 
@@ -126,12 +127,9 @@ def test_criterion_6_oracle_agreement(exact_set, ctx):
 
 
 @criterion(7, "symbolic tables match the implementation exactly")
-def test_criterion_7_symbolic_conformance(ctx):
-    conf = polytope.symbolic_conformance(ctx, Fraction(5, 4))
-    bad = [name for name, _, _, ok in conf.entries if not ok]
-    assert conf.all_match, f"mismatching entries: {bad}"
-    names = [name for name, _, _, _ in conf.entries]
-    assert sum(1 for n in names if n.startswith("dot.")) == 15
+def test_criterion_7_closed_form_tables():
+    names = check_closed_form_tables(Fraction(11, 10), Fraction(5, 4))
+    assert sum(1 for n in names if n.startswith("order.")) == 15
     assert sum(1 for n in names if n.startswith(("s.", "t."))) == 8
     assert sum(1 for n in names if n.startswith("h.v")) == 4
     assert sum(1 for n in names if n.startswith("omega.")) == 6

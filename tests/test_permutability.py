@@ -162,13 +162,3 @@ class TestSwapSpectrumReport:
             swap_spectrum_check(
                 main_exact.a, main_exact.b, TauMap(eye), Word.from_display("BAA")
             )
-
-    def test_report_serialization(self, main_exact):
-        tau = TauMap(main_exact.tau_s)
-        rep = swap_spectrum_check(
-            main_exact.a, main_exact.b, tau, Word.from_display("BAA")
-        )
-        kv = dict(rep.as_kv())
-        assert kv["word"] == "BAA" and kv["image_word"] == "ABB"
-        assert kv["passed"] == "true"
-        assert "BAA" in rep.as_text()

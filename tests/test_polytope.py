@@ -30,12 +30,12 @@ from smpverify.polytope import (
     omega_thresholds,
     polygon_gauge,
     sector_coords,
-    symbolic_conformance,
     triangle_h,
     verify_inclusions,
     vertex_order_check,
 )
 from smpverify.scalar import REL_TOL, FloatKappa, KappaContext, Scalar
+from smpverify.selftest import check_closed_form_tables
 
 MU54 = Scalar.exact(Fraction(5, 4))
 
@@ -749,21 +749,19 @@ class TestCertify:
 
 
 class TestConformance:
-    def test_all_tables_match_exactly(self, ctx11):
-        report = symbolic_conformance(ctx11, Fraction(5, 4))
-        assert report.all_match
-        names = [name for name, _, _, _ in report.entries]
-        assert len([n for n in names if n.startswith("dot.")]) == 15
-        assert len([n for n in names if n.startswith("s.") or n.startswith("t.")]) == 8
-        assert len([n for n in names if n.startswith("h.") and ".v" not in n.split(".")[1]]) >= 4
-        assert any(n.startswith("omega.") for n in names)
+    def test_all_tables_match_exactly(self):
+        names = check_closed_form_tables(Fraction(11, 10), Fraction(5, 4))
+        assert len([n for n in names if n.startswith("order.")]) == 15
+        assert len([n for n in names if n.startswith(("s.", "t."))]) == 8
+        assert len([n for n in names if n.startswith("h.v")]) == 4
+        assert len([n for n in names if n.startswith("h.convexity.")]) == 6
+        assert len([n for n in names if n.startswith("omega.")]) == 6
 
-    def test_ambiguous_label_resolved(self, ctx11):
-        report = symbolic_conformance(ctx11, Fraction(5, 4))
-        assert any("b7" in note for note in report.notes)
+    def test_ambiguous_label_resolved(self):
+        # t = 1/kappa^4 in the (v2, v3) sector belongs to b7, not to b3.
+        names = check_closed_form_tables(Fraction(11, 10), Fraction(5, 4))
+        assert "t.v2_v3.b7" in names and "b7/b3.t.v2_v3" in names
 
     def test_other_parameters_also_match(self):
-        report = symbolic_conformance(
-            KappaContext(Fraction(6, 5)), Fraction(13, 10)
-        )
-        assert report.all_match
+        names = check_closed_form_tables(Fraction(6, 5), Fraction(13, 10))
+        assert len(names) == 42
