@@ -3,6 +3,9 @@
 Subcommands: bounds, certify, scan, permutable, figure, selftest.
 Exit codes: 0 success/certified, 1 check failed, 2 usage error.
 
+Each command imports the modules it runs when it runs, so `bounds` loads
+neither the polygon certificate nor the figure writer.
+
 Rational flags use the form p/q and select the exact backend; decimal
 flags select binary64.  A decimal mu together with an exact c downgrades
 the run to the float backend with a warning, so a certificate is never
@@ -18,7 +21,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import figures, polytope, words
 from .families import (
     MatrixSet,
     at_distinguished_angle,
@@ -30,14 +32,6 @@ from .families import (
     normalize,
 )
 from .matrix2 import Mat2
-from .permutability import (
-    ReducibleSetError,
-    TauMap,
-    friedland_5tuple,
-    friedland_permutable,
-    is_irreducible,
-    verify_tau,
-)
 from .scalar import REL_TOL, KappaContext, Scalar, parse_scalar
 
 __all__ = ["main", "build_parser"]
@@ -177,13 +171,17 @@ def _mu_for_set(mset: MatrixSet, mu: Scalar):
 
 
 def _polygon_for(mset: MatrixSet, mu: Scalar):
+    from .polytope import build_polygon
+
     norm = normalize(mset)
     v, w = eigenvectors_from_products(norm)
-    poly = polytope.build_polygon(norm, v, w, _mu_for_set(mset, mu))
+    poly = build_polygon(norm, v, w, _mu_for_set(mset, mu))
     return norm, poly
 
 
 def cmd_bounds(args, parser) -> int:
+    from .words import bounds_table, format_bounds_csv, format_bounds_text
+
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
     mu = _parse_mu(args, parser)
@@ -193,21 +191,23 @@ def cmd_bounds(args, parser) -> int:
         if mu is None:
             parser.error("--norm polygon needs --mu")
         _, norm_obj = _polygon_for(mset, mu)
-    rows = words.bounds_table(mset.a, mset.b, args.max_n, norm=norm_obj)
-    print(words.format_bounds_text(rows))
+    rows = bounds_table(mset.a, mset.b, args.max_n, norm=norm_obj)
+    print(format_bounds_text(rows))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(words.format_bounds_csv(rows) + "\n")
+            fh.write(format_bounds_csv(rows) + "\n")
         print(f"csv written to {args.csv}")
     return 0
 
 
 def cmd_certify(args, parser) -> int:
+    from .polytope import certify_smp
+
     mu = _parse_mu(args, parser)
     if mu is None:
         parser.error("certify needs --mu")
     mset = _build_set(args, parser, mu)
-    cert = polytope.certify_smp(mset, _mu_for_set(mset, mu), args.tol)
+    cert = certify_smp(mset, _mu_for_set(mset, mu), args.tol)
     print(cert.as_text())
     if args.kv:
         for key, value in cert.as_kv():
@@ -221,16 +221,18 @@ def cmd_certify(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
+    from .polytope import empirical_mu_thresholds, kappa_max, mu_thresholds
+
     if args.family == "custom":
         parser.error("scan supports the main and alt families")
     if args.c or args.kappa:
         mset = _build_set(args, parser)
         if args.family == "main" and mset.ctx is not None:
-            thresholds = polytope.mu_thresholds(mset.ctx)
+            thresholds = mu_thresholds(mset.ctx)
         elif args.family == "main":
-            thresholds = polytope.mu_thresholds(float(mset.kappa))
+            thresholds = mu_thresholds(float(mset.kappa))
         else:
-            thresholds = polytope.empirical_mu_thresholds(mset)
+            thresholds = empirical_mu_thresholds(mset)
         names = ("mu0", "mu1", "mu2", "mu3")
         print(f"family {args.family}, kappa = {mset.kappa}")
         for name, value in zip(names, thresholds):
@@ -240,12 +242,21 @@ def cmd_scan(args, parser) -> int:
             print(f"  admissible mu interval: [{lo}, {hi}]")
         else:
             print("  admissible mu interval: empty")
-    kmax = polytope.kappa_max(args.family)
+    kmax = kappa_max(args.family)
     print(f"kappa_max({args.family}) = {kmax}")
     return 0
 
 
 def cmd_permutable(args, parser) -> int:
+    from .permutability import (
+        ReducibleSetError,
+        TauMap,
+        friedland_5tuple,
+        friedland_permutable,
+        is_irreducible,
+        verify_tau,
+    )
+
     mset = _build_set(args, parser)
     a, b = mset.a, mset.b
     irreducible = is_irreducible(a, b)
@@ -269,13 +280,16 @@ def cmd_permutable(args, parser) -> int:
 
 
 def cmd_figure(args, parser) -> int:
+    from .figures import FigureSpec, render
+    from .polytope import images
+
     mu = _parse_mu(args, parser)
     if mu is None:
         parser.error("figure needs --mu")
     mset = _build_set(args, parser, mu)
     norm, poly = _polygon_for(mset, mu)
-    spec = figures.FigureSpec(polygon=poly, images=polytope.images(poly, norm))
-    figures.render(spec, args.output)
+    spec = FigureSpec(polygon=poly, images=images(poly, norm))
+    render(spec, args.output)
     print(f"figure written to {args.output}")
     return 0
 

@@ -13,10 +13,9 @@ sines and cosines, so that path runs on the float backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .matrix2 import Mat2, Vec2, eigenvector_unit_first, quarter_turn, spectral_radius
-from .scalar import REL_TOL, KappaContext, Scalar
+from .scalar import REL_TOL, KappaContext, Record, Scalar
 
 __all__ = [
     "MatrixSet",
@@ -35,35 +34,38 @@ __all__ = [
 DISTINGUISHED_PHI = 2 * math.pi / 3
 
 
-@dataclass(frozen=True)
-class MatrixSet:
+class MatrixSet(Record):
     """A labeled pair {A, B} plus the similarity matrix that swaps it."""
 
-    a: Mat2
-    b: Mat2
-    tau_s: Mat2 | None
-    family: str  # "main" | "alt" | "custom"
-    kappa: Scalar
-    phi: float | None
-    ctx: KappaContext | None = None
-    reducible: bool = False
+    __slots__ = ("a", "b", "tau_s", "family", "kappa", "phi", "ctx", "reducible")
+
+    def __init__(
+        self,
+        a: Mat2,
+        b: Mat2,
+        tau_s: Mat2 | None,
+        family: str,  # "main" | "alt" | "custom"
+        kappa: Scalar,
+        phi: float | None,
+        ctx: KappaContext | None = None,
+        reducible: bool = False,
+    ):
+        self._init(a, b, tau_s, family, kappa, phi, ctx, reducible)
 
     @property
     def is_exact(self) -> bool:
         return self.a.is_exact
 
 
-@dataclass(frozen=True)
-class NormalizedSet:
+class NormalizedSet(Record):
     """The pair divided by the cube root of its top triple-product
     eigenvalue, so that the six mixed triple products have spectral
     radius exactly 1."""
 
-    at: Mat2
-    bt: Mat2
-    lam: Scalar
-    scale: Scalar  # lam**(1/3)
-    source: MatrixSet
+    __slots__ = ("at", "bt", "lam", "scale", "source")
+
+    def __init__(self, at: Mat2, bt: Mat2, lam: Scalar, scale: Scalar, source: MatrixSet):
+        self._init(at, bt, lam, scale, source)  # scale is lam**(1/3)
 
 
 def at_distinguished_angle(phi: float) -> bool:

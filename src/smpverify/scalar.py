@@ -29,7 +29,6 @@ over the bare float operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -48,6 +47,48 @@ REL_TOL = 1e-12
 
 class BackendMismatchError(TypeError):
     """Exact and float scalars met in one expression."""
+
+
+class Record:
+    """Base of the immutable value records (KappaContext, Mat2, Word, ...).
+
+    A subclass lists its fields in __slots__ and sets them once, in
+    __init__, through _init.  Records compare and hash as the tuple of
+    their fields and refuse assignment, as frozen dataclasses do, but cost
+    neither the import of the dataclasses module nor a decorator run.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __reduce__(self):
+        # Rebuild through __init__: the default slot-state protocol of
+        # copy and pickle would assign the fields.
+        return (type(self), self._fields())
 
 
 class Scalar:
@@ -232,21 +273,20 @@ def parse_scalar(text: str) -> Scalar:
     return Scalar.flt(float(text))
 
 
-@dataclass(frozen=True)
-class KappaContext:
+class KappaContext(Record):
     """Exact stretch parameter kappa = c**3 for a rational c > 1.
 
     Every power kappa**(k/3) that the construction needs is c**k, so the
     whole certificate can run without leaving the rationals.
     """
 
-    c: Fraction
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        c = Fraction(self.c)
-        object.__setattr__(self, "c", c)
+    def __init__(self, c: Fraction):
+        c = Fraction(c)
         if not c > 1:
             raise ValueError(f"need c > 1, got {c}")
+        self._init(c)
 
     def power(self, k_thirds: int) -> Scalar:
         """kappa**(k_thirds/3) == c**k_thirds, exactly."""
@@ -266,16 +306,16 @@ class KappaContext:
         return True
 
 
-@dataclass(frozen=True)
-class FloatKappa:
+class FloatKappa(Record):
     """Float-backend stretch parameter with the same power interface."""
 
-    kappa_value: float
+    __slots__ = ("kappa_value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa_value", float(self.kappa_value))
-        if not self.kappa_value > 1:
-            raise ValueError(f"need kappa > 1, got {self.kappa_value}")
+    def __init__(self, kappa_value: float):
+        kappa_value = float(kappa_value)
+        if not kappa_value > 1:
+            raise ValueError(f"need kappa > 1, got {kappa_value}")
+        self._init(kappa_value)
 
     def power(self, k_thirds: int) -> Scalar:
         return Scalar.flt(self.kappa_value ** (k_thirds / 3.0))

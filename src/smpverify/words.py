@@ -51,11 +51,10 @@ is built only for the maximizers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix2 import Mat2
-from .scalar import Scalar
+from .scalar import Record, Scalar
 from . import matrix2
 
 __all__ = [
@@ -83,17 +82,17 @@ _TIE_TOL = 1e-9
 _ALPHABET = ("A", "B")
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A nonempty word over {A, B} in application order."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
-        if len(self.symbols) == 0:
+    def __init__(self, symbols: tuple[str, ...]):
+        if len(symbols) == 0:
             raise ValueError("words must have length >= 1")
-        if any(s not in _ALPHABET for s in self.symbols):
-            raise ValueError(f"symbols must be 'A' or 'B', got {self.symbols!r}")
+        if any(s not in _ALPHABET for s in symbols):
+            raise ValueError(f"symbols must be 'A' or 'B', got {symbols!r}")
+        self._init(symbols)
 
     @classmethod
     def from_display(cls, text: str) -> "Word":
@@ -177,12 +176,13 @@ def factor_counts(w: Word) -> tuple[int, int]:
     return (n_a, len(w.symbols) - n_a)
 
 
-@dataclass(frozen=True)
-class BoundsRow:
-    n: int
-    rho_bar: float
-    rho: float | None
-    maximizers: tuple[Word, ...]
+class BoundsRow(Record):
+    __slots__ = ("n", "rho_bar", "rho", "maximizers")
+
+    def __init__(
+        self, n: int, rho_bar: float, rho: float | None, maximizers: tuple[Word, ...]
+    ):
+        self._init(n, rho_bar, rho, maximizers)
 
 
 class BoxNorm:
