@@ -209,13 +209,12 @@ def cmd_certify(args, parser) -> int:
     mset = _build_set(args, parser, mu)
     cert = certify_smp(mset, _mu_for_set(mset, mu), args.tol)
     print(cert.as_text())
+    kv = "".join(f"{key} = {value}\n" for key, value in cert.as_kv())
     if args.kv:
-        for key, value in cert.as_kv():
-            print(f"{key} = {value}")
+        print(kv, end="")
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in cert.as_kv():
-                fh.write(f"{key} = {value}\n")
+            fh.write(kv)
         print(f"report written to {args.report}")
     return 0 if cert.passed else 1
 
@@ -362,7 +361,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args, args.parser)
     except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        args.parser.print_usage(sys.stderr)
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,13 +8,15 @@ fixed-precision coordinates, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .matrix2 import Vec2
 from .polytope import ImagePoints, Polygon
+from .scalar import Record
 
 __all__ = ["FigureSpec", "render", "render_string"]
 
+# The square canvas side in pixels, and the margin as a share of the span.
+_CANVAS = 800
+_PADDING = 0.10
 _STYLE_POLYGON = (
     'fill="#808080" fill-opacity="0.2" stroke="#000000" stroke-width="2"'
 )
@@ -26,12 +28,11 @@ _STYLE_B_IMAGE = (
 )
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    polygon: Polygon
-    images: ImagePoints
-    canvas: int = 800
-    padding: float = 0.10
+class FigureSpec(Record):
+    __slots__ = ("polygon", "images")
+
+    def __init__(self, polygon: Polygon, images: ImagePoints):
+        self._init(polygon, images)
 
 
 def _fmt(x: float) -> str:
@@ -41,17 +42,17 @@ def _fmt(x: float) -> str:
 class _CanvasMap:
     """Uniform world-to-canvas affine map with a 10% margin and y flipped."""
 
-    def __init__(self, points: list[tuple[float, float]], canvas: int, padding: float):
+    def __init__(self, points: list[tuple[float, float]]):
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
         min_x, max_x = min(xs), max(xs)
         min_y, max_y = min(ys), max(ys)
         span = max(max_x - min_x, max_y - min_y) or 1.0
-        pad = span * padding
-        self.scale = canvas / (span + 2 * pad)
+        pad = span * _PADDING
+        self.scale = _CANVAS / (span + 2 * pad)
         self.cx = (min_x + max_x) / 2
         self.cy = (min_y + max_y) / 2
-        self.half = canvas / 2
+        self.half = _CANVAS / 2
 
     def __call__(self, p: tuple[float, float]) -> tuple[float, float]:
         return (
@@ -76,13 +77,13 @@ def render_string(spec: FigureSpec) -> str:
     poly_pts = [_xy(v) for v in spec.polygon.vertices]
     a_pts = [_xy(v) for v in spec.images.a]
     b_pts = [_xy(v) for v in spec.images.b]
-    mapper = _CanvasMap(poly_pts + a_pts + b_pts, spec.canvas, spec.padding)
+    mapper = _CanvasMap(poly_pts + a_pts + b_pts)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.canvas}" height="{spec.canvas}" '
-        f'viewBox="0 0 {spec.canvas} {spec.canvas}">',
+        f'width="{_CANVAS}" height="{_CANVAS}" '
+        f'viewBox="0 0 {_CANVAS} {_CANVAS}">',
         _polygon_element(poly_pts, mapper, _STYLE_POLYGON),
         _polygon_element(a_pts, mapper, _STYLE_A_IMAGE),
         _polygon_element(b_pts, mapper, _STYLE_B_IMAGE),

@@ -5,12 +5,12 @@ spectral radius is the only operation that leaves the rationals (it takes
 a square root), so it always returns a float-backend scalar; exact
 certificate logic sticks to trace/determinant comparisons instead.
 
-Cost model: Mat2 and Vec2 are slotted `scalar.Record`s, not dataclasses.
-Construction checks, with one chained identity test of the entries'
-`is_exact` flags, that every entry has one backend, and then sets two or
-four slots through one bound `object.__setattr__`: about 0.9 us per Vec2
-and 1.4 us per Mat2 on a float backend, against 1.1 and 1.9 us for the
-frozen dataclasses they replace (Python 3.11).
+Cost model: Mat2 and Vec2 are slotted `scalar.Record`s, like every value
+record of the package.  Construction checks, with one chained identity
+test of the entries' `is_exact` flags, that every entry has one backend,
+and then sets two or four slots through one bound `object.__setattr__`
+rather than the loop of `Record._init`: about 0.9 us per Vec2 and 1.4 us
+per Mat2 on a float backend (Python 3.11).
 `Mat2 @ Mat2` and `Mat2 @ Vec2` check the two operands' backends once,
 then compute on the raw values; only the result entries are wrapped.  Each
 entry is a bilinear form a*b + c*d.  On the float backend it is computed as
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalar import REL_TOL, BackendMismatchError, Record, Scalar
+from .scalar import REL_TOL, BackendMismatchError, Record, Scalar, parse_scalar
 
 __all__ = [
     "Vec2",
@@ -153,8 +153,6 @@ class Mat2(Record):
 
     @classmethod
     def from_strings(cls, entries) -> "Mat2":
-        from .scalar import parse_scalar
-
         vals = [parse_scalar(e) for e in entries]
         if len(vals) != 4:
             raise ValueError("a 2x2 matrix needs exactly 4 entries")

@@ -11,10 +11,10 @@ a product that has a different number of A-factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .matrix2 import Mat2, Vec2, similarity
-from .scalar import REL_TOL, Scalar
+from .scalar import REL_TOL, Record, Scalar
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
 __all__ = [
@@ -34,11 +34,13 @@ class ReducibleSetError(ValueError):
     """The trace/determinant permutability criterion needs irreducibility."""
 
 
-@dataclass(frozen=True)
-class TauMap:
+class TauMap(Record):
     """The conjugation x -> s^-1 @ x @ s for a fixed invertible s."""
 
-    s: Mat2
+    __slots__ = ("s",)
+
+    def __init__(self, s: Mat2):
+        self._init(s)
 
     def apply(self, x: Mat2) -> Mat2:
         return similarity(self.s, x)
@@ -62,8 +64,6 @@ def _isqrt_exact(n: int):
 
 
 def _exact_is_irreducible(a: Mat2, b: Mat2) -> bool:
-    from fractions import Fraction
-
     qa = _line_quadratic(a)
     qb = _line_quadratic(b)
     if _is_zero_quadratic(qa) or _is_zero_quadratic(qb):
@@ -196,19 +196,23 @@ def tau_word(w: Word) -> Word:
     return Word(tuple(swap[s] for s in w.symbols))
 
 
-@dataclass(frozen=True)
-class SwapSpectrumReport:
+class SwapSpectrumReport(Record):
     """Spectrum and factor-count comparison of a product and its swap image."""
 
-    word: Word
-    image_word: Word
-    trace_equal: bool
-    det_equal: bool
-    counts: tuple[int, int]
-    image_counts: tuple[int, int]
-    odd_length: bool
-    counts_differ: bool | None
-    normal_forms_distinct: bool | None
+    __slots__ = (
+        "word", "image_word", "trace_equal", "det_equal", "counts", "image_counts",
+        "odd_length", "counts_differ", "normal_forms_distinct",
+    )
+
+    def __init__(
+        self, word: Word, image_word: Word, trace_equal: bool, det_equal: bool,
+        counts: tuple[int, int], image_counts: tuple[int, int], odd_length: bool,
+        counts_differ: bool | None, normal_forms_distinct: bool | None,
+    ):
+        self._init(
+            word, image_word, trace_equal, det_equal, counts, image_counts,
+            odd_length, counts_differ, normal_forms_distinct,
+        )
 
     @property
     def passed(self) -> bool:

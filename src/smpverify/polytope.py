@@ -52,10 +52,8 @@ floats, which would change printed float values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 from .families import (
     DISTINGUISHED_PHI,
@@ -67,7 +65,14 @@ from .families import (
 )
 from .matrix2 import Mat2, Vec2, dot, rot90
 from .permutability import ReducibleSetError, TauMap, friedland_permutable, verify_tau
-from .scalar import REL_TOL, BackendMismatchError, FloatKappa, KappaContext, Scalar
+from .scalar import (
+    REL_TOL,
+    BackendMismatchError,
+    FloatKappa,
+    KappaContext,
+    Record,
+    Scalar,
+)
 from .words import Word, factor_counts
 
 __all__ = [
@@ -104,13 +109,11 @@ class DegenerateSectorError(ValueError):
 def _as_kappa(kappa) -> KappaContext | FloatKappa:
     if isinstance(kappa, (KappaContext, FloatKappa)):
         return kappa
-    if isinstance(kappa, Scalar):
-        if kappa.is_exact:
-            raise TypeError(
-                "exact thresholds need a KappaContext (kappa = c**3); "
-                "pass the context instead of a bare rational"
-            )
-        return FloatKappa(float(kappa))
+    if isinstance(kappa, Scalar) and kappa.is_exact:
+        raise TypeError(
+            "exact thresholds need a KappaContext (kappa = c**3); "
+            "pass the context instead of a bare rational"
+        )
     return FloatKappa(float(kappa))
 
 
@@ -154,7 +157,7 @@ def triangle_h(x: Vec2, y: Vec2, z: Vec2) -> Scalar:
 _NO_SECTOR = "no sector contains the point; polygon is not convex?"
 
 
-class _EdgeTable(NamedTuple):
+class _EdgeTable(Record):
     """A polygon's vertices and edges as plain numbers (module docstring).
 
     `scale` is D (1 on the float backend) and `vertices` holds D * v_i.
@@ -164,9 +167,10 @@ class _EdgeTable(NamedTuple):
     bit: both sums round the same two products, with opposite signs.
     """
 
-    scale: int
-    vertices: tuple[tuple, ...]
-    edges: tuple[tuple, ...]
+    __slots__ = ("scale", "vertices", "edges")
+
+    def __init__(self, scale: int, vertices: tuple, edges: tuple):
+        self._init(scale, vertices, edges)
 
 
 def _common_scale(values) -> tuple[int, list[int]]:
@@ -238,24 +242,23 @@ def _check_backend(poly: "Polygon", exact: bool) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Polygon:
+class Polygon(Record):
     """Balanced twelve-gon: vertices in clockwise index order, plus the
     parameters that generated it.
 
     The edge table and the convexity levels are computed on first use and
-    kept for the life of the polygon.
+    kept, outside the fields, for the life of the polygon.
     """
 
-    vertices: tuple[Vec2, ...]
-    mu: Scalar
-    kappa: Scalar
-    ctx: KappaContext | None
-    family: str
+    __slots__ = ("vertices", "mu", "kappa", "ctx", "family", "__dict__")
 
-    def __post_init__(self):
-        if len(self.vertices) != 12:
+    def __init__(
+        self, vertices: tuple[Vec2, ...], mu: Scalar, kappa: Scalar,
+        ctx: KappaContext | None, family: str,
+    ):
+        if len(vertices) != 12:
             raise ValueError("the polygon has exactly 12 vertices")
+        self._init(vertices, mu, kappa, ctx, family)
 
     @property
     def is_exact(self) -> bool:
@@ -371,12 +374,13 @@ def build_polygon(
     )
 
 
-@dataclass(frozen=True)
-class ImagePoints:
+class ImagePoints(Record):
     """Images a_i = A~ v_i and b_i = B~ v_i of all twelve vertices."""
 
-    a: tuple[Vec2, ...]
-    b: tuple[Vec2, ...]
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: tuple[Vec2, ...], b: tuple[Vec2, ...]):
+        self._init(a, b)
 
 
 def images(poly: Polygon, norm: NormalizedSet) -> ImagePoints:
@@ -548,15 +552,17 @@ def _order_products_closed(pw, mu: Scalar) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(Record):
     """Positivity (and, for the zero-corner family, closed-form agreement)
     of the fifteen pairwise products (v_i, T v_j), 1 <= i < j <= 6."""
 
-    products: tuple[tuple[int, int, Scalar], ...]
-    all_positive: bool
-    closed_form_checked: bool
-    closed_form_match: bool
+    __slots__ = ("products", "all_positive", "closed_form_checked", "closed_form_match")
+
+    def __init__(
+        self, products: tuple[tuple[int, int, Scalar], ...], all_positive: bool,
+        closed_form_checked: bool, closed_form_match: bool,
+    ):
+        self._init(products, all_positive, closed_form_checked, closed_form_match)
 
     @property
     def passed(self) -> bool:
@@ -590,11 +596,7 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> OrderReport:
     checked = poly.family == "main"
     match = True
     if checked:
-        pw = (
-            poly.ctx.power
-            if poly.ctx is not None
-            else FloatKappa(float(poly.kappa)).power
-        )
+        pw = _as_kappa(poly.ctx if poly.ctx is not None else poly.kappa).power
         closed = _order_products_closed(pw, poly.mu)
         for i, j, val in products:
             if not val.isclose(closed[(i, j)], rel_tol):
@@ -657,27 +659,29 @@ _NONOBVIOUS = (
 )
 
 
-@dataclass(frozen=True)
-class NonobviousEntry:
-    label: str
-    sector: tuple[int, int]
-    s: Scalar
-    t: Scalar
-    h: Scalar
-    in_sector: bool
-    within: bool
+class NonobviousEntry(Record):
+    __slots__ = ("label", "sector", "s", "t", "h", "in_sector", "within")
+
+    def __init__(
+        self, label: str, sector: tuple[int, int], s: Scalar, t: Scalar, h: Scalar,
+        in_sector: bool, within: bool,
+    ):
+        self._init(label, sector, s, t, h, in_sector, within)
 
     @property
     def passed(self) -> bool:
         return self.in_sector and self.within
 
 
-@dataclass(frozen=True)
-class InclusionReport:
-    automatic: tuple[tuple[str, bool], ...]
-    nonobvious: tuple[NonobviousEntry, ...]
-    gauge_checked: bool
-    gauge_values: tuple[tuple[str, Scalar, bool], ...]
+class InclusionReport(Record):
+    __slots__ = ("automatic", "nonobvious", "gauge_checked", "gauge_values")
+
+    def __init__(
+        self, automatic: tuple[tuple[str, bool], ...],
+        nonobvious: tuple[NonobviousEntry, ...], gauge_checked: bool,
+        gauge_values: tuple[tuple[str, Scalar, bool], ...],
+    ):
+        self._init(automatic, nonobvious, gauge_checked, gauge_values)
 
     @property
     def passed(self) -> bool:
@@ -779,19 +783,21 @@ def verify_inclusions(
 # -- certificates ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    data: tuple[tuple[str, str], ...] = ()
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "detail", "data")
+
+    def __init__(
+        self, name: str, passed: bool, detail: str = "",
+        data: tuple[tuple[str, str], ...] = (),
+    ):
+        self._init(name, passed, detail, data)
 
 
-@dataclass(frozen=True)
-class SmpClass:
-    representative: Word
-    count_a: int
-    count_b: int
+class SmpClass(Record):
+    __slots__ = ("representative", "count_a", "count_b")
+
+    def __init__(self, representative: Word, count_a: int, count_b: int):
+        self._init(representative, count_a, count_b)
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -812,20 +818,21 @@ _CHECK_SEQUENCE = (
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Full verification record; rho_bar is present only when every check
     passed, and then equals the cube root of the top triple-product
     eigenvalue (kappa**(2/3) for the zero-corner family)."""
 
-    family: str
-    backend: str
-    kappa: Scalar
-    c: Fraction | None
-    mu: Scalar
-    checks: tuple[CheckResult, ...]
-    rho_bar: Scalar | None
-    smp_classes: tuple[SmpClass, ...]
+    __slots__ = (
+        "family", "backend", "kappa", "c", "mu", "checks", "rho_bar", "smp_classes"
+    )
+
+    def __init__(
+        self, family: str, backend: str, kappa: Scalar, c: Fraction | None,
+        mu: Scalar, checks: tuple[CheckResult, ...], rho_bar: Scalar | None,
+        smp_classes: tuple[SmpClass, ...],
+    ):
+        self._init(family, backend, kappa, c, mu, checks, rho_bar, smp_classes)
 
     @property
     def passed(self) -> bool:
@@ -900,7 +907,6 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
 
     def add(name, passed, detail="", data=()):
         checks.append(CheckResult(name, bool(passed), detail, tuple(data)))
-        return bool(passed)
 
     def finish(rho_bar=None, smp=()):
         return Certificate(
@@ -1013,8 +1019,5 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     if not ok:
         return finish()
 
-    smp = (
-        SmpClass(Word.from_display("AAB"), *factor_counts(Word.from_display("AAB"))),
-        SmpClass(Word.from_display("ABB"), *factor_counts(Word.from_display("ABB"))),
-    )
-    return finish(rho_bar=norm.scale, smp=smp)
+    smp = [Word.from_display(w) for w in ("AAB", "ABB")]
+    return finish(rho_bar=norm.scale, smp=(SmpClass(w, *factor_counts(w)) for w in smp))

@@ -50,12 +50,15 @@ class BackendMismatchError(TypeError):
 
 
 class Record:
-    """Base of the immutable value records (KappaContext, Mat2, Word, ...).
+    """Base of every value record: Mat2, Word, MatrixSet, Polygon, Certificate, ...
 
     A subclass lists its fields in __slots__ and sets them once, in
     __init__, through _init.  Records compare and hash as the tuple of
     their fields and refuse assignment, as frozen dataclasses do, but cost
-    neither the import of the dataclasses module nor a decorator run.
+    neither the import of the dataclasses module nor a decorator run.  A
+    "__dict__" slot, listed last, is never a field: Polygon keeps its
+    cached_property values there, and equality, hash, repr, copy and
+    pickle ignore them.
     """
 
     __slots__ = ()
@@ -64,8 +67,11 @@ class Record:
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
+    def _names(self):
+        return [name for name in self.__slots__ if name != "__dict__"]
+
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names()])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -82,7 +88,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._names())
         return f"{type(self).__qualname__}({inner})"
 
     def __reduce__(self):

@@ -54,10 +54,14 @@ def _approx(actual, expected, tol=1e-9):
     ), f"{float(actual)!r} != {float(expected)!r}"
 
 
-def _exact_polygon(mu=Fraction(5, 4), c=Fraction(11, 10)):
-    norm = normalize(example_main_special(KappaContext(c)))
+def _polygon(mset, mu):
+    norm = normalize(mset)
     v, w = eigenvectors_from_products(norm)
-    return norm, polytope.build_polygon(norm, v, w, Scalar.exact(mu))
+    return norm, polytope.build_polygon(norm, v, w, mu)
+
+
+def _exact_polygon(mu=Fraction(5, 4), c=Fraction(11, 10)):
+    return _polygon(example_main_special(KappaContext(c)), Scalar.exact(mu))
 
 
 def check_kappa_cube():
@@ -380,20 +384,14 @@ def check_vertex_order():
     assert first[(1, 2)] == ctx.power(3) * mu / (ctx.power(6) + 1)
     assert first[(5, 6)] == ctx.power(7) * mu / (ctx.power(6) + 1)
     # Order holds even outside the admissible range.
-    mset = example_main(1.05, DISTINGUISHED_PHI)
-    norm = normalize(mset)
-    v, w = eigenvectors_from_products(norm)
-    small = polytope.build_polygon(norm, v, w, 0.5)
+    _, small = _polygon(example_main(1.05, DISTINGUISHED_PHI), 0.5)
     assert polytope.vertex_order_check(small).passed
 
 
 def check_convexity():
     norm, poly = _exact_polygon()
     assert polytope.convexity_check(poly)
-    mset = example_main(1.331, DISTINGUISHED_PHI)
-    fnorm = normalize(mset)
-    v, w = eigenvectors_from_products(fnorm)
-    bad = polytope.build_polygon(fnorm, v, w, 1.04)
+    _, bad = _polygon(example_main(1.331, DISTINGUISHED_PHI), 1.04)
     assert not polytope.convexity_check(bad)
     boundary = _exact_polygon(Fraction(121, 100))[1]
     assert polytope.convexity_check(boundary)
@@ -402,10 +400,7 @@ def check_convexity():
 def check_inclusions():
     norm, poly = _exact_polygon()
     assert polytope.verify_inclusions(poly, norm).passed
-    mset = example_main(1.331, DISTINGUISHED_PHI)
-    fnorm = normalize(mset)
-    v, w = eigenvectors_from_products(fnorm)
-    escaping = polytope.build_polygon(fnorm, v, w, 1.36)
+    fnorm, escaping = _polygon(example_main(1.331, DISTINGUISHED_PHI), 1.36)
     report = polytope.verify_inclusions(escaping, fnorm)
     assert not report.passed and "b3" in report.failures
     # Sector membership of the nonobvious points holds on a parameter grid.
@@ -430,15 +425,8 @@ def check_certificates():
 
 
 def check_figures_render():
-    for family, mu in (("main", 1.25), ("main", 1.04), ("alt", 1.07)):
-        mset = (
-            example_main(1.331, DISTINGUISHED_PHI)
-            if family == "main"
-            else example_alt(1.331, DISTINGUISHED_PHI)
-        )
-        norm = normalize(mset)
-        v, w = eigenvectors_from_products(norm)
-        poly = polytope.build_polygon(norm, v, w, mu)
+    for make, mu in ((example_main, 1.25), (example_main, 1.04), (example_alt, 1.07)):
+        norm, poly = _polygon(make(1.331, DISTINGUISHED_PHI), mu)
         svg = figures.render_string(
             figures.FigureSpec(polygon=poly, images=polytope.images(poly, norm))
         )

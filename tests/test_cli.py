@@ -221,6 +221,9 @@ class TestBadInput:
             (["certify", "--c", "1/0", "--mu", "5/4"],
              "division by zero: Fraction(1, 0)"),
             (["bounds", "--c", "11/10", "--max-n", "0"], "--max-n must be >= 1"),
+            (["bounds", "--c", "10000000000000000000000000000000000000000", "--max-n", "4"],
+             "exact products leave the float range at word length 2: "
+             "a norm, trace or determinant is too large for a float"),
         ],
     )
     def test_errors_from_a_command_use_its_own_usage(self, argv, message):
@@ -232,16 +235,6 @@ class TestBadInput:
         lines = err.splitlines()
         assert lines[0].startswith(f"usage: smpverify {command} ")
         assert lines[-1] == f"smpverify {command}: error: {message}"
-
-    def test_exact_bounds_overflow_in_a_fresh_process(self):
-        code, out, err = run_fresh(
-            "bounds", "--c", "10000000000000000000000000000000000000000", "--max-n", "4"
-        )
-        assert code == 2 and out == ""
-        assert err.splitlines() == [
-            "error: exact products leave the float range at word length 2: "
-            "a norm, trace or determinant is too large for a float"
-        ]
 
 
 class TestScan:

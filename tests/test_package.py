@@ -137,7 +137,20 @@ class TestImportFootprint:
     def test_certify_loads_no_figure_writer_or_selftest(self):
         loaded = loaded_after(*README_CERTIFY)
         assert "smpverify.polytope" in loaded
-        assert not {"smpverify.figures", "smpverify.selftest"} & loaded
+        assert not {"smpverify.figures", "smpverify.selftest", "dataclasses"} & loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--family", "alt", "--kappa", "1.331", "--mu", "1.07"],
+            ["scan", "--family", "alt"],
+            ["permutable", "--family", "main", "--c", "11/10"],
+        ],
+    )
+    def test_polygon_commands_load_no_dataclasses(self, argv):
+        loaded = loaded_after(*argv)
+        assert "smpverify.polytope" in loaded or "smpverify.permutability" in loaded
+        assert not {"dataclasses", "inspect"} & loaded
 
     def test_bounds_with_polygon_norm_loads_the_polygon(self):
         loaded = loaded_after(
@@ -150,7 +163,10 @@ class TestImportFootprint:
         out = tmp_path / "polygon.svg"
         loaded = loaded_after("figure", *README_CERTIFY[1:], "--output", str(out))
         assert "smpverify.figures" in loaded
+        assert "dataclasses" not in loaded
         assert out.read_text(encoding="utf-8").rstrip().endswith("</svg>")
 
     def test_selftest_runs(self):
-        assert "smpverify.selftest" in loaded_after("selftest")
+        loaded = loaded_after("selftest")
+        assert "smpverify.selftest" in loaded
+        assert "dataclasses" not in loaded

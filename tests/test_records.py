@@ -1,25 +1,66 @@
-"""Contract of the immutable value records of the base modules.
+"""Contract of the package's immutable value records.
 
-KappaContext, FloatKappa, Vec2, Mat2, Word, BoundsRow, MatrixSet and
-NormalizedSet behave as frozen records: constructed positionally or by
-keyword, compared and hashed as the tuple of their fields, read-only, and
-validated at construction with the messages pinned here.
+KappaContext, FloatKappa, Vec2, Mat2, Word, BoundsRow, MatrixSet,
+NormalizedSet, the polygon and certificate records of polytope, TauMap,
+SwapSpectrumReport and FigureSpec behave as frozen records: constructed
+positionally or by keyword, compared and hashed as the tuple of their
+fields, read-only, and validated at construction with the messages pinned
+here.
 """
 
 import copy
+import functools
 import pickle
 from fractions import Fraction
 
 import pytest
 
-from smpverify.families import MatrixSet, NormalizedSet, example_main_special, normalize
+from smpverify import polytope
+from smpverify.families import (
+    MatrixSet,
+    NormalizedSet,
+    eigenvectors_from_products,
+    example_main_special,
+    normalize,
+)
+from smpverify.figures import FigureSpec
 from smpverify.matrix2 import Mat2, Vec2
+from smpverify.permutability import TauMap, swap_spectrum_check
+from smpverify.polytope import (
+    CheckResult,
+    Polygon,
+    SmpClass,
+    build_polygon,
+    certify_smp,
+    convexity_values,
+    images,
+    verify_inclusions,
+    vertex_order_check,
+)
 from smpverify.scalar import FloatKappa, KappaContext, Scalar
 from smpverify.words import BoundsRow, Word
 
 
 def _mset(c=Fraction(11, 10)):
     return example_main_special(KappaContext(c))
+
+
+@functools.cache
+def _norm():
+    return normalize(_mset())
+
+
+def _poly(k):
+    """The polygon of c = 11/10 at the scale mu = 5/4 + k/100."""
+    norm = _norm()
+    v, w = eigenvectors_from_products(norm)
+    return build_polygon(norm, v, w, Fraction(125 + k, 100))
+
+
+def _swap_report(k):
+    mset = _mset()
+    word = Word.from_display("AAB" * k)
+    return swap_spectrum_check(mset.a, mset.b, TauMap(mset.tau_s), word)
 
 
 # name -> (factory of an instance from a key, its field names)
@@ -41,6 +82,48 @@ RECORDS = {
         lambda k: normalize(_mset(Fraction(10 + k, 10))),
         ("at", "bt", "lam", "scale", "source"),
     ),
+    "Polygon": (_poly, ("vertices", "mu", "kappa", "ctx", "family")),
+    "_EdgeTable": (
+        lambda k: polytope._build_edge_table(_poly(k).vertices),
+        ("scale", "vertices", "edges"),
+    ),
+    "ImagePoints": (lambda k: images(_poly(k), _norm()), ("a", "b")),
+    "OrderReport": (
+        lambda k: vertex_order_check(_poly(k)),
+        ("products", "all_positive", "closed_form_checked", "closed_form_match"),
+    ),
+    "NonobviousEntry": (
+        lambda k: verify_inclusions(_poly(k), _norm()).nonobvious[0],
+        ("label", "sector", "s", "t", "h", "in_sector", "within"),
+    ),
+    "InclusionReport": (
+        lambda k: verify_inclusions(_poly(k), _norm()),
+        ("automatic", "nonobvious", "gauge_checked", "gauge_values"),
+    ),
+    "CheckResult": (
+        lambda k: CheckResult(f"check{k}", k % 2 == 0, "why", (("k", str(k)),)),
+        ("name", "passed", "detail", "data"),
+    ),
+    "SmpClass": (
+        lambda k: SmpClass(Word.from_display("A" * k + "B"), k, 1),
+        ("representative", "count_a", "count_b"),
+    ),
+    "Certificate": (
+        lambda k: certify_smp(_mset(), Fraction(125 + k, 100)),
+        ("family", "backend", "kappa", "c", "mu", "checks", "rho_bar", "smp_classes"),
+    ),
+    "TauMap": (lambda k: TauMap(Mat2.exact(k, 1, 1, 0)), ("s",)),
+    "SwapSpectrumReport": (
+        _swap_report,
+        (
+            "word", "image_word", "trace_equal", "det_equal", "counts",
+            "image_counts", "odd_length", "counts_differ", "normal_forms_distinct",
+        ),
+    ),
+    "FigureSpec": (
+        lambda k: FigureSpec(_poly(k), images(_poly(k), _norm())),
+        ("polygon", "images"),
+    ),
 }
 
 
@@ -51,6 +134,12 @@ def record(request):
 
 def _fields(obj, names):
     return tuple(getattr(obj, name) for name in names)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_each_factory_builds_the_record_it_names(name):
+    make, _ = RECORDS[name]
+    assert type(make(1)).__name__ == name
 
 
 class TestFrozenRecord:
@@ -126,8 +215,35 @@ class TestDefaults:
         assert norm.source is mset
         assert norm.scale == Scalar.exact(Fraction(121, 100))
 
+    def test_check_result_detail_and_data_default(self):
+        check = CheckResult("build", True)
+        assert check.detail == "" and check.data == ()
+        assert check == CheckResult("build", True, "", ())
+        assert CheckResult(name="build", passed=False).detail == ""
+
+
+class TestPolygonCaches:
+    def test_built_caches_are_not_fields(self):
+        poly = _poly(0)
+        fresh = Polygon(poly.vertices, poly.mu, poly.kappa, poly.ctx, poly.family)
+        poly.gauge(poly.v(1))
+        convexity_values(poly)
+        assert poly == fresh and hash(poly) == hash(fresh)
+        assert repr(poly) == repr(fresh)
+        assert pickle.dumps(poly) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(poly)), copy.copy(poly)):
+            assert clone == fresh
+            assert clone.gauge(poly.v(1)) == poly.gauge(poly.v(1))
+            assert convexity_values(clone) == convexity_values(poly)
+
 
 class TestValidation:
+    @pytest.mark.parametrize("count", [0, 11, 13])
+    def test_polygon_has_twelve_vertices(self, count):
+        poly = _poly(0)
+        with pytest.raises(ValueError, match="^the polygon has exactly 12 vertices$"):
+            Polygon(poly.vertices[:1] * count, poly.mu, poly.kappa, poly.ctx, "main")
+
     def test_vec2_mixed_backends(self):
         with pytest.raises(TypeError, match="all entries must share one backend"):
             Vec2(Scalar.exact(1), Scalar.flt(1.0))
