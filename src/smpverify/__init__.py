@@ -28,10 +28,10 @@ _EXPORTS = {
     "families": "DISTINGUISHED_PHI MatrixSet NormalizedSet custom_set "
     "eigenvectors_from_products eigenvectors_vw example_alt example_main "
     "example_main_special normalize",
-    "polytope": "Certificate ImagePoints Polygon admissible_mu_interval build_polygon "
-    "certify_smp convexity_check empirical_mu_thresholds images kappa_max "
-    "mu_thresholds omega_thresholds polygon_gauge sector_coords triangle_h "
-    "verify_inclusions vertex_order_check",
+    "polytope": "Certificate ImagePoints Polygon admissible_mu_interval "
+    "alt_mu_thresholds build_polygon certify_smp convexity_check "
+    "empirical_mu_thresholds images kappa_max mu_thresholds omega_thresholds "
+    "polygon_gauge sector_coords triangle_h verify_inclusions vertex_order_check",
     "figures": "FigureSpec render render_string",
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}

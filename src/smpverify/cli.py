@@ -220,18 +220,22 @@ def cmd_certify(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
-    from .polytope import empirical_mu_thresholds, kappa_max, mu_thresholds
+    from .polytope import alt_mu_thresholds, kappa_max, mu_thresholds
 
     if args.family == "custom":
         parser.error("scan supports the main and alt families")
+    try:
+        phi = _parse_phi(args.phi)
+    except ZeroDivisionError as exc:
+        parser.error(f"division by zero: {exc}")
+    if not at_distinguished_angle(phi):
+        parser.error("scan needs --phi 2pi/3: its closed forms hold only there")
     if args.c or args.kappa:
         mset = _build_set(args, parser)
-        if args.family == "main" and mset.ctx is not None:
-            thresholds = mu_thresholds(mset.ctx)
-        elif args.family == "main":
-            thresholds = mu_thresholds(float(mset.kappa))
+        if args.family == "alt":
+            thresholds = alt_mu_thresholds(mset.kappa)
         else:
-            thresholds = empirical_mu_thresholds(mset)
+            thresholds = mu_thresholds(mset.ctx if mset.ctx is not None else mset.kappa)
         names = ("mu0", "mu1", "mu2", "mu3")
         print(f"family {args.family}, kappa = {mset.kappa}")
         for name, value in zip(names, thresholds):

@@ -40,6 +40,7 @@ __all__ = [
     "radius_from_invariants",
     "similarity",
     "eigenvector_unit_first",
+    "common_scale",
 ]
 
 
@@ -113,6 +114,12 @@ def _bilinear(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
     return Fraction(
         a.numerator * b.numerator * cd + c.numerator * d.numerator * ab, ab * cd
     )
+
+
+def common_scale(values) -> tuple[int, list[int]]:
+    """The lcm D of the denominators of some Fractions, and D times each."""
+    d = math.lcm(*(q.denominator for q in values))
+    return d, [q.numerator * (d // q.denominator) for q in values]
 
 
 def dot(x: Vec2, y: Vec2) -> Scalar:
@@ -238,21 +245,30 @@ def spectral_radius(m: Mat2) -> Scalar:
     """Largest eigenvalue modulus; always a float-backend scalar.
 
     The discriminant sign is decided on the input backend, so the complex
-    vs. real branch is exact for exact matrices.  An exact matrix whose
-    trace, determinant or discriminant is too large for a float raises
-    ValueError.
+    vs. real branch is exact for exact matrices.  An exact trace or
+    determinant too large for a float is scaled first; a radius too large
+    for a float raises ValueError.
     """
-    t = m.trace()
-    d = m.det()
-    disc = t * t - 4 * d
+    t, d = m.trace(), m.det()
     try:
-        invariants = (float(t), float(d), float(disc) if disc >= 0 else None)
+        return Scalar.flt(_radius(t, d, 0))
+    except OverflowError:
+        # The radius is homogeneous: (t / 2**e, d / 4**e) has radius r / 2**e.
+        e = max(int(abs(t.value)).bit_length(), int(abs(d.value)).bit_length() // 2)
+    try:
+        return Scalar.flt(_radius(t / 2**e, d / 4**e, e))
     except OverflowError:
         raise ValueError(
-            "exact matrix leaves the float range: its trace, determinant or "
-            "discriminant is too large for a float"
+            "exact matrix leaves the float range: its spectral radius is too "
+            "large for a float"
         ) from None
-    return Scalar.flt(radius_from_invariants(*invariants))
+
+
+def _radius(t: Scalar, d: Scalar, e: int) -> float:
+    """2**e times the spectral radius of trace t and determinant d."""
+    disc = t * t - 4 * d
+    disc_f = float(disc) if disc >= 0 else None
+    return math.ldexp(radius_from_invariants(float(t), float(d), disc_f), e)
 
 
 def radius_from_invariants(t: float, d: float, disc: float | None) -> float:

@@ -47,6 +47,10 @@ and t pass the tolerance test.  The equivalent max_i |(f_i, z)| over six
 edge functionals is not used, because eight of the 24 images lie on a
 vertex ray, where two functionals tie exactly but may differ by one ulp in
 floats, which would change printed float values.
+
+Thresholds are closed forms (at phi = 2pi/3 alt is main in other
+coordinates) and kappa_max is decided exactly; empirical_mu_thresholds reads
+them off the construction of any pair and is their reference.
 """
 
 from __future__ import annotations
@@ -56,14 +60,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .families import (
-    DISTINGUISHED_PHI,
     MatrixSet,
     NormalizedSet,
     eigenvectors_from_products,
-    example_alt,
     normalize,
 )
-from .matrix2 import Mat2, Vec2, dot, rot90
+from .matrix2 import Mat2, Vec2, common_scale, dot, rot90
 from .permutability import ReducibleSetError, TauMap, friedland_permutable, verify_tau
 from .scalar import (
     REL_TOL,
@@ -89,6 +91,7 @@ __all__ = [
     "build_polygon",
     "images",
     "mu_thresholds",
+    "alt_mu_thresholds",
     "omega_thresholds",
     "admissible_mu_interval",
     "empirical_mu_thresholds",
@@ -173,17 +176,11 @@ class _EdgeTable(Record):
         self._init(scale, vertices, edges)
 
 
-def _common_scale(values) -> tuple[int, list[int]]:
-    """The lcm D of the denominators of some Fractions, and D times each."""
-    d = math.lcm(*(q.denominator for q in values))
-    return d, [q.numerator * (d // q.denominator) for q in values]
-
-
 def _build_edge_table(vertices: tuple[Vec2, ...]) -> _EdgeTable:
     exact = vertices[0].is_exact
     coords = [(v.x1.value, v.x2.value) for v in vertices]
     if exact:
-        d, flat = _common_scale([q for pair in coords for q in pair])
+        d, flat = common_scale([q for pair in coords for q in pair])
         coords = list(zip(flat[0::2], flat[1::2]))
     else:
         d = 1
@@ -295,7 +292,7 @@ class Polygon(Record):
         table = self._edge_table
         entries = [q.value for q in m.entries()]
         if self.is_exact:
-            f, (m11, m12, m21, m22) = _common_scale(entries)
+            f, (m11, m12, m21, m22) = common_scale(entries)
             e = f * table.scale
             values = (
                 _gauge_exact(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, e)
@@ -409,6 +406,34 @@ def mu_thresholds(kappa) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     return (one, pw(2), mu2, pw(2) * mu2)
 
 
+_SQRT3 = math.sqrt(3.0)
+
+
+def _shift_root(d: float) -> float:
+    """The x > 0 with x - 1/x = d."""
+    return (d + math.sqrt(d * d + 4.0)) / 2.0
+
+
+def alt_mu_thresholds(kappa) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The four scale thresholds of the rotation family at phi = 2pi/3.
+
+    alt(k) is main(K) in other coordinates for K - 1/K = (sqrt3/2)(k - 1/k),
+    where both pairs have trace -1, det 1 and the same tr AB.  The similarity
+    S = [[1, sqrt3/k - 2/K], [sqrt3 k - 2K, 1]] (S A_main = A_alt S, and the
+    same for B) maps main's fixed vectors to mu0_alt v_alt and w_alt, with
+    mu0_alt = (K^2 - 1 + sqrt3 K/k)/(K^2 + 1), so alt's polygon at mu is S
+    times main's at mu/mu0_alt.  Float backend only.
+    """
+    k = float(kappa)
+    if not k > 1:
+        raise ValueError(f"need kappa > 1, got {k}")
+    d = _SQRT3 / 2 * (k - 1 / k)
+    big_k = _shift_root(d)
+    # mu0_alt divided through by K, so that K^2 is never formed.
+    mu0 = Scalar.flt((d + _SQRT3 / k) / (big_k + 1 / big_k))
+    return tuple(mu0 * m for m in mu_thresholds(FloatKappa(big_k)))
+
+
 def omega_thresholds(kappa) -> tuple[Scalar, ...]:
     """The six convexity thresholds of the zero-corner family."""
     pw = _as_kappa(kappa).power
@@ -428,26 +453,16 @@ def admissible_mu_interval(kappa):
 
 
 def _threshold_h_values(norm: NormalizedSet, v: Vec2, w: Vec2, mu) -> tuple:
-    """The four inclusion levels h(a4), h(a6), h(b3), h(b7) at a given mu."""
+    """The levels h(a4), h(a6), h(b3), h(b7) in their sectors at a given mu."""
     poly = build_polygon(norm, v, w, mu)
-    at, bt = norm.at, norm.bt
-    v2, v3 = poly.v(2), poly.v(3)
-    v11, v12 = poly.v(11), poly.v(12)
-    a4 = at @ poly.v(4)
-    a6 = at @ poly.v(6)
-    b3 = bt @ poly.v(3)
-    b7 = bt @ poly.v(7)
-    return (
-        triangle_h(v11, v12, a4),
-        triangle_h(v2, v3, a6),
-        triangle_h(v11, v12, b3),
-        triangle_h(v2, v3, b7),
+    maps = {"a": norm.at, "b": norm.bt}
+    return tuple(
+        triangle_h(poly.v(i), poly.v(j), maps[kind] @ poly.v(idx))
+        for _, kind, idx, (i, j) in _NONOBVIOUS
     )
 
 
-def empirical_mu_thresholds(
-    mset: MatrixSet, rel_tol: float = REL_TOL
-) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+def empirical_mu_thresholds(mset: MatrixSet) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     """Scale thresholds extracted from the construction itself.
 
     Works for any admissible pair (either backend): the two lower levels
@@ -456,67 +471,46 @@ def empirical_mu_thresholds(
     sample validates the model.  On the exact backend the result is exact
     and must coincide with the closed forms for the zero-corner family.
     """
-    norm = normalize(mset, rel_tol)
-    v, w = eigenvectors_from_products(norm, rel_tol)
-    exact = norm.at.is_exact
-    samples = {}
-    for m in (1, 2, 3):
-        mu = Scalar.exact(m) if exact else Scalar.flt(m)
-        samples[m] = _threshold_h_values(norm, v, w, mu)
-
-    def check_model(expected: Scalar, actual: Scalar) -> None:
-        if not expected.isclose(actual, rel_tol):
-            raise RuntimeError("inclusion level does not follow the affine model")
-
+    norm = normalize(mset)
+    v, w = eigenvectors_from_products(norm)
+    samples = zip(*(_threshold_h_values(norm, v, w, m) for m in (1, 2, 3)))
     out = []
-    for idx in (0, 1):  # h = p + q/mu -> threshold mu = q/(1 - p)
-        h1, h2, h3 = samples[1][idx], samples[2][idx], samples[3][idx]
-        q = (h1 - h2) * 2
-        p = h1 - q
-        check_model(p + q / 3, h3)
-        out.append(q / (1 - p))
-    for idx in (2, 3):  # h = p + q*mu -> threshold mu = (1 - p)/q
-        h1, h2, h3 = samples[1][idx], samples[2][idx], samples[3][idx]
-        q = h2 - h1
-        p = h1 - q
-        check_model(p + q * 3, h3)
-        out.append((1 - p) / q)
+    for idx, (h1, h2, h3) in enumerate(samples):
+        if idx < 2:  # h = p + q/mu -> threshold mu = q/(1 - p)
+            q = (h1 - h2) * 2
+            p = h1 - q
+            model, threshold = p + q / 3, q / (1 - p)
+        else:  # h = p + q*mu -> threshold mu = (1 - p)/q
+            q = h2 - h1
+            p = h1 - q
+            model, threshold = p + q * 3, (1 - p) / q
+        if not model.isclose(h3):
+            raise RuntimeError("inclusion level does not follow the affine model")
+        out.append(threshold)
     return tuple(out)
 
 
-def _main_threshold_gap(kappa: float) -> float:
-    _, mu1, mu2, _ = mu_thresholds(FloatKappa(kappa))
-    return float(mu1) - float(mu2)
+def kappa_max(family: str = "main") -> Scalar:
+    """Largest kappa with a nonempty admissible scale interval.
 
-
-def _alt_threshold_gap(kappa: float) -> float:
-    mset = example_alt(kappa, DISTINGUISHED_PHI)
-    # Near kappa = 1 the unit eigenvalue almost collides with 1/lam^2, so
-    # the fixed-vector residual is ill-conditioned; 1e-9 is still far below
-    # the bisection resolution.
-    _, mu1, mu2, _ = empirical_mu_thresholds(mset, rel_tol=1e-9)
-    return float(mu1) - float(mu2)
-
-
-def kappa_max(family: str = "main", tol: float = 1e-10) -> Scalar:
-    """Largest kappa with a nonempty admissible scale interval, found by
-    bisection of mu1(kappa) - mu2(kappa) on (1, 2)."""
-    if family == "main":
-        gap = _main_threshold_gap
-    elif family == "alt":
-        gap = _alt_threshold_gap
-    else:
+    For main, the largest float kappa with mu1 <= mu2 exactly: bisection
+    on floats, each side decided in exact arithmetic, until the bracket
+    holds two adjacent floats.  alt(k) is main(K) with k - 1/k = (2/sqrt3)(K - 1/K)
+    (alt_mu_thresholds), so alt's is that k at main's, rounded in floats.
+    """
+    if family not in ("main", "alt"):
         raise ValueError(f"unknown family {family!r}")
-    lo, hi = 1.01, 2.0
-    if not (gap(lo) < 0 < gap(hi)):
-        raise ValueError("bracketing failure: no sign change on (1, 2)")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if gap(mid) <= 0:
+    lo, hi = 1.0, 2.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        # With x = mid^2 = n/d, mu1^3 = x and mu2 = (x + 1)^2/(x^2 + x + 1):
+        # mu1 <= mu2 is x (x^2 + x + 1)^3 <= (x + 1)^6, cleared of denominators.
+        n, d = (Fraction(mid) ** 2).as_integer_ratio()
+        if n * (n * n + n * d + d * d) ** 3 <= d * (n + d) ** 6:
             lo = mid
         else:
             hi = mid
-    # lo is the admissible side (mu1 <= mu2 there), within tol of the root.
+    if family == "alt":
+        lo = _shift_root(2 / _SQRT3 * (lo - 1 / lo))
     return Scalar.flt(lo)
 
 
@@ -633,7 +627,7 @@ def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
     _check_backend(poly, x.is_exact)
     table = poly._edge_table
     if poly.is_exact:
-        e, (z1, z2) = _common_scale((x.x1.value, x.x2.value))
+        e, (z1, z2) = common_scale((x.x1.value, x.x2.value))
         return Scalar(_gauge_exact(table, z1, z2, e))
     return Scalar(_gauge_float(table, x.x1.value, x.x2.value, rel_tol))
 

@@ -298,19 +298,6 @@ class KappaContext(Record):
         """kappa**(k_thirds/3) == c**k_thirds, exactly."""
         return Scalar.exact(self.c**k_thirds)
 
-    @property
-    def kappa(self) -> Scalar:
-        return self.power(3)
-
-    @property
-    def lam(self) -> Scalar:
-        """The squared stretch kappa**2 = c**6."""
-        return self.power(6)
-
-    @property
-    def is_exact(self) -> bool:
-        return True
-
 
 class FloatKappa(Record):
     """Float-backend stretch parameter with the same power interface."""
@@ -324,17 +311,10 @@ class FloatKappa(Record):
         self._init(kappa_value)
 
     def power(self, k_thirds: int) -> Scalar:
-        return Scalar.flt(self.kappa_value ** (k_thirds / 3.0))
-
-    @property
-    def kappa(self) -> Scalar:
-        return Scalar.flt(self.kappa_value)
-
-    @property
-    def lam(self) -> Scalar:
-        return Scalar.flt(self.kappa_value**2)
-
-    @property
-    def is_exact(self) -> bool:
-        return False
+        try:
+            return Scalar.flt(self.kappa_value ** (k_thirds / 3.0))
+        except OverflowError:
+            raise ValueError(
+                f"{self.kappa_value!r}**({k_thirds}/3) is out of float range"
+            ) from None
 

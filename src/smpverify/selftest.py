@@ -372,6 +372,13 @@ def check_kappa_max():
     for kappa, sign in ((1.1, -1.0), (1.5, 1.0)):
         _, mu1, mu2, _ = polytope.mu_thresholds(kappa)
         assert (float(mu1) - float(mu2)) * sign > 0
+    # alt(k) is main(K) with K^2 = rho(BAA) of alt: S main(K) = alt(k) S.
+    for k in (1.1, 1.331, 1.5):
+        alt = example_alt(k, DISTINGUISHED_PHI)
+        big_k = math.sqrt(float(spectral_radius(alt.b @ alt.a @ alt.a)))
+        main = example_main(big_k, DISTINGUISHED_PHI)
+        s = Mat2.flt(1.0, 3**0.5 / k - 2 / big_k, 3**0.5 * k - 2 * big_k, 1.0)
+        assert (s @ main.a).isclose(alt.a @ s) and (s @ main.b).isclose(alt.b @ s)
 
 
 def check_vertex_order():

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .matrix2 import Mat2
+from .matrix2 import Mat2, common_scale
 from .scalar import Record, Scalar
 from . import matrix2
 
@@ -209,11 +209,8 @@ def _scaled_pair(a: Mat2, b: Mat2):
     """
     if a.is_exact != b.is_exact:
         raise TypeError("matrix backends must match")
-    entries = a.entries() + b.entries()
-    if not a.is_exact:
-        return tuple(e.value for e in entries[:4]), tuple(e.value for e in entries[4:]), 1
-    d = math.lcm(*(e.value.denominator for e in entries))
-    scaled = [e.value.numerator * (d // e.value.denominator) for e in entries]
+    values = [e.value for e in a.entries() + b.entries()]
+    d, scaled = common_scale(values) if a.is_exact else (1, values)
     return tuple(scaled[:4]), tuple(scaled[4:]), d
 
 

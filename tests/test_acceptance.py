@@ -81,7 +81,7 @@ def test_criterion_2_thresholds(ctx):
     assert abs(float(mu3) - 1.572706) <= 1e-6
 
 
-@criterion(3, "kappa_max for both families by bisection")
+@criterion(3, "kappa_max for both families in closed form")
 def test_criterion_3_kappa_max():
     assert abs(float(polytope.kappa_max("main")) - 1.447892) <= 1e-5
     assert abs(float(polytope.kappa_max("alt")) - 1.528580) <= 1e-5

@@ -189,6 +189,37 @@ class TestBadInput:
         assert len(errors) == 1 and message in errors[0]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "main", "--kappa", "1.331", "--phi", "0.5"],
+            ["--family", "main", "--c", "11/10", "--phi", "0.5"],
+            ["--family", "alt", "--kappa", "1.331", "--phi", "0.5"],
+            ["--family", "alt", "--phi", "pi/2"],
+        ],
+    )
+    def test_scan_needs_the_distinguished_angle(self, capsys, argv):
+        # The threshold closed forms hold only at phi = 2pi/3.
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: smpverify scan ")
+        errors = [line for line in lines if "error:" in line]
+        assert errors == [
+            "smpverify scan: error: scan needs --phi 2pi/3: its closed forms hold only there"
+        ]
+
+    @pytest.mark.parametrize("family", ["main", "alt"])
+    def test_scan_kappa_whose_thresholds_overflow(self, capsys, family):
+        code, out, err = run(capsys, "scan", "--family", family, "--kappa", "1e100")
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "out of float range" in errors[0]
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (

@@ -19,6 +19,7 @@ from smpverify.polytope import (
     DegenerateSectorError,
     Polygon,
     admissible_mu_interval,
+    alt_mu_thresholds,
     build_polygon,
     certify_smp,
     convexity_check,
@@ -201,6 +202,26 @@ class TestEmpiricalThresholds:
             assert abs(g - e) < 1e-5
 
 
+class TestAltThresholds:
+    # alt(k) is main(K) in other coordinates, so its thresholds have a
+    # closed form; the polygon construction is the reference.
+    @pytest.mark.parametrize("kappa", [1.02 + 0.12 * i for i in range(25)])
+    def test_closed_form_matches_construction(self, kappa):
+        got = alt_mu_thresholds(kappa)
+        want = empirical_mu_thresholds(example_alt(kappa, DISTINGUISHED_PHI))
+        for g, w in zip(got, want):
+            assert math.isclose(float(g), float(w), rel_tol=1e-12)
+
+    def test_rejects_kappa_at_or_below_one(self):
+        with pytest.raises(ValueError):
+            alt_mu_thresholds(1.0)
+
+    def test_kappa_max_is_admissible_for_the_construction(self):
+        kmax = float(kappa_max("alt"))
+        _, mu1, mu2, _ = empirical_mu_thresholds(example_alt(kmax, DISTINGUISHED_PHI))
+        assert float(mu1) <= float(mu2) * (1 + 1e-9)
+
+
 class TestKappaMax:
     def test_main_value(self):
         assert abs(float(kappa_max("main")) - 1.447892) < 1e-5
@@ -216,6 +237,11 @@ class TestKappaMax:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             kappa_max("spam")
+
+    def test_main_value_is_the_edge_of_the_admissible_range(self):
+        kmax = float(kappa_max("main"))
+        assert admissible_mu_interval(kmax) is not None
+        assert admissible_mu_interval(kmax * (1 + 1e-12)) is None
 
 
 class TestVertexOrder:
