@@ -37,7 +37,7 @@ DISTINGUISHED_PHI = 2 * math.pi / 3
 class MatrixSet(Record):
     """A labeled pair {A, B} plus the similarity matrix that swaps it."""
 
-    __slots__ = ("a", "b", "tau_s", "family", "kappa", "phi", "ctx", "reducible")
+    __slots__ = ("a", "b", "tau_s", "family", "kappa", "ctx")
 
     def __init__(
         self,
@@ -46,11 +46,9 @@ class MatrixSet(Record):
         tau_s: Mat2 | None,
         family: str,  # "main" | "alt" | "custom"
         kappa: Scalar,
-        phi: float | None,
         ctx: KappaContext | None = None,
-        reducible: bool = False,
     ):
-        self._init(a, b, tau_s, family, kappa, phi, ctx, reducible)
+        self._init(a, b, tau_s, family, kappa, ctx)
 
     @property
     def is_exact(self) -> bool:
@@ -80,10 +78,6 @@ def _snap_angle(phi: float) -> tuple[float, float]:
     return math.cos(phi), math.sin(phi)
 
 
-def _reducible_phi(s: float) -> bool:
-    return abs(s) < 1e-15
-
-
 def _check_finite(kappa: float, a: Mat2, b: Mat2, tau_s: Mat2) -> None:
     """Reject a kappa at which the pair or its two products leave binary64.
 
@@ -100,11 +94,7 @@ def _check_finite(kappa: float, a: Mat2, b: Mat2, tau_s: Mat2) -> None:
 
 
 def example_alt(kappa: float, phi: float) -> MatrixSet:
-    """Rotation-with-stretching pair; float backend.
-
-    At phi = 0 or pi the pair is reducible; the set is still built but
-    carries a `reducible` flag so bounds can be explored.
-    """
+    """Rotation-with-stretching pair; float backend."""
     kappa = float(kappa)
     if not kappa > 1:
         raise ValueError(f"need kappa > 1, got {kappa}")
@@ -113,15 +103,7 @@ def example_alt(kappa: float, phi: float) -> MatrixSet:
     b = Mat2.flt(c, -kappa * s, s / kappa, c)
     tau_s = quarter_turn(exact=False)
     _check_finite(kappa, a, b, tau_s)
-    return MatrixSet(
-        a=a,
-        b=b,
-        tau_s=tau_s,
-        family="alt",
-        kappa=Scalar.flt(kappa),
-        phi=float(phi),
-        reducible=_reducible_phi(s),
-    )
+    return MatrixSet(a=a, b=b, tau_s=tau_s, family="alt", kappa=Scalar.flt(kappa))
 
 
 def example_main(kappa: float, phi: float) -> MatrixSet:
@@ -129,22 +111,13 @@ def example_main(kappa: float, phi: float) -> MatrixSet:
     kappa = float(kappa)
     if not kappa > 1:
         raise ValueError(f"need kappa > 1, got {kappa}")
-    c, s = _snap_angle(phi)
-    t2 = 2.0 * c
+    t2 = 2.0 * _snap_angle(phi)[0]
     a = Mat2.flt(0.0, -1.0 / kappa, kappa, t2)
     b = Mat2.flt(0.0, -kappa, 1.0 / kappa, t2)
     d = t2 * kappa / (kappa * kappa + 1.0)
     tau_s = Mat2.flt(d, 1.0, -1.0, -d)
     _check_finite(kappa, a, b, tau_s)
-    return MatrixSet(
-        a=a,
-        b=b,
-        tau_s=tau_s,
-        family="main",
-        kappa=Scalar.flt(kappa),
-        phi=float(phi),
-        reducible=_reducible_phi(s),
-    )
+    return MatrixSet(a=a, b=b, tau_s=tau_s, family="main", kappa=Scalar.flt(kappa))
 
 
 def example_main_special(ctx: KappaContext) -> MatrixSet:
@@ -157,15 +130,7 @@ def example_main_special(ctx: KappaContext) -> MatrixSet:
     b = Mat2(zero, -kappa, inv_kappa, minus_one)
     d = -kappa / (kappa * kappa + 1)
     tau_s = Mat2(d, Scalar.exact(1), minus_one, -d)
-    return MatrixSet(
-        a=a,
-        b=b,
-        tau_s=tau_s,
-        family="main",
-        kappa=kappa,
-        phi=DISTINGUISHED_PHI,
-        ctx=ctx,
-    )
+    return MatrixSet(a=a, b=b, tau_s=tau_s, family="main", kappa=kappa, ctx=ctx)
 
 
 def custom_set(
@@ -185,9 +150,7 @@ def custom_set(
         else:
             baa = b @ a @ a
             kappa = Scalar.flt(math.sqrt(float(spectral_radius(baa))))
-    return MatrixSet(
-        a=a, b=b, tau_s=tau_s, family="custom", kappa=kappa, phi=None, ctx=ctx
-    )
+    return MatrixSet(a=a, b=b, tau_s=tau_s, family="custom", kappa=kappa, ctx=ctx)
 
 
 def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:

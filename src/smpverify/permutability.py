@@ -6,12 +6,17 @@ trace/determinant test (the five traces tr A, tr A^2, tr B, tr B^2, tr AB
 are a complete invariant of simultaneous similarity in dimension 2), and
 permutability forces every odd-length product to share its spectrum with
 a product that has a different number of A-factors.
+
+Irreducibility (no common real invariant line) is the one reducibility
+test of the package.  On exact pairs it is the 2x2 invariant criterion:
+two 2x2 matrices share an eigenvector iff det(AB - BA) = 0 (Shemesh,
+"Common eigenvectors of two matrices", Linear Algebra Appl. 62, 1984),
+and a matrix with non-real spectrum has no real one.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .matrix2 import Mat2, Vec2, similarity
 from .scalar import REL_TOL, Record, Scalar
@@ -44,68 +49,6 @@ class TauMap(Record):
 
     def apply(self, x: Mat2) -> Mat2:
         return similarity(self.s, x)
-
-
-def _line_quadratic(m: Mat2):
-    """Coefficients (p, q, r) of p*x^2 + q*x*y + r*y^2, whose roots are
-    the directions (x, y) of lines invariant under m."""
-    return (m.m21, m.m22 - m.m11, -m.m12)
-
-
-def _is_zero_quadratic(coeffs) -> bool:
-    return all(c == 0 for c in coeffs)
-
-
-def _isqrt_exact(n: int):
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _exact_is_irreducible(a: Mat2, b: Mat2) -> bool:
-    qa = _line_quadratic(a)
-    qb = _line_quadratic(b)
-    if _is_zero_quadratic(qa) or _is_zero_quadratic(qb):
-        # One matrix is scalar, so every line it sees is invariant; a
-        # common invariant line exists iff the other has a real one.
-        other = qb if _is_zero_quadratic(qa) else qa
-        if _is_zero_quadratic(other):
-            return False
-        disc = other[1] * other[1] - 4 * other[0] * other[2]
-        return disc < 0
-    disc_a = qa[1] * qa[1] - 4 * qa[0] * qa[2]
-    if disc_a < 0:
-        return True
-    frac = disc_a.as_fraction()
-    sq_num = _isqrt_exact(frac.numerator)
-    sq_den = _isqrt_exact(frac.denominator)
-    if sq_num is not None and sq_den is not None:
-        # Rational eigendirections of a: enumerate and test invariance
-        # under b by the exact cross-product condition q_b(direction) == 0.
-        root = Scalar.exact(Fraction(sq_num, sq_den))
-        p, q, r = qa
-        directions = []
-        if p == 0:
-            directions.append(Vec2.exact(1, 0))  # y = 0 root of q*x*y + r*y^2
-            if q != 0:
-                directions.append(Vec2(-r / q, Scalar.one_like(r)))
-        else:
-            for s in (root, -root):
-                directions.append(Vec2((-qa[1] + s) / (2 * p), Scalar.one_like(p)))
-        for u in directions:
-            if qb[0] * u.x1 * u.x1 + qb[1] * u.x1 * u.x2 + qb[2] * u.x2 * u.x2 == 0:
-                return False
-        return True
-    # Real but irrational eigendirections: q_a is irreducible over the
-    # rationals, so a shared root forces q_b to be a rational multiple of
-    # q_a.  Cross-multiplication tests proportionality exactly.
-    prop = (
-        qa[0] * qb[1] == qb[0] * qa[1]
-        and qa[0] * qb[2] == qb[0] * qa[2]
-        and qa[1] * qb[2] == qb[1] * qa[2]
-    )
-    return not prop
 
 
 def _float_real_eigendirections(m: Mat2, tol: float):
@@ -144,14 +87,22 @@ def _float_direction_invariant(m: Mat2, u: Vec2, tol: float) -> bool:
 def is_irreducible(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
     """True iff a and b share no common real eigendirection.
 
-    Exact matrices get an exact answer (including irrational
-    eigendirections, via proportionality of the invariant-line
-    quadratics); float matrices use the residual tolerance rel_tol.
+    Exact matrices get an exact answer: irreducible if either has non-real
+    spectrum, else iff det(ab - ba) != 0, where ab - ba = [[p, q], [r, -p]]
+    has determinant -(p^2 + q*r).  Float matrices compare eigendirections
+    with the residual tolerance rel_tol.
     """
     if a.is_exact != b.is_exact:
         raise TypeError("matrix backends must match")
     if a.is_exact:
-        return _exact_is_irreducible(a, b)
+        a11, a12, a21, a22 = (e.value for e in a.entries())
+        b11, b12, b21, b22 = (e.value for e in b.entries())
+        if (a11 - a22) ** 2 + 4 * a12 * a21 < 0 or (b11 - b22) ** 2 + 4 * b12 * b21 < 0:
+            return True
+        p = a12 * b21 - a21 * b12
+        q = (a11 - a22) * b12 - (b11 - b22) * a12
+        r = (a22 - a11) * b21 - (b22 - b11) * a21
+        return p * p + q * r != 0
     dirs_a = _float_real_eigendirections(a, rel_tol)
     if dirs_a is None:
         dirs_b = _float_real_eigendirections(b, rel_tol)

@@ -66,7 +66,7 @@ from .families import (
     normalize,
 )
 from .matrix2 import Mat2, Vec2, common_scale, dot, rot90
-from .permutability import ReducibleSetError, TauMap, friedland_permutable, verify_tau
+from .permutability import TauMap, friedland_permutable, is_irreducible, verify_tau
 from .scalar import (
     REL_TOL,
     BackendMismatchError,
@@ -304,16 +304,7 @@ class Polygon(Record):
                 _gauge_float(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, rel_tol)
                 for x1, x2 in table.vertices
             )
-        return Scalar(_largest(values))
-
-
-def _largest(values):
-    """The first of the largest values, compared with >."""
-    best = None
-    for g in values:
-        if best is None or g > best:
-            best = g
-    return best
+        return Scalar(max(values))
 
 
 def _coerce_mu(mu, exact: bool) -> Scalar:
@@ -431,7 +422,13 @@ def alt_mu_thresholds(kappa) -> tuple[Scalar, Scalar, Scalar, Scalar]:
     big_k = _shift_root(d)
     # mu0_alt divided through by K, so that K^2 is never formed.
     mu0 = Scalar.flt((d + _SQRT3 / k) / (big_k + 1 / big_k))
-    return tuple(mu0 * m for m in mu_thresholds(FloatKappa(big_k)))
+    try:
+        main_thresholds = mu_thresholds(FloatKappa(big_k))
+    except ValueError:
+        raise ValueError(
+            f"kappa = {k!r}: the alt thresholds are out of float range"
+        ) from None
+    return tuple(mu0 * m for m in main_thresholds)
 
 
 def omega_thresholds(kappa) -> tuple[Scalar, ...]:
@@ -917,8 +914,9 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     # parameters
     try:
         mu_scalar = _coerce_mu(mu, mset.is_exact)
-        ok = mu_scalar > 0 and not mset.reducible
-        detail = "" if ok else ("reducible pair" if mset.reducible else "mu <= 0")
+        irreducible = is_irreducible(mset.a, mset.b, rel_tol)
+        ok = mu_scalar > 0 and irreducible
+        detail = "" if ok else ("mu <= 0" if irreducible else "reducible pair")
         add("parameters", ok, detail)
         if not ok:
             return finish()
@@ -935,7 +933,7 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
         try:
             ok = friedland_permutable(mset.a, mset.b, rel_tol)
             add("permutable", ok, "trace/det criterion (no tau supplied)")
-        except (ReducibleSetError, ValueError) as exc:
+        except ValueError as exc:
             add("permutable", False, str(exc))
             ok = False
     if not ok:
@@ -1000,7 +998,7 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     # polygon with this tolerance: Polygon.matrix_norm would recompute the
     # same values from the same points.
     norms = tuple(
-        _largest(g for label, g, _ in incl.gauge_values if label[0] == kind)
+        max(g for label, g, _ in incl.gauge_values if label[0] == kind)
         for kind in "ab"
     )
     ok = all(n.isclose(1, rel_tol) and n.le(1, rel_tol) for n in norms)

@@ -139,7 +139,12 @@ def check_factor_counts():
 
 def check_irreducibility():
     assert is_irreducible(*_alt_pair(1.2, math.pi / 3))
-    assert not is_irreducible(*_alt_pair(1.2, 0.0))
+    for phi in (0.0, math.pi):
+        # alt degenerates to {I, I} or {-I, -I}; main keeps two distinct
+        # eigendirections (1, -kappa) and (1, -1/kappa).
+        assert not is_irreducible(*_alt_pair(1.2, phi))
+        main = example_main(1.2, phi)
+        assert is_irreducible(main.a, main.b)
     eye = Mat2.exact(1, 0, 0, 1)
     assert not is_irreducible(eye, eye)
 
@@ -178,11 +183,6 @@ def check_swap_spectrum_report():
     assert report.counts == (2, 1) and report.image_counts == (1, 2)
     even = swap_spectrum_check(mset.a, mset.b, tau, Word.from_display("AB"))
     assert even.passed and even.counts_differ is None
-
-
-def check_reducible_flag():
-    assert example_alt(1.2, 0.0).reducible
-    assert not example_alt(1.2, math.pi / 3).reducible
 
 
 def check_main_matches_special():
@@ -457,7 +457,6 @@ CHECKS = [
     ("tau swap verification", check_tau_verification),
     ("tau word image", check_tau_word),
     ("swap-spectrum report", check_swap_spectrum_report),
-    ("reducible angle flag", check_reducible_flag),
     ("float pair matches exact special form", check_main_matches_special),
     ("special pair entries", check_special_entries),
     ("cube identities", check_cube_identities),

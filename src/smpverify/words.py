@@ -194,11 +194,11 @@ class BoxNorm:
         return r0 if r0 >= r1 else r1
 
 
-def _check_cap(n: int, cap: int) -> None:
+def _check_cap(n: int) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > cap:
-        raise ValueError(f"word length {n} exceeds cap {cap}")
+    if n > DEFAULT_WORD_CAP:
+        raise ValueError(f"word length {n} exceeds cap {DEFAULT_WORD_CAP}")
 
 
 def _scaled_pair(a: Mat2, b: Mat2):
@@ -340,50 +340,33 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     return rho, bars
 
 
-def rho_bar_n(
-    a: Mat2,
-    b: Mat2,
-    n: int,
-    cap: int = DEFAULT_WORD_CAP,
-) -> BoundsRow:
+def rho_bar_n(a: Mat2, b: Mat2, n: int) -> BoundsRow:
     """Brute-force lower bound row: max of rooted spectral radii.
 
     The maximizer list holds every necklace whose rooted spectral radius is
     within a relative distance of 1e-9 of the maximum.
     """
-    _check_cap(n, cap)
+    _check_cap(n)
     _, bars = _walk(a, b, n, n, norms=False)
     best, maximizers = bars[n]
     return BoundsRow(n=n, rho_bar=best, rho=None, maximizers=maximizers)
 
 
-def rho_n(
-    a: Mat2,
-    b: Mat2,
-    n: int,
-    norm=None,
-    cap: int = DEFAULT_WORD_CAP,
-) -> Scalar:
+def rho_n(a: Mat2, b: Mat2, n: int, norm=None) -> Scalar:
     """Upper bound over all 2**n words: max of norm(product)**(1/n).
 
     `norm` is any object with matrix_norm(Mat2) -> Scalar; defaults to the
     box norm.  The maximum itself is taken in the input backend (exact if
     the matrices are exact) and only the final root is floating point.
     """
-    _check_cap(n, cap)
+    _check_cap(n)
     rho, _ = _walk(a, b, n, n, norm=norm, radii=False)
     return Scalar.flt(rho[n])
 
 
-def bounds_table(
-    a: Mat2,
-    b: Mat2,
-    n_max: int,
-    norm=None,
-    cap: int = DEFAULT_WORD_CAP,
-) -> list[BoundsRow]:
+def bounds_table(a: Mat2, b: Mat2, n_max: int, norm=None) -> list[BoundsRow]:
     """Rows for n = 1..n_max with both bound columns filled, from one walk."""
-    _check_cap(n_max, cap)
+    _check_cap(n_max)
     rho, bars = _walk(a, b, 1, n_max, norm=norm)
     return [
         BoundsRow(n=n, rho_bar=bars[n][0], rho=rho[n], maximizers=bars[n][1])

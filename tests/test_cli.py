@@ -115,6 +115,27 @@ class TestCertify:
         assert code == 1
         assert "inclusions" in out and "b3" in out
 
+    @pytest.mark.parametrize("phi", ["0", "pi"])
+    def test_main_pair_off_the_cube_angle_fails_at_normalize(self, capsys, phi):
+        # main is irreducible at every angle; only A**3 = I fails away from 2pi/3.
+        code, out, _ = run(
+            capsys, "certify", "--kappa", "1.2", "--phi", phi, "--mu", "1.1"
+        )
+        assert code == 1
+        assert "[pass] parameters" in out
+        assert "first failing check: normalize" in out
+
+    def test_reducible_custom_pair_fails_parameters(self, capsys, tmp_path):
+        path = tmp_path / "pair.txt"
+        path.write_text("# reducible pair\n2 0 0 3\n1 1 0 1\n")
+        code, out, _ = run(
+            capsys, "certify", "--family", "custom", "--matrices", str(path),
+            "--c", "11/10", "--mu", "5/4",
+        )
+        assert code == 1
+        assert "[FAIL] parameters  (reducible pair)" in out
+        assert "first failing check: parameters" in out
+
     def test_alt_float_certified(self, capsys):
         code, out, _ = run(
             capsys,
@@ -218,6 +239,8 @@ class TestBadInput:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "out of float range" in errors[0]
+        # Both families name the kappa given on the command line.
+        assert "1e+100" in errors[0]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -370,7 +393,7 @@ class TestDeterminism:
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "34/34 checks passed" in out
+    assert "33/33 checks passed" in out
     assert "FAIL" not in out
 
 

@@ -14,7 +14,7 @@ from smpverify.families import (
     normalize,
 )
 from smpverify.matrix2 import Mat2, Vec2, spectral_radius
-from smpverify.permutability import TauMap, verify_tau
+from smpverify.permutability import TauMap, is_irreducible, verify_tau
 from smpverify.scalar import KappaContext, Scalar
 from smpverify.words import Word, evaluate, necklaces
 
@@ -30,9 +30,9 @@ class TestAltFamily:
         assert math.isclose(float(mset.a.m21), 1.331 * s, rel_tol=1e-15)
 
     def test_reducible_angles_flagged(self):
-        assert example_alt(1.2, 0.0).reducible
-        assert example_alt(1.2, math.pi).reducible
-        assert not example_alt(1.2, DISTINGUISHED_PHI).reducible
+        for phi, reducible in ((0.0, True), (math.pi, True), (DISTINGUISHED_PHI, False)):
+            mset = example_alt(1.2, phi)
+            assert is_irreducible(mset.a, mset.b) is not reducible
 
     def test_kappa_must_exceed_one(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
-import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from smpverify.families import DISTINGUISHED_PHI, example_alt, example_main
-from smpverify.matrix2 import Mat2
+from smpverify.matrix2 import Mat2, similarity
 from smpverify.permutability import (
     ReducibleSetError,
     TauMap,
@@ -24,15 +26,14 @@ def alt_pair(kappa, phi):
 
 
 class TestIrreducibility:
-    def test_rotation_pair_irreducible_off_axis(self):
-        assert is_irreducible(*alt_pair(1.2, math.pi / 3))
-
-    def test_rotation_pair_reducible_at_zero(self):
-        assert not is_irreducible(*alt_pair(1.2, 0.0))
-
-    def test_identity_pair_reducible(self):
-        eye = Mat2.exact(1, 0, 0, 1)
-        assert not is_irreducible(eye, eye)
+    @pytest.mark.parametrize("t", [2, -2])
+    def test_exact_main_pair_irreducible_at_phi_0_and_pi(self, t):
+        # Eigendirections (1, -kappa) of A and (1, -1/kappa) of B differ;
+        # the float pairs at phi 0 and pi are in check_irreducibility.
+        kappa = Fraction(6, 5)
+        a = Mat2.exact(0, -1 / kappa, kappa, t)
+        b = Mat2.exact(0, -kappa, 1 / kappa, t)
+        assert is_irreducible(a, b)
 
     def test_exact_complex_spectrum_is_irreducible(self, main_exact):
         assert is_irreducible(main_exact.a, main_exact.b)
@@ -49,6 +50,41 @@ class TestIrreducibility:
         assert not is_irreducible(a, a @ a)  # a power shares every eigenvector
         b = Mat2.exact(1, 2, 3, 4)
         assert is_irreducible(a, b)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+positive = st.fractions(min_value=0, max_value=6, max_denominator=6).filter(bool)
+matrices = st.tuples(rationals, rationals, rationals, rationals)
+
+
+def discriminant(m):
+    m11, m12, m21, m22 = m
+    return (m11 - m22) ** 2 + 4 * m12 * m21
+
+
+class TestExactCriterion:
+    @given(matrices, matrices, matrices)
+    def test_simultaneously_triangularized_pairs_are_reducible(self, s, t1, t2):
+        s = Mat2.exact(*s)
+        assume(s.det() != 0)
+        # s^-1 e1 is an eigenvector of both conjugated triangular matrices.
+        a = similarity(s, Mat2.exact(t1[0], t1[1], 0, t1[3]))
+        b = similarity(s, Mat2.exact(t2[0], t2[1], 0, t2[3]))
+        assert not is_irreducible(a, b)
+
+    @given(rationals, rationals, rationals.filter(bool), positive, matrices)
+    def test_non_real_spectrum_is_irreducible(self, m11, m22, m12, e, b):
+        # m21 makes the discriminant of a equal to -e < 0.
+        a = (m11, m12, -((m11 - m22) ** 2 + e) / (4 * m12), m22)
+        assert discriminant(a) < 0
+        assert is_irreducible(Mat2.exact(*a), Mat2.exact(*b))
+        assert is_irreducible(Mat2.exact(*b), Mat2.exact(*a))
+
+    @given(matrices, rationals, rationals)
+    def test_affine_image_irreducible_iff_non_real_spectrum(self, a, alpha, beta):
+        b = (alpha * a[0] + beta, alpha * a[1], alpha * a[2], alpha * a[3] + beta)
+        got = is_irreducible(Mat2.exact(*a), Mat2.exact(*b))
+        assert got == (discriminant(a) < 0)
 
 
 class TestFriedland:
@@ -68,12 +104,6 @@ class TestFriedland:
         a = Mat2.exact(1, 2, 3, 4)
         t = friedland_5tuple(a, a)
         assert (t[0], t[1]) == (t[2], t[3])
-
-    def test_permutable_for_special_pair(self, main_exact):
-        assert friedland_permutable(main_exact.a, main_exact.b)
-
-    def test_permutable_for_rotation_pair(self):
-        assert friedland_permutable(*alt_pair(1.2, math.pi / 3))
 
     def test_identical_matrices_rejected(self, main_exact):
         with pytest.raises(ValueError):

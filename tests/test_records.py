@@ -76,7 +76,7 @@ RECORDS = {
     ),
     "MatrixSet": (
         lambda k: _mset(Fraction(10 + k, 10)),
-        ("a", "b", "tau_s", "family", "kappa", "phi", "ctx", "reducible"),
+        ("a", "b", "tau_s", "family", "kappa", "ctx"),
     ),
     "NormalizedSet": (
         lambda k: normalize(_mset(Fraction(10 + k, 10))),
@@ -205,7 +205,8 @@ class TestDefaults:
         m = Mat2.exact(0, -1, 1, -1)
         mset = MatrixSet(m, m, None, "custom", Scalar.exact(1), None)
         assert mset.ctx is None
-        assert mset.reducible is False
+        # Reducibility is a property of the matrices (is_irreducible), not a field.
+        assert not hasattr(mset, "reducible")
         assert mset.is_exact
 
     def test_normalized_set_keeps_its_source(self):
