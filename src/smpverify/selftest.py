@@ -139,14 +139,19 @@ def check_factor_counts():
 
 def check_irreducibility():
     assert is_irreducible(*_alt_pair(1.2, math.pi / 3))
+    assert not is_irreducible(*_alt_pair(1.2, 0.0))
+    eye = Mat2.exact(1, 0, 0, 1)
+    assert not is_irreducible(eye, eye)
+
+
+def check_reducible_flag():
+    assert is_irreducible(*_alt_pair(1.2, math.pi / 3))
     for phi in (0.0, math.pi):
         # alt degenerates to {I, I} or {-I, -I}; main keeps two distinct
         # eigendirections (1, -kappa) and (1, -1/kappa).
         assert not is_irreducible(*_alt_pair(1.2, phi))
         main = example_main(1.2, phi)
         assert is_irreducible(main.a, main.b)
-    eye = Mat2.exact(1, 0, 0, 1)
-    assert not is_irreducible(eye, eye)
 
 
 def _alt_pair(kappa, phi):
@@ -453,6 +458,7 @@ CHECKS = [
     ("necklaces and normal form", check_necklace_basics),
     ("factor counts", check_factor_counts),
     ("irreducibility test", check_irreducibility),
+    ("reducible angles of alt and main", check_reducible_flag),
     ("trace/det permutability", check_friedland),
     ("tau swap verification", check_tau_verification),
     ("tau word image", check_tau_word),

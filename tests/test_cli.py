@@ -393,7 +393,7 @@ class TestDeterminism:
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "33/33 checks passed" in out
+    assert "34/34 checks passed" in out
     assert "FAIL" not in out
 
 
