@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: bounds, certify, scan, permutable, figure, selftest.
-Exit codes: 0 success/certified, 1 check failed, 2 usage error.
+Exit codes: 0 success/certified, 1 check failed, 2 usage error, 141 when
+the reader of stdout has closed it (128 + SIGPIPE).
 
 Each command imports the modules it runs when it runs, so `bounds` loads
 neither the polygon certificate nor the figure writer.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -363,7 +365,14 @@ def main(argv=None) -> int:
     parser = _shared_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, args.parser)
+        code = args.func(args, args.parser)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `smpverify ... | head`: stop
+        # as a SIGPIPE would, and send the unflushed rest to /dev/null.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, TypeError, OSError) as exc:
         args.parser.print_usage(sys.stderr)
         print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)

@@ -53,8 +53,10 @@ class TauMap(Record):
 
 def _float_real_eigendirections(m: Mat2, tol: float):
     """Directions of real eigenvectors; None if m is (near) scalar."""
-    t, d = m.trace(), m.det()
-    disc = float(t * t - 4 * d)
+    # (m11 - m22)^2 + 4 m12 m21 rather than tr^2 - 4 det, which cancels to 0
+    # in floats when the two eigenvalues nearly coincide.
+    diff = m.m11 - m.m22
+    disc = float(diff * diff + 4 * m.m12 * m.m21)
     scale = max(abs(float(e)) for e in m.entries()) or 1.0
     if (
         abs(float(m.m12)) <= tol * scale
@@ -64,7 +66,7 @@ def _float_real_eigendirections(m: Mat2, tol: float):
         return None
     if disc < 0:
         return []
-    tf = float(t)
+    tf = float(m.trace())
     r = math.sqrt(max(disc, 0.0))
     dirs = []
     for lf in ((tf + r) / 2, (tf - r) / 2):

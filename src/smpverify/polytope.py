@@ -42,6 +42,12 @@ the function that Polygon.matrix_norm would use, so the values are the
 same, bit for bit on floats.  Polygon.matrix_norm serves other matrices,
 such as the word products of `bounds --norm polygon`.
 
+The certificate is one record tree.  Each check, vertex_order_check and
+verify_inclusions included, is a CheckResult whose data holds the check's
+(key, value) pairs in report order, with typed values: a Scalar, a bool or
+a str.  Certificate.as_kv is the only place where a value becomes text,
+so `certify --kv` is a view of that tree.
+
 The gauge keeps the sector rule: the first sector in index order whose s
 and t pass the tolerance test.  The equivalent max_i |(f_i, z)| over six
 edge functionals is not used, because eight of the 24 images lie on a
@@ -80,8 +86,6 @@ from .words import Word, factor_counts
 __all__ = [
     "Polygon",
     "ImagePoints",
-    "OrderReport",
-    "InclusionReport",
     "CheckResult",
     "SmpClass",
     "Certificate",
@@ -514,6 +518,19 @@ def kappa_max(family: str = "main") -> Scalar:
 # -- geometric checks ------------------------------------------------------
 
 
+class CheckResult(Record):
+    """One check of the certificate: verdict, detail and the (key, value)
+    pairs of its report lines, each value a Scalar, a bool or a str."""
+
+    __slots__ = ("name", "passed", "detail", "data")
+
+    def __init__(
+        self, name: str, passed: bool, detail: str = "",
+        data: tuple[tuple[str, Scalar | bool | str], ...] = (),
+    ):
+        self._init(name, passed, detail, data)
+
+
 _ORDER_PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 7))
 
 
@@ -543,61 +560,25 @@ def _order_products_closed(pw, mu: Scalar) -> dict:
     }
 
 
-class OrderReport(Record):
-    """Positivity (and, for the zero-corner family, closed-form agreement)
-    of the fifteen pairwise products (v_i, T v_j), 1 <= i < j <= 6."""
-
-    __slots__ = ("products", "all_positive", "closed_form_checked", "closed_form_match")
-
-    def __init__(
-        self, products: tuple[tuple[int, int, Scalar], ...], all_positive: bool,
-        closed_form_checked: bool, closed_form_match: bool,
-    ):
-        self._init(products, all_positive, closed_form_checked, closed_form_match)
-
-    @property
-    def passed(self) -> bool:
-        return self.all_positive and (
-            self.closed_form_match or not self.closed_form_checked
-        )
-
-    def as_kv(self) -> list[tuple[str, str]]:
-        items = [
-            (f"order.v{i}_Tv{j}", str(val)) for i, j, val in self.products
-        ]
-        items.append(("order.all_positive", str(self.all_positive).lower()))
-        if self.closed_form_checked:
-            items.append(
-                ("order.closed_form_match", str(self.closed_form_match).lower())
-            )
-        return items
-
-
-def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> OrderReport:
+def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     """All fifteen products (v_i, T v_j), i < j <= 6, must be positive:
     the rays are then pairwise distinct and the clockwise traversal meets
-    the vertices in index order, for any kappa > 1 and mu > 0."""
-    products = []
-    all_positive = True
-    for i, j in _ORDER_PAIRS:
-        val = dot(poly.v(i), rot90(poly.v(j)))
-        products.append((i, j, val))
-        if not val > 0:
-            all_positive = False
-    checked = poly.family == "main"
-    match = True
-    if checked:
+    the vertices in index order, for any kappa > 1 and mu > 0.  On the
+    zero-corner family each product must also match its closed form."""
+    products = [dot(poly.v(i), rot90(poly.v(j))) for i, j in _ORDER_PAIRS]
+    passed = all(val > 0 for val in products)
+    data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(_ORDER_PAIRS, products)]
+    data.append(("order.all_positive", passed))
+    if poly.family == "main":
         pw = _as_kappa(poly.ctx if poly.ctx is not None else poly.kappa).power
         closed = _order_products_closed(pw, poly.mu)
-        for i, j, val in products:
-            if not val.isclose(closed[(i, j)], rel_tol):
-                match = False
-    return OrderReport(
-        products=tuple(products),
-        all_positive=all_positive,
-        closed_form_checked=checked,
-        closed_form_match=match,
-    )
+        match = all(
+            val.isclose(closed[pair], rel_tol)
+            for pair, val in zip(_ORDER_PAIRS, products)
+        )
+        data.append(("order.closed_form_match", match))
+        passed = passed and match
+    return CheckResult("vertex_order", passed, "", tuple(data))
 
 
 def convexity_values(poly: Polygon) -> list[tuple[int, Scalar]]:
@@ -650,68 +631,9 @@ _NONOBVIOUS = (
 )
 
 
-class NonobviousEntry(Record):
-    __slots__ = ("label", "sector", "s", "t", "h", "in_sector", "within")
-
-    def __init__(
-        self, label: str, sector: tuple[int, int], s: Scalar, t: Scalar, h: Scalar,
-        in_sector: bool, within: bool,
-    ):
-        self._init(label, sector, s, t, h, in_sector, within)
-
-    @property
-    def passed(self) -> bool:
-        return self.in_sector and self.within
-
-
-class InclusionReport(Record):
-    __slots__ = ("automatic", "nonobvious", "gauge_checked", "gauge_values")
-
-    def __init__(
-        self, automatic: tuple[tuple[str, bool], ...],
-        nonobvious: tuple[NonobviousEntry, ...], gauge_checked: bool,
-        gauge_values: tuple[tuple[str, Scalar, bool], ...],
-    ):
-        self._init(automatic, nonobvious, gauge_checked, gauge_values)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            all(ok for _, ok in self.automatic)
-            and all(e.passed for e in self.nonobvious)
-            and (not self.gauge_checked or all(ok for _, _, ok in self.gauge_values))
-        )
-
-    @property
-    def failures(self) -> list[str]:
-        out = [label for label, ok in self.automatic if not ok]
-        out += [e.label for e in self.nonobvious if not e.passed]
-        if self.gauge_checked:
-            out += [label for label, _, ok in self.gauge_values if not ok]
-        return list(dict.fromkeys(out))
-
-    def as_kv(self) -> list[tuple[str, str]]:
-        items = [
-            (f"inclusion.identity.{label.split(' ')[0]}", str(ok).lower())
-            for label, ok in self.automatic
-        ]
-        for e in self.nonobvious:
-            base = f"inclusion.{e.label}"
-            items.append((f"{base}.sector", f"v{e.sector[0]},v{e.sector[1]}"))
-            items.append((f"{base}.s", str(e.s)))
-            items.append((f"{base}.t", str(e.t)))
-            items.append((f"{base}.h", str(e.h)))
-            items.append((f"{base}.passed", str(e.passed).lower()))
-        if self.gauge_checked:
-            for label, val, ok in self.gauge_values:
-                items.append((f"inclusion.gauge.{label}", str(val)))
-                items.append((f"inclusion.gauge.{label}.passed", str(ok).lower()))
-        return items
-
-
 def verify_inclusions(
     poly: Polygon, norm: NormalizedSet, rel_tol: float = REL_TOL
-) -> InclusionReport:
+) -> CheckResult:
     """All 24 image points must stay inside the polygon.
 
     Eight images land on vertices (or 1/lam-scaled vertices) by
@@ -724,64 +646,56 @@ def verify_inclusions(
     """
     ipts = images(poly, norm)
     lists = {"a": ipts.a, "b": ipts.b}
-    lam = norm.lam
+    data = []
+    failures = []
 
-    automatic = []
     for label, kind, idx, target, scaled in _AUTOMATIC_IDENTITIES:
         point = lists[kind][idx - 1]
-        expected = poly.v(target).scale(1 / lam) if scaled else poly.v(target)
-        automatic.append((label, point.isclose(expected, rel_tol)))
+        expected = poly.v(target).scale(1 / norm.lam) if scaled else poly.v(target)
+        ok = point.isclose(expected, rel_tol)
+        data.append((f"inclusion.identity.{label.split(' ')[0]}", ok))
+        if not ok:
+            failures.append(label)
 
-    nonobvious = []
+    sector_ok = {}
     for label, kind, idx, (i, j) in _NONOBVIOUS:
         point = lists[kind][idx - 1]
         x, y = poly.v(i), poly.v(j)
         s, t = sector_coords(x, y, point)
         h = triangle_h(x, y, point)
-        entry = NonobviousEntry(
-            label=label,
-            sector=(i, j),
-            s=s,
-            t=t,
-            h=h,
-            in_sector=s.ge(0, rel_tol) and t.ge(0, rel_tol),
-            within=h.le(1, rel_tol),
-        )
-        nonobvious.append(entry)
+        ok = s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol)
+        base = f"inclusion.{label}"
+        data += [
+            (f"{base}.sector", f"v{i},v{j}"),
+            (f"{base}.s", s),
+            (f"{base}.t", t),
+            (f"{base}.h", h),
+            (f"{base}.passed", ok),
+        ]
+        sector_ok[label] = ok
+        if not ok:
+            failures.append(label)
 
-    gauge_checked = convexity_check(poly, rel_tol)
-    gauge_values = []
-    if gauge_checked:
+    if convexity_check(poly, rel_tol):
         for kind in ("a", "b"):
             for idx, point in enumerate(lists[kind], start=1):
+                label = f"{kind}{idx}"
                 g = polygon_gauge(poly, point, rel_tol)
-                gauge_values.append((f"{kind}{idx}", g, g.le(1, rel_tol)))
-        by_label = {label: ok for label, _, ok in gauge_values}
-        for e in nonobvious:
-            if by_label[e.label] != e.passed:
-                raise RuntimeError(
-                    f"sector test and gauge test disagree on {e.label}"
-                )
+                ok = g.le(1, rel_tol)
+                if sector_ok.get(label, ok) != ok:
+                    raise RuntimeError(f"sector test and gauge test disagree on {label}")
+                data += [
+                    (f"inclusion.gauge.{label}", g),
+                    (f"inclusion.gauge.{label}.passed", ok),
+                ]
+                if not ok:
+                    failures.append(label)
 
-    return InclusionReport(
-        automatic=tuple(automatic),
-        nonobvious=tuple(nonobvious),
-        gauge_checked=gauge_checked,
-        gauge_values=tuple(gauge_values),
-    )
+    detail = "escaping points: " + ",".join(dict.fromkeys(failures)) if failures else ""
+    return CheckResult("inclusions", not failures, detail, tuple(data))
 
 
 # -- certificates ----------------------------------------------------------
-
-
-class CheckResult(Record):
-    __slots__ = ("name", "passed", "detail", "data")
-
-    def __init__(
-        self, name: str, passed: bool, detail: str = "",
-        data: tuple[tuple[str, str], ...] = (),
-    ):
-        self._init(name, passed, detail, data)
 
 
 class SmpClass(Record):
@@ -842,28 +756,30 @@ class Certificate(Record):
         return None
 
     def as_kv(self) -> list[tuple[str, str]]:
+        """The report as (key, text) pairs: the one place where a value
+        becomes text, a bool as true/false and anything else by str."""
         items = [
-            ("family", self.family),
-            ("backend", self.backend),
-            ("kappa", str(self.kappa)),
+            ("family", self.family), ("backend", self.backend), ("kappa", self.kappa)
         ]
         if self.c is not None:
-            items.append(("c", str(self.c)))
-        items.append(("mu", str(self.mu)))
+            items.append(("c", self.c))
+        items.append(("mu", self.mu))
         for c in self.checks:
             items.append((f"check.{c.name}", "pass" if c.passed else "fail"))
             if c.detail:
                 items.append((f"check.{c.name}.detail", c.detail))
             items.extend(c.data)
-        items.append(("certified", str(self.passed).lower()))
+        items.append(("certified", self.passed))
         if self.rho_bar is not None:
-            items.append(("rho_bar", str(self.rho_bar)))
+            items.append(("rho_bar", self.rho_bar))
         for k, smp in enumerate(self.smp_classes, start=1):
             items.append((f"smp.{k}.class", smp.representative.display))
             items.append((f"smp.{k}.members", ";".join(smp.members)))
-            items.append((f"smp.{k}.count_a", str(smp.count_a)))
-            items.append((f"smp.{k}.count_b", str(smp.count_b)))
-        return items
+            items.append((f"smp.{k}.count_a", smp.count_a))
+            items.append((f"smp.{k}.count_b", smp.count_b))
+        return [
+            (key, str(v).lower() if isinstance(v, bool) else str(v)) for key, v in items
+        ]
 
     def as_text(self) -> str:
         lines = [
@@ -942,7 +858,7 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     # normalization
     try:
         norm = normalize(mset, rel_tol)
-        add("normalize", True, f"lam = {norm.lam}", (("lam", str(norm.lam)),))
+        add("normalize", True, f"lam = {norm.lam}", (("lam", norm.lam),))
     except (ValueError, TypeError) as exc:
         add("normalize", False, str(exc))
         return finish()
@@ -971,25 +887,16 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
         return finish()
 
     order = vertex_order_check(poly, rel_tol)
-    add("vertex_order", order.passed, "", order.as_kv())
-
-    convex_vals = convexity_values(poly)
-    convex_ok = all(h.ge(1, rel_tol) for _, h in convex_vals)
+    checks.append(order)
+    convex_ok = convexity_check(poly, rel_tol)
     add(
         "convexity",
         convex_ok,
         "" if convex_ok else "polygon is not convex",
-        tuple((f"convexity.h.v{i}", str(h)) for i, h in convex_vals),
+        ((f"convexity.h.v{i}", h) for i, h in convexity_values(poly)),
     )
-
     incl = verify_inclusions(poly, norm, rel_tol)
-    add(
-        "inclusions",
-        incl.passed,
-        "" if incl.passed else "escaping points: " + ",".join(incl.failures),
-        incl.as_kv(),
-    )
-
+    checks.append(incl)
     if not (order.passed and convex_ok and incl.passed):
         return finish()
 
@@ -997,16 +904,16 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     # a_i and b_i, which verify_inclusions has evaluated on this convex
     # polygon with this tolerance: Polygon.matrix_norm would recompute the
     # same values from the same points.
+    gauges = dict(incl.data)
     norms = tuple(
-        max(g for label, g, _ in incl.gauge_values if label[0] == kind)
-        for kind in "ab"
+        max(gauges[f"inclusion.gauge.{kind}{i}"] for i in range(1, 13)) for kind in "ab"
     )
     ok = all(n.isclose(1, rel_tol) and n.le(1, rel_tol) for n in norms)
     add(
         "extremal_norm",
         ok,
         "" if ok else "an induced norm differs from 1",
-        (("norm.at", str(norms[0])), ("norm.bt", str(norms[1]))),
+        (("norm.at", norms[0]), ("norm.bt", norms[1])),
     )
     if not ok:
         return finish()

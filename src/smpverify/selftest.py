@@ -275,12 +275,13 @@ def check_closed_form_tables(c=Fraction(11, 10), mu=Fraction(5, 4)):
         assert actual == expected, f"{name}: {actual} != {expected}"
         compared.append(name)
 
-    order = polytope.vertex_order_check(poly)
-    assert order.closed_form_checked and order.closed_form_match, (
+    order = dict(polytope.vertex_order_check(poly).data)
+    assert order.get("order.closed_form_match") is True, (
         "order products differ from their closed forms"
     )
-    assert len(order.products) == 15
-    compared.extend(f"order.v{i}_Tv{j}" for i, j, _ in order.products)
+    products = [key for key in order if key.startswith("order.v")]
+    assert len(products) == 15
+    compared.extend(products)
 
     k4, k6, k2_plus_1 = pw(12), pw(18), pw(6) + 1
     b3 = norm.bt @ poly.v(3)
@@ -389,12 +390,12 @@ def check_kappa_max():
 def check_vertex_order():
     _, poly = _exact_polygon()
     report = polytope.vertex_order_check(poly)
-    assert report.passed and report.closed_form_checked
+    products = dict(report.data)
+    assert report.passed and "order.closed_form_match" in products
     ctx = _ctx()
     mu = Scalar.exact(Fraction(5, 4))
-    first = dict(((i, j), val) for i, j, val in report.products)
-    assert first[(1, 2)] == ctx.power(3) * mu / (ctx.power(6) + 1)
-    assert first[(5, 6)] == ctx.power(7) * mu / (ctx.power(6) + 1)
+    assert products["order.v1_Tv2"] == ctx.power(3) * mu / (ctx.power(6) + 1)
+    assert products["order.v5_Tv6"] == ctx.power(7) * mu / (ctx.power(6) + 1)
     # Order holds even outside the admissible range.
     _, small = _polygon(example_main(1.05, DISTINGUISHED_PHI), 0.5)
     assert polytope.vertex_order_check(small).passed
@@ -414,15 +415,16 @@ def check_inclusions():
     assert polytope.verify_inclusions(poly, norm).passed
     fnorm, escaping = _polygon(example_main(1.331, DISTINGUISHED_PHI), 1.36)
     report = polytope.verify_inclusions(escaping, fnorm)
-    assert not report.passed and "b3" in report.failures
+    assert not report.passed and "b3" in report.detail.split(": ")[1].split(",")
     # Sector membership of the nonobvious points holds on a parameter grid.
     for kappa in (1.05, 1.331, 1.9):
         g = normalize(example_main(kappa, DISTINGUISHED_PHI))
         gv, gw = eigenvectors_from_products(g)
         for mu in (0.5, 1.0, 2.5):
             p = polytope.build_polygon(g, gv, gw, mu)
-            r = polytope.verify_inclusions(p, g)
-            assert all(e.in_sector for e in r.nonobvious)
+            r = dict(polytope.verify_inclusions(p, g).data)
+            labels = ("a4", "a6", "b3", "b7")
+            assert all(r[f"inclusion.{x}.{c}"].ge(0) for x in labels for c in "st")
 
 
 def check_certificates():

@@ -290,6 +290,26 @@ class TestBadInput:
         assert lines[0].startswith(f"usage: smpverify {command} ")
         assert lines[-1] == f"smpverify {command}: error: {message}"
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_pipe_exits_141_quietly(self, unbuffered):
+        # A reader of stdout that has gone, as in `smpverify ... | head`, is
+        # not a usage error: the exit code is 128 + SIGPIPE, stderr is empty.
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "smpverify.cli",
+                 "certify", "--c", "11/10", "--mu", "5/4", "--kv"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
 
 class TestScan:
     def test_main_kappa_max(self, capsys):
@@ -324,6 +344,13 @@ class TestPermutable:
         assert code == 0
         assert "permutable (trace/det criterion): True" in out
         assert "tau verified: True" in out
+
+    def test_alt_family_at_a_small_angle_is_irreducible(self, capsys):
+        code, out, _ = run(
+            capsys, "permutable", "--family", "alt", "--kappa", "1.2", "--phi", "1e-9"
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "irreducible: True"
 
     def test_reducible_custom_pair(self, capsys, tmp_path):
         path = tmp_path / "pair.txt"

@@ -30,7 +30,12 @@ class TestAltFamily:
         assert math.isclose(float(mset.a.m21), 1.331 * s, rel_tol=1e-15)
 
     def test_reducible_angles_flagged(self):
-        for phi, reducible in ((0.0, True), (math.pi, True), (DISTINGUISHED_PHI, False)):
+        # At phi = 1e-9 and 1e-12, A = [[1, -phi/kappa], [kappa phi, 1]] up to
+        # rounding: its discriminant, about -4 phi^2, must not round to 0.
+        for phi, reducible in (
+            (0.0, True), (math.pi, True), (DISTINGUISHED_PHI, False),
+            (1e-9, False), (1e-12, False),
+        ):
             mset = example_alt(1.2, phi)
             assert is_irreducible(mset.a, mset.b) is not reducible
 

@@ -13,7 +13,6 @@ from smpverify.matrix2 import (
     Vec2,
     dot,
     eigenvector_unit_first,
-    quarter_turn,
     similarity,
     spectral_radius,
 )
@@ -39,10 +38,6 @@ class TestProducts:
         assert baa == Mat2(
             kappa * kappa, Scalar.exact(0), kappa - 1 / kappa, 1 / (kappa * kappa)
         )
-
-    def test_quarter_turn_squares_to_minus_identity(self):
-        t = quarter_turn()
-        assert t @ t == -Mat2.identity_like(t)
 
     def test_backend_mismatch_rejected(self):
         with pytest.raises(TypeError):
@@ -119,17 +114,6 @@ class TestSpectralRadius:
 
 
 class TestSimilarity:
-    def test_swaps_zero_corner_pair(self, main_exact):
-        assert similarity(main_exact.tau_s, main_exact.a) == main_exact.b
-        assert similarity(main_exact.tau_s, main_exact.b) == main_exact.a
-
-    def test_swaps_rotation_pair(self, alt_float):
-        assert similarity(alt_float.tau_s, alt_float.a).isclose(alt_float.b, 1e-12)
-
-    def test_identity_fixed(self, main_exact):
-        eye = Mat2.identity_like(main_exact.a)
-        assert similarity(main_exact.tau_s, eye) == eye
-
     def test_singular_rejected(self, main_exact):
         with pytest.raises(SingularMatrixError):
             similarity(Mat2.exact(1, 2, 2, 4), main_exact.a)

@@ -134,21 +134,6 @@ class TestFriedland:
 
 
 class TestTau:
-    def test_rotation_similarity_swaps(self, alt_float):
-        assert verify_tau(alt_float.a, alt_float.b, TauMap(alt_float.tau_s))
-
-    def test_zero_corner_similarity_swaps(self, main_exact):
-        assert verify_tau(main_exact.a, main_exact.b, TauMap(main_exact.tau_s))
-
-    def test_identity_does_not_swap(self, main_exact):
-        eye = Mat2.identity_like(main_exact.a)
-        assert not verify_tau(main_exact.a, main_exact.b, TauMap(eye))
-
-    def test_tau_word_examples(self):
-        assert tau_word(Word.from_display("BAA")).display == "ABB"
-        assert tau_word(Word.from_display("AAA")).display == "BBB"
-        assert tau_word(Word.from_display("AB")).display == "BA"
-
     def test_tau_is_multiplicative_on_products(self, main_exact):
         tau = TauMap(main_exact.tau_s)
         rng = random.Random(99)

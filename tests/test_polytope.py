@@ -247,12 +247,12 @@ class TestKappaMax:
 class TestVertexOrder:
     def test_exact_closed_forms(self, ctx11, poly_exact):
         report = vertex_order_check(poly_exact)
-        assert report.passed and report.closed_form_checked
-        table = {(i, j): val for i, j, val in report.products}
+        table = dict(report.data)
+        assert report.passed and "order.closed_form_match" in table
         denom = ctx11.power(6) + 1
-        assert table[(1, 2)] == ctx11.power(3) * MU54 / denom
-        assert table[(5, 6)] == ctx11.power(7) * MU54 / denom
-        assert table[(2, 4)] == ctx11.power(1)
+        assert table["order.v1_Tv2"] == ctx11.power(3) * MU54 / denom
+        assert table["order.v5_Tv6"] == ctx11.power(7) * MU54 / denom
+        assert table["order.v2_Tv4"] == ctx11.power(1)
 
     def test_holds_outside_admissible_range(self):
         _, poly = float_pipeline(1.05, 0.5)
@@ -260,8 +260,9 @@ class TestVertexOrder:
 
     def test_holds_for_alt_family(self):
         _, poly = float_pipeline(1.331, 1.07, family="alt")
-        report = vertex_order_check(poly)
-        assert report.all_positive and not report.closed_form_checked
+        data = dict(vertex_order_check(poly).data)
+        assert data["order.all_positive"] is True
+        assert "order.closed_form_match" not in data
 
 
 class TestConvexity:
@@ -652,8 +653,10 @@ class TestExtremalNormReuse:
 class TestInclusions:
     def test_exact_pass(self, poly_exact, norm_exact):
         report = verify_inclusions(poly_exact, norm_exact)
-        assert report.passed and report.gauge_checked
-        assert all(ok for _, ok in report.automatic)
+        data = dict(report.data)
+        assert report.passed and "inclusion.gauge.a1" in data
+        identities = [v for k, v in data.items() if k.startswith("inclusion.identity.")]
+        assert len(identities) == 8 and all(v is True for v in identities)
 
     def test_float_pass(self):
         norm, poly = float_pipeline(1.331, 1.25)
@@ -663,27 +666,28 @@ class TestInclusions:
         norm, poly = float_pipeline(1.331, 1.36)
         report = verify_inclusions(poly, norm)
         assert not report.passed
-        assert "b3" in report.failures
-        entry = {e.label: e for e in report.nonobvious}["b3"]
-        assert float(entry.h) > 1.0
+        assert "b3" in report.detail.split(": ")[1].split(",")
+        assert float(dict(report.data)["inclusion.b3.h"]) > 1.0
 
     def test_sector_membership_on_parameter_grid(self):
         for kappa in (1.05, 1.331, 1.9):
             for mu in (0.5, 1.0, 2.5):
                 norm, poly = float_pipeline(kappa, mu)
-                report = verify_inclusions(poly, norm)
-                assert all(e.in_sector for e in report.nonobvious)
+                data = dict(verify_inclusions(poly, norm).data)
+                labels = ("a4", "a6", "b3", "b7")
+                assert all(data[f"inclusion.{x}.{c}"].ge(0) for x in labels for c in "st")
 
     def test_alt_automatic_identities_hold(self):
         # The image identities depend only on the normalized cube relation,
         # not on the specific pair.
         norm, poly = float_pipeline(1.331, 1.07, family="alt")
         report = verify_inclusions(poly, norm)
-        assert all(ok for _, ok in report.automatic)
+        identities = [v for k, v in report.data if k.startswith("inclusion.identity.")]
+        assert len(identities) == 8 and all(v is True for v in identities)
         assert report.passed
 
     def test_report_kv_contains_audit_values(self, poly_exact, norm_exact):
-        kv = dict(verify_inclusions(poly_exact, norm_exact).as_kv())
+        kv = dict(verify_inclusions(poly_exact, norm_exact).data)
         assert kv["inclusion.a4.sector"] == "v11,v12"
         assert "inclusion.a4.h" in kv and "inclusion.gauge.b3" in kv
 

@@ -34,8 +34,6 @@ from smpverify.polytope import (
     certify_smp,
     convexity_values,
     images,
-    verify_inclusions,
-    vertex_order_check,
 )
 from smpverify.scalar import FloatKappa, KappaContext, Scalar
 from smpverify.words import BoundsRow, Word
@@ -88,18 +86,6 @@ RECORDS = {
         ("scale", "vertices", "edges"),
     ),
     "ImagePoints": (lambda k: images(_poly(k), _norm()), ("a", "b")),
-    "OrderReport": (
-        lambda k: vertex_order_check(_poly(k)),
-        ("products", "all_positive", "closed_form_checked", "closed_form_match"),
-    ),
-    "NonobviousEntry": (
-        lambda k: verify_inclusions(_poly(k), _norm()).nonobvious[0],
-        ("label", "sector", "s", "t", "h", "in_sector", "within"),
-    ),
-    "InclusionReport": (
-        lambda k: verify_inclusions(_poly(k), _norm()),
-        ("automatic", "nonobvious", "gauge_checked", "gauge_values"),
-    ),
     "CheckResult": (
         lambda k: CheckResult(f"check{k}", k % 2 == 0, "why", (("k", str(k)),)),
         ("name", "passed", "detail", "data"),
