@@ -1,10 +1,13 @@
-"""Whole `certify --kv` reports, pinned byte for byte.
+"""Whole `certify --kv` and `bounds` reports, pinned byte for byte.
 
-Each file under tests/golden/ is one run: the command line, then
-`exit N`, then the complete stdout.  The cases cover a certified exact
-and a certified float run, failing inclusions on both backends (b3 and
-b9 escape), a non-convex polygon (no gauge keys) and the alt family (no
-closed-form key).
+Each .txt file under tests/golden/ is one run: the command line, then
+`exit N`, then the complete stdout.  The certify cases cover a certified
+exact and a certified float run, failing inclusions on both backends (b3
+and b9 escape), a non-convex polygon (no gauge keys) and the alt family
+(no closed-form key).  The bounds cases cover exact box-norm walks (main
+at 233/224 and 11/10), a float walk (alt) and an exact polygon-norm walk;
+a run with `--csv table.csv` also pins the written file as the .csv of
+the same name.
 """
 
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from smpverify.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = (
+KV_CASES = (
     "exact_certified",
     "exact_inclusions_fail",
     "float_certified",
@@ -22,15 +25,44 @@ CASES = (
     "float_b3_escapes",
     "alt_certified",
 )
+BOUNDS_CASES = (
+    "bounds_exact_233_224",
+    "bounds_exact_11_10",
+    "bounds_float_alt",
+    "bounds_exact_polygon",
+)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_kv_report_is_unchanged(capsys, case):
+def _golden_run(case):
+    """(argv, "exit N" line, stdout) of one golden file."""
     command, status, expected = (
         (GOLDEN / f"{case}.txt").read_text(encoding="utf-8").split("\n", 2)
     )
     prog, *argv = command.removeprefix("$ ").split()
-    assert prog == "smpverify" and argv[-1] == "--kv"
+    assert prog == "smpverify"
+    return argv, status, expected
+
+
+@pytest.mark.parametrize("case", KV_CASES)
+def test_kv_report_is_unchanged(capsys, case):
+    argv, status, expected = _golden_run(case)
+    assert argv[-1] == "--kv"
     code = main(argv)
     captured = capsys.readouterr()
     assert (f"exit {code}", captured.out, captured.err) == (status, expected, "")
+
+
+@pytest.mark.parametrize("case", BOUNDS_CASES)
+def test_bounds_report_is_unchanged(capsys, monkeypatch, tmp_path, case):
+    argv, status, expected = _golden_run(case)
+    assert argv[0] == "bounds"
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (f"exit {code}", captured.out, captured.err) == (status, expected, "")
+    csv = GOLDEN / f"{case}.csv"
+    if "--csv" in argv:
+        written = tmp_path / argv[argv.index("--csv") + 1]
+        assert written.read_bytes() == csv.read_bytes()
+    else:
+        assert not csv.exists()
