@@ -165,19 +165,23 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
         raise ValueError(
             "exact pairs need a cube-root context (kappa = c**3) to normalize"
         )
+    baa = b @ a @ a
+    if mset.ctx is None:
+        lam = spectral_radius(baa)
+        scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
+        # Checked before the cube identities: at such a lam, rounding
+        # fails them, which would read as a mathematical failure.
+        if not (math.isfinite(lam.value) and math.isfinite(scale.value)):
+            raise ValueError(f"lam = {lam} is out of float range; cannot normalize")
     for m, name in ((a, "A"), (b, "B")):
         if not (m @ m @ m).isclose(Mat2.identity_like(m), rel_tol):
             raise ValueError(f"{name}**3 is not the identity; cannot normalize")
-    baa = b @ a @ a
     if mset.ctx is not None:
         lam = mset.ctx.power(6)
         # lam must be an eigenvalue of BAA: x^2 - tr*x + det annihilates it.
         if lam * lam - baa.trace() * lam + baa.det() != 0:
             raise ValueError("kappa**2 is not an eigenvalue of B @ A @ A")
         scale = mset.ctx.power(2)
-    else:
-        lam = spectral_radius(baa)
-        scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
     inv = 1 / scale
     at, bt = a.scale(inv), b.scale(inv)
     norm = NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)

@@ -242,6 +242,21 @@ class TestBadInput:
         # Both families name the kappa given on the command line.
         assert "1e+100" in errors[0]
 
+    @pytest.mark.parametrize("family", ["main", "alt"])
+    def test_certify_lam_out_of_float_range_fails_at_normalize(self, capsys, family):
+        # A and B are finite, but lam = rho(BAA) is not: that is named at
+        # normalize, not reported as a later check failing on rounding.
+        code, out, err = run(
+            capsys, "certify", "--family", family, "--kappa", "1e150", "--mu", "1.2"
+        )
+        assert code == 1 and err == ""
+        assert "[pass] normalize" not in out
+        assert (
+            "  [FAIL] normalize  (lam = inf is out of float range; cannot normalize)"
+            in out.splitlines()
+        )
+        assert out.splitlines()[-1] == "  NOT certified; first failing check: normalize"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -375,6 +376,77 @@ class TestOneWalk:
 
         monkeypatch.setattr(Mat2, "__matmul__", no_matmul)
         assert (bounds_table(a, b, 7), rho_bar_n(a, b, 7)) == expected
+
+
+def _singular(entries):
+    """The pair with A's second row replaced by a multiple of its first."""
+    a11, a12, _, _, *rest = entries
+    k = rest[0]
+    return (a11, a12, k * a11, k * a12, *rest)
+
+
+# Exact pairs for the pruned walk, including pairs where cap (the bound on
+# a descendant's box norm) is 0 at some depth: singular, nilpotent and zero.
+exact_pair_st = st.one_of(
+    pair_st,
+    pair_st.map(_singular),
+    st.just((0, 1, 0, 0, 0, 0, 1, 0)),
+    st.just((0, 1, 0, 0, 0, 2, 0, 0)),
+    st.just((0,) * 8),
+    pair_st.map(lambda e: (0, 0, 0, 0, *e[4:])),
+)
+
+
+@st.composite
+def main_c_st(draw):
+    """c = p/q in (1, 1.125] with p and q of 8 to 96 bits."""
+    bits = draw(st.integers(8, 96))
+    q = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    return Fraction(draw(st.integers(q + 1, q + q // 8)), q)
+
+
+def assert_pruned_walk_matches(a, b, n):
+    # norm=BoxNorm() is the same norm through matrix_norm, which expands
+    # every node.
+    pruned = bit_rows(bounds_table(a, b, n))
+    assert pruned == bit_rows(bounds_table(a, b, n, norm=BoxNorm()))
+    assert rho_n(a, b, n) == rho_n(a, b, n, norm=BoxNorm())
+
+
+class TestPrunedWalk:
+    """Exact box-norm walks skip subtrees that can neither raise a rho_n
+    maximum nor reach a necklace; their results are those of a full walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_pair_st, st.integers(1, 11))
+    def test_random_exact_pair(self, entries, n):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_pruned_walk_matches(a, b, n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(main_c_st(), st.integers(1, 11))
+    def test_random_main_c(self, c, n):
+        mset = example_main_special(KappaContext(c))
+        assert_pruned_walk_matches(mset.a, mset.b, n)
+
+    def test_exact_main_visits_fewer_than_half_the_nodes(self):
+        mset = _exact_main(233, 224)
+        _, _, visits = words._walk(mset.a, mset.b, 1, 11)
+        assert visits < (2**12 - 2) / 2
+        _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=BoxNorm())
+        assert visits == 2**12 - 2
+
+    def test_caps_bound_every_product(self):
+        # Exact up to length 6, an upper bound beyond.
+        mset = _exact_main(11, 10)
+        ta, tb, d = words._scaled_pair(mset.a, mset.b)
+        caps = words._box_caps(ta, tb, 9)
+        for m in range(1, 10):
+            largest = d**m * max(
+                BoxNorm().matrix_norm(evaluate(Word.from_display(w), mset.a, mset.b)).value
+                for w in map("".join, itertools.product("AB", repeat=m))
+            )
+            assert caps[m] == largest if m <= 6 else caps[m] >= largest
 
 
 class TestFloatOverflow:
