@@ -27,7 +27,7 @@ _EXPORTS = {
     "friedland_permutable is_irreducible tau_word swap_spectrum_check verify_tau",
     "families": "DISTINGUISHED_PHI MatrixSet NormalizedSet custom_set "
     "eigenvectors_from_products eigenvectors_vw example_alt example_main "
-    "example_main_special normalize",
+    "example_main_special normalize swap_pair",
     "polytope": "Certificate ImagePoints Polygon admissible_mu_interval "
     "alt_mu_thresholds build_polygon certify_smp convexity_check "
     "empirical_mu_thresholds images kappa_max mu_thresholds omega_thresholds "

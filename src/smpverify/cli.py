@@ -8,9 +8,10 @@ Each command imports the modules it runs when it runs, so `bounds` loads
 neither the polygon certificate nor the figure writer.
 
 Rational flags use the form p/q and select the exact backend; decimal
-flags select binary64.  A decimal mu together with an exact c downgrades
-the run to the float backend with a warning, so a certificate is never
-silently less exact than its flags promise.
+flags select binary64.  A run with --c is exact iff the family is main,
+--phi is 2pi/3, and --mu is exact or the command does not use it; every
+other --c run goes to the float backend with one warning line, so a
+result is never silently less exact than its flags promise.
 """
 
 from __future__ import annotations
@@ -115,8 +116,20 @@ def _float_kappa(ctx: KappaContext) -> float:
         ) from None
 
 
+def _float_reason(family: str, phi: float, mu: Scalar | None) -> str | None:
+    """Why a --c run cannot stay exact, or None if it can."""
+    if family == "alt":
+        return "--family alt"
+    if not at_distinguished_angle(phi):
+        return "--phi other than 2pi/3"
+    if mu is not None and not mu.is_exact:
+        return "decimal mu"
+    return None
+
+
 def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
-    """MatrixSet from the family flags; may downgrade exact->float (warned)."""
+    """MatrixSet from the family flags.  Pass mu only if the command uses
+    it; a --c run that cannot stay exact goes to floats with a warning."""
     try:
         phi = _parse_phi(args.phi)
         ctx = KappaContext(Fraction(args.c)) if args.c else None
@@ -128,24 +141,21 @@ def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
             parser.error("need --c p/q or --kappa value")
         if args.kappa and ctx is not None:
             parser.error("--c and --kappa are mutually exclusive")
-        if args.kappa:
-            _finite(float(args.kappa), "--kappa", args.kappa)
-        if args.family == "alt":
-            kappa = _float_kappa(ctx) if ctx is not None else float(args.kappa)
-            return example_alt(kappa, phi)
-        # main family
-        if ctx is not None:
-            exact_mu_ok = mu is None or mu.is_exact
-            if exact_mu_ok and at_distinguished_angle(phi):
+        reason = None
+        if ctx is None:
+            kappa = _finite(float(args.kappa), "--kappa", args.kappa)
+        else:
+            reason = _float_reason(args.family, phi, mu)
+            if reason is None:
                 return example_main_special(ctx)
-            if not exact_mu_ok:
-                print(
-                    "warning: decimal mu forces the float backend; "
-                    "the run will not be exact",
-                    file=sys.stderr,
-                )
-            return example_main(_float_kappa(ctx), phi)
-        return example_main(float(args.kappa), phi)
+            kappa = _float_kappa(ctx)
+        mset = (example_alt if args.family == "alt" else example_main)(kappa, phi)
+        if reason is not None:
+            print(
+                f"warning: {reason} forces the float backend; the run will not be exact",
+                file=sys.stderr,
+            )
+        return mset
     except (ValueError, TypeError) as exc:
         parser.error(str(exc))
     except ZeroDivisionError as exc:
@@ -181,18 +191,35 @@ def _polygon_for(mset: MatrixSet, mu: Scalar):
     return norm, poly
 
 
+def _polygon_defect(poly) -> str | None:
+    """Why the polygon's gauge is not a norm, or None if it is."""
+    from .polytope import DegenerateSectorError, convexity_check, vertex_order_check
+
+    if not vertex_order_check(poly).passed:
+        return "its vertices are out of order"
+    try:
+        return None if convexity_check(poly) else "it is not convex"
+    except DegenerateSectorError as exc:
+        return f"it is degenerate ({exc})"
+
+
 def cmd_bounds(args, parser) -> int:
     from .words import bounds_table, format_bounds_csv, format_bounds_text
 
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
     mu = _parse_mu(args, parser)
-    mset = _build_set(args, parser, mu)
-    norm_obj = None
-    if args.norm == "polygon":
+    if args.norm == "box":
+        mset = _build_set(args, parser)
+        norm_obj = None
+    else:
         if mu is None:
             parser.error("--norm polygon needs --mu")
+        mset = _build_set(args, parser, mu)
         _, norm_obj = _polygon_for(mset, mu)
+        defect = _polygon_defect(norm_obj)
+        if defect is not None:
+            parser.error(f"--norm polygon needs a convex polygon: at --mu {args.mu} {defect}")
     rows = bounds_table(mset.a, mset.b, args.max_n, norm=norm_obj)
     print(format_bounds_text(rows))
     if args.csv:

@@ -1,10 +1,14 @@
 """Constructors for the two parametric matrix pairs under study.
 
-Both families are rotation-with-stretching pairs sharing trace 2*cos(phi)
-and determinant 1.  The `main` family additionally has a zero upper-left
-entry, which keeps every derived quantity rational once kappa is a
-rational cube; at the distinguished angle phi = 2*pi/3 the pair satisfies
-A**3 = B**3 = I, which is what the whole polygon construction rests on.
+Both families are rotation-with-stretching pairs sharing trace
+t = 2*cos(phi) and determinant 1, swapped by one similarity.  The `main`
+family is that class in one normal form, the zero-corner pair that
+`swap_pair(t, kappa)` builds with its swap matrix; `example_main` and
+`example_main_special` are that call at an angle and at phi = 2*pi/3.
+Exact t and kappa keep every derived quantity rational once kappa is a
+rational cube; at the distinguished angle phi = 2*pi/3 the pair
+satisfies A**3 = B**3 = I, which is what the whole polygon construction
+rests on.
 
 The `alt` family keeps the textbook rotation shape.  Its entries involve
 sines and cosines, so that path runs on the float backend.
@@ -13,6 +17,7 @@ sines and cosines, so that path runs on the float backend.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .matrix2 import Mat2, Vec2, eigenvector_unit_first, quarter_turn, spectral_radius
 from .scalar import REL_TOL, KappaContext, Record, Scalar
@@ -25,6 +30,7 @@ __all__ = [
     "example_alt",
     "example_main",
     "example_main_special",
+    "swap_pair",
     "custom_set",
     "normalize",
     "eigenvectors_vw",
@@ -106,50 +112,54 @@ def example_alt(kappa: float, phi: float) -> MatrixSet:
     return MatrixSet(a=a, b=b, tau_s=tau_s, family="alt", kappa=Scalar.flt(kappa))
 
 
+def swap_pair(t, kappa, ctx: KappaContext | None = None) -> MatrixSet:
+    """The zero-corner pair of trace t with the matrix that swaps it.
+
+    A = [[0, -1/kappa], [kappa, t]] and B = [[0, -kappa], [1/kappa, t]]
+    both have det 1, so t = 2*cos(phi) fixes the rotation angle, and
+    S = [[d, 1], [-1, -d]] with d = t*kappa/(kappa**2 + 1) satisfies
+    S A S**-1 = B and S B S**-1 = A.  Exact when t and kappa are exact
+    Scalars, with ctx (kappa = c**3) for normalize; binary64 otherwise.
+    """
+    # The arithmetic runs on the raw Fractions or floats, wrapped once.
+    if all(isinstance(x, Scalar) and x.is_exact for x in (t, kappa)):
+        t, k, num = t.value, kappa.value, Fraction
+    else:
+        t, k, num = float(t), float(kappa), float
+    if not k > 1:
+        raise ValueError(f"need kappa > 1, got {k}")
+    inv, d = 1 / k, t * k / (k * k + 1)
+    zero, one, kappa, t = Scalar(num(0)), Scalar(num(1)), Scalar(k), Scalar(t)
+    a = Mat2(zero, Scalar(-inv), kappa, t)
+    b = Mat2(zero, -kappa, Scalar(inv), t)
+    tau_s = Mat2(Scalar(d), one, -one, Scalar(-d))
+    if num is float:
+        _check_finite(k, a, b, tau_s)
+    return MatrixSet(a=a, b=b, tau_s=tau_s, family="main", kappa=kappa, ctx=ctx)
+
+
 def example_main(kappa: float, phi: float) -> MatrixSet:
-    """Zero-corner pair; float backend for general angles."""
-    kappa = float(kappa)
-    if not kappa > 1:
-        raise ValueError(f"need kappa > 1, got {kappa}")
-    t2 = 2.0 * _snap_angle(phi)[0]
-    a = Mat2.flt(0.0, -1.0 / kappa, kappa, t2)
-    b = Mat2.flt(0.0, -kappa, 1.0 / kappa, t2)
-    d = t2 * kappa / (kappa * kappa + 1.0)
-    tau_s = Mat2.flt(d, 1.0, -1.0, -d)
-    _check_finite(kappa, a, b, tau_s)
-    return MatrixSet(a=a, b=b, tau_s=tau_s, family="main", kappa=Scalar.flt(kappa))
+    """The zero-corner pair at any angle; float backend."""
+    return swap_pair(2.0 * _snap_angle(phi)[0], kappa)
 
 
 def example_main_special(ctx: KappaContext) -> MatrixSet:
     """The zero-corner pair at phi = 2*pi/3, exact: trace -1, det 1."""
-    kappa = ctx.power(3)
-    inv_kappa = ctx.power(-3)
-    zero = Scalar.exact(0)
-    minus_one = Scalar.exact(-1)
-    a = Mat2(zero, -inv_kappa, kappa, minus_one)
-    b = Mat2(zero, -kappa, inv_kappa, minus_one)
-    d = -kappa / (kappa * kappa + 1)
-    tau_s = Mat2(d, Scalar.exact(1), minus_one, -d)
-    return MatrixSet(a=a, b=b, tau_s=tau_s, family="main", kappa=kappa, ctx=ctx)
+    return swap_pair(Scalar.exact(-1), ctx.power(3), ctx)
 
 
 def custom_set(
-    a: Mat2,
-    b: Mat2,
-    tau_s: Mat2 | None = None,
-    ctx: KappaContext | None = None,
-    kappa: Scalar | None = None,
+    a: Mat2, b: Mat2, tau_s: Mat2 | None = None, ctx: KappaContext | None = None
 ) -> MatrixSet:
-    """Wrap a user-supplied pair.  kappa defaults so that kappa**2 is the
-    spectral radius of B @ A @ A, matching the normalization convention."""
+    """Wrap a user-supplied pair.  kappa is c**3 with a context, and else
+    such that kappa**2 is the spectral radius of B @ A @ A, matching the
+    normalization convention."""
     if a.is_exact != b.is_exact:
         raise TypeError("matrix backends must match")
-    if kappa is None:
-        if ctx is not None:
-            kappa = ctx.power(3)
-        else:
-            baa = b @ a @ a
-            kappa = Scalar.flt(math.sqrt(float(spectral_radius(baa))))
+    if ctx is not None:
+        kappa = ctx.power(3)
+    else:
+        kappa = Scalar.flt(math.sqrt(float(spectral_radius(b @ a @ a))))
     return MatrixSet(a=a, b=b, tau_s=tau_s, family="custom", kappa=kappa, ctx=ctx)
 
 

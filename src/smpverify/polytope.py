@@ -888,7 +888,11 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
 
     order = vertex_order_check(poly, rel_tol)
     checks.append(order)
-    convex_ok = convexity_check(poly, rel_tol)
+    try:
+        convex_ok = convexity_check(poly, rel_tol)
+    except DegenerateSectorError as exc:
+        add("convexity", False, str(exc))
+        return finish()
     add(
         "convexity",
         convex_ok,

@@ -257,6 +257,26 @@ class TestBadInput:
         )
         assert out.splitlines()[-1] == "  NOT certified; first failing check: normalize"
 
+    @pytest.mark.parametrize("kappa", ["1e20", "1e50"])
+    def test_collinear_sector_fails_convexity(self, capsys, kappa):
+        # Rounding makes two sector generators collinear: a failed check,
+        # not bad input.
+        code, out, err = run(capsys, "certify", "--kappa", kappa, "--mu", "1.2")
+        assert code == 1 and err == ""
+        assert "  [FAIL] convexity  (sector generators are collinear)" in out.splitlines()
+        assert "NOT certified" in out.splitlines()[-1]
+
+    def test_polygon_norm_needs_a_convex_polygon(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--c", "11/10", "--max-n", "4", "--norm", "polygon", "--mu", "26/25"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            "smpverify bounds: error: --norm polygon needs a convex polygon: "
+            "at --mu 26/25 it is not convex"
+        ]
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -324,6 +344,36 @@ class TestBadInput:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+class TestBackendDecision:
+    """A --c run is exact iff the family is main, --phi is 2pi/3 and mu is
+    exact or unused; every other --c run warns once and runs on floats."""
+
+    def test_unused_decimal_mu_keeps_bounds_exact(self, capsys):
+        code, out, err = run(capsys, "bounds", "--c", "11/10", "--max-n", "3", "--mu", "1.25")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "bounds", "--c", "11/10", "--max-n", "3")[1]
+        assert out.splitlines()[3].split()[1] == "1.21"
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["bounds", "--c", "11/10", "--phi", "pi/2", "--max-n", "3"], "--phi other than 2pi/3"),
+            (["permutable", "--c", "11/10", "--phi", "0.5"], "--phi other than 2pi/3"),
+            (["certify", "--c", "11/10", "--mu", "1.25"], "decimal mu"),
+            (["certify", "--family", "alt", "--c", "11/10", "--mu", "5/4"], "--family alt"),
+            (["scan", "--family", "alt", "--c", "11/10"], "--family alt"),
+        ],
+    )
+    def test_float_run_warns_once(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and out
+        assert err.splitlines() == [
+            f"warning: {reason} forces the float backend; the run will not be exact"
+        ]
+        if argv[0] == "certify":
+            assert "backend=float" in out.splitlines()[0]
 
 
 class TestScan:

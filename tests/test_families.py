@@ -1,7 +1,11 @@
+import inspect
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smpverify.families import (
     DISTINGUISHED_PHI,
@@ -12,11 +16,19 @@ from smpverify.families import (
     example_main,
     example_main_special,
     normalize,
+    swap_pair,
 )
 from smpverify.matrix2 import Mat2, Vec2, spectral_radius
-from smpverify.permutability import TauMap, is_irreducible, verify_tau
+from smpverify.permutability import TauMap, is_irreducible, tau_word, verify_tau
 from smpverify.scalar import KappaContext, Scalar
-from smpverify.words import Word, evaluate, necklaces
+from smpverify.words import (
+    Word,
+    bounds_table,
+    cyclic_normal_form,
+    evaluate,
+    factor_counts,
+    necklaces,
+)
 
 C_GRID = (Fraction(11, 10), Fraction(6, 5), Fraction(13, 10))
 
@@ -71,6 +83,91 @@ class TestMainFamily:
             for phi in (0.2, DISTINGUISHED_PHI):
                 mset = example_main(kappa, phi)
                 assert math.isclose(float(mset.a.det()), 1.0, rel_tol=1e-14)
+
+
+class TestSwapPair:
+    def test_exact_entries_and_swap_matrix(self):
+        k = Scalar.exact(Fraction(3, 2))
+        mset = swap_pair(Scalar.exact(0), k)
+        assert mset.is_exact and mset.family == "main" and mset.ctx is None
+        assert mset.a == Mat2.exact(0, Fraction(-2, 3), Fraction(3, 2), 0)
+        assert mset.b == Mat2.exact(0, Fraction(-3, 2), Fraction(2, 3), 0)
+        assert mset.tau_s == Mat2.exact(0, 1, -1, 0)
+        assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+
+    @pytest.mark.parametrize("t", [-2, -1, Fraction(1, 3), 1, 2])
+    def test_exact_swap_identities_and_invariants(self, t):
+        mset = swap_pair(Scalar.exact(t), Scalar.exact(Fraction(7, 5)))
+        assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+        for m in (mset.a, mset.b):
+            assert m.trace() == Scalar.exact(t) and m.det() == Scalar.exact(1)
+
+    def test_float_unless_both_parameters_exact(self):
+        for t, k in ((-1.0, 1.331), (Scalar.exact(-1), 1.331), (-1, Scalar.exact(2))):
+            mset = swap_pair(t, k)
+            assert not mset.is_exact
+            assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+
+    @pytest.mark.parametrize("k", [1.0, 0.5, float("nan"), Scalar.exact(1)])
+    def test_kappa_must_exceed_one(self, k):
+        with pytest.raises(ValueError, match="need kappa > 1"):
+            swap_pair(Scalar.exact(-1), k)
+
+    def test_float_pair_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError, match="A @ B has a non-finite entry"):
+            swap_pair(-1.0, 1e200)
+
+    def test_family_constructors_are_one_call(self, ctx11, main_exact):
+        assert main_exact == swap_pair(Scalar.exact(-1), ctx11.power(3), ctx11)
+        for phi in (0.5, DISTINGUISHED_PHI, 2.0):
+            t = -1.0 if phi == DISTINGUISHED_PHI else 2.0 * math.cos(phi)
+            assert example_main(1.25, phi) == swap_pair(t, 1.25)
+
+    def test_custom_set_takes_no_kappa(self):
+        assert "kappa" not in inspect.signature(custom_set).parameters
+
+
+def _reverse(w: Word) -> Word:
+    return Word(tuple(reversed(w.symbols)))
+
+
+class TestSwapPairTheorem:
+    """The paper's claim on exact swap pairs, checked by the word oracle.
+
+    A similarity that swaps A and B maps each word's product to that of
+    its tau-image, and tr w = tr reverse(w) for any 2x2 pair, so every
+    maximizer set is closed under both.  At odd length a tau-image has
+    the other factor counts, so an odd SMP comes with a distinct partner.
+    """
+
+    @settings(max_examples=18, deadline=None)
+    @given(
+        st.sampled_from([-1, 0, 1]),
+        st.fractions(min_value=1, max_value=4, max_denominator=12).filter(lambda k: k > 1),
+    )
+    @example(-1, Fraction(1331, 1000))
+    def test_maximizers_closed_under_tau_and_reversal(self, t, k):
+        mset = swap_pair(Scalar.exact(t), Scalar.exact(k))
+        a, b = mset.a, mset.b
+        assert mset.is_exact and verify_tau(a, b, TauMap(mset.tau_s))
+        for row in bounds_table(a, b, 11):
+            names = {w.display for w in row.maximizers}
+            for w in row.maximizers:
+                partner = cyclic_normal_form(tau_word(w))
+                assert partner.display in names
+                assert cyclic_normal_form(_reverse(w)).display in names
+                if row.n % 2:
+                    assert partner != w
+                    assert factor_counts(partner) == factor_counts(w)[::-1]
+        invariants = {}
+        for n in range(1, 9):
+            for letters in itertools.product("AB", repeat=n):
+                w = Word(letters)
+                p = evaluate(w, a, b)
+                invariants[w] = (p.trace(), p.det())
+        for w, trace_det in invariants.items():
+            assert invariants[tau_word(w)] == trace_det
+            assert invariants[_reverse(w)] == trace_det
 
 
 class TestSpecialPair:

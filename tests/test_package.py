@@ -39,7 +39,7 @@ EXPORTS = {
     "families": [
         "DISTINGUISHED_PHI", "MatrixSet", "NormalizedSet", "custom_set",
         "eigenvectors_from_products", "eigenvectors_vw", "example_alt",
-        "example_main", "example_main_special", "normalize",
+        "example_main", "example_main_special", "normalize", "swap_pair",
     ],
     "polytope": [
         "Certificate", "ImagePoints", "Polygon", "admissible_mu_interval",
