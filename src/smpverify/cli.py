@@ -7,11 +7,10 @@ the reader of stdout has closed it (128 + SIGPIPE).
 Each command imports the modules it runs when it runs, so `bounds` loads
 neither the polygon certificate nor the figure writer.
 
-Rational flags use the form p/q and select the exact backend; decimal
-flags select binary64.  A run with --c is exact iff the family is main,
---phi is 2pi/3, and --mu is exact or the command does not use it; every
-other --c run goes to the float backend with one warning line, so a
-result is never silently less exact than its flags promise.
+One reader, _read_run, takes every number of a run and picks its backend
+once: a run is exact iff it reads no decimal (p/q and bare integers are
+exact) and, for main and alt, it is main at 2pi/3 given --c.  A run given
+--c or an all-exact pair file that still goes to floats warns once.
 """
 
 from __future__ import annotations
@@ -90,96 +89,101 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_custom(path: str, ctx: KappaContext | None) -> MatrixSet:
-    tokens: list[str] = []
+def _float(x, message: str) -> float:
+    """float(x), or a ValueError with the message if x leaves the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(message) from None
+
+
+def _message(exc: Exception) -> str:
+    return f"division by zero: {exc}" if isinstance(exc, ZeroDivisionError) else str(exc)
+
+
+def _read_entries(path: str) -> list[Scalar]:
+    """The 8 or 12 entries of a pair file, each read by the rule of --mu."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
+        tokens = [t for line in fh for t in line.split("#", 1)[0].split()]
     if len(tokens) not in (8, 12):
         raise ValueError(
             f"custom pair file needs 8 or 12 scalar entries, found {len(tokens)}"
         )
-    a = Mat2.from_strings(tokens[0:4])
-    b = Mat2.from_strings(tokens[4:8])
-    tau_s = Mat2.from_strings(tokens[8:12]) if len(tokens) == 12 else None
-    return custom_set(a, b, tau_s=tau_s, ctx=ctx)
+    entries = [parse_scalar(t) for t in tokens]
+    for x, text in zip(entries, tokens):
+        if not x.is_exact:
+            _finite(x.value, "an entry of --matrices", text)
+    return entries
 
 
-def _float_kappa(ctx: KappaContext) -> float:
-    """kappa = c**3 as a float, for a run that leaves the exact backend."""
+def _read_run(args, parser: argparse.ArgumentParser, mu_for: str | None = None):
+    """(set, mu, reason) from --c, --kappa, --mu and --matrices.
+
+    mu_for names what needs --mu, or is None if the command ignores it
+    (mu is then None too).  reason says why a run given --c or an
+    all-exact pair file still goes to floats; _warn prints it once no
+    usage error can follow.
+    """
+    if mu_for and args.mu is None:
+        parser.error(f"{mu_for} needs --mu")
+    custom = args.family == "custom"
+    if custom and args.kappa:
+        parser.error("--kappa does not apply to --family custom")
+    if custom != bool(args.matrices):
+        parser.error("--matrices needs --family custom" if args.matrices
+                     else "--family custom needs --matrices FILE")
     try:
-        return float(ctx.power(3))
-    except OverflowError:
-        raise ValueError(
-            "--c is out of float range: kappa = c**3 is too large for a float"
-        ) from None
-
-
-def _float_reason(family: str, phi: float, mu: Scalar | None) -> str | None:
-    """Why a --c run cannot stay exact, or None if it can."""
-    if family == "alt":
-        return "--family alt"
-    if not at_distinguished_angle(phi):
-        return "--phi other than 2pi/3"
-    if mu is not None and not mu.is_exact:
-        return "decimal mu"
-    return None
-
-
-def _build_set(args, parser: argparse.ArgumentParser, mu: Scalar | None = None):
-    """MatrixSet from the family flags.  Pass mu only if the command uses
-    it; a --c run that cannot stay exact goes to floats with a warning."""
+        mu = None if getattr(args, "mu", None) is None else parse_scalar(args.mu)
+    except (ValueError, ZeroDivisionError) as exc:
+        parser.error(f"bad --mu: {_message(exc)}")
     try:
+        if mu is not None and not mu.is_exact:
+            _finite(mu.value, "--mu", args.mu)
         phi = _parse_phi(args.phi)
         ctx = KappaContext(Fraction(args.c)) if args.c else None
-        if args.family == "custom":
-            if not args.matrices:
-                parser.error("--family custom needs --matrices FILE")
-            return _load_custom(args.matrices, ctx)
-        if ctx is None and not args.kappa:
+        entries = _read_entries(args.matrices) if custom else []
+        if not custom and ctx is None and not args.kappa:
             parser.error("need --c p/q or --kappa value")
         if args.kappa and ctx is not None:
             parser.error("--c and --kappa are mutually exclusive")
-        reason = None
-        if ctx is None:
-            kappa = _finite(float(args.kappa), "--kappa", args.kappa)
+        decimal_entry = not all(x.is_exact for x in entries)
+        reasons = (
+            (args.family == "alt", "--family alt"),
+            (not (custom or at_distinguished_angle(phi)), "--phi other than 2pi/3"),
+            (decimal_entry, "a decimal entry in --matrices"),
+            (mu_for and not mu.is_exact, "decimal mu"),
+        )
+        reason = next((why for hit, why in reasons if hit), None)
+        promised = ctx is not None or (custom and not decimal_entry)
+        exact = promised and reason is None
+        if not exact and mu_for:
+            mu = Scalar.flt(_float(mu, "--mu is out of float range"))
+        if custom:
+            if not exact:
+                too_large = "an entry of --matrices is out of float range"
+                entries = [Scalar.flt(_float(x, too_large)) for x in entries]
+            mats = [Mat2(*entries[i:i + 4]) for i in range(0, len(entries), 4)]
+            if len(mats) == 3 and mats[2].det() == 0:
+                parser.error("the swap matrix in --matrices is singular")
+            mset = custom_set(*mats, ctx=ctx if exact else None)
+        elif exact:
+            mset = example_main_special(ctx)
         else:
-            reason = _float_reason(args.family, phi, mu)
-            if reason is None:
-                return example_main_special(ctx)
-            kappa = _float_kappa(ctx)
-        mset = (example_alt if args.family == "alt" else example_main)(kappa, phi)
-        if reason is not None:
-            print(
-                f"warning: {reason} forces the float backend; the run will not be exact",
-                file=sys.stderr,
-            )
-        return mset
-    except (ValueError, TypeError) as exc:
-        parser.error(str(exc))
-    except ZeroDivisionError as exc:
-        parser.error(f"division by zero: {exc}")
+            if ctx is None:
+                kappa = _finite(float(args.kappa), "--kappa", args.kappa)
+            else:
+                kappa = _float(ctx.power(3), "--c is out of float range: "
+                               "kappa = c**3 is too large for a float")
+            mset = (example_alt if args.family == "alt" else example_main)(kappa, phi)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        parser.error(_message(exc))
+    return mset, mu if mu_for else None, reason if promised else None
 
 
-def _parse_mu(args, parser) -> Scalar | None:
-    if getattr(args, "mu", None) is None:
-        return None
-    try:
-        mu = parse_scalar(args.mu)
-    except ValueError as exc:
-        parser.error(f"bad --mu: {exc}")
-    except ZeroDivisionError as exc:
-        parser.error(f"bad --mu: division by zero: {exc}")
-    if not mu.is_exact and not math.isfinite(mu.value):
-        parser.error(f"--mu must be finite, got {args.mu!r}")
-    return mu
-
-
-def _mu_for_set(mset: MatrixSet, mu: Scalar):
-    if not mset.is_exact and mu.is_exact:
-        return Scalar.flt(float(mu))
-    return mu
+def _warn(reason: str | None) -> None:
+    if reason is not None:
+        print(f"warning: {reason} forces the float backend; the run will not be exact",
+              file=sys.stderr)
 
 
 def _polygon_for(mset: MatrixSet, mu: Scalar):
@@ -187,8 +191,7 @@ def _polygon_for(mset: MatrixSet, mu: Scalar):
 
     norm = normalize(mset)
     v, w = eigenvectors_from_products(norm)
-    poly = build_polygon(norm, v, w, _mu_for_set(mset, mu))
-    return norm, poly
+    return norm, build_polygon(norm, v, w, mu)
 
 
 def _polygon_defect(poly) -> str | None:
@@ -208,18 +211,15 @@ def cmd_bounds(args, parser) -> int:
 
     if args.max_n < 1:
         parser.error("--max-n must be >= 1")
-    mu = _parse_mu(args, parser)
-    if args.norm == "box":
-        mset = _build_set(args, parser)
-        norm_obj = None
-    else:
-        if mu is None:
-            parser.error("--norm polygon needs --mu")
-        mset = _build_set(args, parser, mu)
+    polygon = args.norm == "polygon"
+    mset, mu, reason = _read_run(args, parser, "--norm polygon" if polygon else None)
+    norm_obj = None
+    if polygon:
         _, norm_obj = _polygon_for(mset, mu)
         defect = _polygon_defect(norm_obj)
         if defect is not None:
             parser.error(f"--norm polygon needs a convex polygon: at --mu {args.mu} {defect}")
+    _warn(reason)
     rows = bounds_table(mset.a, mset.b, args.max_n, norm=norm_obj)
     print(format_bounds_text(rows))
     if args.csv:
@@ -232,11 +232,9 @@ def cmd_bounds(args, parser) -> int:
 def cmd_certify(args, parser) -> int:
     from .polytope import certify_smp
 
-    mu = _parse_mu(args, parser)
-    if mu is None:
-        parser.error("certify needs --mu")
-    mset = _build_set(args, parser, mu)
-    cert = certify_smp(mset, _mu_for_set(mset, mu), args.tol)
+    mset, mu, reason = _read_run(args, parser, "certify")
+    _warn(reason)
+    cert = certify_smp(mset, mu, args.tol)
     print(cert.as_text())
     kv = "".join(f"{key} = {value}\n" for key, value in cert.as_kv())
     if args.kv:
@@ -259,8 +257,9 @@ def cmd_scan(args, parser) -> int:
         parser.error(f"division by zero: {exc}")
     if not at_distinguished_angle(phi):
         parser.error("scan needs --phi 2pi/3: its closed forms hold only there")
-    if args.c or args.kappa:
-        mset = _build_set(args, parser)
+    if args.c or args.kappa or args.matrices:
+        mset, _, reason = _read_run(args, parser)
+        _warn(reason)
         if args.family == "alt":
             thresholds = alt_mu_thresholds(mset.kappa)
         else:
@@ -289,7 +288,8 @@ def cmd_permutable(args, parser) -> int:
         verify_tau,
     )
 
-    mset = _build_set(args, parser)
+    mset, _, reason = _read_run(args, parser)
+    _warn(reason)
     a, b = mset.a, mset.b
     irreducible = is_irreducible(a, b)
     print(f"irreducible: {irreducible}")
@@ -315,11 +315,9 @@ def cmd_figure(args, parser) -> int:
     from .figures import FigureSpec, render
     from .polytope import images
 
-    mu = _parse_mu(args, parser)
-    if mu is None:
-        parser.error("figure needs --mu")
-    mset = _build_set(args, parser, mu)
+    mset, mu, reason = _read_run(args, parser, "figure")
     norm, poly = _polygon_for(mset, mu)
+    _warn(reason)
     spec = FigureSpec(polygon=poly, images=images(poly, norm))
     render(spec, args.output)
     print(f"figure written to {args.output}")

@@ -151,15 +151,17 @@ def example_main_special(ctx: KappaContext) -> MatrixSet:
 def custom_set(
     a: Mat2, b: Mat2, tau_s: Mat2 | None = None, ctx: KappaContext | None = None
 ) -> MatrixSet:
-    """Wrap a user-supplied pair.  kappa is c**3 with a context, and else
-    such that kappa**2 is the spectral radius of B @ A @ A, matching the
-    normalization convention."""
+    """Wrap a user-supplied pair.  kappa is c**3 with a context (exact pairs
+    only), and else such that kappa**2 is the spectral radius of B @ A @ A,
+    matching the normalization convention."""
     if a.is_exact != b.is_exact:
         raise TypeError("matrix backends must match")
-    if ctx is not None:
+    if ctx is None:
+        kappa = Scalar.flt(math.sqrt(float(spectral_radius(b @ a @ a))))
+    elif a.is_exact:
         kappa = ctx.power(3)
     else:
-        kappa = Scalar.flt(math.sqrt(float(spectral_radius(b @ a @ a))))
+        raise ValueError("--c applies to exact pairs only; this pair is float")
     return MatrixSet(a=a, b=b, tau_s=tau_s, family="custom", kappa=kappa, ctx=ctx)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .scalar import REL_TOL, BackendMismatchError, Record, Scalar, parse_scalar
+from .scalar import REL_TOL, BackendMismatchError, Record, Scalar
 
 __all__ = [
     "Vec2",
@@ -157,13 +157,6 @@ class Mat2(Record):
         one = Scalar.one_like(sample.m11)
         zero = Scalar.zero_like(sample.m11)
         return cls(one, zero, zero, one)
-
-    @classmethod
-    def from_strings(cls, entries) -> "Mat2":
-        vals = [parse_scalar(e) for e in entries]
-        if len(vals) != 4:
-            raise ValueError("a 2x2 matrix needs exactly 4 entries")
-        return cls(*vals)
 
     @property
     def is_exact(self) -> bool:

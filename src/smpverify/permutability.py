@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .matrix2 import Mat2, Vec2, similarity
+from .matrix2 import Mat2, SingularMatrixError, Vec2, similarity
 from .scalar import REL_TOL, Record, Scalar
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
@@ -139,8 +139,11 @@ def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
 
 
 def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float = REL_TOL) -> bool:
-    """Check the swap identities tau(a) == b and tau(b) == a."""
-    return tau.apply(a).isclose(b, rel_tol) and tau.apply(b).isclose(a, rel_tol)
+    """Check the swap identities tau(a) == b and tau(b) == a; a singular s fails."""
+    try:
+        return tau.apply(a).isclose(b, rel_tol) and tau.apply(b).isclose(a, rel_tol)
+    except SingularMatrixError:
+        return False
 
 
 def tau_word(w: Word) -> Word:

@@ -837,7 +837,10 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
         if not ok:
             return finish()
     except TypeError as exc:
-        mu_scalar = Scalar.flt(float("nan")) if not mset.is_exact else Scalar.exact(0)
+        # The header records mu as given, and a placeholder for a non-number.
+        mu_scalar = Scalar.flt(mu) if isinstance(mu, float) else mu
+        if not isinstance(mu_scalar, Scalar):
+            mu_scalar = Scalar.flt(float("nan")) if not mset.is_exact else Scalar.exact(0)
         add("parameters", False, str(exc))
         return finish()
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from smpverify import cli
-from smpverify.cli import main
+from smpverify.cli import build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # An exact --c whose cube is beyond the float range: 1 followed by 110 zeros.
@@ -346,9 +346,30 @@ class TestBadInput:
         assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+# README's exact custom pair (c = 11/10) with and without its swap matrix,
+# the same pair in decimals, the pair with a singular swap matrix, a file
+# with a non-finite entry, and one with an exact entry beyond the float range.
+PAIR = "0 -1000/1331 1331/1000 -1\n0 -1331/1000 1000/1331 -1\n"
+PAIR_FILES = {
+    "pair.txt": PAIR + "-1331000/2771561 1 -1 1331000/2771561\n",
+    "float.txt": "0 -0.7513148009015778 1.331 -1\n0 -1.331 0.7513148009015778 -1\n",
+    "singular.txt": PAIR + "1 1 1 1\n",
+    "nan.txt": "0 -0.75 nan -1\n0 -1.331 0.75 -1\n",
+    "huge.txt": PAIR.replace("1331/1000", "1" + "0" * 400),
+}
+WARNING = "warning: {} forces the float backend; the run will not be exact"
+
+
+def custom(command, path, *argv):
+    return [command, "--family", "custom", "--matrices", path, *argv]
+
+
 class TestBackendDecision:
-    """A --c run is exact iff the family is main, --phi is 2pi/3 and mu is
-    exact or unused; every other --c run warns once and runs on floats."""
+    """One rule for every number a run reads: --c, --kappa, --mu where the
+    command uses it, and each entry of --matrices.  A run is exact iff it
+    reads no decimal number (p/q and bare integers follow the run) and,
+    for main and alt, it is main at 2pi/3 given --c.  A run given --c or
+    an all-exact pair file that still goes to floats warns once."""
 
     def test_unused_decimal_mu_keeps_bounds_exact(self, capsys):
         code, out, err = run(capsys, "bounds", "--c", "11/10", "--max-n", "3", "--mu", "1.25")
@@ -374,6 +395,84 @@ class TestBackendDecision:
         ]
         if argv[0] == "certify":
             assert "backend=float" in out.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "argv, code, err, backend",
+        [
+            (custom("certify", "pair.txt", "--c", "11/10", "--mu", "5/4"), 0, [], "exact"),
+            (custom("certify", "float.txt", "--mu", "1.25"), 0, [], "float"),
+            (custom("certify", "float.txt", "--c", "11/10", "--mu", "1.25"), 0,
+             [WARNING.format("a decimal entry in --matrices")], "float"),
+            (custom("certify", "pair.txt", "--c", "11/10", "--mu", "1.25"), 0,
+             [WARNING.format("decimal mu")], "float"),
+            (custom("certify", "pair.txt", "--mu", "1.25"), 0,
+             [WARNING.format("decimal mu")], "float"),
+            (custom("bounds", "pair.txt", "--c", "11/10", "--norm", "polygon", "--mu", "1.25",
+                    "--max-n", "3"), 0, [WARNING.format("decimal mu")], None),
+            (custom("figure", "pair.txt", "--c", "11/10", "--mu", "1.25", "--output", "f.svg"),
+             0, [WARNING.format("decimal mu")], None),
+            (custom("permutable", "float.txt"), 0, [], None),
+            (custom("bounds", "pair.txt", "--kappa", "1.2", "--max-n", "2"), 2,
+             ["smpverify bounds: error: --kappa does not apply to --family custom"], None),
+            (["bounds", "--family", "main", "--c", "11/10", "--matrices", "pair.txt",
+              "--max-n", "2"], 2,
+             ["smpverify bounds: error: --matrices needs --family custom"], None),
+            (["scan", "--family", "alt", "--matrices", "pair.txt"], 2,
+             ["smpverify scan: error: --matrices needs --family custom"], None),
+            (custom("permutable", "singular.txt"), 2,
+             ["smpverify permutable: error: the swap matrix in --matrices is singular"], None),
+            (custom("certify", "singular.txt", "--c", "11/10", "--mu", "5/4"), 2,
+             ["smpverify certify: error: the swap matrix in --matrices is singular"], None),
+            (custom("permutable", "nan.txt"), 2,
+             ["smpverify permutable: error: an entry of --matrices must be finite, got 'nan'"],
+             None),
+            (custom("certify", "huge.txt", "--mu", "1.25"), 2,
+             ["smpverify certify: error: an entry of --matrices is out of float range"], None),
+            (["certify", "--family", "alt", "--c", "11/10", "--mu", "1" + "0" * 400], 2,
+             ["smpverify certify: error: --mu is out of float range"], None),
+            # A usage error after reading is not preceded by the warning.
+            (["bounds", "--c", "11/10", "--phi", "0.5", "--norm", "polygon", "--mu", "5/4",
+              "--max-n", "2"], 2,
+             ["smpverify bounds: error: A**3 is not the identity; cannot normalize"], None),
+        ],
+    )
+    def test_custom_pairs_and_mu_follow_the_rule(
+        self, capsys, monkeypatch, tmp_path, argv, code, err, backend
+    ):
+        monkeypatch.chdir(tmp_path)
+        for name, text in PAIR_FILES.items():
+            (tmp_path / name).write_text(text)
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, stderr = capsys.readouterr()
+        if code == 2:
+            usage = build_parser().parse_args(argv).parser.format_usage()
+            err = usage.splitlines() + err
+            assert out == ""
+        assert (got, stderr.splitlines()) == (code, err)
+        if backend is not None:
+            assert f" backend={backend} " in out.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify"],
+            ["figure", "--output", "f.svg"],
+            ["bounds", "--max-n", "2"],
+            ["bounds", "--max-n", "2", "--norm", "polygon"],
+        ],
+    )
+    def test_malformed_mu_is_a_usage_error_before_any_warning(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--family", "alt", "--c", "11/10", "--mu", "1..2"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "warning" not in err
+        assert err.splitlines()[-1].endswith(
+            "error: bad --mu: could not convert string to float: '1..2'"
+        )
 
 
 class TestScan:

@@ -126,6 +126,13 @@ class TestSwapPair:
     def test_custom_set_takes_no_kappa(self):
         assert "kappa" not in inspect.signature(custom_set).parameters
 
+    def test_custom_float_pair_takes_no_cube_root_context(self, ctx11, main_float):
+        # kappa = c**3 would be exact on a float pair, and the certificate
+        # would then fail at normalize on mixed backends.
+        with pytest.raises(ValueError, match="--c applies to exact pairs only"):
+            custom_set(main_float.a, main_float.b, ctx=ctx11)
+        assert custom_set(main_float.a, main_float.b).ctx is None
+
 
 def _reverse(w: Word) -> Word:
     return Word(tuple(reversed(w.symbols)))

@@ -158,7 +158,7 @@ class TestSerialization:
     def test_row_major_strings(self, main_exact):
         strings = main_exact.a.as_strings()
         assert strings == ("0", "-1000/1331", "1331/1000", "-1")
-        assert Mat2.from_strings(strings) == main_exact.a
+        assert Mat2.exact(*strings) == main_exact.a
 
 
 class NoArithmetic(Fraction):

@@ -145,6 +145,13 @@ class TestTau:
             assert lhs == rhs
 
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_singular_swap_matrix_swaps_nothing(self, main_exact, main_float, exact):
+        mset = main_exact if exact else main_float
+        singular = Mat2.exact(1, 1, 1, 1) if exact else Mat2.flt(1.0, 2.0, 0.5, 1.0)
+        assert not verify_tau(mset.a, mset.b, TauMap(singular))
+
+
 class TestSwapSpectrumReport:
     def test_odd_word_report(self, main_exact):
         tau = TauMap(main_exact.tau_s)

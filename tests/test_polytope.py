@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from smpverify import polytope
 from smpverify.families import (
     DISTINGUISHED_PHI,
+    custom_set,
     eigenvectors_from_products,
     example_alt,
     example_main,
@@ -759,6 +760,33 @@ class TestCertify:
     def test_float_mu_with_exact_set_is_a_parameter_failure(self, main_exact):
         cert = certify_smp(main_exact, 1.25)
         assert not cert.passed and cert.first_failure.name == "parameters"
+
+    @pytest.mark.parametrize(
+        "exact_set, mu, header",
+        [
+            (True, 1.25, "family=main backend=exact kappa=1331/1000 mu=1.25"),
+            (False, MU54, "family=main backend=float kappa=1.331 mu=5/4"),
+            (False, "5/4", "family=main backend=float kappa=1.331 mu=nan"),
+            (True, "5/4", "family=main backend=exact kappa=1331/1000 mu=0"),
+        ],
+    )
+    def test_parameter_failure_records_mu_as_given(
+        self, main_exact, main_float, exact_set, mu, header
+    ):
+        # A float or a Scalar of the other backend is kept in the header;
+        # only a value that is not a number gets the placeholder.
+        cert = certify_smp(main_exact if exact_set else main_float, mu)
+        assert cert.as_text().splitlines()[0] == f"certificate: {header}"
+        assert cert.first_failure.name == "parameters"
+
+    def test_singular_swap_matrix_fails_permutable(self, ctx11, main_exact):
+        singular = Mat2.exact(1, 1, 1, 1)
+        mset = custom_set(main_exact.a, main_exact.b, tau_s=singular, ctx=ctx11)
+        cert = certify_smp(mset, MU54)
+        assert [(c.name, c.passed, c.detail) for c in cert.checks] == [
+            ("parameters", True, ""),
+            ("permutable", False, "tau does not swap the pair"),
+        ]
 
     def test_kv_report_carries_audit_trail(self, main_exact):
         cert = certify_smp(main_exact, Fraction(5, 4))
