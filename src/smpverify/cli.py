@@ -39,9 +39,10 @@ from .scalar import REL_TOL, KappaContext, Scalar, parse_scalar
 __all__ = ["main", "build_parser"]
 
 
-def _parse_phi(text: str) -> float:
-    """Angles as decimals or multiples of pi: '2pi/3', 'pi/4', 'pi', '1.5'."""
-    t = text.strip().lower().replace(" ", "")
+def _parse_phi(text: str | None) -> float:
+    """Angles as decimals or multiples of pi: '2pi/3', 'pi/4', 'pi', '1.5';
+    None, for no --phi, is 2pi/3."""
+    t = ("2pi/3" if text is None else text).strip().lower().replace(" ", "")
     if "pi" in t:
         m = re.fullmatch(r"([+-]?\d*\.?\d*)pi(?:/([\d.]+))?", t)
         if m is None:
@@ -80,8 +81,7 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", help="exact cube-root parameter c as p/q (kappa = c^3)")
     p.add_argument("--kappa", help="float stretch parameter kappa > 1")
     p.add_argument(
-        "--phi", default="2pi/3",
-        help="rotation angle; decimals or e.g. '2pi/3' (default: 2pi/3)",
+        "--phi", help="rotation angle; decimals or e.g. '2pi/3' (default: 2pi/3)",
     )
     p.add_argument(
         "--matrices", help="custom pair file: 8 scalar strings, optionally 4 more "
@@ -129,6 +129,8 @@ def _read_run(args, parser: argparse.ArgumentParser, mu_for: str | None = None):
     custom = args.family == "custom"
     if custom and args.kappa:
         parser.error("--kappa does not apply to --family custom")
+    if custom and args.phi is not None:
+        parser.error("--phi does not apply to --family custom")
     if custom != bool(args.matrices):
         parser.error("--matrices needs --family custom" if args.matrices
                      else "--family custom needs --matrices FILE")

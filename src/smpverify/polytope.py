@@ -19,21 +19,25 @@ x, y, 0 exactly when s, t >= 0 and h <= 1.  On the exact backend every one
 of these quantities is a rational number, so the certificate carries no
 rounding at all.
 
-The Minkowski gauge and the induced matrix norm evaluate these ratios for
-the twelve edges (v_i, v_{i+1}) many times over, so each polygon keeps an
-edge table, built on its first gauge call: per edge the rotated endpoints
-T v_{i+1} and T v_i, the products (v_i, T v_{i+1}) and (v_{i+1}, T v_i), the
-difference v_{i+1} - v_i and a collinearity flag.  On the exact backend the
-vertices are scaled by the lcm D of their 24 denominators and a query point
-by the lcm E of its own two, so the table and the point are Python ints:
-the signs of s and t are decided by comparing the sign of the int
-(Z, Ty) with that of the table's (x, Ty), with neither a division nor a
-product of the two, and h is built once as the Fraction
-(v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)).
-On the float backend the table holds the vertex floats and s, t, h are
-formed with the operations of sector_coords and triangle_h in the same
-order, so every value is bit-identical to theirs; the tolerance is read at
-call time and never stored.
+The gauge, the matrix norm, the convexity levels and the inclusion checks
+all read one edge table per polygon, built on first use: per edge
+(v_i, v_{i+1}) the rotated endpoints T v_{i+1} and T v_i, the products
+(v_i, T v_{i+1}) and (v_{i+1}, T v_i), the difference v_{i+1} - v_i and a
+collinearity flag.  On the exact backend the vertices are scaled by the lcm
+D of their 24 denominators, so the table holds ints V = D v, and a matrix M
+by the lcm F of its denominators (of A~ and B~ together in the inclusions),
+so each image M v_i is the int point Z = (F M) V_i over E = F D.  The gauge
+compares the sign of (Z, Ty) with that of the table's (x, Ty), with neither
+a division nor a product, and builds h once as the Fraction
+(v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)).  The identities are the int
+equalities Z == F V_j (lam.num Z == lam.den F V_j for the 1/lam ones); the
+sector tests read edge rows 11 and 2, as s = (Z, Ty) / (F (x, Ty)) and so
+on; a convexity level is (V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}),
+where D cancels.  Each value is one Fraction, reduced once.  On the float
+backend D = F = E = 1 and every value is formed with the operations of
+Mat2 @, sector_coords and triangle_h in their order, so it is bit-identical
+to theirs: each check has one code path for both backends.  The tolerance
+is read at call time and never stored.
 
 certify_smp evaluates each of the 24 image gauges once.  verify_inclusions
 gauges every a_i = A~ v_i and b_i = B~ v_i of a convex polygon, and the
@@ -131,14 +135,15 @@ def _collinear_float(x1: float, x2: float, y1: float, y2: float, denom: float) -
     return abs(denom) <= 1e-14 * max(1.0, scale)
 
 
+def _collinear(x1, x2, y1, y2, denom, exact: bool) -> bool:
+    """Whether x, y are collinear, given denom = +-(x, Ty): exactly zero on
+    ints, _collinear_float on floats."""
+    return denom == 0 if exact else _collinear_float(x1, x2, y1, y2, denom)
+
+
 def _check_denominator(x: Vec2, y: Vec2, denom: Scalar) -> None:
-    if denom.is_exact:
-        collinear = denom == 0
-    else:
-        collinear = _collinear_float(
-            float(x.x1), float(x.x2), float(y.x1), float(y.x2), float(denom)
-        )
-    if collinear:
+    x1, x2, y1, y2 = x.x1.value, x.x2.value, y.x1.value, y.x2.value
+    if _collinear(x1, x2, y1, y2, denom.value, denom.is_exact):
         raise DegenerateSectorError("sector generators are collinear")
 
 
@@ -193,9 +198,45 @@ def _build_edge_table(vertices: tuple[Vec2, ...]) -> _EdgeTable:
         y1, y2 = coords[(i + 1) % len(coords)]
         x_ty = x1 * -y2 + x2 * y1
         y_tx = y1 * -x2 + y2 * x1
-        collinear = x_ty == 0 if exact else _collinear_float(x1, x2, y1, y2, x_ty)
+        collinear = _collinear(x1, x2, y1, y2, x_ty, exact)
         edges.append((-y2, y1, -x2, x1, x_ty, y_tx, y1 - x1, y2 - x2, collinear))
     return _EdgeTable(d, tuple(coords), tuple(edges))
+
+
+def _ratio(num, den, exact: bool) -> Scalar:
+    """num / den as one Scalar: one Fraction (one gcd) of two ints, or one
+    float division."""
+    return Scalar(Fraction(num, den) if exact else num / den)
+
+
+def _scaled_entries(mats, exact: bool) -> tuple[int, list]:
+    """(F, rows): each matrix's four entries times the lcm F of all their
+    denominators, as ints; F = 1 and the floats themselves on floats."""
+    values = [q.value for m in mats for q in m.entries()]
+    f, values = common_scale(values) if exact else (1, values)
+    return f, [values[k:k + 4] for k in range(0, len(values), 4)]
+
+
+def _image_points(table: _EdgeTable, entries) -> list[tuple]:
+    """(F M)(D v_i) for the twelve table vertices, each coordinate in the
+    order of Mat2 @: the image M v_i times E = F D."""
+    m11, m12, m21, m22 = entries
+    return [(m11 * x1 + m12 * x2, m21 * x1 + m22 * x2) for x1, x2 in table.vertices]
+
+
+def _convexity_levels(table: _EdgeTable, exact: bool) -> tuple:
+    """h(v_{i-1}, v_{i+1}, v_i) for i = 1..6 on the table's vertices:
+    h = (Y - X, T Z) / (Y, T X), where the factors D cancel, with the
+    operations of triangle_h in its order."""
+    verts = table.vertices
+    levels = []
+    for i in range(1, 7):
+        (x1, x2), (z1, z2), (y1, y2) = verts[i - 2], verts[i - 1], verts[i]
+        y_tx = y1 * -x2 + y2 * x1
+        if _collinear(x1, x2, y1, y2, y_tx, exact):
+            raise DegenerateSectorError("sector generators are collinear")
+        levels.append((i, _ratio((y1 - x1) * -z2 + (y2 - x2) * z1, y_tx, exact)))
+    return tuple(levels)
 
 
 def _gauge_exact(table: _EdgeTable, z1: int, z2: int, e: int) -> Fraction:
@@ -234,6 +275,13 @@ def _gauge_float(table: _EdgeTable, z1: float, z2: float, tol: float) -> float:
         if s >= -tol and t >= -tol:
             return (d1 * -z2 + d2 * z1) / y_tx
     raise ValueError(_NO_SECTOR)
+
+
+def _gauges(table: _EdgeTable, points, e: int, rel_tol: float, exact: bool):
+    """The gauges of the points (z1, z2) / e, lazily, in order."""
+    if exact:
+        return (_gauge_exact(table, z1, z2, e) for z1, z2 in points)
+    return (_gauge_float(table, z1, z2, rel_tol) for z1, z2 in points)
 
 
 def _check_backend(poly: "Polygon", exact: bool) -> None:
@@ -275,10 +323,7 @@ class Polygon(Record):
 
     @cached_property
     def _convexity_levels(self) -> tuple[tuple[int, Scalar], ...]:
-        return tuple(
-            (i, triangle_h(self.v(i - 1), self.v(i + 1), self.v(i)))
-            for i in range(1, 7)
-        )
+        return _convexity_levels(self._edge_table, self.is_exact)
 
     def gauge(self, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
         return polygon_gauge(self, x, rel_tol)
@@ -287,28 +332,13 @@ class Polygon(Record):
         """Operator norm induced by the polygon gauge: the maximum of the
         gauge over the images of the vertices.
 
-        The images are formed from the edge table's vertices, not with
-        Mat2 @: on the exact backend m is scaled by the lcm F of its four
-        denominators, so each image is an int point over E = F * D; on the
-        float backend each coordinate is computed as Mat2 @ computes it.
+        The images are the edge table's (module docstring), not Mat2 @.
         """
         _check_backend(self, m.is_exact)
         table = self._edge_table
-        entries = [q.value for q in m.entries()]
-        if self.is_exact:
-            f, (m11, m12, m21, m22) = common_scale(entries)
-            e = f * table.scale
-            values = (
-                _gauge_exact(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, e)
-                for x1, x2 in table.vertices
-            )
-        else:
-            m11, m12, m21, m22 = entries
-            values = (
-                _gauge_float(table, m11 * x1 + m12 * x2, m21 * x1 + m22 * x2, rel_tol)
-                for x1, x2 in table.vertices
-            )
-        return Scalar(max(values))
+        f, (entries,) = _scaled_entries((m,), self.is_exact)
+        points = _image_points(table, entries)
+        return Scalar(max(_gauges(table, points, f * table.scale, rel_tol, self.is_exact)))
 
 
 def _coerce_mu(mu, exact: bool) -> Scalar:
@@ -631,6 +661,17 @@ _NONOBVIOUS = (
 )
 
 
+def _on_vertex(z, v, f: int, lam, exact: bool, rel_tol: float) -> bool:
+    """Whether the image z, over E = F D, is the table vertex v, over D, or
+    v / lam when lam is given: lam.num Z == lam.den F V on ints, and on
+    floats Scalar.isclose per coordinate against v times 1 / lam."""
+    if exact:
+        p, q = (lam.numerator, lam.denominator) if lam is not None else (1, 1)
+        return all(p * zk == q * f * vk for zk, vk in zip(z, v))
+    r = 1.0 if lam is None else 1 / lam
+    return all(Scalar(zk).isclose(Scalar(vk * r), rel_tol) for zk, vk in zip(z, v))
+
+
 def verify_inclusions(
     poly: Polygon, norm: NormalizedSet, rel_tol: float = REL_TOL
 ) -> CheckResult:
@@ -644,25 +685,31 @@ def verify_inclusions(
     gauge test raises RuntimeError: it would mean the geometry primitives
     contradict each other.
     """
-    ipts = images(poly, norm)
-    lists = {"a": ipts.a, "b": ipts.b}
+    _check_backend(poly, norm.at.is_exact)
+    exact = poly.is_exact
+    table = poly._edge_table
+    f, (at, bt) = _scaled_entries((norm.at, norm.bt), exact)
+    lists = {"a": _image_points(table, at), "b": _image_points(table, bt)}
     data = []
     failures = []
 
     for label, kind, idx, target, scaled in _AUTOMATIC_IDENTITIES:
         point = lists[kind][idx - 1]
-        expected = poly.v(target).scale(1 / norm.lam) if scaled else poly.v(target)
-        ok = point.isclose(expected, rel_tol)
+        lam = norm.lam.value if scaled else None
+        ok = _on_vertex(point, table.vertices[target - 1], f, lam, exact, rel_tol)
         data.append((f"inclusion.identity.{label.split(' ')[0]}", ok))
         if not ok:
             failures.append(label)
 
     sector_ok = {}
     for label, kind, idx, (i, j) in _NONOBVIOUS:
-        point = lists[kind][idx - 1]
-        x, y = poly.v(i), poly.v(j)
-        s, t = sector_coords(x, y, point)
-        h = triangle_h(x, y, point)
+        z1, z2 = lists[kind][idx - 1]
+        ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear = table.edges[i - 1]
+        if collinear:
+            raise DegenerateSectorError("sector generators are collinear")
+        s = _ratio(z1 * ty1 + z2 * ty2, f * x_ty, exact)
+        t = _ratio(z1 * tx1 + z2 * tx2, f * y_tx, exact)
+        h = _ratio(d1 * -z2 + d2 * z1, f * y_tx, exact)
         ok = s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol)
         base = f"inclusion.{label}"
         data += [
@@ -677,10 +724,12 @@ def verify_inclusions(
             failures.append(label)
 
     if convexity_check(poly, rel_tol):
+        e = f * table.scale
         for kind in ("a", "b"):
-            for idx, point in enumerate(lists[kind], start=1):
+            gauges = _gauges(table, lists[kind], e, rel_tol, exact)
+            for idx, value in enumerate(gauges, start=1):
                 label = f"{kind}{idx}"
-                g = polygon_gauge(poly, point, rel_tol)
+                g = Scalar(value)
                 ok = g.le(1, rel_tol)
                 if sector_ok.get(label, ok) != ok:
                     raise RuntimeError(f"sector test and gauge test disagree on {label}")

@@ -434,6 +434,11 @@ class TestBackendDecision:
             (["bounds", "--c", "11/10", "--phi", "0.5", "--norm", "polygon", "--mu", "5/4",
               "--max-n", "2"], 2,
              ["smpverify bounds: error: A**3 is not the identity; cannot normalize"], None),
+            # A pair file has no angle: a given --phi, even 2pi/3, is refused.
+            (custom("certify", "pair.txt", "--c", "11/10", "--mu", "5/4", "--phi", "0.5"), 2,
+             ["smpverify certify: error: --phi does not apply to --family custom"], None),
+            (custom("permutable", "pair.txt", "--phi", "2pi/3"), 2,
+             ["smpverify permutable: error: --phi does not apply to --family custom"], None),
         ],
     )
     def test_custom_pairs_and_mu_follow_the_rule(

@@ -4,7 +4,8 @@ Each .txt file under tests/golden/ is one run: the command line, then
 `exit N`, then the complete stdout.  The certify cases cover a certified
 exact and a certified float run, failing inclusions on both backends (b3
 and b9 escape), a non-convex polygon (no gauge keys) and the alt family
-(no closed-form key).  The bounds cases cover exact box-norm walks (main
+(no closed-form key); two runs at a 96-bit c, one certified and one with
+b3 and b9 escaping, pin the big-integer values of the exact path.  The bounds cases cover exact box-norm walks (main
 at 233/224 and 11/10), a float walk (alt) and an exact polygon-norm walk;
 a run with `--csv table.csv` also pins the written file as the .csv of
 the same name.
@@ -24,6 +25,8 @@ KV_CASES = (
     "float_not_convex",
     "float_b3_escapes",
     "alt_certified",
+    "exact_96bit_certified",
+    "exact_96bit_escapes",
 )
 BOUNDS_CASES = (
     "bounds_exact_233_224",

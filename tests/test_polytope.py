@@ -543,18 +543,18 @@ class TestEdgeTableGauge:
 
     def test_convexity_levels_computed_once(self, monkeypatch):
         calls = []
-        real = polytope.triangle_h
+        real = polytope._convexity_levels
 
-        def counting(x, y, z):
-            calls.append(z)
-            return real(x, y, z)
+        def counting(table, exact):
+            calls.append(table)
+            return real(table, exact)
 
-        monkeypatch.setattr(polytope, "triangle_h", counting)
+        monkeypatch.setattr(polytope, "_convexity_levels", counting)
         _, poly = exact_case(Fraction(11, 10))
         levels = convexity_values(poly)
         assert convexity_check(poly) and convexity_check(poly, 1e-3)
         assert convexity_values(poly) == levels
-        assert len(calls) == 6
+        assert len(calls) == 1 and len(levels) == 6
 
     def test_convexity_tolerance_applies_at_call_time(self):
         w = omega_thresholds(FloatKappa(1.331))
@@ -691,6 +691,156 @@ class TestInclusions:
         kv = dict(verify_inclusions(poly_exact, norm_exact).data)
         assert kv["inclusion.a4.sector"] == "v11,v12"
         assert "inclusion.a4.h" in kv and "inclusion.gauge.b3" in kv
+
+
+# (key label, image list, image index, target vertex, divided by lam?)
+IDENTITIES = (
+    ("a1", "a", 1, 9, False), ("a2", "a", 2, 10, False), ("a3", "a", 3, 11, False),
+    ("a5", "a", 5, 1, True), ("b2", "b", 2, 10, True), ("b4", "b", 4, 12, False),
+    ("b5", "b", 5, 1, False), ("b6", "b", 6, 2, False),
+)
+SECTOR_TESTS = (("a4", "a", 4, 11), ("a6", "a", 6, 2), ("b3", "b", 3, 11), ("b7", "b", 7, 2))
+
+
+def reference_levels(poly):
+    return [(i, triangle_h(poly.v(i - 1), poly.v(i + 1), poly.v(i))) for i in range(1, 7)]
+
+
+def reference_inclusions(poly, norm, rel_tol=REL_TOL):
+    """verify_inclusions rebuilt on images, sector_coords, triangle_h and
+    polygon_gauge: (passed, detail, data)."""
+    ipts = images(poly, norm)
+    lists = {"a": ipts.a, "b": ipts.b}
+    data, failures, sector_ok = [], [], {}
+    for label, kind, idx, target, scaled in IDENTITIES:
+        expected = poly.v(target).scale(1 / norm.lam) if scaled else poly.v(target)
+        ok = lists[kind][idx - 1].isclose(expected, rel_tol)
+        data.append((f"inclusion.identity.{label}", ok))
+        failures += [] if ok else [f"{label} == v{target}" + ("/lam" if scaled else "")]
+    for label, kind, idx, i in SECTOR_TESTS:
+        x, y, z = poly.v(i), poly.v(i + 1), lists[kind][idx - 1]
+        s, t = sector_coords(x, y, z)
+        h = triangle_h(x, y, z)
+        ok = s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol)
+        data += [
+            (f"inclusion.{label}.sector", f"v{i},v{i + 1}"), (f"inclusion.{label}.s", s),
+            (f"inclusion.{label}.t", t), (f"inclusion.{label}.h", h),
+            (f"inclusion.{label}.passed", ok),
+        ]
+        sector_ok[label] = ok
+        failures += [] if ok else [label]
+    if all(h.ge(1, rel_tol) for _, h in reference_levels(poly)):
+        for kind in "ab":
+            for idx, z in enumerate(lists[kind], start=1):
+                g = polygon_gauge(poly, z, rel_tol)
+                ok = g.le(1, rel_tol)
+                if sector_ok.get(f"{kind}{idx}", ok) != ok:
+                    raise RuntimeError("sector test and gauge test disagree")
+                data += [(f"inclusion.gauge.{kind}{idx}", g),
+                         (f"inclusion.gauge.{kind}{idx}.passed", ok)]
+                failures += [] if ok else [f"{kind}{idx}"]
+    detail = "escaping points: " + ",".join(dict.fromkeys(failures)) if failures else ""
+    return not failures, detail, tuple(data)
+
+
+def inclusion_report(poly, norm, rel_tol=REL_TOL):
+    report = verify_inclusions(poly, norm, rel_tol)
+    return report.passed, report.detail, report.data
+
+
+def assert_same_report(got, expected, exact):
+    """Exactly equal values on the exact backend; on floats the same repr,
+    which tells every float apart bit for bit (-0.0 from 0.0 too)."""
+    if exact:
+        assert got == expected
+    assert repr(got) == repr(expected)
+
+
+@st.composite
+def exact_main_points(draw):
+    """(norm, polygon) of an exact main pair: c in [1.001, 1.14] and mu
+    inside [mu1, mu2], outside it but close, or well below it."""
+    bits = draw(st.sampled_from((10, 32, 96)))
+    c = draw(st.fractions(Fraction(1001, 1000), Fraction(114, 100), max_denominator=2**bits))
+    ctx = KappaContext(c)
+    _, mu1, mu2, _ = mu_thresholds(ctx)
+    lo, hi = sorted((mu1.value, mu2.value))
+    t = draw(st.fractions(0, 1, max_denominator=2**bits))
+    where = draw(st.sampled_from(("in", "above", "below", "not convex")))
+    mu = {
+        "in": lo + (hi - lo) * t,
+        "above": hi * (1 + t / 10),
+        "below": lo * (1 - t / 20),
+        "not convex": lo * (1 + t) / 2,
+    }[where]
+    norm = normalize(example_main_special(ctx))
+    v, w = eigenvectors_from_products(norm)
+    return norm, build_polygon(norm, v, w, mu)
+
+
+class TestEdgeTableInclusions:
+    """verify_inclusions and convexity_values, which read the edge table,
+    against the same checks on images, sector_coords, triangle_h and
+    polygon_gauge."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(exact_main_points())
+    def test_exact_main_pairs_match_reference(self, case):
+        norm, poly = case
+        assert_same_report(convexity_values(poly), reference_levels(poly), True)
+        expected = outcome(reference_inclusions, poly, norm)
+        assert_same_report(outcome(inclusion_report, poly, norm), expected, True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(("main", "alt")),
+        st.floats(1.01, 1.5),
+        st.floats(0.5, 1.5),
+        st.sampled_from((REL_TOL, 1e-15, 1e-6)),
+    )
+    def test_float_pairs_match_reference(self, family, kappa, share, tol):
+        thresholds = (mu_thresholds if family == "main" else alt_mu_thresholds)(kappa)
+        norm, poly = float_pipeline(kappa, float(thresholds[1]) * share, family)
+        assert_same_report(convexity_values(poly), reference_levels(poly), False)
+        expected = outcome(reference_inclusions, poly, norm, tol)
+        assert_same_report(outcome(inclusion_report, poly, norm, tol), expected, False)
+
+    @pytest.mark.parametrize("name", sorted(GAUGE_CASES))
+    def test_gauge_cases_match_reference(self, name):
+        norm, poly = GAUGE_CASES[name]()
+        assert_same_report(convexity_values(poly), reference_levels(poly), poly.is_exact)
+        assert_same_report(
+            inclusion_report(poly, norm), reference_inclusions(poly, norm), poly.is_exact
+        )
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_collinear_chord_raises(self, exact, norm_exact):
+        points = list(DODECAGON)
+        points[2] = (-5, 0)  # v3 on the line of v1: the chord (v1, v3) is degenerate
+        poly = hand_built(points, exact)
+        for fn in (convexity_values, reference_levels, convexity_check):
+            with pytest.raises(DegenerateSectorError):
+                fn(poly)
+        points = list(DODECAGON)
+        points[11] = (-10, -18)  # v12 on the line of v11: sector (v11, v12) of a4, b3
+        poly = hand_built(points, exact)
+        norm = norm_exact if exact else float_pipeline(1.331, 1.25)[0]
+        for fn in (verify_inclusions, reference_inclusions):
+            with pytest.raises(DegenerateSectorError):
+                fn(poly, norm)
+
+    @pytest.mark.parametrize("name", ["exact 96-bit c", "float main", "float alt"])
+    def test_inclusions_use_no_mat2_or_sector_primitives(self, name, monkeypatch):
+        norm, poly = GAUGE_CASES[name]()
+        expected = reference_inclusions(poly, norm)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("per-point Mat2/Scalar work in the inclusions")
+
+        for fn in ("sector_coords", "triangle_h", "polygon_gauge", "images"):
+            monkeypatch.setattr(polytope, fn, boom)
+        monkeypatch.setattr(Mat2, "__matmul__", boom)
+        assert_same_report(inclusion_report(poly, norm), expected, poly.is_exact)
 
 
 class TestCertify:
