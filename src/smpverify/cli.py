@@ -223,10 +223,12 @@ def cmd_bounds(args, parser) -> int:
             parser.error(f"--norm polygon needs a convex polygon: at --mu {args.mu} {defect}")
     _warn(reason)
     rows = bounds_table(mset.a, mset.b, args.max_n, norm=norm_obj)
-    print(format_bounds_text(rows))
+    # The CSV is written first, so a failed write prints no table.
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_bounds_csv(rows) + "\n")
+    print(format_bounds_text(rows))
+    if args.csv:
         print(f"csv written to {args.csv}")
     return 0
 

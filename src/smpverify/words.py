@@ -14,41 +14,44 @@ The first maximum runs over one representative per cyclic class (the
 spectral radius is invariant under rotation of factors); the second runs
 over all 2**n words because norms are not cyclic-invariant.
 
-Both come from one depth-first walk of the tree of suffix products.  A
-node at depth k is the product of the last k factors of a word, and its
-two children multiply one more factor on the left, in the operation order
-of Mat2 @.  rho_n to n, rho_bar_n to n and bounds_table to n_max are one
-walk each.  Every node's product is formed once, with the association of
-evaluate, so floats round exactly as Mat2 would.  The walk keeps an
-explicit stack, never a whole level of the tree.
+Float pairs, and any norm given as an object (a polygon, or an explicit
+BoxNorm()), are scored by one depth-first walk of the tree of suffix
+products.  A node at depth k is the product of the last k factors of a
+word, and its two children multiply one more factor on the left, in the
+operation order of Mat2 @.  rho_n to n, rho_bar_n to n and bounds_table to
+n_max are one walk each.  Every node's product is formed once, with the
+association of evaluate, so floats round exactly as Mat2 would.  The walk
+keeps an explicit stack, never a whole level of the tree.
 
 A node is named by an int code: A = 0, B = 1, with the leftmost display
 symbol in the top bit, so for one length code order is the lexicographic
 order of the display strings.  One run of the prenecklace generator fills
 the set of necklace codes for every length up to the walk's depth.  A
-necklace node gets a spectral radius; every node at a scored depth gets a
-norm.  A node is expanded only if a requested score lies at or below it.
-rho_bar_n alone expands only the suffixes of the scored necklaces.
+necklace node gets a spectral radius; with norms requested every node at a
+scored depth gets a norm and every node is expanded, while rho_bar_n alone
+expands only the suffixes of the scored necklaces.
 
-With norms requested, an exact pair under the built-in box norm (norm is
-None) is walked by branch and bound, in the manner of Gripenberg
-(Computing the joint spectral radius, LAA 1996), but exact: the maxima are
-those of the full walk, bit for bit.  cap[m] bounds the box norm of every
-length-m product: the exact largest for m <= 6, from a pre-walk of those
-126 products, and the least cap[i] * cap[m - i] beyond, as the box norm
-(the induced max-norm) is submultiplicative.  A depth-k node of norm v
-then bounds each descendant at depth j by cap[j - k] * v.  Its children
-are formed only if that bound beats the largest norm seen so far at some
-scored depth j (or none is seen yet there), or if a child is the suffix
-of a scored necklace, so every necklace is still scored.  Float pairs and
-any other norm (a polygon, or an explicit BoxNorm()) expand every node: a
-float product is not exactly submultiplicative, so a float bound could
-drop a maximum in its last bit.
+An exact pair under the built-in box norm (norm is None) walks no tree.
+Both of its columns are computed exactly, so they are those of the full
+walk, bit for bit, from far fewer products.  rho_n comes from a hull of
+images (_box_tops): the box norm of M is the largest |coordinate| of M u
+over u in {(1, 1), (1, -1)}, and |coordinate| is convex, so the largest
+box norm of a length-k product is taken at a vertex of the symmetric
+convex hull P_k of those points M u.  P_k is also the symmetric hull of
+the images under A and B of the vertices of P_{k-1}.  This is the
+invariant-polytope iteration of Guglielmi and Protasov (Exact computation
+of joint spectral characteristics of linear operators, FoCM 2013) with the
+box norm read off each P_k; on the main pair at c = 11/10, P_k has at most
+24 vertices up to k = 20.  rho_bar_n scores each necklace inside the
+prenecklace generator itself, every prefix carrying its product with one
+more factor on the right; the entries are ints, so the association does
+not matter.  At n = 11 this forms about 1040 products and hull points,
+against 4094 nodes of the full tree.
 
-The walk runs on plain row-major 4-tuples rather than Mat2.  An exact pair
-is scaled by the lcm D of its eight entry denominators, so a depth-k node
-is an int tuple standing for itself divided by D**k and all arithmetic is
-on Python ints.  A float pair keeps its floats, with D = 1.
+Both paths run on plain row-major 4-tuples rather than Mat2.  An exact
+pair is scaled by the lcm D of its eight entry denominators, so a length-k
+product is an int tuple standing for itself divided by D**k and all
+arithmetic is on Python ints.  A float pair keeps its floats, with D = 1.
 
 Floats enter only at the end of each product.  A radius forms trace,
 determinant and discriminant as ints, decides the discriminant's sign
@@ -57,11 +60,11 @@ rounded, so every value matches float() of the exact rational, or raises
 OverflowError when that rational is too large for a float; the walk then
 raises ValueError naming the least such word length, as it does for a
 float product that overflows.  The determinant is multiplicative, so an
-exact walk reads it from a table by length and count of B, and keeps
-there too the rooted radius sqrt(det)**(1/k) of a complex eigenvalue pair.  The default box norm compares int row sums
-and divides the largest by D**k once.  Any other norm gets one Mat2 per
-node, built from the tuple, through its matrix_norm(Mat2) method.  A Word
-is built only for the maximizers.
+exact pair's radii read it from a table by length and count of B, and keep
+there too the rooted radius sqrt(det)**(1/k) of a complex eigenvalue pair.
+The default box norm compares ints and divides the largest by D**k once.
+Any other norm gets one Mat2 per node, built from the tuple, through its
+matrix_norm(Mat2) method.  A Word is built only for the maximizers.
 """
 
 from __future__ import annotations
@@ -95,11 +98,6 @@ DEFAULT_WORD_CAP = 20
 # of the largest are all listed as maximizers.
 _TIE_TOL = 1e-9
 
-_ALPHABET = ("A", "B")
-
-# Word length up to which _box_caps takes the exact largest box norm.
-_CAP_DEPTH = 6
-
 
 class Word(Record):
     """A nonempty word over {A, B} in application order."""
@@ -109,7 +107,7 @@ class Word(Record):
     def __init__(self, symbols: tuple[str, ...]):
         if len(symbols) == 0:
             raise ValueError("words must have length >= 1")
-        if any(s not in _ALPHABET for s in symbols):
+        if symbols.count("A") + symbols.count("B") != len(symbols):
             raise ValueError(f"symbols must be 'A' or 'B', got {symbols!r}")
         self._init(symbols)
 
@@ -162,30 +160,40 @@ def _display(code: int, n: int) -> str:
     return format(code, f"0{n}b").translate(_BITS_TO_SYMBOLS)
 
 
-def _necklace_codes(n_max: int) -> list[list[int]]:
-    """Codes of the necklaces of each length k = 0..n_max, ascending.
+def _prenecklaces(n_max, visit, extend=None, root=None):
+    """Run the recursive prenecklace generator of Fredricksen, Kessler and
+    Maiorana to length n_max, calling visit(k, code, state) at each
+    necklace of length k = 0..n_max.
 
-    One run of the recursive prenecklace generator of Fredricksen, Kessler
-    and Maiorana.  Every prefix it visits is a prenecklace, and one of
-    length k with period p is a necklace iff p divides k.  It visits the
-    prefixes of each length in lexicographic order, which is code order.
+    Every prefix it visits is a prenecklace, and one of length k with
+    period p is a necklace iff p divides k.  It visits the prefixes of each
+    length in lexicographic order, which is code order.  The state of the
+    empty prefix is root, and that of a prefix one symbol longer is
+    extend(state, bit) with bit 0 for A and 1 for B; without extend every
+    state is None.
     """
-    codes: list[list[int]] = [[] for _ in range(n_max + 1)]
     a = [0] * (n_max + 1)
 
-    def gen(t: int, p: int, code: int) -> None:
-        # a[1..t-1] is a prenecklace with period p, and code encodes it.
+    def gen(t: int, p: int, code: int, state) -> None:
+        # a[1..t-1] is a prenecklace with period p, code encodes it, and
+        # state is its state.
         if (t - 1) % p == 0:
-            codes[t - 1].append(code)
+            visit(t - 1, code, state)
         if t > n_max:
             return
-        a[t] = a[t - p]
-        gen(t + 1, p, 2 * code + a[t])
-        if a[t - p] == 0:
+        bit = a[t] = a[t - p]
+        gen(t + 1, p, 2 * code + bit, extend and extend(state, bit))
+        if bit == 0:
             a[t] = 1
-            gen(t + 1, t, 2 * code + 1)
+            gen(t + 1, t, 2 * code + 1, extend and extend(state, 1))
 
-    gen(1, 1, 0)
+    gen(1, 1, 0, root)
+
+
+def _necklace_codes(n_max: int) -> list[list[int]]:
+    """Codes of the necklaces of each length k = 0..n_max, ascending."""
+    codes: list[list[int]] = [[] for _ in range(n_max + 1)]
+    _prenecklaces(n_max, lambda k, code, _: codes[k].append(code))
     return codes
 
 
@@ -233,97 +241,203 @@ def _scaled_pair(a: Mat2, b: Mat2):
     return tuple(scaled[:4]), tuple(scaled[4:]), d
 
 
-def _times(f, p):
-    """The row-major 4-tuple f @ p."""
-    f11, f12, f21, f22 = f
-    p11, p12, p21, p22 = p
-    return (f11 * p11 + f12 * p21, f11 * p12 + f12 * p22,
-            f21 * p11 + f22 * p21, f21 * p12 + f22 * p22)
+def _half_hull(points):
+    """One vertex of each opposite pair of the convex hull of `points`.
 
-
-def _box_caps(ta, tb, hi):
-    """cap[m] for m = 0..hi: an int at least the largest box norm of a
-    length-m product of the int tuples ta and tb.
-
-    Exact for m <= 6, from all 126 of those products; beyond, the least
-    cap[i] * cap[m - i], since the box norm is submultiplicative.
+    `points` is a sorted list of int pairs, closed under negation.  Its
+    first point p is the lexicographically least and -p the greatest, so
+    the lower hull runs from p to -p, and the upper hull is its negation.
+    Returns the lower hull without -p: empty when every point is 0, [p]
+    when the points are collinear.
     """
-    caps = [1]
-    level = [(1, 0, 0, 1)]
-    for m in range(1, min(hi, _CAP_DEPTH) + 1):
-        level = [_times(f, p) for p in level for f in (ta, tb)]
-        caps.append(max(max(abs(p[0]) + abs(p[1]), abs(p[2]) + abs(p[3])) for p in level))
-    for m in range(len(caps), hi + 1):
-        caps.append(min(caps[i] * caps[m - i] for i in range(1, m // 2 + 1)))
-    return caps
+    chain = []
+    for x, y in points:
+        while len(chain) >= 2:
+            (ox, oy), (px, py) = chain[-2], chain[-1]
+            if (px - ox) * (y - oy) - (py - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain[:-1]
+
+
+def _box_tops(ta, tb, hi):
+    """(tops, images): tops[k] for k = 0..hi is the largest box norm of a
+    length-k product of the int tuples ta and tb, and images is the number
+    of points formed.
+
+    tops[k] is the largest |coordinate| over the vertices of P_k, the
+    symmetric convex hull of A V_{k-1}, B V_{k-1} and their negations,
+    where V_{k-1} holds one vertex of each opposite pair of P_{k-1} and
+    V_0 = {(1, 1), (1, -1)}: see the module docstring.
+    """
+    a11, a12, a21, a22 = ta
+    b11, b12, b21, b22 = tb
+    half = [(1, 1), (1, -1)]
+    tops = [1]
+    images = 0
+    for _ in range(hi):
+        points = set()
+        for x, y in half:
+            ax, ay = a11 * x + a12 * y, a21 * x + a22 * y
+            bx, by = b11 * x + b12 * y, b21 * x + b22 * y
+            points.update(((ax, ay), (-ax, -ay), (bx, by), (-bx, -by)))
+        images += 2 * len(half)
+        half = _half_hull(sorted(points))
+        tops.append(max((max(abs(x), abs(y)) for x, y in half), default=0))
+    return tops, images
 
 
 def _suffix_sets(codes, lo, hi):
     """live[k] for k = 0..hi + 1: the length-k suffixes of codes[j] for
-    j in max(k, lo)..hi, or empty sets if codes is None."""
+    j in max(k, lo)..hi."""
     live = [set() for _ in range(hi + 2)]
     for k in range(hi, 0, -1):
         live[k] = {c & ((1 << k) - 1) for c in live[k + 1]}
-        if codes is not None and k >= lo:
+        if k >= lo:
             live[k].update(codes[k])
     return live
 
 
-def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
-    """One depth-first walk of the suffix-product tree of (a, b) to depth hi.
+class _Scores:
+    """The scores of one walk by word length k = lo..hi, and what they
+    become: see the module docstring.
+
+    top[k] is the largest norm at length k, filled by the walk: D**k times
+    the box norm (norm is None) or the value of norm.matrix_norm.  radius()
+    scores one necklace product.  overflow is the least length whose score
+    is not finite (float backend) or too large for a float (exact).
+    """
+
+    def __init__(self, ta, tb, d, lo, hi, exact, radii):
+        self.lo, self.hi, self.exact = lo, hi, exact
+        self.dk = [d**k for k in range(2 * hi + 1)]
+        self.top = [None] * (hi + 1)
+        self.scored = [[] for _ in range(hi + 1)]
+        self.overflow = hi + 1
+        self.dets = self.elliptic = None
+        if radii and exact:
+            # det is multiplicative: a length-k product with nb factors B
+            # has det det(A)**(k - nb) * det(B)**nb.  When its eigenvalues
+            # are a complex pair, its rooted radius depends on that det
+            # alone.
+            da = ta[0] * ta[3] - ta[1] * ta[2]
+            db = tb[0] * tb[3] - tb[1] * tb[2]
+            self.dets = [[da ** (k - nb) * db**nb for nb in range(k + 1)] for k in range(hi + 1)]
+            self.elliptic = [[None] * (k + 1) for k in range(hi + 1)]
+
+    def radius(self, k, code, p):
+        """Score the necklace `code` of length k, whose product is p, if k
+        is at least lo."""
+        if k < self.lo:
+            return
+        # p is D**k times the product: trace scales by D**k, det and
+        # discriminant by D**(2k).  The discriminant's sign is decided
+        # before any rounding.
+        p11, p12, p21, p22 = p
+        t = p11 + p22
+        if self.dets is None:
+            det = p11 * p22 - p12 * p21
+        else:
+            nb = code.bit_count()
+            det = self.dets[k][nb]
+        disc = t * t - 4 * det
+        if not self.exact and not math.isfinite(disc):
+            # A finite disc gives a finite radius; any other leaves the
+            # radius inf or nan.
+            self.overflow = min(self.overflow, k)
+            return
+        if disc < 0 and self.elliptic is not None and self.elliptic[k][nb] is not None:
+            self.scored[k].append((self.elliptic[k][nb], code))
+            return
+        dk = self.dk
+        try:
+            r = matrix2.radius_from_invariants(
+                t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
+            )
+        except OverflowError:
+            # An exact quotient too large for a float.
+            self.overflow = min(self.overflow, k)
+            return
+        r **= 1.0 / k
+        if disc < 0 and self.elliptic is not None:
+            self.elliptic[k][nb] = r
+        self.scored[k].append((r, code))
+
+    def result(self, box, norms, radii):
+        """(rho, bars) keyed by length, or ValueError at the least overflow."""
+        lo, hi = self.lo, self.hi
+        rho, bars = {}, {}
+        overflow = self.overflow
+        if norms:
+            for k in range(lo, min(overflow, hi + 1)):
+                top = self.top[k]
+                try:
+                    # int / int rounds correctly, as float(Fraction) does.
+                    best = float(top / self.dk[k] if box else top)
+                except OverflowError:
+                    overflow = k
+                    break
+                rho[k] = best ** (1.0 / k)
+        if overflow <= hi:
+            if self.exact:
+                raise ValueError(
+                    f"exact products leave the float range at word length {overflow}: "
+                    "a norm, trace or determinant is too large for a float"
+                )
+            raise ValueError(
+                f"float products overflow at word length {overflow}: "
+                "a norm or spectral radius is not finite"
+            )
+        if radii:
+            for k in range(lo, hi + 1):
+                best = max(r for r, _ in self.scored[k])
+                cut = best - _TIE_TOL * max(1.0, abs(best))
+                codes = sorted(c for r, c in self.scored[k] if r >= cut)
+                bars[k] = (best, tuple(Word.from_display(_display(c, k)) for c in codes))
+        return rho, bars
+
+
+def _score_necklaces(ta, tb, scores):
+    """Score every necklace of length lo..hi inside the prenecklace
+    generator, each prefix carrying its int product; returns the number of
+    products formed.
+
+    A prefix one symbol longer multiplies one factor on the right.  The
+    entries are exact ints, so the association does not matter.
+    """
+    a11, a12, a21, a22 = ta
+    b11, b12, b21, b22 = tb
+    formed = 0
+
+    def extend(p, bit):
+        nonlocal formed
+        formed += 1
+        p11, p12, p21, p22 = p
+        if bit:
+            return (p11 * b11 + p12 * b21, p11 * b12 + p12 * b22,
+                    p21 * b11 + p22 * b21, p21 * b12 + p22 * b22)
+        return (p11 * a11 + p12 * a21, p11 * a12 + p12 * a22,
+                p21 * a11 + p22 * a21, p21 * a12 + p22 * a22)
+
+    _prenecklaces(scores.hi, scores.radius, extend, (1, 0, 0, 1))
+    return formed
+
+
+def _walk_tree(ta, tb, scores, leaf, norms, radii):
+    """One depth-first walk of the suffix-product tree of (ta, tb) to depth
+    hi; fills scores and returns the number of nodes formed.
 
     Scores the nodes at depths lo..hi: the norm of every node when `norms`
-    is true (BoxNorm if `norm` is None, else norm.matrix_norm), and the
-    rooted spectral radius of every necklace when `radii` is true.  Returns
-    (rho, bars, visits), keyed by depth k: rho[k] is the largest norm at
-    depth k to the power 1/k, bars[k] is (rho_bar, maximizers), and visits
-    is the number of nodes formed.  A score that is not finite (float
-    backend) or too large to convert to a float (exact backend) raises
-    ValueError naming the least word length where one occurs.
+    is true (the box norm if `leaf` is None, else leaf(p, k)), and the
+    rooted spectral radius of every necklace when `radii` is true.  Without
+    norms only the suffixes of the necklaces are expanded.
     """
-    ta, tb, d = _scaled_pair(a, b)
-    dk = [d**k for k in range(2 * hi + 1)]
-    if norm is None:
-        leaf = None
-    elif a.is_exact:
-        def leaf(p, k):
-            return norm.matrix_norm(Mat2(*(Scalar(Fraction(x, dk[k])) for x in p)))
-    else:
-        def leaf(p, k):
-            return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
-    # Float products can overflow, and exact ones can outgrow the float
-    # range of their scores.  The least depth where either happens is
-    # raised after the walk.
-    finite = None if a.is_exact else math.isfinite
-    overflow = hi + 1
-    # Exact box-norm walks prune: see the module docstring.
-    prune = norms and leaf is None and finite is None
-    expand_all = norms and not prune
+    lo, hi, top = scores.lo, scores.hi, scores.top
+    finite = None if scores.exact else math.isfinite
     necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
-    # The suffixes of the scored necklaces, expanded whatever the norms say.
-    live = None if expand_all else _suffix_sets(necklace, lo, hi)
-    if prune:
-        cap = _box_caps(ta, tb, hi)
-        # A depth-i node with box norm v is grown iff v > thr[i], the least
-        # over depths j in max(i + 1, lo)..hi of term[i][j]: -1 while
-        # top[j] is unset, else top[j] // cap[j - i], or inf if cap[j - i]
-        # is 0.  Each term only rises, as top[j] does.
-        term = [
-            [-1 if j >= max(i + 1, lo) else math.inf for j in range(hi + 1)]
-            for i in range(hi + 1)
-        ]
-        thr = [min(row) for row in term]
-    dets = elliptic = None
-    if radii and finite is None:
-        # det is multiplicative: a depth-k node with nb factors B has det
-        # det(A)**(k - nb) * det(B)**nb.  When its eigenvalues are a
-        # complex pair, its rooted radius depends on that det alone.
-        da = ta[0] * ta[3] - ta[1] * ta[2]
-        db = tb[0] * tb[3] - tb[1] * tb[2]
-        dets = [[da ** (k - nb) * db**nb for nb in range(k + 1)] for k in range(hi + 1)]
-        elliptic = [[None] * (k + 1) for k in range(hi + 1)]
-    top = [None] * (hi + 1)
-    scored = [[] for _ in range(hi + 1)]
+    live = None if norms else _suffix_sets(necklace, lo, hi)
+    radius = scores.radius
     visits = 0
     a11, a12, a21, a22 = ta
     b11, b12, b21, b22 = tb
@@ -337,98 +451,69 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     while stack:
         p11, p12, p21, p22, k, code = pop()
         visits += 1
-        if prune or norms and k >= lo:
-            if leaf is None:
-                # BoxNorm, inlined: the larger absolute row sum.
-                r0, r1 = abs(p11) + abs(p12), abs(p21) + abs(p22)
-                v = r0 if r0 >= r1 else r1
-            else:
-                v = leaf((p11, p12, p21, p22), k)
         if k >= lo:
             if norms:
+                if leaf is None:
+                    # BoxNorm, inlined: the larger absolute row sum.
+                    r0, r1 = abs(p11) + abs(p12), abs(p21) + abs(p22)
+                    v = r0 if r0 >= r1 else r1
+                else:
+                    v = leaf((p11, p12, p21, p22), k)
                 # Both row sums are checked: a nan row loses the comparison.
                 if finite is not None and not (
                     finite(r0) and finite(r1) if leaf is None else finite(v)
                 ):
-                    overflow = min(overflow, k)
+                    scores.overflow = min(scores.overflow, k)
                 best = top[k]
                 if best is None or v > best:
                     top[k] = v
-                    if prune:
-                        for i in range(1, k):
-                            c = cap[k - i]
-                            row = term[i]
-                            old, row[k] = row[k], v // c if c else math.inf
-                            if old == thr[i]:
-                                thr[i] = min(row)
             if radii and code in necklace[k]:
-                # p is D**k times the product: trace scales by D**k, det
-                # and discriminant by D**(2k).  The discriminant's sign is
-                # decided before any rounding.
-                t = p11 + p22
-                if dets is None:
-                    det = p11 * p22 - p12 * p21
-                else:
-                    nb = code.bit_count()
-                    det = dets[k][nb]
-                disc = t * t - 4 * det
-                if finite is not None and not finite(disc):
-                    # A finite disc gives a finite radius; any other
-                    # leaves the radius inf or nan.
-                    overflow = min(overflow, k)
-                elif disc < 0 and elliptic is not None and elliptic[k][nb] is not None:
-                    scored[k].append((elliptic[k][nb], code))
-                else:
-                    try:
-                        r = matrix2.radius_from_invariants(
-                            t / dk[k],
-                            det / dk[2 * k],
-                            disc / dk[2 * k] if disc >= 0 else None,
-                        )
-                    except OverflowError:
-                        # An exact quotient too large for a float.
-                        overflow = min(overflow, k)
-                    else:
-                        r **= 1.0 / k
-                        if disc < 0 and elliptic is not None:
-                            elliptic[k][nb] = r
-                        scored[k].append((r, code))
+                radius(k, code, (p11, p12, p21, p22))
             if k == hi:
                 continue
-        grow = expand_all or prune and v > thr[k]
         bcode = code | 1 << k
-        if grow or bcode in live[k + 1]:
+        if norms or bcode in live[k + 1]:
             push((b11 * p11 + b12 * p21, b11 * p12 + b12 * p22,
                   b21 * p11 + b22 * p21, b21 * p12 + b22 * p22, k + 1, bcode))
-        if grow or code in live[k + 1]:
+        if norms or code in live[k + 1]:
             push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
                   a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
-    rho, bars = {}, {}
-    if norms:
-        for k in range(lo, min(overflow, hi + 1)):
-            try:
-                # int / int rounds correctly, as float(Fraction) does.
-                best = float(top[k] / dk[k] if leaf is None else top[k])
-            except OverflowError:
-                overflow = k
-                break
-            rho[k] = best ** (1.0 / k)
-    if overflow <= hi:
-        if finite is None:
-            raise ValueError(
-                f"exact products leave the float range at word length {overflow}: "
-                "a norm, trace or determinant is too large for a float"
-            )
-        raise ValueError(
-            f"float products overflow at word length {overflow}: "
-            "a norm or spectral radius is not finite"
-        )
-    if radii:
-        for k in range(lo, hi + 1):
-            best = max(r for r, _ in scored[k])
-            cut = best - _TIE_TOL * max(1.0, abs(best))
-            codes = sorted(c for r, c in scored[k] if r >= cut)
-            bars[k] = (best, tuple(Word.from_display(_display(c, k)) for c in codes))
+    return visits
+
+
+def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
+    """The scores of the products of (a, b) at word lengths lo..hi.
+
+    Scores the norm of every product when `norms` is true (BoxNorm if
+    `norm` is None, else norm.matrix_norm), and the rooted spectral radius
+    of every necklace when `radii` is true.  Returns (rho, bars, visits),
+    keyed by length k: rho[k] is the largest norm at length k to the power
+    1/k, bars[k] is (rho_bar, maximizers), and visits is the number of
+    products (or hull points) formed.  A score that is not finite (float
+    backend) or too large to convert to a float (exact backend) raises
+    ValueError naming the least word length where one occurs.
+    """
+    ta, tb, d = _scaled_pair(a, b)
+    scores = _Scores(ta, tb, d, lo, hi, a.is_exact, radii)
+    if a.is_exact and norm is None:
+        visits = 0
+        if norms:
+            tops, visits = _box_tops(ta, tb, hi)
+            scores.top[lo:] = tops[lo:]
+        if radii:
+            visits += _score_necklaces(ta, tb, scores)
+    else:
+        dk = scores.dk
+        if norm is None:
+            leaf = None
+        elif a.is_exact:
+            def leaf(p, k):
+                return norm.matrix_norm(Mat2(*(Scalar(Fraction(x, dk[k])) for x in p)))
+        else:
+            def leaf(p, k):
+                return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
+        visits = _walk_tree(ta, tb, scores, leaf, norms, radii)
+    rho, bars = scores.result(norm is None, norms, radii)
     return rho, bars, visits
 
 

@@ -99,6 +99,16 @@ class TestBounds:
         assert lines[0] == "n,rho_bar_n,rho_n,maximizers"
         assert lines[3].startswith("3,1.21,")
 
+    def test_failed_csv_write_prints_no_table(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "bounds.csv"
+        code, out, err = run(
+            capsys, "bounds", "--c", "11/10", "--max-n", "3", "--csv", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: smpverify bounds")
+        assert f"smpverify bounds: error: [Errno 2] No such file or directory: '{path}'" in err
+        assert not path.parent.exists()
+
 
 class TestCertify:
     def test_exact_certified(self, capsys):

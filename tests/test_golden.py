@@ -5,10 +5,11 @@ Each .txt file under tests/golden/ is one run: the command line, then
 exact and a certified float run, failing inclusions on both backends (b3
 and b9 escape), a non-convex polygon (no gauge keys) and the alt family
 (no closed-form key); two runs at a 96-bit c, one certified and one with
-b3 and b9 escaping, pin the big-integer values of the exact path.  The bounds cases cover exact box-norm walks (main
-at 233/224 and 11/10), a float walk (alt) and an exact polygon-norm walk;
-a run with `--csv table.csv` also pins the written file as the .csv of
-the same name.
+b3 and b9 escaping, pin the big-integer values of the exact path.  The
+bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
+n = 14 and to the word cap n = 20), a float walk (alt) and an exact
+polygon-norm walk; a run with `--csv table.csv` also pins the written file
+as the .csv of the same name.
 """
 
 from pathlib import Path
@@ -31,6 +32,7 @@ KV_CASES = (
 BOUNDS_CASES = (
     "bounds_exact_233_224",
     "bounds_exact_11_10",
+    "bounds_exact_11_10_n20",
     "bounds_float_alt",
     "bounds_exact_polygon",
 )

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -385,8 +384,17 @@ def _singular(entries):
     return (a11, a12, k * a11, k * a12, *rest)
 
 
-# Exact pairs for the pruned walk, including pairs where cap (the bound on
-# a descendant's box norm) is 0 at some depth: singular, nilpotent and zero.
+# Exact pairs for the hull and the necklace recursion, including pairs
+# whose hull collapses to a segment or to 0 at some depth: singular,
+# nilpotent and zero.
+EDGE_PAIRS = {
+    "singular": _singular((Fraction(-2, 3), Fraction(1, 4), 0, 0, Fraction(3, 5),
+                           Fraction(-7, 11), Fraction(1, 9), Fraction(2))),
+    "nilpotent_product": (0, 1, 0, 0, 0, 0, 1, 0),
+    "nilpotent_pair": (0, 1, 0, 0, 0, 2, 0, 0),
+    "zero": (0,) * 8,
+    "zero_A": (0, 0, 0, 0, Fraction(3, 5), Fraction(-7, 11), Fraction(1, 9), Fraction(2)),
+}
 exact_pair_st = st.one_of(
     pair_st,
     pair_st.map(_singular),
@@ -414,8 +422,9 @@ def assert_pruned_walk_matches(a, b, n):
 
 
 class TestPrunedWalk:
-    """Exact box-norm walks skip subtrees that can neither raise a rho_n
-    maximum nor reach a necklace; their results are those of a full walk."""
+    """Exact box-norm walks take rho_n from the hull of images and rho_bar_n
+    from the necklace recursion, forming far fewer products than the full
+    walk; their results are those of the full walk."""
 
     @settings(max_examples=40, deadline=None)
     @given(exact_pair_st, st.integers(1, 11))
@@ -430,23 +439,30 @@ class TestPrunedWalk:
         assert_pruned_walk_matches(mset.a, mset.b, n)
 
     def test_exact_main_visits_fewer_than_half_the_nodes(self):
+        # 110 hull images and 932 prenecklace products; the branch and
+        # bound walk this replaced formed 1734 products.
         mset = _exact_main(233, 224)
         _, _, visits = words._walk(mset.a, mset.b, 1, 11)
-        assert visits < (2**12 - 2) / 2
+        assert visits == 110 + 932
         _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=BoxNorm())
         assert visits == 2**12 - 2
 
-    def test_caps_bound_every_product(self):
-        # Exact up to length 6, an upper bound beyond.
-        mset = _exact_main(11, 10)
-        ta, tb, d = words._scaled_pair(mset.a, mset.b)
-        caps = words._box_caps(ta, tb, 9)
+    @pytest.mark.parametrize("case", ["main_11_10", *EDGE_PAIRS])
+    def test_hull_tops_equal_the_largest_box_norm(self, case):
+        if case == "main_11_10":
+            mset = _exact_main(11, 10)
+            a, b = mset.a, mset.b
+        else:
+            entries = EDGE_PAIRS[case]
+            a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        # tops[m] is D**m times the largest box norm of the 2**m products.
+        ta, tb, d = words._scaled_pair(a, b)
+        tops, _ = words._box_tops(ta, tb, 9)
+        level = [Mat2.identity_like(a)]
         for m in range(1, 10):
-            largest = d**m * max(
-                BoxNorm().matrix_norm(evaluate(Word.from_display(w), mset.a, mset.b)).value
-                for w in map("".join, itertools.product("AB", repeat=m))
-            )
-            assert caps[m] == largest if m <= 6 else caps[m] >= largest
+            level = [f @ p for p in level for f in (a, b)]
+            largest = max(BoxNorm().matrix_norm(p).value for p in level)
+            assert tops[m] == d**m * largest
 
 
 class TestFloatOverflow:
