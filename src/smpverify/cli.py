@@ -240,13 +240,14 @@ def cmd_certify(args, parser) -> int:
     _warn(reason)
     cert = certify_smp(mset, mu, args.tol)
     print(cert.as_text())
-    kv = "".join(f"{key} = {value}\n" for key, value in cert.as_kv())
-    if args.kv:
-        print(kv, end="")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(kv)
-        print(f"report written to {args.report}")
+    if args.kv or args.report:
+        kv = "".join(f"{key} = {value}\n" for key, value in cert.as_kv())
+        if args.kv:
+            print(kv, end="")
+        if args.report:
+            with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(kv)
+            print(f"report written to {args.report}")
     return 0 if cert.passed else 1
 
 

@@ -19,7 +19,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .matrix2 import Mat2, Vec2, eigenvector_unit_first, quarter_turn, spectral_radius
+from .matrix2 import (
+    EigenvectorError,
+    Mat2,
+    Vec2,
+    eigenvector_unit_first,
+    mul_entries,
+    quarter_turn,
+    scaled_entries,
+    spectral_radius,
+)
 from .scalar import REL_TOL, KappaContext, Record, Scalar
 
 __all__ = [
@@ -171,29 +180,29 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
     Requires A**3 = B**3 = I (that is what makes the twelve-vertex
     construction close up); on the exact backend lam = kappa**2 exactly
     and the scale is c**2, so the normalized entries stay rational.
+
+    On the exact backend every check is an int identity on the entries
+    scaled by the lcm F of their denominators: (F A)^3 == F^3 I and the
+    same for B, lam = p/q a root of x^2 - tr(BAA) x + det(BAA) as
+    p^2 F^6 - tr(F^3 BAA) p q F^3 + det(F^3 BAA) q^2 == 0, and the
+    normalized cube A~^3 == I/lam as p (G A~)^3 == q G^3 I.  The only
+    Fractions formed are lam, the scale and the entries of A~ and B~.
     """
     a, b = mset.a, mset.b
-    if a.is_exact and mset.ctx is None:
-        raise ValueError(
-            "exact pairs need a cube-root context (kappa = c**3) to normalize"
-        )
+    if a.is_exact:
+        return _normalize_exact(mset)
+    if mset.ctx is not None:
+        raise TypeError("a cube-root context applies to exact pairs only")
     baa = b @ a @ a
-    if mset.ctx is None:
-        lam = spectral_radius(baa)
-        scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
-        # Checked before the cube identities: at such a lam, rounding
-        # fails them, which would read as a mathematical failure.
-        if not (math.isfinite(lam.value) and math.isfinite(scale.value)):
-            raise ValueError(f"lam = {lam} is out of float range; cannot normalize")
+    lam = spectral_radius(baa)
+    scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
+    # Checked before the cube identities: at such a lam, rounding
+    # fails them, which would read as a mathematical failure.
+    if not (math.isfinite(lam.value) and math.isfinite(scale.value)):
+        raise ValueError(f"lam = {lam} is out of float range; cannot normalize")
     for m, name in ((a, "A"), (b, "B")):
         if not (m @ m @ m).isclose(Mat2.identity_like(m), rel_tol):
             raise ValueError(f"{name}**3 is not the identity; cannot normalize")
-    if mset.ctx is not None:
-        lam = mset.ctx.power(6)
-        # lam must be an eigenvalue of BAA: x^2 - tr*x + det annihilates it.
-        if lam * lam - baa.trace() * lam + baa.det() != 0:
-            raise ValueError("kappa**2 is not an eigenvalue of B @ A @ A")
-        scale = mset.ctx.power(2)
     inv = 1 / scale
     at, bt = a.scale(inv), b.scale(inv)
     norm = NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)
@@ -203,6 +212,34 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
     if not cube.isclose(expected, rel_tol):
         raise ValueError("normalization failed the cube identity")
     return norm
+
+
+def _normalize_exact(mset: MatrixSet) -> NormalizedSet:
+    """normalize on the exact backend, with its checks on ints."""
+    if mset.ctx is None:
+        raise ValueError(
+            "exact pairs need a cube-root context (kappa = c**3) to normalize"
+        )
+    f, (ai, bi) = scaled_entries((mset.a, mset.b))
+    f3 = f**3
+    for m, name in ((ai, "A"), (bi, "B")):
+        if mul_entries(mul_entries(m, m), m) != (f3, 0, 0, f3):
+            raise ValueError(f"{name}**3 is not the identity; cannot normalize")
+    lam = mset.ctx.power(6)
+    # lam must be an eigenvalue of BAA: x^2 - tr*x + det annihilates it.
+    p, q = lam.value.numerator, lam.value.denominator
+    m11, m12, m21, m22 = mul_entries(mul_entries(bi, ai), ai)
+    if p * p * f3 * f3 - (m11 + m22) * p * q * f3 + (m11 * m22 - m12 * m21) * q * q:
+        raise ValueError("kappa**2 is not an eigenvalue of B @ A @ A")
+    scale = mset.ctx.power(2)
+    inv = 1 / scale
+    at, bt = mset.a.scale(inv), mset.b.scale(inv)
+    # Sanity: the normalized cube must equal (1/lam) * I.
+    g, (ati,) = scaled_entries((at,))
+    qg3 = q * g**3
+    if tuple(p * e for e in mul_entries(mul_entries(ati, ati), ati)) != (qg3, 0, 0, qg3):
+        raise ValueError("normalization failed the cube identity")
+    return NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)
 
 
 def eigenvectors_vw(ctx: KappaContext) -> tuple[Vec2, Vec2]:
@@ -221,9 +258,36 @@ def eigenvectors_from_products(
 
     Works on either backend and for any pair satisfying the normalization
     contract; the eigenvalue-1 residual is checked inside the extraction.
+    On the exact backend the triple products are formed as ints, G^3 times
+    the products over the lcm G of the denominators of A~ and B~, and each
+    vector is one Fraction; floats go through eigenvector_unit_first.
     """
     at, bt = norm.at, norm.bt
-    one = Scalar.exact(1) if at.is_exact else Scalar.flt(1.0)
+    if at.is_exact:
+        g, (ati, bti) = scaled_entries((at, bt))
+        g3 = g**3
+        products = (
+            mul_entries(mul_entries(bti, ati), ati),
+            mul_entries(mul_entries(bti, bti), ati),
+        )
+        return tuple(_unit_first_fixed_vector(m, g3) for m in products)
+    one = Scalar.flt(1.0)
     v = eigenvector_unit_first(bt @ at @ at, one, rel_tol)
     w = eigenvector_unit_first(bt @ bt @ at, one, rel_tol)
     return v, w
+
+
+def _unit_first_fixed_vector(m: tuple, s: int) -> Vec2:
+    """eigenvector_unit_first(M, 1) for M = m / s, m a row-major 4-tuple of
+    ints and s > 0: the same tests, messages and row choice, on ints."""
+    m11, m12, m21, m22 = m
+    t, d = m11 + m22, m11 * m22 - m12 * m21
+    if s * s - t * s + d != 0:
+        raise EigenvectorError("1 is not an eigenvalue")
+    if 2 * s == t:
+        raise EigenvectorError("eigenvalue is not simple")
+    # Rows of s (M - I); the eigenvector is orthogonal to the first nonzero.
+    a, b = (m11 - s, m12) if (m11 != s or m12 != 0) else (m21, m22 - s)
+    if b == 0:
+        raise EigenvectorError("eigenvector is parallel to (0, 1)")
+    return Vec2(Scalar(Fraction(1)), Scalar(Fraction(-a, b)))

@@ -19,6 +19,12 @@ Scalar arithmetic would.  On the exact backend it goes through one kernel
 that forms the numerator and denominator as ints and reduces them with one
 gcd, where two Fraction products and a Fraction sum take about five; `dot`
 uses the same kernel on exact vectors.  The value is the same rational.
+
+The exact certificate skips Mat2 for its checks: scaled_entries puts
+matrices over one common denominator (one lcm) as row-major 4-tuples of
+ints, and mul_entries and apply_entries form products and images of those
+tuples in the order of Mat2 @, with no Fraction and no gcd.  An identity
+or a sign of the scaled ints is that of the rationals.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ __all__ = [
     "similarity",
     "eigenvector_unit_first",
     "common_scale",
+    "scaled_entries",
+    "mul_entries",
+    "apply_entries",
 ]
 
 
@@ -120,6 +129,35 @@ def common_scale(values) -> tuple[int, list[int]]:
     """The lcm D of the denominators of some Fractions, and D times each."""
     d = math.lcm(*(q.denominator for q in values))
     return d, [q.numerator * (d // q.denominator) for q in values]
+
+
+def scaled_entries(mats) -> tuple[int, list[tuple]]:
+    """(F, rows): each matrix's row-major entries times the lcm F of all
+    their denominators, as ints, for exact matrices; F = 1 and the floats
+    themselves for float ones.  The backends must agree."""
+    exact = mats[0].is_exact
+    if any(m.is_exact is not exact for m in mats):
+        raise BackendMismatchError("cannot combine exact and float matrices")
+    values = [q.value for m in mats for q in m.entries()]
+    f, values = common_scale(values) if exact else (1, values)
+    return f, [tuple(values[k:k + 4]) for k in range(0, len(values), 4)]
+
+
+def mul_entries(a: tuple, b: tuple) -> tuple:
+    """The product of two row-major 4-tuples, each entry formed in the
+    order of Mat2 @: the int product F F' a b of scaled ints F a, F' b."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21, a21 * b12 + a22 * b22,
+    )
+
+
+def apply_entries(m: tuple, x: tuple) -> tuple:
+    """The row-major 4-tuple m applied to the pair x, in the order of Mat2 @."""
+    x1, x2 = x
+    return (m[0] * x1 + m[1] * x2, m[2] * x1 + m[3] * x2)
 
 
 def dot(x: Vec2, y: Vec2) -> Scalar:

@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import math
 
-from .matrix2 import Mat2, SingularMatrixError, Vec2, similarity
+from .matrix2 import (
+    Mat2,
+    SingularMatrixError,
+    Vec2,
+    mul_entries,
+    scaled_entries,
+    similarity,
+)
 from .scalar import REL_TOL, Record, Scalar
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
@@ -139,7 +146,20 @@ def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
 
 
 def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float = REL_TOL) -> bool:
-    """Check the swap identities tau(a) == b and tau(b) == a; a singular s fails."""
+    """Check the swap identities tau(a) == b and tau(b) == a; a singular s fails.
+
+    On exact matrices the test is a S == S b, b S == S a and det S != 0, on
+    the ints F a, F b and F S over the lcm F of their denominators: for an
+    invertible S that is S^-1 a S == b and S^-1 b S == a, with no inverse
+    formed.  Float matrices are conjugated and compared within rel_tol.
+    """
+    if a.is_exact and b.is_exact and tau.s.is_exact:
+        _, (ai, bi, si) = scaled_entries((a, b, tau.s))
+        return (
+            si[0] * si[3] != si[1] * si[2]
+            and mul_entries(ai, si) == mul_entries(si, bi)
+            and mul_entries(bi, si) == mul_entries(si, ai)
+        )
     try:
         return tau.apply(a).isclose(b, rel_tol) and tau.apply(b).isclose(a, rel_tol)
     except SingularMatrixError:

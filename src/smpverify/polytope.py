@@ -19,25 +19,36 @@ x, y, 0 exactly when s, t >= 0 and h <= 1.  On the exact backend every one
 of these quantities is a rational number, so the certificate carries no
 rounding at all.
 
-The gauge, the matrix norm, the convexity levels and the inclusion checks
-all read one edge table per polygon, built on first use: per edge
-(v_i, v_{i+1}) the rotated endpoints T v_{i+1} and T v_i, the products
-(v_i, T v_{i+1}) and (v_{i+1}, T v_i), the difference v_{i+1} - v_i and a
-collinearity flag.  On the exact backend the vertices are scaled by the lcm
-D of their 24 denominators, so the table holds ints V = D v, and a matrix M
-by the lcm F of its denominators (of A~ and B~ together in the inclusions),
-so each image M v_i is the int point Z = (F M) V_i over E = F D.  The gauge
-compares the sign of (Z, Ty) with that of the table's (x, Ty), with neither
-a division nor a product, and builds h once as the Fraction
-(v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)).  The identities are the int
-equalities Z == F V_j (lam.num Z == lam.den F V_j for the 1/lam ones); the
-sector tests read edge rows 11 and 2, as s = (Z, Ty) / (F (x, Ty)) and so
-on; a convexity level is (V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}),
-where D cancels.  Each value is one Fraction, reduced once.  On the float
-backend D = F = E = 1 and every value is formed with the operations of
-Mat2 @, sector_coords and triangle_h in their order, so it is bit-identical
-to theirs: each check has one code path for both backends.  The tolerance
-is read at call time and never stored.
+The exact certificate decides every check on ints and reduces a Fraction
+only for a value it stores for the report.  Before the polygon exists,
+verify_tau, normalize and eigenvectors_from_products test their
+identities on the pair's entries scaled to ints (matrix2.scaled_entries),
+and build_polygon forms the six base vertices as int points over one
+denominator, each coordinate reduced once.
+
+The gauge, the matrix norm, the convexity levels, the inclusion checks
+and the exact vertex order check all read one edge table per polygon,
+built on first use: per edge (v_i, v_{i+1}) the rotated endpoints
+T v_{i+1} and T v_i, the products (v_i, T v_{i+1}) and (v_{i+1}, T v_i),
+the difference v_{i+1} - v_i and a collinearity flag.  On the exact backend the vertices
+are scaled by the lcm D of their 24 denominators, so the table holds ints
+V = D v, and a matrix M by the lcm F of its denominators (of A~ and B~
+together in the inclusions), so each image M v_i is the int point
+Z = (F M) V_i over E = F D.  A verdict is an int sign or an int identity:
+the gauge compares the sign of (Z, Ty) with that of the table's (x, Ty),
+with neither a division nor a product; an order product (v_i, T v_j) is
+positive iff (V_i, T V_j) > 0, and matches its closed form by
+cross-multiplication with the closed form's unreduced numerator and
+denominator; the identities are Z == F V_j (lam.num Z == lam.den F V_j
+for the 1/lam ones).  The values the report prints are each one Fraction,
+reduced once: a gauge h = (v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)),
+an order product (V_i, T V_j) / D^2, the sector tests' s = (Z, Ty) /
+(F (x, Ty)) and so on from edge rows 11 and 2, and a convexity level
+(V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}), where D cancels.  On the
+float backend D = F = E = 1 and every value is formed with the operations
+of Mat2 @, sector_coords and triangle_h in their order, so it is
+bit-identical to theirs: each check has one code path for both backends.
+The tolerance is read at call time and never stored.
 
 certify_smp evaluates each of the 24 image gauges once.  verify_inclusions
 gauges every a_i = A~ v_i and b_i = B~ v_i of a convex polygon, and the
@@ -75,7 +86,16 @@ from .families import (
     eigenvectors_from_products,
     normalize,
 )
-from .matrix2 import Mat2, Vec2, common_scale, dot, rot90
+from .matrix2 import (
+    Mat2,
+    Vec2,
+    apply_entries,
+    common_scale,
+    dot,
+    mul_entries,
+    rot90,
+    scaled_entries,
+)
 from .permutability import TauMap, friedland_permutable, is_irreducible, verify_tau
 from .scalar import (
     REL_TOL,
@@ -209,14 +229,6 @@ def _ratio(num, den, exact: bool) -> Scalar:
     return Scalar(Fraction(num, den) if exact else num / den)
 
 
-def _scaled_entries(mats, exact: bool) -> tuple[int, list]:
-    """(F, rows): each matrix's four entries times the lcm F of all their
-    denominators, as ints; F = 1 and the floats themselves on floats."""
-    values = [q.value for m in mats for q in m.entries()]
-    f, values = common_scale(values) if exact else (1, values)
-    return f, [values[k:k + 4] for k in range(0, len(values), 4)]
-
-
 def _image_points(table: _EdgeTable, entries) -> list[tuple]:
     """(F M)(D v_i) for the twelve table vertices, each coordinate in the
     order of Mat2 @: the image M v_i times E = F D."""
@@ -336,7 +348,7 @@ class Polygon(Record):
         """
         _check_backend(self, m.is_exact)
         table = self._edge_table
-        f, (entries,) = _scaled_entries((m,), self.is_exact)
+        f, (entries,) = scaled_entries((m,))
         points = _image_points(table, entries)
         return Scalar(max(_gauges(table, points, f * table.scale, rel_tol, self.is_exact)))
 
@@ -365,11 +377,74 @@ def build_polygon(
     Validates the fixed-vector identities (v and w must be fixed by
     B~A~A~ and B~B~A~) and cross-checks the recursive construction
     against the direct expressions -mu*A~v, mu*A~A~v and B~A~w.
+
+    On the exact backend the construction runs on ints: A~ and B~ scaled
+    by the lcm G of their denominators, mu, v and w by the lcm H of
+    theirs.  The checks are int equalities, and the six base vertices are
+    int points over the one denominator G^2 H^2, each coordinate reduced
+    once to a Fraction.  Floats go through Mat2 @.
     """
     at, bt = norm.at, norm.bt
     mu = _coerce_mu(mu, at.is_exact)
     if not mu > 0:
         raise ValueError(f"need mu > 0, got {mu}")
+    if at.is_exact and v.is_exact and w.is_exact:
+        base = _base_vertices_exact(at, bt, v, w, mu)
+    else:
+        base = _base_vertices_float(at, bt, v, w, mu, rel_tol)
+    verts = base + tuple(-x for x in base)
+    src = norm.source
+    return Polygon(
+        vertices=verts, mu=mu, kappa=src.kappa, ctx=src.ctx, family=src.family
+    )
+
+
+def _times(k: int, x: tuple) -> tuple:
+    return (k * x[0], k * x[1])
+
+
+def _base_vertices_exact(at: Mat2, bt: Mat2, v: Vec2, w: Vec2, mu: Scalar) -> tuple:
+    """v1..v6 of build_polygon, with its checks as int equalities.
+
+    A~, B~ = (a, b) / G and mu, v, w = (m, V, W) / H, so a base vertex
+    with k factors A~ or B~ is an int point over G^k H^2.
+    """
+    g, (a, b) = scaled_entries((at, bt))
+    h, (m, *vw) = common_scale((mu.value, v.x1.value, v.x2.value, w.x1.value, w.x2.value))
+    vv, ww = tuple(vw[:2]), tuple(vw[2:])
+    ba = mul_entries(b, a)
+    g3 = g**3
+    for vec, m3, name in ((vv, mul_entries(ba, a), "v"), (ww, mul_entries(b, ba), "w")):
+        if apply_entries(m3, vec) != _times(g3, vec):
+            raise ValueError(f"{name} is not fixed by its triple product")
+    v1 = _times(m, vv)
+    v2 = _times(h, ww)
+    v3 = _times(-1, apply_entries(a, v1))
+    v4 = _times(-1, apply_entries(a, v2))
+    v5 = _times(-1, apply_entries(a, v3))
+    v6 = _times(-1, apply_entries(b, v4))
+    # Cross-check the unrolled forms of the same vertices.
+    av = apply_entries(a, vv)
+    direct = (
+        (v3, _times(-m, av), "v3"),
+        (v5, _times(m, apply_entries(a, av)), "v5"),
+        (v6, _times(h, apply_entries(ba, ww)), "v6"),
+    )
+    for built, unrolled, name in direct:
+        if built != unrolled:
+            raise RuntimeError(f"vertex cross-check failed for {name}")
+    gg = g * g
+    den = gg * h * h
+    return tuple(
+        Vec2(Scalar(Fraction(x1, den)), Scalar(Fraction(x2, den)))
+        for x1, x2 in (
+            _times(gg, v1), _times(gg, v2), _times(g, v3), _times(g, v4), v5, v6
+        )
+    )
+
+
+def _base_vertices_float(at, bt, v, w, mu, rel_tol) -> tuple:
+    """v1..v6 of build_polygon on the float backend, through Mat2 @."""
     for vec, m3, name in ((v, bt @ at @ at, "v"), (w, bt @ bt @ at, "w")):
         if not (m3 @ vec).isclose(vec, rel_tol):
             raise ValueError(f"{name} is not fixed by its triple product")
@@ -388,12 +463,7 @@ def build_polygon(
     for built, unrolled, name in direct:
         if not built.isclose(unrolled, rel_tol):
             raise RuntimeError(f"vertex cross-check failed for {name}")
-    base = (v1, v2, v3, v4, v5, v6)
-    verts = base + tuple(-x for x in base)
-    src = norm.source
-    return Polygon(
-        vertices=verts, mu=mu, kappa=src.kappa, ctx=src.ctx, family=src.family
-    )
+    return (v1, v2, v3, v4, v5, v6)
 
 
 class ImagePoints(Record):
@@ -590,22 +660,73 @@ def _order_products_closed(pw, mu: Scalar) -> dict:
     }
 
 
+class _Ratio:
+    """An unreduced rational num / den of two ints, den != 0: just the
+    operations of _order_products_closed, with no gcd."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return _Ratio(self.num + other * self.den, self.den)
+        return _Ratio(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return _Ratio(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        return _Ratio(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other: int):
+        return _Ratio(other * self.den, self.num)
+
+
 def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     """All fifteen products (v_i, T v_j), i < j <= 6, must be positive:
     the rays are then pairwise distinct and the clockwise traversal meets
     the vertices in index order, for any kappa > 1 and mu > 0.  On the
-    zero-corner family each product must also match its closed form."""
-    products = [dot(poly.v(i), rot90(poly.v(j))) for i, j in _ORDER_PAIRS]
-    passed = all(val > 0 for val in products)
+    zero-corner family each product must also match its closed form.
+
+    On the exact backend each product is the int P = (V_i, T V_j) of the
+    edge table's vertices V = D v, positive iff P > 0, and reduced once,
+    as P / D^2, for the report.  The closed forms are evaluated on
+    unreduced _Ratio values and matched by cross-multiplication.
+    """
+    if poly.is_exact:
+        table = poly._edge_table
+        verts, dd = table.vertices, table.scale * table.scale
+        ints = [
+            verts[i - 1][1] * verts[j - 1][0] - verts[i - 1][0] * verts[j - 1][1]
+            for i, j in _ORDER_PAIRS
+        ]
+        passed = all(p > 0 for p in ints)
+        products = [Scalar(Fraction(p, dd)) for p in ints]
+    else:
+        products = [dot(poly.v(i), rot90(poly.v(j))) for i, j in _ORDER_PAIRS]
+        passed = all(val > 0 for val in products)
     data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(_ORDER_PAIRS, products)]
     data.append(("order.all_positive", passed))
     if poly.family == "main":
-        pw = _as_kappa(poly.ctx if poly.ctx is not None else poly.kappa).power
-        closed = _order_products_closed(pw, poly.mu)
-        match = all(
-            val.isclose(closed[pair], rel_tol)
-            for pair, val in zip(_ORDER_PAIRS, products)
-        )
+        kappa = _as_kappa(poly.ctx if poly.ctx is not None else poly.kappa)
+        if poly.is_exact:
+            c, mu = kappa.c, poly.mu.value
+            closed = _order_products_closed(
+                lambda k: _Ratio(c.numerator**k, c.denominator**k),
+                _Ratio(mu.numerator, mu.denominator),
+            )
+            match = all(
+                p * closed[pair].den == closed[pair].num * dd
+                for pair, p in zip(_ORDER_PAIRS, ints)
+            )
+        else:
+            closed = _order_products_closed(kappa.power, poly.mu)
+            match = all(
+                val.isclose(closed[pair], rel_tol)
+                for pair, val in zip(_ORDER_PAIRS, products)
+            )
         data.append(("order.closed_form_match", match))
         passed = passed and match
     return CheckResult("vertex_order", passed, "", tuple(data))
@@ -688,7 +809,7 @@ def verify_inclusions(
     _check_backend(poly, norm.at.is_exact)
     exact = poly.is_exact
     table = poly._edge_table
-    f, (at, bt) = _scaled_entries((norm.at, norm.bt), exact)
+    f, (at, bt) = scaled_entries((norm.at, norm.bt))
     lists = {"a": _image_points(table, at), "b": _image_points(table, bt)}
     data = []
     failures = []

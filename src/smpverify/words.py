@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .matrix2 import Mat2, common_scale
+from .matrix2 import Mat2, scaled_entries
 from .scalar import Record, Scalar
 from . import matrix2
 
@@ -236,9 +236,8 @@ def _scaled_pair(a: Mat2, b: Mat2):
     """
     if a.is_exact != b.is_exact:
         raise TypeError("matrix backends must match")
-    values = [e.value for e in a.entries() + b.entries()]
-    d, scaled = common_scale(values) if a.is_exact else (1, values)
-    return tuple(scaled[:4]), tuple(scaled[4:]), d
+    d, (ta, tb) = scaled_entries((a, b))
+    return ta, tb, d
 
 
 def _half_hull(points):

@@ -7,6 +7,7 @@ import pytest
 
 from smpverify import cli
 from smpverify.cli import build_parser, main
+from smpverify.polytope import Certificate
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # An exact --c whose cube is beyond the float range: 1 followed by 110 zeros.
@@ -174,6 +175,18 @@ class TestCertify:
         text = path.read_text()
         assert "rho_bar = 121/100" in text
         assert "inclusion.a4.h = " in text
+
+    @pytest.mark.parametrize("mu, code", [("5/4", 0), ("34/25", 1)])
+    def test_text_mode_builds_no_kv_report(self, capsys, monkeypatch, mu, code):
+        argv = ("certify", "--c", "11/10", "--mu", mu)
+        expected = run(capsys, *argv)
+
+        def boom(self):
+            raise AssertionError("the --kv report was built in text mode")
+
+        monkeypatch.setattr(Certificate, "as_kv", boom)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == code
 
     def test_conflicting_parameter_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

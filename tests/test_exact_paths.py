@@ -1,0 +1,290 @@
+"""The exact certificate's int paths against their Mat2 references.
+
+verify_tau, normalize, eigenvectors_from_products, build_polygon and
+vertex_order_check decide every exact check on scaled ints and build a
+Fraction only for a value the certificate stores.  These tests compare
+each int path with the same computation on Mat2 @, similarity,
+eigenvector_unit_first and Scalar arithmetic, on seeded random inputs,
+and check that certify_smp runs no exact Mat2 @.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_words import exact_pair_st
+
+from smpverify import families, polytope
+from smpverify.families import (
+    custom_set,
+    eigenvectors_from_products,
+    example_main_special,
+    normalize,
+    swap_pair,
+)
+from smpverify.matrix2 import (
+    EigenvectorError,
+    Mat2,
+    SingularMatrixError,
+    Vec2,
+    dot,
+    eigenvector_unit_first,
+    rot90,
+    scaled_entries,
+    similarity,
+)
+from smpverify.permutability import TauMap, verify_tau
+from smpverify.polytope import (
+    CheckResult,
+    Polygon,
+    build_polygon,
+    certify_smp,
+    mu_thresholds,
+    vertex_order_check,
+)
+from smpverify.scalar import KappaContext, Scalar
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@st.composite
+def main_c_mu(draw):
+    """(c, mu): c in [1.001, 1.14] with a denominator of 10, 32 or 96 bits, mu
+    inside [mu1, mu2] or within 20% of it, of the same size (at least 1/2)."""
+    bits = draw(st.sampled_from((10, 32, 96)))
+    c = draw(st.fractions(Fraction(1001, 1000), Fraction(114, 100), max_denominator=2**bits))
+    _, mu1, mu2, _ = mu_thresholds(KappaContext(c))
+    lo, hi = sorted((mu1.value, mu2.value))
+    t = draw(st.fractions(Fraction(-1, 5), Fraction(6, 5), max_denominator=2**bits))
+    return c, max(lo + (hi - lo) * t, Fraction(1, 2))
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def reference_tau(a: Mat2, b: Mat2, s: Mat2) -> bool:
+    try:
+        return similarity(s, a) == b and similarity(s, b) == a
+    except SingularMatrixError:
+        return False
+
+
+class TestVerifyTau:
+    @settings(max_examples=80, deadline=None)
+    @given(exact_pair_st, st.tuples(small, small, small, small))
+    def test_random_pairs_and_matrices(self, entries, s):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        tau = Mat2.exact(*s)
+        assert verify_tau(a, b, TauMap(tau)) == reference_tau(a, b, tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(small, small, small, small), small, small, small)
+    def test_traceless_swaps(self, entries, p, q, r):
+        # A traceless S squares to -det(S) I, so S swaps A with S^-1 A S.
+        a, s = Mat2.exact(*entries), Mat2.exact(p, q, r, -p)
+        b = similarity(s, a) if p * p + q * r else a
+        assert verify_tau(a, b, TauMap(s)) == reference_tau(a, b, s)
+
+    @settings(max_examples=30, deadline=None)
+    @given(main_c_mu())
+    def test_main_pairs(self, case):
+        mset = example_main_special(KappaContext(case[0]))
+        eye, singular = Mat2.exact(1, 0, 0, 1), Mat2.exact(2, 3, 4, 6)
+        for s in (mset.tau_s, -mset.tau_s, eye, singular, mset.a):
+            expected = reference_tau(mset.a, mset.b, s)
+            assert verify_tau(mset.a, mset.b, TauMap(s)) == expected
+        assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+        assert not verify_tau(mset.a, mset.b, TauMap(eye))
+        assert not verify_tau(mset.a, mset.b, TauMap(singular))
+
+
+def eigenvalue_one_st():
+    """Matrices with eigenvalue 1, simple or not, and some without it."""
+
+    def with_one(e):
+        m11, m12, m21, m22 = e
+        if m11 != 1:
+            m22 = 1 + m12 * m21 / (m11 - 1)
+        return m11, m12, m21, m22
+
+    quads = st.tuples(small, small, small, small)
+    return st.one_of(
+        quads,
+        quads.map(with_one),
+        st.tuples(st.just(1), small, st.just(0), small),
+        st.tuples(small, st.just(0), small, st.just(1)),
+        st.tuples(st.just(1), st.just(0), small, st.just(1)),
+    )
+
+
+class TestFixedVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(eigenvalue_one_st(), st.integers(1, 7))
+    def test_int_extraction_matches_eigenvector_unit_first(self, entries, scale):
+        m = Mat2.exact(*entries)
+        expected = outcome(eigenvector_unit_first, m, 1)
+        s, (ints,) = scaled_entries((m,))
+        s, ints = s * scale, tuple(e * scale for e in ints)
+        assert outcome(families._unit_first_fixed_vector, ints, s) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(main_c_mu())
+    def test_main_pairs(self, case):
+        norm = normalize(example_main_special(KappaContext(case[0])))
+        at, bt = norm.at, norm.bt
+        expected = tuple(eigenvector_unit_first(m, 1) for m in (bt @ at @ at, bt @ bt @ at))
+        assert eigenvectors_from_products(norm) == expected
+
+    def test_error_paths_match(self, main_exact, ctx11):
+        # B and A exchanged: the fixed direction of B~A~A~ is then (0, 1).
+        norm = normalize(custom_set(main_exact.b, main_exact.a, ctx=ctx11))
+        at, bt = norm.at, norm.bt
+        expected = outcome(eigenvector_unit_first, bt @ at @ at, 1)
+        assert expected == (EigenvectorError, "eigenvector is parallel to (0, 1)")
+        assert outcome(eigenvectors_from_products, norm) == expected
+
+
+def reference_vertices(norm, v, w, mu):
+    """The base vertices of build_polygon through Mat2 @, with its checks."""
+    at, bt = norm.at, norm.bt
+    for vec, m3, name in ((v, bt @ at @ at, "v"), (w, bt @ bt @ at, "w")):
+        if m3 @ vec != vec:
+            raise ValueError(f"{name} is not fixed by its triple product")
+    v1 = v.scale(mu)
+    v3 = -(at @ v1)
+    v4 = -(at @ w)
+    base = (v1, w, v3, v4, -(at @ v3), -(bt @ v4))
+    return base + tuple(-x for x in base)
+
+
+class TestBuildPolygon:
+    @settings(max_examples=40, deadline=None)
+    @given(main_c_mu())
+    def test_vertices_match_mat2_construction(self, case):
+        c, mu = case
+        norm = normalize(example_main_special(KappaContext(c)))
+        v, w = eigenvectors_from_products(norm)
+        mu = Scalar.exact(mu)
+        poly = build_polygon(norm, v, w, mu)
+        assert poly.vertices == reference_vertices(norm, v, w, mu)
+
+    @settings(max_examples=20, deadline=None)
+    @given(main_c_mu(), small, st.sampled_from("vw"))
+    def test_wrong_fixed_vector_fails_alike(self, case, shift, which):
+        c, mu = case
+        norm = normalize(example_main_special(KappaContext(c)))
+        v, w = eigenvectors_from_products(norm)
+        if which == "v":
+            v = Vec2(v.x1, v.x2 + Scalar(shift))
+        else:
+            w = Vec2(w.x1, w.x2 + Scalar(shift))
+        expected = outcome(reference_vertices, norm, v, w, Scalar.exact(mu))
+        got = outcome(lambda: build_polygon(norm, v, w, mu).vertices)
+        assert got == expected
+
+
+class TestOrderClosedForms:
+    def test_ratio_evaluation_matches_scalar_closed_forms(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            bits = rng.choice((8, 32, 96))
+            q = rng.randrange(2 ** (bits - 1), 2**bits)
+            c = Fraction(rng.randrange(q + 1, q + q // 7), q)
+            mu = Fraction(rng.randrange(1, 2**bits), rng.randrange(1, 2**bits))
+            ctx = KappaContext(c)
+            expected = polytope._order_products_closed(ctx.power, Scalar.exact(mu))
+            got = polytope._order_products_closed(
+                lambda k: polytope._Ratio(c.numerator**k, c.denominator**k),
+                polytope._Ratio(mu.numerator, mu.denominator),
+            )
+            assert got.keys() == expected.keys()
+            for pair, ratio in got.items():
+                assert Fraction(ratio.num, ratio.den) == expected[pair].value
+
+
+def reference_order(poly):
+    """vertex_order_check on Vec2 dot products and Scalar closed forms."""
+    pairs = polytope._ORDER_PAIRS
+    products = [dot(poly.v(i), rot90(poly.v(j))) for i, j in pairs]
+    passed = all(val > 0 for val in products)
+    data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(pairs, products)]
+    data.append(("order.all_positive", passed))
+    if poly.family == "main":
+        closed = polytope._order_products_closed(poly.ctx.power, poly.mu)
+        match = all(val == closed[pair] for pair, val in zip(pairs, products))
+        data.append(("order.closed_form_match", match))
+        passed = passed and match
+    return CheckResult("vertex_order", passed, "", tuple(data))
+
+
+def rebuilt(poly, vertices, family):
+    return Polygon(vertices, poly.mu, poly.kappa, poly.ctx, family)
+
+
+class TestVertexOrder:
+    @settings(max_examples=30, deadline=None)
+    @given(main_c_mu(), st.sampled_from(("built", "scaled", "swapped", "reversed")))
+    def test_matches_reference(self, case, change):
+        # Scaled vertices keep the order but miss the closed forms; swapped
+        # or reversed ones break the order too.
+        c, mu = case
+        norm = normalize(example_main_special(KappaContext(c)))
+        poly = build_polygon(norm, *eigenvectors_from_products(norm), mu)
+        verts = poly.vertices
+        verts = {
+            "built": verts,
+            "scaled": tuple(x.scale(Scalar.exact(2)) for x in verts),
+            "swapped": (verts[0], verts[2], verts[1], *verts[3:]),
+            "reversed": verts[::-1],
+        }[change]
+        for family in ("main", "custom"):
+            other = rebuilt(poly, verts, family)
+            expected = reference_order(other)
+            assert vertex_order_check(other) == expected
+            assert expected.passed is (change == "built" or change == "scaled" and family == "custom")
+
+
+def exact_runs():
+    """Exact certify_smp inputs that stop at each check in turn."""
+    ctx = KappaContext(Fraction(11, 10))
+    main = example_main_special(ctx)
+    quarter = swap_pair(Scalar.exact(0), main.kappa)
+    mu = Fraction(5, 4)
+    return [
+        (main, mu),  # certified
+        (main, Fraction(34, 25)),  # b3, b9 escape
+        (main, Fraction(26, 25)),  # not convex
+        (example_main_special(KappaContext(Fraction(233, 224))), Fraction(1)),
+        (custom_set(main.a, main.b, ctx=ctx), mu),  # trace/det criterion
+        (custom_set(main.a, main.b, main.tau_s, KappaContext(Fraction(6, 5))), mu),
+        (custom_set(main.a, main.b, Mat2.exact(1, 0, 0, 1), ctx), mu),
+        (custom_set(quarter.a, quarter.b, quarter.tau_s, ctx), mu),  # A**3 != I
+        (custom_set(main.b, main.a, ctx=ctx), mu),  # fixed direction (0, 1)
+    ]
+
+
+def test_certify_smp_runs_no_exact_matmul(monkeypatch):
+    runs = exact_runs()
+    expected = [certify_smp(mset, mu) for mset, mu in runs]
+    real = Mat2.__matmul__
+
+    def float_only(self, other):
+        if self.is_exact:
+            raise AssertionError("exact Mat2 @ inside certify_smp")
+        return real(self, other)
+
+    monkeypatch.setattr(Mat2, "__matmul__", float_only)
+    with pytest.raises(AssertionError):
+        Mat2.exact(1, 0, 0, 1) @ Mat2.exact(1, 0, 0, 1)
+    assert [certify_smp(mset, mu) for mset, mu in runs] == expected
+    assert [c.first_failure and c.first_failure.name for c in expected] == [
+        None, "inclusions", "convexity", "convexity", None, "normalize",
+        "permutable", "normalize", "eigenvectors",
+    ]

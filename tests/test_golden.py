@@ -3,7 +3,8 @@
 Each .txt file under tests/golden/ is one run: the command line, then
 `exit N`, then the complete stdout.  The certify cases cover a certified
 exact and a certified float run, failing inclusions on both backends (b3
-and b9 escape), a non-convex polygon (no gauge keys) and the alt family
+and b9 escape), a non-convex polygon on both backends (no gauge keys; a6
+escapes its sector on the exact one) and the alt family
 (no closed-form key); two runs at a 96-bit c, one certified and one with
 b3 and b9 escaping, pin the big-integer values of the exact path.  The
 bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
@@ -24,6 +25,7 @@ KV_CASES = (
     "exact_inclusions_fail",
     "float_certified",
     "float_not_convex",
+    "exact_not_convex",
     "float_b3_escapes",
     "alt_certified",
     "exact_96bit_certified",

@@ -14,6 +14,7 @@ from smpverify.families import (
     example_main,
     example_main_special,
     normalize,
+    swap_pair,
 )
 from smpverify.matrix2 import Mat2, Vec2, dot, rot90
 from smpverify.polytope import (
@@ -937,6 +938,33 @@ class TestCertify:
             ("parameters", True, ""),
             ("permutable", False, "tau does not swap the pair"),
         ]
+
+    @pytest.mark.parametrize(
+        "case, c, failed",
+        [
+            ("quarter-turn pair", Fraction(11, 10),
+             ("normalize", False, "A**3 is not the identity; cannot normalize")),
+            ("README pair", Fraction(6, 5),
+             ("normalize", False, "kappa**2 is not an eigenvalue of B @ A @ A")),
+            ("README pair, identity swap", Fraction(11, 10),
+             ("permutable", False, "tau does not swap the pair")),
+        ],
+    )
+    def test_exact_failure_paths(self, main_exact, case, c, failed):
+        # Each exact custom set stops at its first failed check, with the
+        # message of that check; every check before it passed.
+        if case == "quarter-turn pair":
+            pair = swap_pair(Scalar.exact(0), main_exact.kappa)
+            a, b, tau_s = pair.a, pair.b, pair.tau_s
+        else:
+            a, b, tau_s = main_exact.a, main_exact.b, main_exact.tau_s
+            if case.endswith("identity swap"):
+                tau_s = Mat2.exact(1, 0, 0, 1)
+        mset = custom_set(a, b, tau_s=tau_s, ctx=KappaContext(c))
+        cert = certify_smp(mset, MU54)
+        passed = [("parameters", True, ""), ("permutable", True, "")]
+        expected = passed[: ["parameters", "permutable", "normalize"].index(failed[0])]
+        assert [(ch.name, ch.passed, ch.detail) for ch in cert.checks] == [*expected, failed]
 
     def test_kv_report_carries_audit_trail(self, main_exact):
         cert = certify_smp(main_exact, Fraction(5, 4))
