@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .matrix2 import (
     EigenvectorError,
@@ -73,12 +74,24 @@ class MatrixSet(Record):
 class NormalizedSet(Record):
     """The pair divided by the cube root of its top triple-product
     eigenvalue, so that the six mixed triple products have spectral
-    radius exactly 1."""
+    radius exactly 1.
 
-    __slots__ = ("at", "bt", "lam", "scale", "source")
+    `scaled` is scaled_entries((at, bt)), formed on first use (in
+    normalize on the exact backend) and kept, outside the fields, for the
+    life of the set: eigenvectors_from_products, build_polygon and
+    verify_inclusions read it.
+    """
+
+    __slots__ = ("at", "bt", "lam", "scale", "source", "__dict__")
 
     def __init__(self, at: Mat2, bt: Mat2, lam: Scalar, scale: Scalar, source: MatrixSet):
         self._init(at, bt, lam, scale, source)  # scale is lam**(1/3)
+
+    @cached_property
+    def scaled(self) -> tuple[int, list[tuple]]:
+        """(F, [F A~, F B~]): the rows of A~ and B~ over the lcm F of all
+        their denominators, as ints (F = 1 and the floats on floats)."""
+        return scaled_entries((self.at, self.bt))
 
 
 def at_distinguished_angle(phi: float) -> bool:
@@ -185,8 +198,10 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
     scaled by the lcm F of their denominators: (F A)^3 == F^3 I and the
     same for B, lam = p/q a root of x^2 - tr(BAA) x + det(BAA) as
     p^2 F^6 - tr(F^3 BAA) p q F^3 + det(F^3 BAA) q^2 == 0, and the
-    normalized cube A~^3 == I/lam as p (G A~)^3 == q G^3 I.  The only
-    Fractions formed are lam, the scale and the entries of A~ and B~.
+    normalized cube A~^3 == I/lam as p (G A~)^3 == q G^3 I, with G the lcm
+    of the denominators of A~ and B~ together (NormalizedSet.scaled, formed
+    here once per set).  The only Fractions formed are lam, the scale and
+    the entries of A~ and B~.
     """
     a, b = mset.a, mset.b
     if a.is_exact:
@@ -234,12 +249,13 @@ def _normalize_exact(mset: MatrixSet) -> NormalizedSet:
     scale = mset.ctx.power(2)
     inv = 1 / scale
     at, bt = mset.a.scale(inv), mset.b.scale(inv)
+    norm = NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)
     # Sanity: the normalized cube must equal (1/lam) * I.
-    g, (ati,) = scaled_entries((at,))
+    g, (ati, _) = norm.scaled
     qg3 = q * g**3
     if tuple(p * e for e in mul_entries(mul_entries(ati, ati), ati)) != (qg3, 0, 0, qg3):
         raise ValueError("normalization failed the cube identity")
-    return NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)
+    return norm
 
 
 def eigenvectors_vw(ctx: KappaContext) -> tuple[Vec2, Vec2]:
@@ -259,12 +275,13 @@ def eigenvectors_from_products(
     Works on either backend and for any pair satisfying the normalization
     contract; the eigenvalue-1 residual is checked inside the extraction.
     On the exact backend the triple products are formed as ints, G^3 times
-    the products over the lcm G of the denominators of A~ and B~, and each
+    the products, from norm.scaled (G the lcm of the denominators of A~
+    and B~), and each
     vector is one Fraction; floats go through eigenvector_unit_first.
     """
     at, bt = norm.at, norm.bt
     if at.is_exact:
-        g, (ati, bti) = scaled_entries((at, bt))
+        g, (ati, bti) = norm.scaled
         g3 = g**3
         products = (
             mul_entries(mul_entries(bti, ati), ati),

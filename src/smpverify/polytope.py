@@ -24,28 +24,39 @@ only for a value it stores for the report.  Before the polygon exists,
 verify_tau, normalize and eigenvectors_from_products test their
 identities on the pair's entries scaled to ints (matrix2.scaled_entries),
 and build_polygon forms the six base vertices as int points over one
-denominator, each coordinate reduced once.
+denominator, each coordinate reduced once.  A~ and B~ are scaled to ints
+once per certificate, in normalize, and kept as NormalizedSet.scaled for
+eigenvectors_from_products, build_polygon and verify_inclusions.
 
 The gauge, the matrix norm, the convexity levels, the inclusion checks
 and the exact vertex order check all read one edge table per polygon,
 built on first use: per edge (v_i, v_{i+1}) the rotated endpoints
 T v_{i+1} and T v_i, the products (v_i, T v_{i+1}) and (v_{i+1}, T v_i),
-the difference v_{i+1} - v_i and a collinearity flag.  On the exact backend the vertices
-are scaled by the lcm D of their 24 denominators, so the table holds ints
-V = D v, and a matrix M by the lcm F of its denominators (of A~ and B~
-together in the inclusions), so each image M v_i is the int point
-Z = (F M) V_i over E = F D.  A verdict is an int sign or an int identity:
-the gauge compares the sign of (Z, Ty) with that of the table's (x, Ty),
-with neither a division nor a product; an order product (v_i, T v_j) is
-positive iff (V_i, T V_j) > 0, and matches its closed form by
-cross-multiplication with the closed form's unreduced numerator and
-denominator; the identities are Z == F V_j (lam.num Z == lam.den F V_j
-for the 1/lam ones).  The values the report prints are each one Fraction,
-reduced once: a gauge h = (v_{i+1} - v_i, T Z) D / (E (v_{i+1}, T v_i)),
-an order product (V_i, T V_j) / D^2, the sector tests' s = (Z, Ty) /
-(F (x, Ty)) and so on from edge rows 11 and 2, and a convexity level
-(V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}), where D cancels.  On the
-float backend D = F = E = 1 and every value is formed with the operations
+the difference v_{i+1} - v_i and a collinearity flag.  On the exact
+backend the vertices are scaled by the lcm D of their 24 denominators, so
+the table holds ints V = D v, and a matrix M by the lcm F of its
+denominators (of A~ and B~ together in the inclusions), so each image
+M v_i is the int point Z = (F M) V_i over F D.  A verdict is an int sign
+or an int identity: the gauge search compares the sign of (Z, Ty) with
+that of the table's (x, Ty), with neither a division nor a product; a
+gauge is the unreduced pair (num, den) = ((V_{i+1} - V_i, T Z),
+F (V_{i+1}, T V_i)), den > 0, where D cancels, and it is <= 1 iff
+num <= den; a sector test's s, t and h share the denominator
++-F (y, Tx), so s, t >= 0 and h <= 1 are signs; an order product
+(v_i, T v_j) is positive iff (V_i, T V_j) > 0, and matches its closed
+form by cross-multiplication with the closed form's unreduced numerator
+and denominator; the identities are Z == F V_j (lam.num Z == lam.den
+F V_j for the 1/lam ones).
+
+The values the report prints are one Fraction per distinct value.  The
+sector tests' s, t and h, the order products (V_i, T V_j) / D^2 and the
+convexity levels (V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}) are
+each reduced once.  A gauge whose pair cross-multiplies equal to 1, to
+1/lam, to the sector test's h of the same point or to the gauge of an
+earlier point with the same pair (the mirror a_{k+6} = -a_k) reuses that
+Fraction; only the others are reduced.  Polygon.matrix_norm compares its
+twelve pairs by cross-multiplication and reduces only the largest.  On
+the float backend D = F = 1 and every value is formed with the operations
 of Mat2 @, sector_coords and triangle_h in their order, so it is
 bit-identical to theirs: each check has one code path for both backends.
 The tolerance is read at call time and never stored.
@@ -63,11 +74,20 @@ verify_inclusions included, is a CheckResult whose data holds the check's
 a str.  Certificate.as_kv is the only place where a value becomes text,
 so `certify --kv` is a view of that tree.
 
-The gauge keeps the sector rule: the first sector in index order whose s
-and t pass the tolerance test.  The equivalent max_i |(f_i, z)| over six
-edge functionals is not used, because eight of the 24 images lie on a
-vertex ray, where two functionals tie exactly but may differ by one ulp in
-floats, which would change printed float values.
+The float gauge keeps the sector rule: the first sector in index order
+whose s and t pass the tolerance test.  The equivalent max_i |(f_i, z)|
+over six edge functionals is not used, because eight of the 24 images lie
+on a vertex ray, where two functionals tie exactly but may differ by one
+ulp in floats, which would change printed float values.  The exact search
+is swept instead: when the sectors tile the plane once (Polygon._tiled),
+the search for the gauge of an image starts at the sector of the image
+before and wraps round through all twelve.  The images of consecutive
+vertices go round in vertex order, so the 24 searches take about two
+turns in all, not 24 scans from sector 1.  Any sector that holds an
+exact point gives it the same h, so the values are those of the index
+order.  On a table whose sectors do not tile the plane once, each search
+runs in index order, and so raises DegenerateSectorError exactly where
+polygon_gauge, which always searches in index order, raises it.
 
 Thresholds are closed forms (at phi = 2pi/3 alt is main in other
 coordinates) and kappa_max is decided exactly; empirical_mu_thresholds reads
@@ -78,7 +98,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .families import (
     MatrixSet,
@@ -148,17 +168,12 @@ def _as_kappa(kappa) -> KappaContext | FloatKappa:
     return FloatKappa(float(kappa))
 
 
-def _collinear_float(x1: float, x2: float, y1: float, y2: float, denom: float) -> bool:
-    """Float rule for collinear generators x, y: the product denom =
-    (x, Ty) is negligible next to |x| |y|."""
-    scale = math.hypot(x1, x2) * math.hypot(y1, y2)
-    return abs(denom) <= 1e-14 * max(1.0, scale)
-
-
 def _collinear(x1, x2, y1, y2, denom, exact: bool) -> bool:
     """Whether x, y are collinear, given denom = +-(x, Ty): exactly zero on
-    ints, _collinear_float on floats."""
-    return denom == 0 if exact else _collinear_float(x1, x2, y1, y2, denom)
+    ints; on floats, denom is negligible next to |x| |y|."""
+    if exact:
+        return denom == 0
+    return abs(denom) <= 1e-14 * max(1.0, math.hypot(x1, x2) * math.hypot(y1, y2))
 
 
 def _check_denominator(x: Vec2, y: Vec2, denom: Scalar) -> None:
@@ -187,6 +202,7 @@ def triangle_h(x: Vec2, y: Vec2, z: Vec2) -> Scalar:
 
 
 _NO_SECTOR = "no sector contains the point; polygon is not convex?"
+_ONE = Fraction(1)
 
 
 class _EdgeTable(Record):
@@ -207,12 +223,10 @@ class _EdgeTable(Record):
 
 def _build_edge_table(vertices: tuple[Vec2, ...]) -> _EdgeTable:
     exact = vertices[0].is_exact
-    coords = [(v.x1.value, v.x2.value) for v in vertices]
+    coords, d = [(v.x1.value, v.x2.value) for v in vertices], 1
     if exact:
         d, flat = common_scale([q for pair in coords for q in pair])
         coords = list(zip(flat[0::2], flat[1::2]))
-    else:
-        d = 1
     edges = []
     for i, (x1, x2) in enumerate(coords):
         y1, y2 = coords[(i + 1) % len(coords)]
@@ -251,49 +265,60 @@ def _convexity_levels(table: _EdgeTable, exact: bool) -> tuple:
     return tuple(levels)
 
 
-def _gauge_exact(table: _EdgeTable, z1: int, z2: int, e: int) -> Fraction:
-    """Gauge of the point (z1, z2) / e, for ints z1, z2 and e > 0.
+def _same_sign(num: int, den: int) -> bool:
+    """num / den >= 0, for ints and den != 0: num is zero or has den's sign."""
+    return not num or (num > 0) is (den > 0)
 
-    With Z = (z1, z2): s = (Z, Ty) D / (E (x, Ty)), t = (Z, Tx) D / (E (y, Tx))
-    and D, E > 0.  A non-collinear edge has (x, Ty) != 0, so s >= 0 exactly
-    when (Z, Ty) is zero or has the sign of (x, Ty), and likewise for t:
-    the signs are compared, the products never formed.
+
+def _reduced(num: int, den: int, known) -> Fraction:
+    """num / den, den > 0, as a Fraction: the first of the Fractions
+    `known` (None entries skipped) that equals it by cross-multiplication,
+    else a new one, reduced once."""
+    for q in known:
+        if q is not None and num * q.denominator == q.numerator * den:
+            return q
+    return Fraction(num, den)
+
+
+def _gauges(poly: "Polygon", points, f, tol: float):
+    """Gauges of the image points (z1, z2) / (F D) of the polygon's edge
+    table, lazily, in order (F = D = 1 on floats).
+
+    With Z = (z1, z2): s = (Z, Ty) / (F (x, Ty)), t = (Z, Tx) / (F (y, Tx))
+    and h = (d, T Z) / (F (y, Tx)), where D cancels.  On ints each gauge
+    is an unreduced (num, den) with den > 0.  A non-collinear edge has
+    (x, Ty) != 0, so s >= 0 exactly when (Z, Ty) is zero or has the sign
+    of (x, Ty), and likewise for t: the signs are compared, the products
+    never formed.  On floats each gauge is a float, s, t and h round
+    exactly as in sector_coords and triangle_h, and s, t >= -tol is
+    Scalar.ge(0, tol).
+
+    The float search runs in index order and returns the first sector
+    that passes.  The exact one does too, unless the sectors tile the
+    plane once (Polygon._tiled): then the search for a point starts at
+    the sector of the point before and wraps round, and any sector that
+    holds the point gives the same h.
     """
-    if z1 == 0 and z2 == 0:
-        return Fraction(0)
-    for ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear in table.edges:
-        if collinear:
-            raise DegenerateSectorError("sector generators are collinear")
-        s = z1 * ty1 + z2 * ty2
-        if s and (s > 0) is not (x_ty > 0):
+    exact, edges, start = poly.is_exact, poly._edge_table.edges, 0
+    for z1, z2 in points:
+        if z1 == 0 and z2 == 0:
+            yield (0, 1) if exact else 0.0
             continue
-        t = z1 * tx1 + z2 * tx2
-        if t and (t > 0) is not (y_tx > 0):
-            continue
-        return Fraction((d1 * -z2 + d2 * z1) * table.scale, e * y_tx)
-    raise ValueError(_NO_SECTOR)
-
-
-def _gauge_float(table: _EdgeTable, z1: float, z2: float, tol: float) -> float:
-    """Gauge of the point (z1, z2); s, t and h round exactly as in
-    sector_coords and triangle_h, and s, t >= -tol is Scalar.ge(0, tol)."""
-    if z1 == 0 and z2 == 0:
-        return 0.0
-    for ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear in table.edges:
-        if collinear:
-            raise DegenerateSectorError("sector generators are collinear")
-        s = (z1 * ty1 + z2 * ty2) / x_ty
-        t = (z1 * tx1 + z2 * tx2) / y_tx
-        if s >= -tol and t >= -tol:
-            return (d1 * -z2 + d2 * z1) / y_tx
-    raise ValueError(_NO_SECTOR)
-
-
-def _gauges(table: _EdgeTable, points, e: int, rel_tol: float, exact: bool):
-    """The gauges of the points (z1, z2) / e, lazily, in order."""
-    if exact:
-        return (_gauge_exact(table, z1, z2, e) for z1, z2 in points)
-    return (_gauge_float(table, z1, z2, rel_tol) for z1, z2 in points)
+        for k in range(start, start + 12):
+            ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear = edges[k % 12]
+            if collinear:
+                raise DegenerateSectorError("sector generators are collinear")
+            s = z1 * ty1 + z2 * ty2
+            if not exact:
+                if s / x_ty >= -tol and (z1 * tx1 + z2 * tx2) / y_tx >= -tol:
+                    break
+            elif _same_sign(s, x_ty) and _same_sign(z1 * tx1 + z2 * tx2, y_tx):
+                break
+        else:
+            raise ValueError(_NO_SECTOR)
+        start = k % 12 if exact and poly._tiled else 0
+        num, den = d1 * -z2 + d2 * z1, f * y_tx
+        yield ((num, den) if den > 0 else (-num, -den)) if exact else num / den
 
 
 def _check_backend(poly: "Polygon", exact: bool) -> None:
@@ -337,6 +362,17 @@ class Polygon(Record):
     def _convexity_levels(self) -> tuple[tuple[int, Scalar], ...]:
         return _convexity_levels(self._edge_table, self.is_exact)
 
+    @cached_property
+    def _tiled(self) -> bool:
+        """Whether the exact sectors (v_i, v_{i+1}) tile the plane once:
+        each (v_i, T v_{i+1}) > 0, so every step turns clockwise by less
+        than a half turn, and (v_1, T v_j), j = 2..12, turns nonpositive
+        once and for good, so the steps add up to one turn."""
+        table = self._edge_table
+        (x1, x2), *rest = table.vertices
+        signs = [x2 * y1 - x1 * y2 > 0 for y1, y2 in rest]
+        return all(e[4] > 0 for e in table.edges) and signs == sorted(signs, reverse=True)
+
     def gauge(self, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
         return polygon_gauge(self, x, rel_tol)
 
@@ -345,12 +381,16 @@ class Polygon(Record):
         gauge over the images of the vertices.
 
         The images are the edge table's (module docstring), not Mat2 @.
+        On the exact backend the twelve unreduced gauges are compared by
+        cross-multiplication, and only the largest is reduced.
         """
         _check_backend(self, m.is_exact)
-        table = self._edge_table
         f, (entries,) = scaled_entries((m,))
-        points = _image_points(table, entries)
-        return Scalar(max(_gauges(table, points, f * table.scale, rel_tol, self.is_exact)))
+        gauges = _gauges(self, _image_points(self._edge_table, entries), f, rel_tol)
+        # Exact gauges are (num, den) pairs, ordered by cross-multiplication.
+        key = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]) if self.is_exact else None
+        largest = max(gauges, key=key)
+        return Scalar(Fraction(*largest) if self.is_exact else largest)
 
 
 def _coerce_mu(mu, exact: bool) -> Scalar:
@@ -389,7 +429,7 @@ def build_polygon(
     if not mu > 0:
         raise ValueError(f"need mu > 0, got {mu}")
     if at.is_exact and v.is_exact and w.is_exact:
-        base = _base_vertices_exact(at, bt, v, w, mu)
+        base = _base_vertices_exact(norm.scaled, v, w, mu)
     else:
         base = _base_vertices_float(at, bt, v, w, mu, rel_tol)
     verts = base + tuple(-x for x in base)
@@ -403,13 +443,13 @@ def _times(k: int, x: tuple) -> tuple:
     return (k * x[0], k * x[1])
 
 
-def _base_vertices_exact(at: Mat2, bt: Mat2, v: Vec2, w: Vec2, mu: Scalar) -> tuple:
+def _base_vertices_exact(scaled: tuple, v: Vec2, w: Vec2, mu: Scalar) -> tuple:
     """v1..v6 of build_polygon, with its checks as int equalities.
 
-    A~, B~ = (a, b) / G and mu, v, w = (m, V, W) / H, so a base vertex
-    with k factors A~ or B~ is an int point over G^k H^2.
+    A~, B~ = (a, b) / G (NormalizedSet.scaled) and mu, v, w = (m, V, W) / H,
+    so a base vertex with k factors A~ or B~ is an int point over G^k H^2.
     """
-    g, (a, b) = scaled_entries((at, bt))
+    g, (a, b) = scaled
     h, (m, *vw) = common_scale((mu.value, v.x1.value, v.x2.value, w.x1.value, w.x2.value))
     vv, ww = tuple(vw[:2]), tuple(vw[2:])
     ba = mul_entries(b, a)
@@ -690,23 +730,20 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     the vertices in index order, for any kappa > 1 and mu > 0.  On the
     zero-corner family each product must also match its closed form.
 
-    On the exact backend each product is the int P = (V_i, T V_j) of the
-    edge table's vertices V = D v, positive iff P > 0, and reduced once,
-    as P / D^2, for the report.  The closed forms are evaluated on
-    unreduced _Ratio values and matched by cross-multiplication.
+    Each product is P = (V_i, T V_j) of the edge table's vertices V = D v,
+    positive iff P > 0, and on the exact backend an int, reduced once, as
+    P / D^2, for the report; on floats (D = 1) it rounds as Vec2 dot does.
+    The exact closed forms are evaluated on unreduced _Ratio values and
+    matched by cross-multiplication.
     """
-    if poly.is_exact:
-        table = poly._edge_table
-        verts, dd = table.vertices, table.scale * table.scale
-        ints = [
-            verts[i - 1][1] * verts[j - 1][0] - verts[i - 1][0] * verts[j - 1][1]
-            for i, j in _ORDER_PAIRS
-        ]
-        passed = all(p > 0 for p in ints)
-        products = [Scalar(Fraction(p, dd)) for p in ints]
-    else:
-        products = [dot(poly.v(i), rot90(poly.v(j))) for i, j in _ORDER_PAIRS]
-        passed = all(val > 0 for val in products)
+    table = poly._edge_table
+    verts, dd = table.vertices, table.scale * table.scale
+    ints = [
+        verts[i - 1][1] * verts[j - 1][0] - verts[i - 1][0] * verts[j - 1][1]
+        for i, j in _ORDER_PAIRS
+    ]
+    passed = all(p > 0 for p in ints)
+    products = [_ratio(p, dd, poly.is_exact) for p in ints]
     data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(_ORDER_PAIRS, products)]
     data.append(("order.all_positive", passed))
     if poly.family == "main":
@@ -754,11 +791,12 @@ def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
     convex polygon with verified vertex order to be a norm.
     """
     _check_backend(poly, x.is_exact)
-    table = poly._edge_table
-    if poly.is_exact:
-        e, (z1, z2) = common_scale((x.x1.value, x.x2.value))
-        return Scalar(_gauge_exact(table, z1, z2, e))
-    return Scalar(_gauge_float(table, x.x1.value, x.x2.value, rel_tol))
+    if poly.is_exact:  # x = Z / e = (D Z) / (e D): the numerator gains D
+        e, z = common_scale((x.x1.value, x.x2.value))
+        [(num, den)] = _gauges(poly, [z], e, rel_tol)
+        return Scalar(Fraction(num * poly._edge_table.scale, den))
+    [value] = _gauges(poly, [(x.x1.value, x.x2.value)], 1, rel_tol)
+    return Scalar(value)
 
 
 _AUTOMATIC_IDENTITIES = (
@@ -807,12 +845,10 @@ def verify_inclusions(
     contradict each other.
     """
     _check_backend(poly, norm.at.is_exact)
-    exact = poly.is_exact
-    table = poly._edge_table
-    f, (at, bt) = scaled_entries((norm.at, norm.bt))
+    exact, table = poly.is_exact, poly._edge_table
+    f, (at, bt) = norm.scaled
     lists = {"a": _image_points(table, at), "b": _image_points(table, bt)}
-    data = []
-    failures = []
+    data, failures = [], []
 
     for label, kind, idx, target, scaled in _AUTOMATIC_IDENTITIES:
         point = lists[kind][idx - 1]
@@ -822,16 +858,17 @@ def verify_inclusions(
         if not ok:
             failures.append(label)
 
-    sector_ok = {}
+    sector_ok, sector_h = {}, {}
     for label, kind, idx, (i, j) in _NONOBVIOUS:
         z1, z2 = lists[kind][idx - 1]
         ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear = table.edges[i - 1]
         if collinear:
             raise DegenerateSectorError("sector generators are collinear")
-        s = _ratio(z1 * ty1 + z2 * ty2, f * x_ty, exact)
-        t = _ratio(z1 * tx1 + z2 * tx2, f * y_tx, exact)
-        h = _ratio(d1 * -z2 + d2 * z1, f * y_tx, exact)
-        ok = s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol)
+        sn, tn, hn, fy = z1 * ty1 + z2 * ty2, z1 * tx1 + z2 * tx2, d1 * -z2 + d2 * z1, f * y_tx
+        s, t, h = _ratio(sn, f * x_ty, exact), _ratio(tn, fy, exact), _ratio(hn, fy, exact)
+        # Exact s, t and 1 - h are -sn, tn and fy - hn over fy: signs decide.
+        ok = all(_same_sign(n, fy) for n in (-sn, tn, fy - hn)) if exact else (
+            s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol))
         base = f"inclusion.{label}"
         data += [
             (f"{base}.sector", f"v{i},v{j}"),
@@ -840,22 +877,23 @@ def verify_inclusions(
             (f"{base}.h", h),
             (f"{base}.passed", ok),
         ]
-        sector_ok[label] = ok
+        sector_ok[label], sector_h[label] = ok, h.value
         if not ok:
             failures.append(label)
 
     if convexity_check(poly, rel_tol):
-        e = f * table.scale
+        inv_lam, seen = (1 / norm.lam.value if exact else None), {}
         for kind in ("a", "b"):
-            gauges = _gauges(table, lists[kind], e, rel_tol, exact)
-            for idx, value in enumerate(gauges, start=1):
+            for idx, g in enumerate(_gauges(poly, lists[kind], f, rel_tol), 1):
                 label = f"{kind}{idx}"
-                g = Scalar(value)
-                ok = g.le(1, rel_tol)
+                ok = g[0] <= g[1] if exact else Scalar(g).le(1, rel_tol)
+                if exact:  # g = (num, den); the mirror -z of a point z gives its pair
+                    known = (seen.get(g), _ONE, inv_lam, sector_h.get(label))
+                    seen[g] = g = _reduced(*g, known)
                 if sector_ok.get(label, ok) != ok:
                     raise RuntimeError(f"sector test and gauge test disagree on {label}")
                 data += [
-                    (f"inclusion.gauge.{label}", g),
+                    (f"inclusion.gauge.{label}", Scalar(g)),
                     (f"inclusion.gauge.{label}.passed", ok),
                 ]
                 if not ok:

@@ -56,9 +56,9 @@ class Record:
     __init__, through _init.  Records compare and hash as the tuple of
     their fields and refuse assignment, as frozen dataclasses do, but cost
     neither the import of the dataclasses module nor a decorator run.  A
-    "__dict__" slot, listed last, is never a field: Polygon keeps its
-    cached_property values there, and equality, hash, repr, copy and
-    pickle ignore them.
+    "__dict__" slot, listed last, is never a field: Polygon and
+    NormalizedSet keep their cached_property values there, and equality,
+    hash, repr, copy and pickle ignore them.
     """
 
     __slots__ = ()

@@ -1,15 +1,18 @@
 """The exact certificate's int paths against their Mat2 references.
 
-verify_tau, normalize, eigenvectors_from_products, build_polygon and
-vertex_order_check decide every exact check on scaled ints and build a
-Fraction only for a value the certificate stores.  These tests compare
-each int path with the same computation on Mat2 @, similarity,
-eigenvector_unit_first and Scalar arithmetic, on seeded random inputs,
-and check that certify_smp runs no exact Mat2 @.
+verify_tau, normalize, eigenvectors_from_products, build_polygon,
+vertex_order_check and verify_inclusions decide every exact check on
+scaled ints and build a Fraction only for a value the certificate stores.
+These tests compare each int path with the same computation on Mat2 @,
+similarity, eigenvector_unit_first, Scalar arithmetic and the index-order
+polygon_gauge, on seeded random inputs and the certify_exact benchmark
+inputs (tests/data/certify_exact_inputs.txt), check that certify_smp runs
+no exact Mat2 @, and pin how many Fractions the inclusions reduce.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +44,11 @@ from smpverify.polytope import (
     Polygon,
     build_polygon,
     certify_smp,
+    convexity_check,
+    images,
     mu_thresholds,
+    polygon_gauge,
+    verify_inclusions,
     vertex_order_check,
 )
 from smpverify.scalar import KappaContext, Scalar
@@ -288,3 +295,160 @@ def test_certify_smp_runs_no_exact_matmul(monkeypatch):
         None, "inclusions", "convexity", "convexity", None, "normalize",
         "permutable", "normalize", "eigenvectors",
     ]
+
+
+BENCHMARK_INPUTS = Path(__file__).resolve().parent / "data" / "certify_exact_inputs.txt"
+GOLDEN_96BIT = Path(__file__).resolve().parent / "golden" / "exact_96bit_certified.txt"
+
+
+def benchmark_inputs():
+    """(c, mu) of the 80 certify_exact benchmark inputs of seeds 1-5."""
+    lines = BENCHMARK_INPUTS.read_text(encoding="utf-8").splitlines()
+    return [tuple(map(Fraction, line.split())) for line in lines if not line.startswith("#")]
+
+
+def golden_96bit():
+    """(c, mu) of the certified 96-bit golden report."""
+    argv = GOLDEN_96BIT.read_text(encoding="utf-8").split("\n", 1)[0].split()
+    return Fraction(argv[argv.index("--c") + 1]), Fraction(argv[argv.index("--mu") + 1])
+
+
+def main_polygon(c, mu):
+    norm = normalize(example_main_special(KappaContext(c)))
+    return build_polygon(norm, *eigenvectors_from_products(norm), mu), norm
+
+
+def largest_index_order_gauge(poly, m):
+    """The largest polygon_gauge of the Mat2 @ images of the vertices."""
+    return max(polygon_gauge(poly, m @ v).value for v in poly.vertices)
+
+
+def assert_gauges_match_index_order(poly, norm):
+    """Every inclusion.gauge value of verify_inclusions is polygon_gauge (the
+    index-order search) of the Mat2 @ image, and passes iff it is <= 1."""
+    data = dict(verify_inclusions(poly, norm).data)
+    gauges = [key for key in data if key.startswith("inclusion.gauge.")]
+    assert len(gauges) == (48 if convexity_check(poly) else 0)
+    points = images(poly, norm)
+    for kind in "ab":
+        for idx, z in enumerate(getattr(points, kind), start=1):
+            key = f"inclusion.gauge.{kind}{idx}"
+            if key in data:
+                expected = polygon_gauge(poly, z)
+                assert data[key].value == expected.value
+                assert data[f"{key}.passed"] is (expected.value <= 1)
+    return data
+
+
+class TestInclusionGauges:
+    def test_benchmark_inputs(self):
+        cases = benchmark_inputs()
+        assert len(cases) == 80
+        for c, mu in cases:
+            assert_gauges_match_index_order(*main_polygon(c, mu))
+
+    @settings(max_examples=40, deadline=None)
+    @given(main_c_mu())
+    def test_drawn_main_pairs(self, case):
+        # Certified, escaping and not convex: main_c_mu strays 20% past [mu1, mu2].
+        assert_gauges_match_index_order(*main_polygon(*case))
+
+    @pytest.mark.parametrize("case", [(Fraction(11, 10), Fraction(5, 4)), golden_96bit()])
+    def test_images_on_vertex_rays(self, case):
+        # a1 = v9 and b5 = v1 have gauge 1, a5 = v1/lam and b2 = v10/lam
+        # gauge 1/lam: each lies on the ray shared by two sectors.
+        poly, norm = main_polygon(*case)
+        data = assert_gauges_match_index_order(poly, norm)
+        inv_lam = 1 / norm.lam.value
+        expected = {"a1": 1, "a5": inv_lam, "b2": inv_lam, "b5": 1}
+        assert {k: data[f"inclusion.gauge.{k}"].value for k in expected} == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(main_c_mu(), st.lists(small, min_size=4, max_size=4))
+    def test_matrix_norm_is_largest_index_order_gauge(self, case, entries):
+        poly, norm = main_polygon(*case)
+        if not convexity_check(poly):
+            return
+        m = Mat2.exact(*entries)
+        assert poly.matrix_norm(m).value == largest_index_order_gauge(poly, m)
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts its constructions."""
+
+    made = 0
+
+    def __new__(cls, *args, **kwargs):
+        CountingFraction.made += 1
+        return super().__new__(cls, *args, **kwargs)
+
+
+class TestReductions:
+    @pytest.mark.parametrize("case", [(Fraction(11, 10), Fraction(5, 4)), golden_96bit()])
+    def test_fractions_built_by_the_inclusions(self, monkeypatch, case):
+        # 12 for the sector tests' s, t, h, which the report prints, and one
+        # for the gauge of b1 (= b7's, which no other value equals).  The
+        # other 23 gauges reuse 1, 1/lam, a sector test's h or the mirror's.
+        poly, norm = main_polygon(*case)
+        assert convexity_check(poly)
+        expected = verify_inclusions(poly, norm)
+        CountingFraction.made = 0
+        monkeypatch.setattr(polytope, "Fraction", CountingFraction)
+        assert verify_inclusions(poly, norm) == expected
+        assert CountingFraction.made == 13
+        assert expected.passed
+
+    def test_matrix_norm_reduces_one_gauge(self, monkeypatch):
+        poly, norm = main_polygon(Fraction(11, 10), Fraction(5, 4))
+        expected = [poly.matrix_norm(m) for m in (norm.at, norm.bt, norm.at @ norm.bt)]
+        CountingFraction.made = 0
+        monkeypatch.setattr(polytope, "Fraction", CountingFraction)
+        assert [poly.matrix_norm(m) for m in (norm.at, norm.bt, norm.at @ norm.bt)] == expected
+        assert CountingFraction.made == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small,
+        st.integers(1, 5),
+        st.lists(st.one_of(st.none(), small), max_size=4),
+        st.lists(st.integers(0, 4), max_size=4),
+    )
+    def test_reuse_or_reduce(self, value, k, others, slots):
+        # num / den is value times k / k, and the candidates hold some
+        # Fractions equal to it (fresh objects) between the others.
+        num, den = value.numerator * k, value.denominator * k
+        known = list(others)
+        for slot in slots:
+            known.insert(min(slot, len(known)), Fraction(value.numerator, value.denominator))
+        got = polytope._reduced(num, den, known)
+        assert got == value and got.denominator == value.denominator
+        equal = [q for q in known if q is not None and q == value]
+        if equal:
+            assert got is equal[0]
+        else:
+            assert all(got is not q for q in known)
+
+
+def three_turn_polygon():
+    """Twelve vertices a quarter turn apart, clockwise, with growing radii:
+    every edge turns by less than a half turn, but the rays go round three
+    times, so each point lies in three sectors, with three levels."""
+    turns = ((1, 0), (0, -1), (-1, 0), (0, 1))
+    verts = tuple(Vec2.exact(r * x, r * y) for r, (x, y) in zip(range(1, 13), turns * 3))
+    return Polygon(verts, Scalar.exact(1), Scalar.exact(8), None, "custom")
+
+
+class TestSweepGuard:
+    def test_sectors_tile_on_built_polygons_only(self):
+        poly, _ = main_polygon(Fraction(11, 10), Fraction(5, 4))
+        assert poly._tiled
+        verts = poly.vertices
+        for other in (verts[::-1], (verts[1], verts[0], *verts[2:])):
+            assert not rebuilt(poly, other, "main")._tiled
+        assert not three_turn_polygon()._tiled
+
+    @pytest.mark.parametrize("m", [(1, 0, 0, 1), (2, 1, 1, 1), (0, -1, 1, 0), (3, 0, 1, -2)])
+    def test_matrix_norm_searches_in_index_order_when_not_tiled(self, m):
+        poly = three_turn_polygon()
+        m = Mat2.exact(*m)
+        assert poly.matrix_norm(m).value == largest_index_order_gauge(poly, m)
