@@ -883,21 +883,21 @@ def verify_inclusions(
 
     if convexity_check(poly, rel_tol):
         inv_lam, seen = (1 / norm.lam.value if exact else None), {}
-        for kind in ("a", "b"):
-            for idx, g in enumerate(_gauges(poly, lists[kind], f, rel_tol), 1):
-                label = f"{kind}{idx}"
-                ok = g[0] <= g[1] if exact else Scalar(g).le(1, rel_tol)
-                if exact:  # g = (num, den); the mirror -z of a point z gives its pair
-                    known = (seen.get(g), _ONE, inv_lam, sector_h.get(label))
-                    seen[g] = g = _reduced(*g, known)
-                if sector_ok.get(label, ok) != ok:
-                    raise RuntimeError(f"sector test and gauge test disagree on {label}")
-                data += [
-                    (f"inclusion.gauge.{label}", Scalar(g)),
-                    (f"inclusion.gauge.{label}.passed", ok),
-                ]
-                if not ok:
-                    failures.append(label)
+        # One sweep over a1..a12, b1..b12: b1 lies next to a12 (b7 next to a6).
+        labels = [f"{kind}{idx}" for kind in "ab" for idx in range(1, 13)]
+        for label, g in zip(labels, _gauges(poly, lists["a"] + lists["b"], f, rel_tol)):
+            ok = g[0] <= g[1] if exact else Scalar(g).le(1, rel_tol)
+            if exact:  # g = (num, den); the mirror -z of a point z gives its pair
+                known = (seen.get(g), _ONE, inv_lam, sector_h.get(label))
+                seen[g] = g = _reduced(*g, known)
+            if sector_ok.get(label, ok) != ok:
+                raise RuntimeError(f"sector test and gauge test disagree on {label}")
+            data += [
+                (f"inclusion.gauge.{label}", Scalar(g)),
+                (f"inclusion.gauge.{label}.passed", ok),
+            ]
+            if not ok:
+                failures.append(label)
 
     detail = "escaping points: " + ",".join(dict.fromkeys(failures)) if failures else ""
     return CheckResult("inclusions", not failures, detail, tuple(data))
