@@ -141,6 +141,8 @@ def _read_run(args, parser: argparse.ArgumentParser, mu_for: str | None = None):
     try:
         if mu is not None and not mu.is_exact:
             _finite(mu.value, "--mu", args.mu)
+        if mu is not None and not mu > 0:
+            raise ValueError(f"--mu must be > 0, got {args.mu!r}")
         phi = _parse_phi(args.phi)
         ctx = KappaContext(Fraction(args.c)) if args.c else None
         entries = _read_entries(args.matrices) if custom else []
@@ -160,6 +162,8 @@ def _read_run(args, parser: argparse.ArgumentParser, mu_for: str | None = None):
         exact = promised and reason is None
         if not exact and mu_for:
             mu = Scalar.flt(_float(mu, "--mu is out of float range"))
+            if mu.value == 0:
+                raise ValueError("--mu is out of float range: it rounds to 0.0")
         if custom:
             if not exact:
                 too_large = "an entry of --matrices is out of float range"
@@ -239,15 +243,17 @@ def cmd_certify(args, parser) -> int:
     mset, mu, reason = _read_run(args, parser, "certify")
     _warn(reason)
     cert = certify_smp(mset, mu, args.tol)
-    print(cert.as_text())
     if args.kv or args.report:
         kv = "".join(f"{key} = {value}\n" for key, value in cert.as_kv())
-        if args.kv:
-            print(kv, end="")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(kv)
-            print(f"report written to {args.report}")
+    # The report is written first, so a failed write prints no certificate.
+    if args.report:
+        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(kv)
+    print(cert.as_text())
+    if args.kv:
+        print(kv, end="")
+    if args.report:
+        print(f"report written to {args.report}")
     return 0 if cert.passed else 1
 
 

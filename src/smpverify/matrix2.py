@@ -12,25 +12,24 @@ and then sets two or four slots through one bound `object.__setattr__`
 rather than the loop of `Record._init`: about 0.9 us per Vec2 and 1.4 us
 per Mat2 on a float backend (Python 3.11).
 `Mat2 @ Mat2` and `Mat2 @ Vec2` check the two operands' backends once,
-then compute on the raw values; only the result entries are wrapped.  Each
-entry is a bilinear form a*b + c*d.  On the float backend it is computed as
-(a*b) + (c*d), the order of the scalar formula, so floats round exactly as
-Scalar arithmetic would.  On the exact backend it goes through one kernel
-that forms the numerator and denominator as ints and reduces them with one
-gcd, where two Fraction products and a Fraction sum take about five; `dot`
-uses the same kernel on exact vectors.  The value is the same rational.
+then hand the raw entry values to mul_entries or apply_entries, the one
+product kernel of the package; only the result entries are wrapped.  Each
+entry is a bilinear form a*b + c*d, computed as (a*b) + (c*d), the order
+of the scalar formula, so floats round exactly as Scalar arithmetic would
+and exact entries are the rationals of Fraction arithmetic.  `dot` is the
+same formula on Scalars.
 
 The exact certificate skips Mat2 for its checks: scaled_entries puts
 matrices over one common denominator (one lcm) as row-major 4-tuples of
 ints, and mul_entries and apply_entries form products and images of those
-tuples in the order of Mat2 @, with no Fraction and no gcd.  An identity
-or a sign of the scaled ints is that of the rationals.
+tuples, with no Fraction and no gcd.  An identity or a sign of the scaled
+ints is that of the rationals.  On floats the same kernels run on the
+floats themselves, so a float product is bit for bit that of Mat2 @.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .scalar import REL_TOL, BackendMismatchError, Record, Scalar
 
@@ -114,17 +113,6 @@ class Vec2(Record):
         return (str(self.x1), str(self.x2))
 
 
-def _bilinear(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> Fraction:
-    """a*b + c*d, reduced once: with a = p_a/q_a and so on, the value is
-    (p_a p_b q_c q_d + p_c p_d q_a q_b) / (q_a q_b q_c q_d), and Fraction
-    divides out the one gcd of that numerator and denominator."""
-    ab = a.denominator * b.denominator
-    cd = c.denominator * d.denominator
-    return Fraction(
-        a.numerator * b.numerator * cd + c.numerator * d.numerator * ab, ab * cd
-    )
-
-
 def common_scale(values) -> tuple[int, list[int]]:
     """The lcm D of the denominators of some Fractions, and D times each."""
     d = math.lcm(*(q.denominator for q in values))
@@ -138,14 +126,15 @@ def scaled_entries(mats) -> tuple[int, list[tuple]]:
     exact = mats[0].is_exact
     if any(m.is_exact is not exact for m in mats):
         raise BackendMismatchError("cannot combine exact and float matrices")
-    values = [q.value for m in mats for q in m.entries()]
+    values = [x for m in mats for x in m._values()]
     f, values = common_scale(values) if exact else (1, values)
     return f, [tuple(values[k:k + 4]) for k in range(0, len(values), 4)]
 
 
 def mul_entries(a: tuple, b: tuple) -> tuple:
-    """The product of two row-major 4-tuples, each entry formed in the
-    order of Mat2 @: the int product F F' a b of scaled ints F a, F' b."""
+    """The product of two row-major 4-tuples, each entry formed as
+    (a_i1 * b_1j) + (a_i2 * b_2j): the int product F F' a b of scaled ints
+    F a, F' b, or the float product of Mat2 @."""
     a11, a12, a21, a22 = a
     b11, b12, b21, b22 = b
     return (
@@ -155,14 +144,13 @@ def mul_entries(a: tuple, b: tuple) -> tuple:
 
 
 def apply_entries(m: tuple, x: tuple) -> tuple:
-    """The row-major 4-tuple m applied to the pair x, in the order of Mat2 @."""
+    """The row-major 4-tuple m applied to the pair x, in the order of
+    mul_entries."""
     x1, x2 = x
     return (m[0] * x1 + m[1] * x2, m[2] * x1 + m[3] * x2)
 
 
 def dot(x: Vec2, y: Vec2) -> Scalar:
-    if x.x1.is_exact and y.x1.is_exact:
-        return Scalar(_bilinear(x.x1.value, y.x1.value, x.x2.value, y.x2.value))
     return x.x1 * y.x1 + x.x2 * y.x2
 
 
@@ -203,6 +191,10 @@ class Mat2(Record):
     def entries(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return (self.m11, self.m12, self.m21, self.m22)
 
+    def _values(self) -> tuple:
+        """The raw row-major entry values, for the tuple kernels."""
+        return (self.m11.value, self.m12.value, self.m21.value, self.m22.value)
+
     def as_strings(self) -> tuple[str, str, str, str]:
         """Row-major 4-tuple of scalar strings."""
         return tuple(str(e) for e in self.entries())
@@ -217,36 +209,12 @@ class Mat2(Record):
         if isinstance(other, Mat2):
             if self.m11.is_exact is not other.m11.is_exact:
                 raise _mismatch(self.m11, other.m11)
-            a11, a12 = self.m11.value, self.m12.value
-            a21, a22 = self.m21.value, self.m22.value
-            b11, b12 = other.m11.value, other.m12.value
-            b21, b22 = other.m21.value, other.m22.value
-            if self.m11.is_exact:
-                return Mat2(
-                    Scalar(_bilinear(a11, b11, a12, b21)),
-                    Scalar(_bilinear(a11, b12, a12, b22)),
-                    Scalar(_bilinear(a21, b11, a22, b21)),
-                    Scalar(_bilinear(a21, b12, a22, b22)),
-                )
-            return Mat2(
-                Scalar(a11 * b11 + a12 * b21),
-                Scalar(a11 * b12 + a12 * b22),
-                Scalar(a21 * b11 + a22 * b21),
-                Scalar(a21 * b12 + a22 * b22),
-            )
+            return Mat2(*map(Scalar, mul_entries(self._values(), other._values())))
         if isinstance(other, Vec2):
             if self.m11.is_exact is not other.x1.is_exact:
                 raise _mismatch(self.m11, other.x1)
-            x1, x2 = other.x1.value, other.x2.value
-            if self.m11.is_exact:
-                return Vec2(
-                    Scalar(_bilinear(self.m11.value, x1, self.m12.value, x2)),
-                    Scalar(_bilinear(self.m21.value, x1, self.m22.value, x2)),
-                )
-            return Vec2(
-                Scalar(self.m11.value * x1 + self.m12.value * x2),
-                Scalar(self.m21.value * x1 + self.m22.value * x2),
-            )
+            x = (other.x1.value, other.x2.value)
+            return Vec2(*map(Scalar, apply_entries(self._values(), x)))
         return NotImplemented
 
     def scale(self, s: Scalar) -> "Mat2":

@@ -26,7 +26,9 @@ identities on the pair's entries scaled to ints (matrix2.scaled_entries),
 and build_polygon forms the six base vertices as int points over one
 denominator, each coordinate reduced once.  A~ and B~ are scaled to ints
 once per certificate, in normalize, and kept as NormalizedSet.scaled for
-eigenvectors_from_products, build_polygon and verify_inclusions.
+eigenvectors_from_products, build_polygon and verify_inclusions.  On a
+float pair build_polygon runs the same code on the floats of
+NormalizedSet.scaled, whose scale is 1.
 
 The gauge, the matrix norm, the convexity levels, the inclusion checks
 and the exact vertex order check all read one edge table per polygon,
@@ -244,10 +246,9 @@ def _ratio(num, den, exact: bool) -> Scalar:
 
 
 def _image_points(table: _EdgeTable, entries) -> list[tuple]:
-    """(F M)(D v_i) for the twelve table vertices, each coordinate in the
-    order of Mat2 @: the image M v_i times E = F D."""
-    m11, m12, m21, m22 = entries
-    return [(m11 * x1 + m12 * x2, m21 * x1 + m22 * x2) for x1, x2 in table.vertices]
+    """(F M)(D v_i) for the twelve table vertices, through apply_entries
+    as Mat2 @: the image M v_i times E = F D."""
+    return [apply_entries(entries, x) for x in table.vertices]
 
 
 def _convexity_levels(table: _EdgeTable, exact: bool) -> tuple:
@@ -418,20 +419,21 @@ def build_polygon(
     B~A~A~ and B~B~A~) and cross-checks the recursive construction
     against the direct expressions -mu*A~v, mu*A~A~v and B~A~w.
 
-    On the exact backend the construction runs on ints: A~ and B~ scaled
-    by the lcm G of their denominators, mu, v and w by the lcm H of
-    theirs.  The checks are int equalities, and the six base vertices are
-    int points over the one denominator G^2 H^2, each coordinate reduced
-    once to a Fraction.  Floats go through Mat2 @.
+    The construction runs on the tuples of NormalizedSet.scaled through
+    mul_entries and apply_entries.  On the exact backend A~ and B~ are
+    scaled by the lcm G of their denominators, and mu, v and w by the lcm
+    H of theirs; the checks are int equalities, and the six base vertices
+    are int points over the one denominator G^2 H^2, each coordinate
+    reduced once to a Fraction.  On floats G = H = 1, the checks are
+    Vec2.isclose within rel_tol, and the vertices are the floats of Mat2 @.
     """
-    at, bt = norm.at, norm.bt
-    mu = _coerce_mu(mu, at.is_exact)
+    exact = norm.at.is_exact
+    if not (exact is v.is_exact is w.is_exact):
+        raise BackendMismatchError("cannot combine exact and float values in one polygon")
+    mu = _coerce_mu(mu, exact)
     if not mu > 0:
         raise ValueError(f"need mu > 0, got {mu}")
-    if at.is_exact and v.is_exact and w.is_exact:
-        base = _base_vertices_exact(norm.scaled, v, w, mu)
-    else:
-        base = _base_vertices_float(at, bt, v, w, mu, rel_tol)
+    base = _base_vertices(norm.scaled, v, w, mu, exact, rel_tol)
     verts = base + tuple(-x for x in base)
     src = norm.source
     return Polygon(
@@ -443,19 +445,31 @@ def _times(k: int, x: tuple) -> tuple:
     return (k * x[0], k * x[1])
 
 
-def _base_vertices_exact(scaled: tuple, v: Vec2, w: Vec2, mu: Scalar) -> tuple:
-    """v1..v6 of build_polygon, with its checks as int equalities.
+def _same(x: tuple, y: tuple, exact: bool, rel_tol: float) -> bool:
+    """x == y on ints; on floats Vec2.isclose, coordinate by coordinate."""
+    if exact:
+        return x == y
+    return all(math.isclose(p, q, rel_tol=rel_tol, abs_tol=rel_tol) for p, q in zip(x, y))
+
+
+def _base_vertices(
+    scaled: tuple, v: Vec2, w: Vec2, mu: Scalar, exact: bool, rel_tol: float
+) -> tuple:
+    """v1..v6 of build_polygon, with its checks.
 
     A~, B~ = (a, b) / G (NormalizedSet.scaled) and mu, v, w = (m, V, W) / H,
-    so a base vertex with k factors A~ or B~ is an int point over G^k H^2.
+    so a base vertex with k factors A~ or B~ is a point over G^k H^2.  The
+    products associate as Mat2 @ does (B~B~A~ is (B~ @ B~) @ A~), so floats
+    round as they would there.
     """
     g, (a, b) = scaled
-    h, (m, *vw) = common_scale((mu.value, v.x1.value, v.x2.value, w.x1.value, w.x2.value))
+    values = (mu.value, v.x1.value, v.x2.value, w.x1.value, w.x2.value)
+    h, (m, *vw) = common_scale(values) if exact else (1, values)
     vv, ww = tuple(vw[:2]), tuple(vw[2:])
-    ba = mul_entries(b, a)
     g3 = g**3
-    for vec, m3, name in ((vv, mul_entries(ba, a), "v"), (ww, mul_entries(b, ba), "w")):
-        if apply_entries(m3, vec) != _times(g3, vec):
+    bba = mul_entries(mul_entries(b, b), a)
+    for vec, m3, name in ((vv, mul_entries(mul_entries(b, a), a), "v"), (ww, bba, "w")):
+        if not _same(apply_entries(m3, vec), _times(g3, vec), exact, rel_tol):
             raise ValueError(f"{name} is not fixed by its triple product")
     v1 = _times(m, vv)
     v2 = _times(h, ww)
@@ -468,42 +482,19 @@ def _base_vertices_exact(scaled: tuple, v: Vec2, w: Vec2, mu: Scalar) -> tuple:
     direct = (
         (v3, _times(-m, av), "v3"),
         (v5, _times(m, apply_entries(a, av)), "v5"),
-        (v6, _times(h, apply_entries(ba, ww)), "v6"),
+        (v6, _times(h, apply_entries(b, apply_entries(a, ww))), "v6"),
     )
     for built, unrolled, name in direct:
-        if built != unrolled:
+        if not _same(built, unrolled, exact, rel_tol):
             raise RuntimeError(f"vertex cross-check failed for {name}")
     gg = g * g
     den = gg * h * h
     return tuple(
-        Vec2(Scalar(Fraction(x1, den)), Scalar(Fraction(x2, den)))
+        Vec2(_ratio(x1, den, exact), _ratio(x2, den, exact))
         for x1, x2 in (
             _times(gg, v1), _times(gg, v2), _times(g, v3), _times(g, v4), v5, v6
         )
     )
-
-
-def _base_vertices_float(at, bt, v, w, mu, rel_tol) -> tuple:
-    """v1..v6 of build_polygon on the float backend, through Mat2 @."""
-    for vec, m3, name in ((v, bt @ at @ at, "v"), (w, bt @ bt @ at, "w")):
-        if not (m3 @ vec).isclose(vec, rel_tol):
-            raise ValueError(f"{name} is not fixed by its triple product")
-    v1 = v.scale(mu)
-    v2 = w
-    v3 = -(at @ v1)
-    v4 = -(at @ v2)
-    v5 = -(at @ v3)
-    v6 = -(bt @ v4)
-    # Cross-check the unrolled forms of the same vertices.
-    direct = (
-        (v3, (at @ v).scale(-mu), "v3"),
-        (v5, (at @ (at @ v)).scale(mu), "v5"),
-        (v6, bt @ (at @ w), "v6"),
-    )
-    for built, unrolled, name in direct:
-        if not built.isclose(unrolled, rel_tol):
-            raise RuntimeError(f"vertex cross-check failed for {name}")
-    return (v1, v2, v3, v4, v5, v6)
 
 
 class ImagePoints(Record):

@@ -26,10 +26,9 @@ keeps an explicit stack, never a whole level of the tree.
 A node is named by an int code: A = 0, B = 1, with the leftmost display
 symbol in the top bit, so for one length code order is the lexicographic
 order of the display strings.  One run of the prenecklace generator fills
-the set of necklace codes for every length up to the walk's depth.  A
-necklace node gets a spectral radius; with norms requested every node at a
-scored depth gets a norm and every node is expanded, while rho_bar_n alone
-expands only the suffixes of the scored necklaces.
+the set of necklace codes for every length up to the walk's depth.  Every
+node is expanded; a necklace node gets a spectral radius and, with norms
+requested, every node at a scored depth gets a norm.
 
 An exact pair under the built-in box norm (norm is None) walks no tree.
 Both of its columns are computed exactly, so they are those of the full
@@ -287,17 +286,6 @@ def _box_tops(ta, tb, hi):
     return tops, images
 
 
-def _suffix_sets(codes, lo, hi):
-    """live[k] for k = 0..hi + 1: the length-k suffixes of codes[j] for
-    j in max(k, lo)..hi."""
-    live = [set() for _ in range(hi + 2)]
-    for k in range(hi, 0, -1):
-        live[k] = {c & ((1 << k) - 1) for c in live[k + 1]}
-        if k >= lo:
-            live[k].update(codes[k])
-    return live
-
-
 class _Scores:
     """The scores of one walk by word length k = lo..hi, and what they
     become: see the module docstring.
@@ -429,13 +417,12 @@ def _walk_tree(ta, tb, scores, leaf, norms, radii):
 
     Scores the nodes at depths lo..hi: the norm of every node when `norms`
     is true (the box norm if `leaf` is None, else leaf(p, k)), and the
-    rooted spectral radius of every necklace when `radii` is true.  Without
-    norms only the suffixes of the necklaces are expanded.
+    rooted spectral radius of every necklace when `radii` is true.  Every
+    node to depth hi is expanded.
     """
     lo, hi, top = scores.lo, scores.hi, scores.top
     finite = None if scores.exact else math.isfinite
     necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
-    live = None if norms else _suffix_sets(necklace, lo, hi)
     radius = scores.radius
     visits = 0
     a11, a12, a21, a22 = ta
@@ -444,8 +431,6 @@ def _walk_tree(ta, tb, scores, leaf, norms, radii):
     # factor on the left, in the operation order of Mat2 @, and set bit k
     # of the code for B.
     stack = [(*tb, 1, 1), (*ta, 1, 0)]
-    if not norms:
-        stack = [node for node in stack if node[5] in live[1]]
     push, pop = stack.append, stack.pop
     while stack:
         p11, p12, p21, p22, k, code = pop()
@@ -470,13 +455,10 @@ def _walk_tree(ta, tb, scores, leaf, norms, radii):
                 radius(k, code, (p11, p12, p21, p22))
             if k == hi:
                 continue
-        bcode = code | 1 << k
-        if norms or bcode in live[k + 1]:
-            push((b11 * p11 + b12 * p21, b11 * p12 + b12 * p22,
-                  b21 * p11 + b22 * p21, b21 * p12 + b22 * p22, k + 1, bcode))
-        if norms or code in live[k + 1]:
-            push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
-                  a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
+        push((b11 * p11 + b12 * p21, b11 * p12 + b12 * p22,
+              b21 * p11 + b22 * p21, b21 * p12 + b22 * p22, k + 1, code | 1 << k))
+        push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
+              a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
     return visits
 
 

@@ -176,6 +176,16 @@ class TestCertify:
         assert "rho_bar = 121/100" in text
         assert "inclusion.a4.h = " in text
 
+    def test_failed_report_write_prints_no_certificate(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "report.txt"
+        code, out, err = run(
+            capsys, "certify", "--c", "11/10", "--mu", "5/4", "--kv", "--report", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: smpverify certify")
+        assert f"smpverify certify: error: [Errno 2] No such file or directory: '{path}'" in err
+        assert not path.parent.exists()
+
     @pytest.mark.parametrize("mu, code", [("5/4", 0), ("34/25", 1)])
     def test_text_mode_builds_no_kv_report(self, capsys, monkeypatch, mu, code):
         argv = ("certify", "--c", "11/10", "--mu", mu)
@@ -221,6 +231,13 @@ class TestBadInput:
             (["--family", "alt", "--c", BEYOND_FLOAT, "--mu", "5/4"], "--c is out of float range"),
             (["--family", "main", "--phi", "0.5", "--c", BEYOND_FLOAT, "--mu", "5/4"],
              "--c is out of float range"),
+            (["--c", "11/10", "--mu", "0"], "--mu must be > 0"),
+            (["--c", "11/10", "--mu=-5/4"], "--mu must be > 0"),
+            (["--kappa", "1.331", "--mu", "0"], "--mu must be > 0"),
+            (["--kappa", "1.331", "--mu=-1.2"], "--mu must be > 0"),
+            (["--family", "alt", "--kappa", "1.331", "--mu=-0.0"], "--mu must be > 0"),
+            (["--family", "alt", "--kappa", "1.331", "--mu", "1/1" + "0" * 400],
+             "--mu is out of float range: it rounds to 0.0"),
         ],
     )
     def test_usage_error_with_one_line_message(self, capsys, argv, message):
@@ -231,6 +248,27 @@ class TestBadInput:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+
+    @pytest.mark.parametrize(
+        "argv, mu",
+        [
+            (["certify", "--c", "11/10"], "0"),
+            (["figure", "--c", "11/10", "--output", "polygon.svg"], "0"),
+            (["bounds", "--c", "11/10", "--norm", "polygon"], "0"),
+            (["bounds", "--kappa", "1.331", "--norm", "polygon"], "-1.2"),
+        ],
+    )
+    def test_nonpositive_mu_is_one_usage_error(self, capsys, tmp_path, monkeypatch, argv, mu):
+        # Every command that reads --mu refuses it alike, before any work.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--mu={mu}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"smpverify {argv[0]}: error: --mu must be > 0, got {mu!r}"]
+        assert not (tmp_path / "polygon.svg").exists()
 
     @pytest.mark.parametrize(
         "argv",

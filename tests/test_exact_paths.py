@@ -7,7 +7,9 @@ These tests compare each int path with the same computation on Mat2 @,
 similarity, eigenvector_unit_first, Scalar arithmetic and the index-order
 polygon_gauge, on seeded random inputs and the certify_exact benchmark
 inputs (tests/data/certify_exact_inputs.txt), check that certify_smp runs
-no exact Mat2 @, and pin how many Fractions the inclusions reduce.
+no exact Mat2 @, and pin how many Fractions the inclusions reduce.  The
+float build_polygon, on the same tuple kernels, is checked bit for bit
+against the Mat2 @ construction.
 """
 
 import random
@@ -21,8 +23,11 @@ from test_words import exact_pair_st
 
 from smpverify import families, polytope
 from smpverify.families import (
+    DISTINGUISHED_PHI,
     custom_set,
     eigenvectors_from_products,
+    example_alt,
+    example_main,
     example_main_special,
     normalize,
     swap_pair,
@@ -51,7 +56,7 @@ from smpverify.polytope import (
     verify_inclusions,
     vertex_order_check,
 )
-from smpverify.scalar import KappaContext, Scalar
+from smpverify.scalar import REL_TOL, BackendMismatchError, KappaContext, Scalar
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=9)
 
@@ -193,6 +198,114 @@ class TestBuildPolygon:
         else:
             w = Vec2(w.x1, w.x2 + Scalar(shift))
         expected = outcome(reference_vertices, norm, v, w, Scalar.exact(mu))
+        got = outcome(lambda: build_polygon(norm, v, w, mu).vertices)
+        assert got == expected
+
+    def test_mixed_backends_are_refused(self, main_exact):
+        norm = normalize(main_exact)
+        v, w = eigenvectors_from_products(norm)
+        fv = Vec2.flt(float(v.x1), float(v.x2))
+        fw = Vec2.flt(float(w.x1), float(w.x2))
+        for args in ((fv, w), (v, fw), (fv, fw)):
+            with pytest.raises(BackendMismatchError):
+                build_polygon(norm, *args, Scalar.exact(Fraction(5, 4)))
+
+
+def float_reference_vertices(norm, v, w, mu, rel_tol=REL_TOL):
+    """v1..v12 of build_polygon on the float backend, built through Mat2 @
+    with the same checks: the reference of the tuple construction."""
+    at, bt = norm.at, norm.bt
+    for vec, m3, name in ((v, bt @ at @ at, "v"), (w, bt @ bt @ at, "w")):
+        if not (m3 @ vec).isclose(vec, rel_tol):
+            raise ValueError(f"{name} is not fixed by its triple product")
+    v1 = v.scale(mu)
+    v2 = w
+    v3 = -(at @ v1)
+    v4 = -(at @ v2)
+    v5 = -(at @ v3)
+    v6 = -(bt @ v4)
+    # Cross-check the unrolled forms of the same vertices.
+    direct = (
+        (v3, (at @ v).scale(-mu), "v3"),
+        (v5, (at @ (at @ v)).scale(mu), "v5"),
+        (v6, bt @ (at @ w), "v6"),
+    )
+    for built, unrolled, name in direct:
+        if not built.isclose(unrolled, rel_tol):
+            raise RuntimeError(f"vertex cross-check failed for {name}")
+    base = (v1, v2, v3, v4, v5, v6)
+    return base + tuple(-x for x in base)
+
+
+def hex_vertices(vertices):
+    return [(x.x1.value.hex(), x.x2.value.hex()) for x in vertices]
+
+
+FAMILIES = {"main": example_main, "alt": example_alt}
+
+
+class TestFloatBuildPolygon:
+    """The float polygon runs on the tuple kernels; its vertices are those
+    of the Mat2 @ construction bit for bit."""
+
+    @staticmethod
+    def check(family, kappa, mu, rel_tol=REL_TOL):
+        """Same vertices, hex for hex, or the same error."""
+        norm = normalize(FAMILIES[family](kappa, DISTINGUISHED_PHI))
+        v, w = eigenvectors_from_products(norm)
+        mu = Scalar.flt(mu)
+
+        def run(build):
+            try:
+                return hex_vertices(build(norm, v, w, mu, rel_tol))
+            except (ValueError, RuntimeError) as exc:
+                return type(exc), str(exc)
+
+        got = run(lambda *args: build_polygon(*args).vertices)
+        assert got == run(float_reference_vertices)
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.floats(1.01, 2.0),
+        st.floats(0.2, 3.0),
+    )
+    def test_drawn_kappa_and_mu(self, family, kappa, mu):
+        assert isinstance(self.check(family, kappa, mu), list)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.floats(1.01, 2.0),
+        st.floats(0.2, 3.0),
+        st.sampled_from((0.0, 1e-17, 1e-16)),
+    )
+    def test_tolerance_below_rounding(self, family, kappa, mu, rel_tol):
+        # At rel_tol = 0 the checks are float equalities, so the verdict
+        # follows the rounding of each product.
+        self.check(family, kappa, mu, rel_tol)
+
+    @pytest.mark.parametrize(
+        "family, mu",
+        # b3 escapes (float_b3_escapes), not convex (float_not_convex), and
+        # the certified alt golden.
+        [("main", 1.36), ("main", 1.04), ("alt", 1.07)],
+    )
+    def test_golden_scales(self, family, mu):
+        assert isinstance(self.check(family, 1.331, mu), list)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(sorted(FAMILIES)), st.floats(-0.5, 0.5), st.sampled_from("vw"))
+    def test_wrong_fixed_vector_fails_alike(self, family, shift, which):
+        norm = normalize(FAMILIES[family](1.331, DISTINGUISHED_PHI))
+        v, w = eigenvectors_from_products(norm)
+        if which == "v":
+            v = Vec2(v.x1, v.x2 + Scalar.flt(shift))
+        else:
+            w = Vec2(w.x1, w.x2 + Scalar.flt(shift))
+        mu = Scalar.flt(1.25)
+        expected = outcome(float_reference_vertices, norm, v, w, mu)
         got = outcome(lambda: build_polygon(norm, v, w, mu).vertices)
         assert got == expected
 

@@ -261,8 +261,9 @@ def _reduced(q):
 
 
 class TestExactKernel:
-    """Exact products and dot go through one reduction per entry; each entry
-    must still be the rational that plain Fraction arithmetic gives."""
+    """Exact products go through mul_entries and apply_entries on the
+    Fraction entries, and dot through Scalar arithmetic; each entry must be
+    the rational, in lowest terms, that plain Fraction arithmetic gives."""
 
     @given(st.tuples(*(wide_fractions,) * 4), st.tuples(*(wide_fractions,) * 6))
     @example(WIDE, WIDE + WIDE[:2])
