@@ -252,14 +252,14 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv, mu",
         [
-            (["certify", "--c", "11/10"], "0"),
             (["figure", "--c", "11/10", "--output", "polygon.svg"], "0"),
             (["bounds", "--c", "11/10", "--norm", "polygon"], "0"),
             (["bounds", "--kappa", "1.331", "--norm", "polygon"], "-1.2"),
         ],
     )
     def test_nonpositive_mu_is_one_usage_error(self, capsys, tmp_path, monkeypatch, argv, mu):
-        # Every command that reads --mu refuses it alike, before any work.
+        # Refused as certify refuses it (test_usage_error_with_one_line_message),
+        # before any work.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"--mu={mu}"])
