@@ -63,13 +63,19 @@ def _finite(value: float, flag: str, text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    """--tol: a finite relative tolerance > 0, checked at parse time."""
+    """--tol: a finite relative tolerance in (0, 1e-9], checked at parse time.
+
+    Binary64 rounding in the certificate's checks is about 1e-15, and a
+    slack far above it lets an escaping point pass as inside.
+    """
     try:
         value = _finite(float(text), "--tol", text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not value > 0:
         raise argparse.ArgumentTypeError(f"--tol must be > 0, got {text!r}")
+    if value > 1e-9:
+        raise argparse.ArgumentTypeError(f"--tol must be at most 1e-9, got {text!r}")
     return value
 
 
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", help="polygon scale, p/q or decimal")
     p.add_argument(
         "--tol", type=_tolerance, default=REL_TOL,
-        help=f"float-backend relative tolerance, finite and > 0 (default: {REL_TOL})",
+        help=f"float-backend relative tolerance, > 0 and at most 1e-9 (default: {REL_TOL})",
     )
     p.add_argument("--kv", action="store_true", help="print machine-readable lines")
     p.add_argument("--report", help="write the machine-readable report here")

@@ -30,7 +30,7 @@ from .matrix2 import (
     scaled_entries,
     spectral_radius,
 )
-from .scalar import REL_TOL, KappaContext, Record, Scalar
+from .scalar import REL_TOL, KappaContext, Record, Scalar, isclose, same_backend
 
 __all__ = [
     "MatrixSet",
@@ -176,11 +176,10 @@ def custom_set(
     """Wrap a user-supplied pair.  kappa is c**3 with a context (exact pairs
     only), and else such that kappa**2 is the spectral radius of B @ A @ A,
     matching the normalization convention."""
-    if a.is_exact != b.is_exact:
-        raise TypeError("matrix backends must match")
+    exact = same_backend(a, b)
     if ctx is None:
         kappa = Scalar.flt(math.sqrt(float(spectral_radius(b @ a @ a))))
-    elif a.is_exact:
+    elif exact:
         kappa = ctx.power(3)
     else:
         raise ValueError("--c applies to exact pairs only; this pair is float")
@@ -194,68 +193,66 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
     construction close up); on the exact backend lam = kappa**2 exactly
     and the scale is c**2, so the normalized entries stay rational.
 
-    On the exact backend every check is an int identity on the entries
-    scaled by the lcm F of their denominators: (F A)^3 == F^3 I and the
-    same for B, lam = p/q a root of x^2 - tr(BAA) x + det(BAA) as
-    p^2 F^6 - tr(F^3 BAA) p q F^3 + det(F^3 BAA) q^2 == 0, and the
-    normalized cube A~^3 == I/lam as p (G A~)^3 == q G^3 I, with G the lcm
-    of the denominators of A~ and B~ together (NormalizedSet.scaled, formed
-    here once per set).  The only Fractions formed are lam, the scale and
-    the entries of A~ and B~.
+    One body serves both backends.  The checks run on the entries scaled
+    by the lcm F of their denominators (matrix2.scaled_entries; F = 1 and
+    the floats themselves on floats) and compare through scalar.isclose,
+    exactly on ints and within rel_tol on floats: (F A)^3 == F^3 I and the
+    same for B, and the normalized cube A~^3 == I/lam as
+    p (G A~)^3 == q G^3 I, with G the scale of A~ and B~ together
+    (NormalizedSet.scaled, formed here once per set).  Only lam, the scale
+    and the eigenvalue identity depend on the backend.  On ints lam = p/q
+    is kappa**2 = c**6, checked to be a root of x^2 - tr(BAA) x + det(BAA)
+    as p^2 F^6 - tr(F^3 BAA) p q F^3 + det(F^3 BAA) q^2 == 0, and the only
+    Fractions formed are lam, the scale and the entries of A~ and B~.  On
+    floats lam is the spectral radius of BAA, checked to be finite before
+    the cube identities (at a non-finite lam rounding fails them, which
+    would read as a mathematical failure), and p/q = 1/(1/lam).
     """
-    a, b = mset.a, mset.b
-    if a.is_exact:
-        return _normalize_exact(mset)
-    if mset.ctx is not None:
-        raise TypeError("a cube-root context applies to exact pairs only")
-    baa = b @ a @ a
-    lam = spectral_radius(baa)
-    scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
-    # Checked before the cube identities: at such a lam, rounding
-    # fails them, which would read as a mathematical failure.
-    if not (math.isfinite(lam.value) and math.isfinite(scale.value)):
-        raise ValueError(f"lam = {lam} is out of float range; cannot normalize")
-    for m, name in ((a, "A"), (b, "B")):
-        if not (m @ m @ m).isclose(Mat2.identity_like(m), rel_tol):
+    a, b, ctx = mset.a, mset.b, mset.ctx
+    f, (ai, bi) = scaled_entries((a, b))
+    exact = a.is_exact
+    if exact:
+        if ctx is None:
+            raise ValueError(
+                "exact pairs need a cube-root context (kappa = c**3) to normalize"
+            )
+        lam, scale = ctx.power(6), ctx.power(2)
+    else:
+        if ctx is not None:
+            raise TypeError("a cube-root context applies to exact pairs only")
+        lam = spectral_radius(b @ a @ a)
+        scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
+        if not (math.isfinite(lam.value) and math.isfinite(scale.value)):
+            raise ValueError(f"lam = {lam} is out of float range; cannot normalize")
+    f3 = f**3
+    for m, name in ((ai, "A"), (bi, "B")):
+        if not _cube_is(m, 1, f3, rel_tol):
             raise ValueError(f"{name}**3 is not the identity; cannot normalize")
+    if exact:
+        # lam must be an eigenvalue of BAA: x^2 - tr*x + det annihilates it.
+        p, q = lam.value.numerator, lam.value.denominator
+        m11, m12, m21, m22 = mul_entries(mul_entries(bi, ai), ai)
+        if p * p * f3 * f3 - (m11 + m22) * p * q * f3 + (m11 * m22 - m12 * m21) * q * q:
+            raise ValueError("kappa**2 is not an eigenvalue of B @ A @ A")
+    else:
+        p, q = 1, 1 / lam.value
     inv = 1 / scale
     at, bt = a.scale(inv), b.scale(inv)
     norm = NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)
-    # Sanity: the normalized cubes must equal (1/lam) * I.
-    cube = at @ at @ at
-    expected = Mat2.identity_like(at).scale(1 / lam)
-    if not cube.isclose(expected, rel_tol):
-        raise ValueError("normalization failed the cube identity")
-    return norm
-
-
-def _normalize_exact(mset: MatrixSet) -> NormalizedSet:
-    """normalize on the exact backend, with its checks on ints."""
-    if mset.ctx is None:
-        raise ValueError(
-            "exact pairs need a cube-root context (kappa = c**3) to normalize"
-        )
-    f, (ai, bi) = scaled_entries((mset.a, mset.b))
-    f3 = f**3
-    for m, name in ((ai, "A"), (bi, "B")):
-        if mul_entries(mul_entries(m, m), m) != (f3, 0, 0, f3):
-            raise ValueError(f"{name}**3 is not the identity; cannot normalize")
-    lam = mset.ctx.power(6)
-    # lam must be an eigenvalue of BAA: x^2 - tr*x + det annihilates it.
-    p, q = lam.value.numerator, lam.value.denominator
-    m11, m12, m21, m22 = mul_entries(mul_entries(bi, ai), ai)
-    if p * p * f3 * f3 - (m11 + m22) * p * q * f3 + (m11 * m22 - m12 * m21) * q * q:
-        raise ValueError("kappa**2 is not an eigenvalue of B @ A @ A")
-    scale = mset.ctx.power(2)
-    inv = 1 / scale
-    at, bt = mset.a.scale(inv), mset.b.scale(inv)
-    norm = NormalizedSet(at=at, bt=bt, lam=lam, scale=scale, source=mset)
     # Sanity: the normalized cube must equal (1/lam) * I.
     g, (ati, _) = norm.scaled
-    qg3 = q * g**3
-    if tuple(p * e for e in mul_entries(mul_entries(ati, ati), ati)) != (qg3, 0, 0, qg3):
+    if not _cube_is(ati, p, q * g**3, rel_tol):
         raise ValueError("normalization failed the cube identity")
     return norm
+
+
+def _cube_is(m: tuple, p, q, rel_tol: float) -> bool:
+    """Whether p m^3 == q I for the row-major 4-tuple m, the cube formed
+    as (m m) m, entry by entry through scalar.isclose: exact on ints,
+    within rel_tol on floats.  An equal tuple skips the per-entry calls."""
+    cube = tuple([p * x for x in mul_entries(mul_entries(m, m), m)])
+    target = (q, 0, 0, q)
+    return cube == target or all(isclose(x, e, rel_tol) for x, e in zip(cube, target))
 
 
 def eigenvectors_vw(ctx: KappaContext) -> tuple[Vec2, Vec2]:

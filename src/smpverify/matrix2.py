@@ -5,33 +5,42 @@ spectral radius is the only operation that leaves the rationals (it takes
 a square root), so it always returns a float-backend scalar; exact
 certificate logic sticks to trace/determinant comparisons instead.
 
+Backends and tolerance: scalar.same_backend is the one backend rule and
+scalar.isclose/le/ge the one tolerance rule.  scaled_entries and
+eigenvector_unit_first call same_backend, so mixed operands raise
+BackendMismatchError with the package's one message; Mat2.isclose and
+Vec2.isclose compare entry by entry through Scalar.isclose.
+
 Cost model: Mat2 and Vec2 are slotted `scalar.Record`s, like every value
 record of the package.  Construction checks, with one chained identity
 test of the entries' `is_exact` flags, that every entry has one backend,
-and then sets two or four slots through one bound `object.__setattr__`
-rather than the loop of `Record._init`: about 0.9 us per Vec2 and 1.4 us
-per Mat2 on a float backend (Python 3.11).
-`Mat2 @ Mat2` and `Mat2 @ Vec2` check the two operands' backends once,
-then hand the raw entry values to mul_entries or apply_entries, the one
-product kernel of the package; only the result entries are wrapped.  Each
-entry is a bilinear form a*b + c*d, computed as (a*b) + (c*d), the order
-of the scalar formula, so floats round exactly as Scalar arithmetic would
-and exact entries are the rationals of Fraction arithmetic.  `dot` is the
-same formula on Scalars.
+calling same_backend only to raise, and then sets two or four slots
+through one bound `object.__setattr__` rather than the loop of
+`Record._init`: about 0.9 us per Vec2 and 1.4 us per Mat2 on a float
+backend (Python 3.11).
+`Mat2 @ Mat2` and `Mat2 @ Vec2` compare the two operands' flags by
+identity once, the same way, then hand the raw entry values to
+mul_entries or apply_entries, the one product kernel of the package; only
+the result entries are wrapped.  Each entry is a bilinear form a*b + c*d,
+computed as (a*b) + (c*d), the order of the scalar formula, so floats
+round exactly as Scalar arithmetic would and exact entries are the
+rationals of Fraction arithmetic.  `dot` is the same formula on Scalars.
 
 The exact certificate skips Mat2 for its checks: scaled_entries puts
 matrices over one common denominator (one lcm) as row-major 4-tuples of
 ints, and mul_entries and apply_entries form products and images of those
 tuples, with no Fraction and no gcd.  An identity or a sign of the scaled
 ints is that of the rationals.  On floats the same kernels run on the
-floats themselves, so a float product is bit for bit that of Mat2 @.
+floats themselves, with scale 1, so a float product is bit for bit that
+of Mat2 @, and scalar.isclose compares the tuples exactly on ints and
+within the tolerance on floats.
 """
 
 from __future__ import annotations
 
 import math
 
-from .scalar import REL_TOL, BackendMismatchError, Record, Scalar
+from .scalar import REL_TOL, Record, Scalar, same_backend
 
 __all__ = [
     "Vec2",
@@ -65,18 +74,12 @@ class EigenvectorError(ValueError):
 _set = object.__setattr__
 
 
-def _mismatch(left, right) -> BackendMismatchError:
-    return BackendMismatchError(
-        f"cannot combine {left.backend} and {right.backend} scalars"
-    )
-
-
 class Vec2(Record):
     __slots__ = ("x1", "x2")
 
     def __init__(self, x1: Scalar, x2: Scalar):
         if x1.is_exact is not x2.is_exact:
-            raise TypeError("all entries must share one backend")
+            same_backend(x1, x2)
         _set(self, "x1", x1)
         _set(self, "x2", x2)
 
@@ -122,10 +125,8 @@ def common_scale(values) -> tuple[int, list[int]]:
 def scaled_entries(mats) -> tuple[int, list[tuple]]:
     """(F, rows): each matrix's row-major entries times the lcm F of all
     their denominators, as ints, for exact matrices; F = 1 and the floats
-    themselves for float ones.  The backends must agree."""
-    exact = mats[0].is_exact
-    if any(m.is_exact is not exact for m in mats):
-        raise BackendMismatchError("cannot combine exact and float matrices")
+    themselves for float ones.  The backends must agree (same_backend)."""
+    exact = same_backend(*mats)
     values = [x for m in mats for x in m._values()]
     f, values = common_scale(values) if exact else (1, values)
     return f, [tuple(values[k:k + 4]) for k in range(0, len(values), 4)]
@@ -164,7 +165,7 @@ class Mat2(Record):
 
     def __init__(self, m11: Scalar, m12: Scalar, m21: Scalar, m22: Scalar):
         if not (m11.is_exact is m12.is_exact is m21.is_exact is m22.is_exact):
-            raise TypeError("all entries must share one backend")
+            same_backend(m11, m12, m21, m22)
         _set(self, "m11", m11)
         _set(self, "m12", m12)
         _set(self, "m21", m21)
@@ -208,11 +209,11 @@ class Mat2(Record):
     def __matmul__(self, other):
         if isinstance(other, Mat2):
             if self.m11.is_exact is not other.m11.is_exact:
-                raise _mismatch(self.m11, other.m11)
+                same_backend(self, other)
             return Mat2(*map(Scalar, mul_entries(self._values(), other._values())))
         if isinstance(other, Vec2):
             if self.m11.is_exact is not other.x1.is_exact:
-                raise _mismatch(self.m11, other.x1)
+                same_backend(self, other)
             x = (other.x1.value, other.x2.value)
             return Vec2(*map(Scalar, apply_entries(self._values(), x)))
         return NotImplemented
@@ -300,12 +301,11 @@ def eigenvector_unit_first(
     """
     if isinstance(lam, int):
         lam = Scalar.exact(lam) if m.is_exact else Scalar.flt(lam)
-    if lam.is_exact != m.is_exact:
-        raise TypeError("eigenvalue backend must match the matrix backend")
+    exact = same_backend(m, lam)
     t, d = m.trace(), m.det()
     residual = lam * lam - t * lam + d
     simple = lam * 2 - t
-    if m.is_exact:
+    if exact:
         if residual != 0:
             raise EigenvectorError(f"{lam} is not an eigenvalue")
         if simple == 0:
@@ -319,13 +319,13 @@ def eigenvector_unit_first(
     # Rows of (m - lam*I); the eigenvector is orthogonal to both, so take
     # the more robust nonzero row (a, b) and use (b, -a).
     rows = ((m.m11 - lam, m.m12), (m.m21, m.m22 - lam))
-    if m.is_exact:
+    if exact:
         row = rows[0] if (rows[0][0] != 0 or rows[0][1] != 0) else rows[1]
     else:
         row = max(rows, key=lambda r: abs(float(r[0])) + abs(float(r[1])))
     a, b = row
     x1, x2 = b, -a
-    if m.is_exact:
+    if exact:
         first_zero = x1 == 0
     else:
         first_zero = abs(float(x1)) <= rel_tol * abs(float(x2))

@@ -26,7 +26,7 @@ from .matrix2 import (
     scaled_entries,
     similarity,
 )
-from .scalar import REL_TOL, Record, Scalar
+from .scalar import REL_TOL, Record, Scalar, same_backend
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
 __all__ = [
@@ -101,9 +101,7 @@ def is_irreducible(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
     has determinant -(p^2 + q*r).  Float matrices compare eigendirections
     with the residual tolerance rel_tol.
     """
-    if a.is_exact != b.is_exact:
-        raise TypeError("matrix backends must match")
-    if a.is_exact:
+    if same_backend(a, b):
         a11, a12, a21, a22 = (e.value for e in a.entries())
         b11, b12, b21, b22 = (e.value for e in b.entries())
         if (a11 - a22) ** 2 + 4 * a12 * a21 < 0 or (b11 - b22) ** 2 + 4 * b12 * b21 < 0:

@@ -121,11 +121,13 @@ from .matrix2 import (
 from .permutability import TauMap, friedland_permutable, is_irreducible, verify_tau
 from .scalar import (
     REL_TOL,
-    BackendMismatchError,
     FloatKappa,
     KappaContext,
     Record,
     Scalar,
+    isclose,
+    le,
+    same_backend,
 )
 from .words import Word, factor_counts
 
@@ -292,7 +294,7 @@ def _gauges(poly: "Polygon", points, f, tol: float):
     of (x, Ty), and likewise for t: the signs are compared, the products
     never formed.  On floats each gauge is a float, s, t and h round
     exactly as in sector_coords and triangle_h, and s, t >= -tol is
-    Scalar.ge(0, tol).
+    scalar.ge(s, 0, tol), inlined.
 
     The float search runs in index order and returns the first sector
     that passes.  The exact one does too, unless the sectors tile the
@@ -310,7 +312,7 @@ def _gauges(poly: "Polygon", points, f, tol: float):
             if collinear:
                 raise DegenerateSectorError("sector generators are collinear")
             s = z1 * ty1 + z2 * ty2
-            if not exact:
+            if not exact:  # ge(x, 0, tol), inlined: this runs per sector
                 if s / x_ty >= -tol and (z1 * tx1 + z2 * tx2) / y_tx >= -tol:
                     break
             elif _same_sign(s, x_ty) and _same_sign(z1 * tx1 + z2 * tx2, y_tx):
@@ -320,13 +322,6 @@ def _gauges(poly: "Polygon", points, f, tol: float):
         start = k % 12 if exact and poly._tiled else 0
         num, den = d1 * -z2 + d2 * z1, f * y_tx
         yield ((num, den) if den > 0 else (-num, -den)) if exact else num / den
-
-
-def _check_backend(poly: "Polygon", exact: bool) -> None:
-    if exact != poly.is_exact:
-        raise BackendMismatchError(
-            "cannot combine exact and float values with one polygon"
-        )
 
 
 class Polygon(Record):
@@ -385,7 +380,7 @@ class Polygon(Record):
         On the exact backend the twelve unreduced gauges are compared by
         cross-multiplication, and only the largest is reduced.
         """
-        _check_backend(self, m.is_exact)
+        same_backend(self, m)
         f, (entries,) = scaled_entries((m,))
         gauges = _gauges(self, _image_points(self._edge_table, entries), f, rel_tol)
         # Exact gauges are (num, den) pairs, ordered by cross-multiplication.
@@ -427,9 +422,7 @@ def build_polygon(
     reduced once to a Fraction.  On floats G = H = 1, the checks are
     Vec2.isclose within rel_tol, and the vertices are the floats of Mat2 @.
     """
-    exact = norm.at.is_exact
-    if not (exact is v.is_exact is w.is_exact):
-        raise BackendMismatchError("cannot combine exact and float values in one polygon")
+    exact = same_backend(norm.at, v, w)
     mu = _coerce_mu(mu, exact)
     if not mu > 0:
         raise ValueError(f"need mu > 0, got {mu}")
@@ -445,11 +438,11 @@ def _times(k: int, x: tuple) -> tuple:
     return (k * x[0], k * x[1])
 
 
-def _same(x: tuple, y: tuple, exact: bool, rel_tol: float) -> bool:
-    """x == y on ints; on floats Vec2.isclose, coordinate by coordinate."""
-    if exact:
-        return x == y
-    return all(math.isclose(p, q, rel_tol=rel_tol, abs_tol=rel_tol) for p, q in zip(x, y))
+def _same(x: tuple, y: tuple, rel_tol: float) -> bool:
+    """x == y coordinate by coordinate through scalar.isclose: exact on
+    ints, within rel_tol on floats, as Vec2.isclose.  Equal tuples, as
+    every passing exact check has, skip the per-coordinate calls."""
+    return x == y or all(isclose(p, q, rel_tol) for p, q in zip(x, y))
 
 
 def _base_vertices(
@@ -469,7 +462,7 @@ def _base_vertices(
     g3 = g**3
     bba = mul_entries(mul_entries(b, b), a)
     for vec, m3, name in ((vv, mul_entries(mul_entries(b, a), a), "v"), (ww, bba, "w")):
-        if not _same(apply_entries(m3, vec), _times(g3, vec), exact, rel_tol):
+        if not _same(apply_entries(m3, vec), _times(g3, vec), rel_tol):
             raise ValueError(f"{name} is not fixed by its triple product")
     v1 = _times(m, vv)
     v2 = _times(h, ww)
@@ -485,7 +478,7 @@ def _base_vertices(
         (v6, _times(h, apply_entries(b, apply_entries(a, ww))), "v6"),
     )
     for built, unrolled, name in direct:
-        if not _same(built, unrolled, exact, rel_tol):
+        if not _same(built, unrolled, rel_tol):
             raise RuntimeError(f"vertex cross-check failed for {name}")
     gg = g * g
     den = gg * h * h
@@ -719,7 +712,9 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     """All fifteen products (v_i, T v_j), i < j <= 6, must be positive:
     the rays are then pairwise distinct and the clockwise traversal meets
     the vertices in index order, for any kappa > 1 and mu > 0.  On the
-    zero-corner family each product must also match its closed form.
+    zero-corner family each product must also match its closed form.  A
+    failed check names the first product that is not positive, as
+    "v1,Tv6 <= 0", or else says "closed forms differ".
 
     Each product is P = (V_i, T V_j) of the edge table's vertices V = D v,
     positive iff P > 0, and on the exact backend an int, reduced once, as
@@ -734,6 +729,9 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
         for i, j in _ORDER_PAIRS
     ]
     passed = all(p > 0 for p in ints)
+    detail = next(
+        (f"v{i},Tv{j} <= 0" for (i, j), p in zip(_ORDER_PAIRS, ints) if not p > 0), ""
+    )
     products = [_ratio(p, dd, poly.is_exact) for p in ints]
     data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(_ORDER_PAIRS, products)]
     data.append(("order.all_positive", passed))
@@ -756,8 +754,10 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
                 for pair, val in zip(_ORDER_PAIRS, products)
             )
         data.append(("order.closed_form_match", match))
+        if passed and not match:
+            detail = "closed forms differ"
         passed = passed and match
-    return CheckResult("vertex_order", passed, "", tuple(data))
+    return CheckResult("vertex_order", passed, detail, tuple(data))
 
 
 def convexity_values(poly: Polygon) -> list[tuple[int, Scalar]]:
@@ -781,8 +781,7 @@ def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
     triangle_h compute them, with the tolerance applied here.  Requires a
     convex polygon with verified vertex order to be a norm.
     """
-    _check_backend(poly, x.is_exact)
-    if poly.is_exact:  # x = Z / e = (D Z) / (e D): the numerator gains D
+    if same_backend(poly, x):  # x = Z / e = (D Z) / (e D): the numerator gains D
         e, z = common_scale((x.x1.value, x.x2.value))
         [(num, den)] = _gauges(poly, [z], e, rel_tol)
         return Scalar(Fraction(num * poly._edge_table.scale, den))
@@ -811,15 +810,11 @@ _NONOBVIOUS = (
 )
 
 
-def _on_vertex(z, v, f: int, lam, exact: bool, rel_tol: float) -> bool:
-    """Whether the image z, over E = F D, is the table vertex v, over D, or
-    v / lam when lam is given: lam.num Z == lam.den F V on ints, and on
-    floats Scalar.isclose per coordinate against v times 1 / lam."""
-    if exact:
-        p, q = (lam.numerator, lam.denominator) if lam is not None else (1, 1)
-        return all(p * zk == q * f * vk for zk, vk in zip(z, v))
-    r = 1.0 if lam is None else 1 / lam
-    return all(Scalar(zk).isclose(Scalar(vk * r), rel_tol) for zk, vk in zip(z, v))
+def _on_vertex(z, v, f: int, p, q, rel_tol: float) -> bool:
+    """Whether the image z, over E = F D, is the table vertex v, over D,
+    divided by p/q: p Z == q F V through _same.  p/q is 1, or lam, which
+    is lam.num/lam.den on ints and 1/(1/lam) on floats."""
+    return _same(_times(p, z), _times(q * f, v), rel_tol)
 
 
 def verify_inclusions(
@@ -835,16 +830,17 @@ def verify_inclusions(
     gauge test raises RuntimeError: it would mean the geometry primitives
     contradict each other.
     """
-    _check_backend(poly, norm.at.is_exact)
-    exact, table = poly.is_exact, poly._edge_table
+    exact, table = same_backend(poly, norm.at), poly._edge_table
     f, (at, bt) = norm.scaled
     lists = {"a": _image_points(table, at), "b": _image_points(table, bt)}
     data, failures = [], []
 
+    lam = norm.lam.value
+    lam_pq = (lam.numerator, lam.denominator) if exact else (1, 1 / lam)
     for label, kind, idx, target, scaled in _AUTOMATIC_IDENTITIES:
         point = lists[kind][idx - 1]
-        lam = norm.lam.value if scaled else None
-        ok = _on_vertex(point, table.vertices[target - 1], f, lam, exact, rel_tol)
+        p, q = lam_pq if scaled else (1, 1)
+        ok = _on_vertex(point, table.vertices[target - 1], f, p, q, rel_tol)
         data.append((f"inclusion.identity.{label.split(' ')[0]}", ok))
         if not ok:
             failures.append(label)
@@ -873,11 +869,11 @@ def verify_inclusions(
             failures.append(label)
 
     if convexity_check(poly, rel_tol):
-        inv_lam, seen = (1 / norm.lam.value if exact else None), {}
+        inv_lam, seen = (1 / lam if exact else None), {}
         # One sweep over a1..a12, b1..b12: b1 lies next to a12 (b7 next to a6).
         labels = [f"{kind}{idx}" for kind in "ab" for idx in range(1, 13)]
         for label, g in zip(labels, _gauges(poly, lists["a"] + lists["b"], f, rel_tol)):
-            ok = g[0] <= g[1] if exact else Scalar(g).le(1, rel_tol)
+            ok = g[0] <= g[1] if exact else le(g, 1, rel_tol)
             if exact:  # g = (num, den); the mirror -z of a point z gives its pair
                 known = (seen.get(g), _ONE, inv_lam, sector_h.get(label))
                 seen[g] = g = _reduced(*g, known)

@@ -7,15 +7,23 @@ exponent that occurs in the polygon construction is a multiple of one
 third, so all derived quantities stay inside the rationals.  The float
 backend mirrors the same operations in binary64 for parameter scans.
 
-Backends never mix silently: combining an exact and a float scalar raises
-BackendMismatchError, so a certificate that starts exact stays exact.
+Two rules, each in one place, hold the package's backend decisions.
 
-Tolerance policy: `isclose`, `le` and `ge` are the one comparison
-primitive of the package.  On the exact backend they compare exactly and
-ignore their tolerance; on the float backend they allow the relative slack
-`rel_tol`, whose default everywhere is the module constant REL_TOL.  There
-is no process-wide setting: a caller that wants another tolerance passes
-it (the command line does so with `certify --tol`).
+same_backend(*items) is the backend rule: it returns whether the items
+(Scalars, Mat2s, Vec2s, Polygons, anything with an `is_exact` flag) are
+exact, and it raises BackendMismatchError, with the package's one message,
+when exact and float items meet.  So a certificate that starts exact stays
+exact, and every mixed-backend error reads the same.
+
+isclose, le and ge are the tolerance policy: the one comparison primitive
+of the package, on raw values.  A comparison is exact, and ignores its
+tolerance, when neither operand is a float (an isinstance test, so a
+subclass of float, such as numpy's float64, counts as a float); otherwise
+it allows the relative slack `rel_tol`, whose default everywhere is the
+module constant REL_TOL.  Scalar.isclose/le/ge delegate to them, and the
+certificate's tuple checks call them on the raw ints or floats.  There is
+no process-wide setting: a caller that wants another tolerance passes it
+(the command line does so with `certify --tol`).
 
 Cost model: a Scalar's backend is fixed once, at construction, by an exact
 type test (`type(value) is Fraction` or `is float`) and stored in the
@@ -23,7 +31,7 @@ type test (`type(value) is Fraction` or `is float`) and stored in the
 value, pays for an isinstance check, which for Fraction goes through
 ABCMeta.  Each operation then compares the two flags by identity and does
 the raw arithmetic, so a float operation costs a few hundred nanoseconds
-over the bare float operation.
+over the bare float operation; it calls same_backend only to raise.
 """
 
 from __future__ import annotations
@@ -33,6 +41,10 @@ from fractions import Fraction
 
 __all__ = [
     "BackendMismatchError",
+    "same_backend",
+    "isclose",
+    "le",
+    "ge",
     "Scalar",
     "KappaContext",
     "FloatKappa",
@@ -46,7 +58,43 @@ REL_TOL = 1e-12
 
 
 class BackendMismatchError(TypeError):
-    """Exact and float scalars met in one expression."""
+    """Exact and float values met in one expression."""
+
+
+def same_backend(*items) -> bool:
+    """Whether the items, each with an `is_exact` flag, are exact.
+
+    Raises BackendMismatchError when exact and float items meet.
+    """
+    exact = items[0].is_exact
+    for item in items[1:]:
+        if item.is_exact is not exact:
+            raise BackendMismatchError("cannot combine exact and float values")
+    return exact
+
+
+def isclose(x, y, rel_tol: float = REL_TOL) -> bool:
+    """x == y, exactly unless an operand is a float; then within rel_tol,
+    relative or absolute."""
+    if isinstance(x, float) or isinstance(y, float):
+        return math.isclose(x, y, rel_tol=rel_tol, abs_tol=rel_tol)
+    return x == y
+
+
+def le(x, y, rel_tol: float = REL_TOL) -> bool:
+    """x <= y, exactly unless an operand is a float; then with the slack
+    rel_tol * max(1, |y|)."""
+    if isinstance(x, float) or isinstance(y, float):
+        return x <= y + rel_tol * max(1.0, abs(y))
+    return x <= y
+
+
+def ge(x, y, rel_tol: float = REL_TOL) -> bool:
+    """x >= y, exactly unless an operand is a float; then with the slack
+    rel_tol * max(1, |y|)."""
+    if isinstance(x, float) or isinstance(y, float):
+        return x >= y - rel_tol * max(1.0, abs(y))
+    return x >= y
 
 
 class Record:
@@ -144,9 +192,7 @@ class Scalar:
     def _coerce(self, other):
         if isinstance(other, Scalar):
             if self.is_exact is not other.is_exact:
-                raise BackendMismatchError(
-                    f"cannot combine {self.backend} and {other.backend} scalars"
-                )
+                same_backend(self, other)
             return other.value
         if isinstance(other, int) and not isinstance(other, bool):
             return Fraction(other) if self.is_exact else float(other)
@@ -239,23 +285,14 @@ class Scalar:
 
     def isclose(self, other, rel_tol: float = REL_TOL) -> bool:
         """Equality check: exact on the exact backend, tolerant on float."""
-        ov = self._cmp_value(other)
-        if self.is_exact:
-            return self.value == ov
-        return math.isclose(self.value, ov, rel_tol=rel_tol, abs_tol=rel_tol)
+        return isclose(self.value, self._cmp_value(other), rel_tol)
 
     def le(self, other, rel_tol: float = REL_TOL) -> bool:
         """self <= other, allowing a relative slack on the float backend."""
-        ov = self._cmp_value(other)
-        if self.is_exact:
-            return self.value <= ov
-        return self.value <= ov + rel_tol * max(1.0, abs(ov))
+        return le(self.value, self._cmp_value(other), rel_tol)
 
     def ge(self, other, rel_tol: float = REL_TOL) -> bool:
-        ov = self._cmp_value(other)
-        if self.is_exact:
-            return self.value >= ov
-        return self.value >= ov - rel_tol * max(1.0, abs(ov))
+        return ge(self.value, self._cmp_value(other), rel_tol)
 
     # -- formatting ---------------------------------------------------
 

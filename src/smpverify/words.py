@@ -72,7 +72,7 @@ import math
 from fractions import Fraction
 
 from .matrix2 import Mat2, scaled_entries
-from .scalar import Record, Scalar
+from .scalar import Record, Scalar, same_backend
 from . import matrix2
 
 __all__ = [
@@ -128,8 +128,7 @@ class Word(Record):
 
 def evaluate(w: Word, a: Mat2, b: Mat2) -> Mat2:
     """The matrix product named by the word's display form."""
-    if a.is_exact != b.is_exact:
-        raise TypeError("matrix backends must match")
+    same_backend(a, b)
     factors = {"A": a, "B": b}
     product = factors[w.symbols[0]]
     for sym in w.symbols[1:]:
@@ -225,18 +224,6 @@ def _check_cap(n: int) -> None:
         raise ValueError("need n >= 1")
     if n > DEFAULT_WORD_CAP:
         raise ValueError(f"word length {n} exceeds cap {DEFAULT_WORD_CAP}")
-
-
-def _scaled_pair(a: Mat2, b: Mat2):
-    """Row-major 4-tuples of D*a and D*b, and the scale D.
-
-    Exact pairs are scaled by the lcm D of their eight denominators, so
-    the tuples hold ints; float pairs keep their floats, with D = 1.
-    """
-    if a.is_exact != b.is_exact:
-        raise TypeError("matrix backends must match")
-    d, (ta, tb) = scaled_entries((a, b))
-    return ta, tb, d
 
 
 def _half_hull(points):
@@ -474,7 +461,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     backend) or too large to convert to a float (exact backend) raises
     ValueError naming the least word length where one occurs.
     """
-    ta, tb, d = _scaled_pair(a, b)
+    d, (ta, tb) = scaled_entries((a, b))
     scores = _Scores(ta, tb, d, lo, hi, a.is_exact, radii)
     if a.is_exact and norm is None:
         visits = 0

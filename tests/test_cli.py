@@ -147,6 +147,18 @@ class TestCertify:
         assert "[FAIL] parameters  (reducible pair)" in out
         assert "first failing check: parameters" in out
 
+    def test_largest_tol_keeps_the_default_verdict(self, capsys):
+        argv = ("certify", "--kappa", "1.331", "--mu", "1.36")
+        code, out, err = run(capsys, *argv, "--tol", "1e-9")
+        assert (code, out, err) == run(capsys, *argv)
+        assert code == 1
+        assert "[FAIL] inclusions  (escaping points: b3,b9)" in out
+
+    def test_vertex_order_failure_names_the_product(self, capsys):
+        code, out, _ = run(capsys, "certify", "--kappa", "1e20", "--mu", "1.2")
+        assert code == 1
+        assert "[FAIL] vertex_order  (v1,Tv6 <= 0)" in out
+
     def test_alt_float_certified(self, capsys):
         code, out, _ = run(
             capsys,
@@ -238,6 +250,9 @@ class TestBadInput:
             (["--family", "alt", "--kappa", "1.331", "--mu=-0.0"], "--mu must be > 0"),
             (["--family", "alt", "--kappa", "1.331", "--mu", "1/1" + "0" * 400],
              "--mu is out of float range: it rounds to 0.0"),
+            # The input of float_b3_escapes: at these slacks b3 would pass as inside.
+            (["--kappa", "1.331", "--mu", "1.36", "--tol", "0.05"], "--tol must be at most 1e-9"),
+            (["--kappa", "1.331", "--mu", "1.36", "--tol", "1"], "--tol must be at most 1e-9"),
         ],
     )
     def test_usage_error_with_one_line_message(self, capsys, argv, message):

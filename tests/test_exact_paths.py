@@ -9,9 +9,11 @@ polygon_gauge, on seeded random inputs and the certify_exact benchmark
 inputs (tests/data/certify_exact_inputs.txt), check that certify_smp runs
 no exact Mat2 @, and pin how many Fractions the inclusions reduce.  The
 float build_polygon, on the same tuple kernels, is checked bit for bit
-against the Mat2 @ construction.
+against the Mat2 @ construction, and the one normalize body, on floats,
+against the Mat2 @ and Mat2.isclose normalize it replaced.
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +44,7 @@ from smpverify.matrix2 import (
     rot90,
     scaled_entries,
     similarity,
+    spectral_radius,
 )
 from smpverify.permutability import TauMap, verify_tau
 from smpverify.polytope import (
@@ -310,6 +313,95 @@ class TestFloatBuildPolygon:
         assert got == expected
 
 
+def float_reference_normalize(mset, rel_tol=REL_TOL):
+    """(A~, B~, lam, scale) of normalize on the float backend, built on
+    Mat2 @ and Mat2.isclose with the same checks in the same order: the
+    reference of the one tuple body."""
+    a, b = mset.a, mset.b
+    lam = spectral_radius(b @ a @ a)
+    scale = Scalar.flt(float(lam) ** (1.0 / 3.0))
+    if not (math.isfinite(lam.value) and math.isfinite(scale.value)):
+        raise ValueError(f"lam = {lam} is out of float range; cannot normalize")
+    for m, name in ((a, "A"), (b, "B")):
+        if not (m @ m @ m).isclose(Mat2.identity_like(m), rel_tol):
+            raise ValueError(f"{name}**3 is not the identity; cannot normalize")
+    inv = 1 / scale
+    at, bt = a.scale(inv), b.scale(inv)
+    cube = at @ at @ at
+    if not cube.isclose(Mat2.identity_like(at).scale(1 / lam), rel_tol):
+        raise ValueError("normalization failed the cube identity")
+    return at, bt, lam, scale
+
+
+def hex_normalized(at, bt, lam, scale):
+    entries = at.entries() + bt.entries() + (lam, scale)
+    return [x.value.hex() for x in entries]
+
+
+class TestFloatNormalize:
+    """The float normalize runs the tuple body of the exact one; its A~,
+    B~, lam and scale are those of the Mat2 @ normalize bit for bit, and
+    it raises the same errors."""
+
+    @staticmethod
+    def check(mset, rel_tol=REL_TOL):
+        def run(fn):
+            try:
+                return hex_normalized(*fn(mset, rel_tol))
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        def merged(mset, rel_tol):
+            norm = normalize(mset, rel_tol)
+            return norm.at, norm.bt, norm.lam, norm.scale
+
+        got = run(merged)
+        assert got == run(float_reference_normalize)
+        return got
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.floats(1.01, 50.0),
+        st.sampled_from((REL_TOL, 1e-15, 1e-16, 0.0)),
+    )
+    def test_drawn_main_and_alt_pairs(self, family, kappa, rel_tol):
+        self.check(FAMILIES[family](kappa, DISTINGUISHED_PHI), rel_tol)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_golden_pairs_pass(self, family):
+        assert isinstance(self.check(FAMILIES[family](1.331, DISTINGUISHED_PHI)), list)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(FAMILIES)),
+        st.floats(1.01, 2.0),
+        st.integers(0, 7),
+        st.floats(-1e-6, 1e-6),
+    )
+    def test_custom_pairs_off_the_cube_identity(self, family, kappa, entry, shift):
+        # One entry of A or B moved: A**3 or B**3 misses I, or only just.
+        mset = FAMILIES[family](kappa, DISTINGUISHED_PHI)
+        values = [float(e) for m in (mset.a, mset.b) for e in m.entries()]
+        values[entry] += shift
+        pair = custom_set(Mat2.flt(*values[:4]), Mat2.flt(*values[4:]))
+        self.check(pair)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
+    def test_drawn_custom_pairs(self, values):
+        a, b = Mat2.flt(*values[:4]), Mat2.flt(*values[4:])
+        try:
+            pair = custom_set(a, b)
+        except ValueError:
+            return
+        self.check(pair)
+
+    def test_infinite_lam(self):
+        got = self.check(example_main(1e150, DISTINGUISHED_PHI))
+        assert got == (ValueError, "lam = inf is out of float range; cannot normalize")
+
+
 class TestOrderClosedForms:
     def test_ratio_evaluation_matches_scalar_closed_forms(self):
         rng = random.Random(2024)
@@ -334,14 +426,18 @@ def reference_order(poly):
     pairs = polytope._ORDER_PAIRS
     products = [dot(poly.v(i), rot90(poly.v(j))) for i, j in pairs]
     passed = all(val > 0 for val in products)
+    nonpositive = [f"v{i},Tv{j} <= 0" for (i, j), val in zip(pairs, products) if not val > 0]
+    detail = nonpositive[0] if nonpositive else ""
     data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(pairs, products)]
     data.append(("order.all_positive", passed))
     if poly.family == "main":
         closed = polytope._order_products_closed(poly.ctx.power, poly.mu)
         match = all(val == closed[pair] for pair, val in zip(pairs, products))
         data.append(("order.closed_form_match", match))
+        if passed and not match:
+            detail = "closed forms differ"
         passed = passed and match
-    return CheckResult("vertex_order", passed, "", tuple(data))
+    return CheckResult("vertex_order", passed, detail, tuple(data))
 
 
 def rebuilt(poly, vertices, family):

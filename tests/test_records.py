@@ -35,7 +35,7 @@ from smpverify.polytope import (
     convexity_values,
     images,
 )
-from smpverify.scalar import FloatKappa, KappaContext, Scalar
+from smpverify.scalar import BackendMismatchError, FloatKappa, KappaContext, Scalar
 from smpverify.words import BoundsRow, Word
 
 
@@ -232,14 +232,14 @@ class TestValidation:
             Polygon(poly.vertices[:1] * count, poly.mu, poly.kappa, poly.ctx, "main")
 
     def test_vec2_mixed_backends(self):
-        with pytest.raises(TypeError, match="all entries must share one backend"):
+        with pytest.raises(BackendMismatchError, match="^cannot combine exact and float values$"):
             Vec2(Scalar.exact(1), Scalar.flt(1.0))
 
     @pytest.mark.parametrize("odd", range(4))
     def test_mat2_mixed_backends(self, odd):
         entries = [Scalar.exact(1)] * 4
         entries[odd] = Scalar.flt(1.0)
-        with pytest.raises(TypeError, match="all entries must share one backend"):
+        with pytest.raises(BackendMismatchError, match="^cannot combine exact and float values$"):
             Mat2(*entries)
 
     def test_word_needs_a_symbol(self):

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from smpverify.families import MatrixSet, custom_set, normalize
+from smpverify.matrix2 import Mat2, Vec2, eigenvector_unit_first, scaled_entries
+from smpverify.permutability import is_irreducible
+from smpverify.polytope import build_polygon, polygon_gauge, verify_inclusions
 from smpverify.scalar import (
     BackendMismatchError,
     FloatKappa,
     KappaContext,
     Scalar,
+    ge,
+    isclose,
+    le,
     parse_scalar,
 )
+from smpverify.words import Word, bounds_table, evaluate
 
 
 class TestScalarArithmetic:
@@ -106,6 +114,52 @@ class TestToleranceComparisons:
         assert a.le(1)
         assert not Scalar.flt(1.0 + 1e-9).le(1)
         assert Scalar.flt(1.0 + 1e-9).le(1, rel_tol=1e-8)
+
+    def test_raw_comparisons_are_exact_unless_an_operand_is_a_float(self):
+        tiny = Fraction(1, 10**30)
+        assert not isclose(tiny, 0) and not isclose(1, 1 + tiny)
+        assert not le(1 + tiny, 1) and not ge(1, 1 + tiny)
+        assert isclose(1.0 + 1e-13, 1) and le(1.0 + 1e-13, 1) and ge(1, 1.0 + 1e-13)
+        assert not le(1.0 + 1e-9, 1) and le(1.0 + 1e-9, 1, rel_tol=1e-8)
+        # A float subclass counts as a float.
+        assert isclose(np.float64(1.0 + 1e-13), 1) and le(1, np.float64(1.0 - 1e-13))
+        assert not isclose(1.0 + 1e-13, 1, rel_tol=0.0)
+
+
+# One exact and one float operand for every entry point that checks the
+# backends; fx is request.getfixturevalue.
+_E, _F = Scalar.exact(1), Scalar.flt(1.0)
+_ME, _MF = Mat2.exact(1, 2, 3, 4), Mat2.flt(1.0, 2.0, 3.0, 4.0)
+_VE, _VF = Vec2.exact(1, 2), Vec2.flt(1.0, 2.0)
+MIXED_CALLS = {
+    "Scalar +": lambda fx: _E + _F,
+    "Vec2": lambda fx: Vec2(_E, _F),
+    "Mat2": lambda fx: Mat2(_E, _E, _F, _E),
+    "Mat2 @ Mat2": lambda fx: _ME @ _MF,
+    "Mat2 @ Vec2": lambda fx: _MF @ _VE,
+    "scaled_entries": lambda fx: scaled_entries((_ME, _MF)),
+    # One letter only: the check is evaluate's, not that of Mat2 @.
+    "evaluate": lambda fx: evaluate(Word.from_display("AAA"), _ME, _MF),
+    "bounds_table": lambda fx: bounds_table(_ME, _MF, 2),
+    "custom_set": lambda fx: custom_set(_ME, _MF),
+    "is_irreducible": lambda fx: is_irreducible(_MF, _ME),
+    "eigenvector_unit_first": lambda fx: eigenvector_unit_first(_ME, _F),
+    "normalize": lambda fx: normalize(
+        MatrixSet(_ME, _MF, None, "custom", _F, fx("ctx11"))
+    ),
+    "build_polygon": lambda fx: build_polygon(fx("norm_exact"), _VF, _VF, Fraction(5, 4)),
+    "polygon_gauge": lambda fx: polygon_gauge(fx("poly_exact"), _VF),
+    "Polygon.matrix_norm": lambda fx: fx("poly_exact").matrix_norm(_MF),
+    "verify_inclusions": lambda fx: verify_inclusions(
+        fx("poly_exact"), normalize(fx("main_float"))
+    ),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_CALLS.values(), ids=MIXED_CALLS.keys())
+def test_mixed_backends_raise_the_one_error(request, call):
+    with pytest.raises(BackendMismatchError, match="^cannot combine exact and float values$"):
+        call(request.getfixturevalue)
 
 
 class TestSerialization:

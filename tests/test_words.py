@@ -456,7 +456,7 @@ class TestPrunedWalk:
             entries = EDGE_PAIRS[case]
             a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
         # tops[m] is D**m times the largest box norm of the 2**m products.
-        ta, tb, d = words._scaled_pair(a, b)
+        d, (ta, tb) = matrix2.scaled_entries((a, b))
         tops, _ = words._box_tops(ta, tb, 9)
         level = [Mat2.identity_like(a)]
         for m in range(1, 10):
