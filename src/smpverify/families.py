@@ -30,7 +30,7 @@ from .matrix2 import (
     scaled_entries,
     spectral_radius,
 )
-from .scalar import REL_TOL, KappaContext, Record, Scalar, isclose, same_backend
+from .scalar import REL_TOL, KappaContext, Record, Scalar, allclose, same_backend
 
 __all__ = [
     "MatrixSet",
@@ -195,7 +195,7 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
 
     One body serves both backends.  The checks run on the entries scaled
     by the lcm F of their denominators (matrix2.scaled_entries; F = 1 and
-    the floats themselves on floats) and compare through scalar.isclose,
+    the floats themselves on floats) and compare through scalar.allclose,
     exactly on ints and within rel_tol on floats: (F A)^3 == F^3 I and the
     same for B, and the normalized cube A~^3 == I/lam as
     p (G A~)^3 == q G^3 I, with G the scale of A~ and B~ together
@@ -248,11 +248,10 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
 
 def _cube_is(m: tuple, p, q, rel_tol: float) -> bool:
     """Whether p m^3 == q I for the row-major 4-tuple m, the cube formed
-    as (m m) m, entry by entry through scalar.isclose: exact on ints,
-    within rel_tol on floats.  An equal tuple skips the per-entry calls."""
+    as (m m) m, through scalar.allclose: exact on ints, within rel_tol on
+    floats."""
     cube = tuple([p * x for x in mul_entries(mul_entries(m, m), m)])
-    target = (q, 0, 0, q)
-    return cube == target or all(isclose(x, e, rel_tol) for x, e in zip(cube, target))
+    return allclose(cube, (q, 0, 0, q), rel_tol)
 
 
 def eigenvectors_vw(ctx: KappaContext) -> tuple[Vec2, Vec2]:

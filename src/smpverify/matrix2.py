@@ -32,8 +32,19 @@ ints, and mul_entries and apply_entries form products and images of those
 tuples, with no Fraction and no gcd.  An identity or a sign of the scaled
 ints is that of the rationals.  On floats the same kernels run on the
 floats themselves, with scale 1, so a float product is bit for bit that
-of Mat2 @, and scalar.isclose compares the tuples exactly on ints and
+of Mat2 @, and scalar.allclose compares the tuples exactly on ints and
 within the tolerance on floats.
+
+Where the kernel runs: Mat2 @; normalize and eigenvectors_from_products
+(families) and verify_tau (permutability); build_polygon and the images
+of the polygon's vertices (polytope); and the exact box-norm oracle of
+words, where each hull image is one apply_entries and each necklace
+prefix one mul_entries.  Two inline copies of product formulas stay, each
+for a measured cost.  words._walk_tree, the float and norm-object walk,
+writes out mul_entries: through the kernel the float alt table at n = 12
+ran about 28% slower.  polytope._gauges writes out its sector formula
+(polytope._sector, not a kernel of this module): through it certify ran
+about 5% slower on float inputs and 6% on exact ones.
 """
 
 from __future__ import annotations

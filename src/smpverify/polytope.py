@@ -50,6 +50,16 @@ form by cross-multiplication with the closed form's unreduced numerator
 and denominator; the identities are Z == F V_j (lam.num Z == lam.den
 F V_j for the 1/lam ones).
 
+Each of these formulas has one routine.  _cross forms (x, Ty) for the
+edge rows, Polygon._tiled and vertex_order_check.  _row builds the twelve
+edge rows and the six convexity chords (v_{i-1}, v_{i+1}), taking
+(y, Tx) = -(x, Ty).  _sector gives the numerators of s, t and h to the
+convexity levels and to the four sector tests of verify_inclusions, and
+raises their DegenerateSectorError.  The images M v_i come from
+matrix2.apply_entries.  One copy stays: the gauge search (_gauges) writes
+out _sector, because through it certify ran about 5% slower on float
+inputs and 6% on exact ones.
+
 The values the report prints are one Fraction per distinct value.  The
 sector tests' s, t and h, the order products (V_i, T V_j) / D^2 and the
 convexity levels (V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}) are
@@ -125,7 +135,7 @@ from .scalar import (
     KappaContext,
     Record,
     Scalar,
-    isclose,
+    allclose,
     le,
     same_backend,
 )
@@ -225,20 +235,40 @@ class _EdgeTable(Record):
         self._init(scale, vertices, edges)
 
 
+def _cross(x: tuple, y: tuple):
+    """(x, Ty) of two pairs, formed as x_1 (-y_2) + x_2 y_1."""
+    return x[0] * -y[1] + x[1] * y[0]
+
+
+def _row(x: tuple, y: tuple, exact: bool) -> tuple:
+    """The _EdgeTable row of the chord from x to y."""
+    (x1, x2), (y1, y2) = x, y
+    x_ty = _cross(x, y)
+    collinear = _collinear(x1, x2, y1, y2, x_ty, exact)
+    return (-y2, y1, -x2, x1, x_ty, -x_ty, y1 - x1, y2 - x2, collinear)
+
+
+def _sector(row: tuple, z: tuple) -> tuple:
+    """The numerators (z, Ty), (z, Tx) and (y - x, Tz) of s, t and h of
+    the point z in the sector of a row (x, y), whose denominators are
+    (x, Ty), (y, Tx) and (y, Tx); the operations of sector_coords and
+    triangle_h in their order.  A collinear row raises
+    DegenerateSectorError."""
+    ty1, ty2, tx1, tx2, _, _, d1, d2, collinear = row
+    if collinear:
+        raise DegenerateSectorError("sector generators are collinear")
+    z1, z2 = z
+    return z1 * ty1 + z2 * ty2, z1 * tx1 + z2 * tx2, _cross((d1, d2), z)
+
+
 def _build_edge_table(vertices: tuple[Vec2, ...]) -> _EdgeTable:
     exact = vertices[0].is_exact
     coords, d = [(v.x1.value, v.x2.value) for v in vertices], 1
     if exact:
         d, flat = common_scale([q for pair in coords for q in pair])
         coords = list(zip(flat[0::2], flat[1::2]))
-    edges = []
-    for i, (x1, x2) in enumerate(coords):
-        y1, y2 = coords[(i + 1) % len(coords)]
-        x_ty = x1 * -y2 + x2 * y1
-        y_tx = y1 * -x2 + y2 * x1
-        collinear = _collinear(x1, x2, y1, y2, x_ty, exact)
-        edges.append((-y2, y1, -x2, x1, x_ty, y_tx, y1 - x1, y2 - x2, collinear))
-    return _EdgeTable(d, tuple(coords), tuple(edges))
+    edges = tuple(_row(x, y, exact) for x, y in zip(coords, coords[1:] + coords[:1]))
+    return _EdgeTable(d, tuple(coords), edges)
 
 
 def _ratio(num, den, exact: bool) -> Scalar:
@@ -255,16 +285,13 @@ def _image_points(table: _EdgeTable, entries) -> list[tuple]:
 
 def _convexity_levels(table: _EdgeTable, exact: bool) -> tuple:
     """h(v_{i-1}, v_{i+1}, v_i) for i = 1..6 on the table's vertices:
-    h = (Y - X, T Z) / (Y, T X), where the factors D cancel, with the
-    operations of triangle_h in its order."""
+    h = (Y - X, T Z) / (Y, T X) of the chord's _row, where the factors D
+    cancel."""
     verts = table.vertices
     levels = []
     for i in range(1, 7):
-        (x1, x2), (z1, z2), (y1, y2) = verts[i - 2], verts[i - 1], verts[i]
-        y_tx = y1 * -x2 + y2 * x1
-        if _collinear(x1, x2, y1, y2, y_tx, exact):
-            raise DegenerateSectorError("sector generators are collinear")
-        levels.append((i, _ratio((y1 - x1) * -z2 + (y2 - x2) * z1, y_tx, exact)))
+        row = _row(verts[i - 2], verts[i], exact)
+        levels.append((i, _ratio(_sector(row, verts[i - 1])[2], row[5], exact)))
     return tuple(levels)
 
 
@@ -307,6 +334,8 @@ def _gauges(poly: "Polygon", points, f, tol: float):
         if z1 == 0 and z2 == 0:
             yield (0, 1) if exact else 0.0
             continue
+        # _sector, written out: through it certify ran about 5% slower on
+        # float inputs and 6% on exact ones.
         for k in range(start, start + 12):
             ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear = edges[k % 12]
             if collinear:
@@ -365,8 +394,8 @@ class Polygon(Record):
         than a half turn, and (v_1, T v_j), j = 2..12, turns nonpositive
         once and for good, so the steps add up to one turn."""
         table = self._edge_table
-        (x1, x2), *rest = table.vertices
-        signs = [x2 * y1 - x1 * y2 > 0 for y1, y2 in rest]
+        x, *rest = table.vertices
+        signs = [_cross(x, y) > 0 for y in rest]
         return all(e[4] > 0 for e in table.edges) and signs == sorted(signs, reverse=True)
 
     def gauge(self, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:
@@ -438,13 +467,6 @@ def _times(k: int, x: tuple) -> tuple:
     return (k * x[0], k * x[1])
 
 
-def _same(x: tuple, y: tuple, rel_tol: float) -> bool:
-    """x == y coordinate by coordinate through scalar.isclose: exact on
-    ints, within rel_tol on floats, as Vec2.isclose.  Equal tuples, as
-    every passing exact check has, skip the per-coordinate calls."""
-    return x == y or all(isclose(p, q, rel_tol) for p, q in zip(x, y))
-
-
 def _base_vertices(
     scaled: tuple, v: Vec2, w: Vec2, mu: Scalar, exact: bool, rel_tol: float
 ) -> tuple:
@@ -462,7 +484,7 @@ def _base_vertices(
     g3 = g**3
     bba = mul_entries(mul_entries(b, b), a)
     for vec, m3, name in ((vv, mul_entries(mul_entries(b, a), a), "v"), (ww, bba, "w")):
-        if not _same(apply_entries(m3, vec), _times(g3, vec), rel_tol):
+        if not allclose(apply_entries(m3, vec), _times(g3, vec), rel_tol):
             raise ValueError(f"{name} is not fixed by its triple product")
     v1 = _times(m, vv)
     v2 = _times(h, ww)
@@ -478,7 +500,7 @@ def _base_vertices(
         (v6, _times(h, apply_entries(b, apply_entries(a, ww))), "v6"),
     )
     for built, unrolled, name in direct:
-        if not _same(built, unrolled, rel_tol):
+        if not allclose(built, unrolled, rel_tol):
             raise RuntimeError(f"vertex cross-check failed for {name}")
     gg = g * g
     den = gg * h * h
@@ -724,10 +746,7 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     """
     table = poly._edge_table
     verts, dd = table.vertices, table.scale * table.scale
-    ints = [
-        verts[i - 1][1] * verts[j - 1][0] - verts[i - 1][0] * verts[j - 1][1]
-        for i, j in _ORDER_PAIRS
-    ]
+    ints = [_cross(verts[i - 1], verts[j - 1]) for i, j in _ORDER_PAIRS]
     passed = all(p > 0 for p in ints)
     detail = next(
         (f"v{i},Tv{j} <= 0" for (i, j), p in zip(_ORDER_PAIRS, ints) if not p > 0), ""
@@ -812,9 +831,9 @@ _NONOBVIOUS = (
 
 def _on_vertex(z, v, f: int, p, q, rel_tol: float) -> bool:
     """Whether the image z, over E = F D, is the table vertex v, over D,
-    divided by p/q: p Z == q F V through _same.  p/q is 1, or lam, which
+    divided by p/q: p Z == q F V through allclose.  p/q is 1, or lam, which
     is lam.num/lam.den on ints and 1/(1/lam) on floats."""
-    return _same(_times(p, z), _times(q * f, v), rel_tol)
+    return allclose(_times(p, z), _times(q * f, v), rel_tol)
 
 
 def verify_inclusions(
@@ -847,12 +866,10 @@ def verify_inclusions(
 
     sector_ok, sector_h = {}, {}
     for label, kind, idx, (i, j) in _NONOBVIOUS:
-        z1, z2 = lists[kind][idx - 1]
-        ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear = table.edges[i - 1]
-        if collinear:
-            raise DegenerateSectorError("sector generators are collinear")
-        sn, tn, hn, fy = z1 * ty1 + z2 * ty2, z1 * tx1 + z2 * tx2, d1 * -z2 + d2 * z1, f * y_tx
-        s, t, h = _ratio(sn, f * x_ty, exact), _ratio(tn, fy, exact), _ratio(hn, fy, exact)
+        row = table.edges[i - 1]
+        sn, tn, hn = _sector(row, lists[kind][idx - 1])
+        fy = f * row[5]
+        s, t, h = _ratio(sn, f * row[4], exact), _ratio(tn, fy, exact), _ratio(hn, fy, exact)
         # Exact s, t and 1 - h are -sn, tn and fy - hn over fy: signs decide.
         ok = all(_same_sign(n, fy) for n in (-sn, tn, fy - hn)) if exact else (
             s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol))

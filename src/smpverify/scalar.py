@@ -21,9 +21,10 @@ tolerance, when neither operand is a float (an isinstance test, so a
 subclass of float, such as numpy's float64, counts as a float); otherwise
 it allows the relative slack `rel_tol`, whose default everywhere is the
 module constant REL_TOL.  Scalar.isclose/le/ge delegate to them, and the
-certificate's tuple checks call them on the raw ints or floats.  There is
-no process-wide setting: a caller that wants another tolerance passes it
-(the command line does so with `certify --tol`).
+certificate's tuple checks call allclose, isclose entry by entry, on the
+raw ints or floats.  There is no process-wide setting: a caller that
+wants another tolerance passes it (the command line does so with
+`certify --tol`).
 
 Cost model: a Scalar's backend is fixed once, at construction, by an exact
 type test (`type(value) is Fraction` or `is float`) and stored in the
@@ -43,6 +44,7 @@ __all__ = [
     "BackendMismatchError",
     "same_backend",
     "isclose",
+    "allclose",
     "le",
     "ge",
     "Scalar",
@@ -79,6 +81,13 @@ def isclose(x, y, rel_tol: float = REL_TOL) -> bool:
     if isinstance(x, float) or isinstance(y, float):
         return math.isclose(x, y, rel_tol=rel_tol, abs_tol=rel_tol)
     return x == y
+
+
+def allclose(x: tuple, y: tuple, rel_tol: float = REL_TOL) -> bool:
+    """Two tuples of raw values equal entry by entry through isclose.
+    Equal tuples, as every passing exact check has, skip the per-entry
+    calls."""
+    return x == y or all(isclose(p, q, rel_tol) for p, q in zip(x, y))
 
 
 def le(x, y, rel_tol: float = REL_TOL) -> bool:

@@ -447,6 +447,27 @@ class TestPrunedWalk:
         _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=BoxNorm())
         assert visits == 2**12 - 2
 
+    def test_exact_oracle_forms_every_product_through_the_kernels(self, monkeypatch):
+        # Each hull image is one apply_entries and each prefix product one
+        # mul_entries: the kernel calls are the visits of the walk above.
+        mset = _exact_main(233, 224)
+        expected = bounds_table(mset.a, mset.b, 11)
+        calls = {"mul_entries": 0, "apply_entries": 0}
+
+        def counting(name):
+            real = getattr(matrix2, name)
+
+            def kernel(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return kernel
+
+        for name in calls:
+            monkeypatch.setattr(words, name, counting(name), raising=False)
+        assert bounds_table(mset.a, mset.b, 11) == expected
+        assert calls == {"mul_entries": 932, "apply_entries": 110}
+
     @pytest.mark.parametrize("case", ["main_11_10", *EDGE_PAIRS])
     def test_hull_tops_equal_the_largest_box_norm(self, case):
         if case == "main_11_10":
