@@ -24,14 +24,11 @@ import sys
 from fractions import Fraction
 
 from .families import (
-    MatrixSet,
     at_distinguished_angle,
     custom_set,
-    eigenvectors_from_products,
     example_alt,
     example_main,
     example_main_special,
-    normalize,
 )
 from .matrix2 import Mat2
 from .scalar import REL_TOL, KappaContext, Scalar, parse_scalar
@@ -198,14 +195,6 @@ def _warn(reason: str | None) -> None:
               file=sys.stderr)
 
 
-def _polygon_for(mset: MatrixSet, mu: Scalar):
-    from .polytope import build_polygon
-
-    norm = normalize(mset)
-    v, w = eigenvectors_from_products(norm)
-    return norm, build_polygon(norm, v, w, mu)
-
-
 def _polygon_defect(poly) -> str | None:
     """Why the polygon's gauge is not a norm, or None if it is."""
     from .polytope import DegenerateSectorError, convexity_check, vertex_order_check
@@ -227,6 +216,8 @@ def cmd_bounds(args, parser) -> int:
     mset, mu, reason = _read_run(args, parser, "--norm polygon" if polygon else None)
     norm_obj = None
     if polygon:
+        from .polytope import _polygon_for
+
         _, norm_obj = _polygon_for(mset, mu)
         defect = _polygon_defect(norm_obj)
         if defect is not None:
@@ -330,7 +321,7 @@ def cmd_permutable(args, parser) -> int:
 
 def cmd_figure(args, parser) -> int:
     from .figures import FigureSpec, render
-    from .polytope import images
+    from .polytope import _polygon_for, images
 
     mset, mu, reason = _read_run(args, parser, "figure")
     norm, poly = _polygon_for(mset, mu)

@@ -463,6 +463,14 @@ def build_polygon(
     )
 
 
+def _polygon_for(mset: MatrixSet, mu) -> tuple[NormalizedSet, Polygon]:
+    """The normalized set of mset and its polygon at mu, with the default
+    tolerance and no certificate checks."""
+    norm = normalize(mset)
+    v, w = eigenvectors_from_products(norm)
+    return norm, build_polygon(norm, v, w, mu)
+
+
 def _times(k: int, x: tuple) -> tuple:
     return (k * x[0], k * x[1])
 

@@ -54,14 +54,8 @@ def _approx(actual, expected, tol=1e-9):
     ), f"{float(actual)!r} != {float(expected)!r}"
 
 
-def _polygon(mset, mu):
-    norm = normalize(mset)
-    v, w = eigenvectors_from_products(norm)
-    return norm, polytope.build_polygon(norm, v, w, mu)
-
-
 def _exact_polygon(mu=Fraction(5, 4), c=Fraction(11, 10)):
-    return _polygon(example_main_special(KappaContext(c)), Scalar.exact(mu))
+    return polytope._polygon_for(example_main_special(KappaContext(c)), Scalar.exact(mu))
 
 
 def check_kappa_cube():
@@ -397,14 +391,14 @@ def check_vertex_order():
     assert products["order.v1_Tv2"] == ctx.power(3) * mu / (ctx.power(6) + 1)
     assert products["order.v5_Tv6"] == ctx.power(7) * mu / (ctx.power(6) + 1)
     # Order holds even outside the admissible range.
-    _, small = _polygon(example_main(1.05, DISTINGUISHED_PHI), 0.5)
+    _, small = polytope._polygon_for(example_main(1.05, DISTINGUISHED_PHI), 0.5)
     assert polytope.vertex_order_check(small).passed
 
 
 def check_convexity():
     norm, poly = _exact_polygon()
     assert polytope.convexity_check(poly)
-    _, bad = _polygon(example_main(1.331, DISTINGUISHED_PHI), 1.04)
+    _, bad = polytope._polygon_for(example_main(1.331, DISTINGUISHED_PHI), 1.04)
     assert not polytope.convexity_check(bad)
     boundary = _exact_polygon(Fraction(121, 100))[1]
     assert polytope.convexity_check(boundary)
@@ -413,7 +407,7 @@ def check_convexity():
 def check_inclusions():
     norm, poly = _exact_polygon()
     assert polytope.verify_inclusions(poly, norm).passed
-    fnorm, escaping = _polygon(example_main(1.331, DISTINGUISHED_PHI), 1.36)
+    fnorm, escaping = polytope._polygon_for(example_main(1.331, DISTINGUISHED_PHI), 1.36)
     report = polytope.verify_inclusions(escaping, fnorm)
     assert not report.passed and "b3" in report.detail.split(": ")[1].split(",")
     # Sector membership of the nonobvious points holds on a parameter grid.
@@ -440,7 +434,7 @@ def check_certificates():
 
 def check_figures_render():
     for make, mu in ((example_main, 1.25), (example_main, 1.04), (example_alt, 1.07)):
-        norm, poly = _polygon(make(1.331, DISTINGUISHED_PHI), mu)
+        norm, poly = polytope._polygon_for(make(1.331, DISTINGUISHED_PHI), mu)
         svg = figures.render_string(
             figures.FigureSpec(polygon=poly, images=polytope.images(poly, norm))
         )

@@ -14,8 +14,10 @@ The first maximum runs over one representative per cyclic class (the
 spectral radius is invariant under rotation of factors); the second runs
 over all 2**n words because norms are not cyclic-invariant.
 
-Float pairs, and any norm given as an object (a polygon, or an explicit
-BoxNorm()), are scored by one depth-first walk of the tree of suffix
+The box norm is the norm when `norm` is None or an object whose type is
+exactly BoxNorm; the route is the same for both spellings.  Float pairs,
+and any other norm object (a polygon, a subclass of BoxNorm or a wrapper
+around one), are scored by one depth-first walk of the tree of suffix
 products.  A node at depth k is the product of the last k factors of a
 word, and its two children multiply one more factor on the left, in the
 operation order of Mat2 @.  rho_n to n, rho_bar_n to n and bounds_table to
@@ -30,13 +32,13 @@ the set of necklace codes for every length up to the walk's depth.  Every
 node is expanded; a necklace node gets a spectral radius and, with norms
 requested, every node at a scored depth gets a norm.
 
-An exact pair under the built-in box norm (norm is None) walks no tree.
-Both of its columns are computed exactly, so they are those of the full
-walk, bit for bit, from far fewer products.  rho_n comes from a hull of
-images (_box_tops): the box norm of M is the largest |coordinate| of M u
-over u in {(1, 1), (1, -1)}, and |coordinate| is convex, so the largest
-box norm of a length-k product is taken at a vertex of the symmetric
-convex hull P_k of those points M u.  P_k is also the symmetric hull of
+An exact pair under the box norm walks no tree.  Both of its columns are
+computed exactly, so they are those of the full walk, bit for bit, from
+far fewer products.  rho_n comes from a hull of images (_box_tops): the
+box norm of M is the largest |coordinate| of M u over u in {(1, 1),
+(1, -1)}, and |coordinate| is convex, so the largest box norm of a
+length-k product is taken at a vertex of the symmetric convex hull P_k of
+those points M u.  P_k is also the symmetric hull of
 the images under A and B of the vertices of P_{k-1}.  This is the
 invariant-polytope iteration of Guglielmi and Protasov (Exact computation
 of joint spectral characteristics of linear operators, FoCM 2013) with the
@@ -66,9 +68,10 @@ raises ValueError naming the least such word length, as it does for a
 float product that overflows.  The determinant is multiplicative, so an
 exact pair's radii read it from a table by length and count of B, and keep
 there too the rooted radius sqrt(det)**(1/k) of a complex eigenvalue pair.
-The default box norm compares ints and divides the largest by D**k once.
-Any other norm gets one Mat2 per node, built from the tuple, through its
-matrix_norm(Mat2) method.  A Word is built only for the maximizers.
+The box norm, spelled None or BoxNorm(), is never called: the exact hull
+compares ints and divides the largest by D**k once, and the float walk
+compares row sums inline.  Any other norm object gets one Mat2 per node,
+built from the tuple, through its matrix_norm(Mat2) method.  A Word is built only for the maximizers.
 """
 
 from __future__ import annotations
@@ -163,34 +166,40 @@ def _display(code: int, n: int) -> str:
     return format(code, f"0{n}b").translate(_BITS_TO_SYMBOLS)
 
 
-def _prenecklaces(n_max, visit, extend=None, root=None):
+def _prenecklaces(n_max, visit, factors=None):
     """Run the recursive prenecklace generator of Fredricksen, Kessler and
-    Maiorana to length n_max, calling visit(k, code, state) at each
-    necklace of length k = 0..n_max.
+    Maiorana to length n_max, calling visit(k, code, product) at each
+    necklace of length k = 0..n_max; returns the number of prefixes it
+    extended.
 
     Every prefix it visits is a prenecklace, and one of length k with
     period p is a necklace iff p divides k.  It visits the prefixes of each
-    length in lexicographic order, which is code order.  The state of the
-    empty prefix is root, and that of a prefix one symbol longer is
-    extend(state, bit) with bit 0 for A and 1 for B; without extend every
-    state is None.
+    length in lexicographic order, which is code order.  With factors =
+    (ta, tb), each prefix carries its product: the empty prefix the
+    identity, and one a symbol longer one mul_entries with the symbol's
+    factor on the right; without factors every product is None.
     """
     a = [0] * (n_max + 1)
+    calls = 0
 
-    def gen(t: int, p: int, code: int, state) -> None:
+    def gen(t: int, p: int, code: int, product) -> None:
         # a[1..t-1] is a prenecklace with period p, code encodes it, and
-        # state is its state.
+        # product is its product.
+        nonlocal calls
+        calls += 1
         if (t - 1) % p == 0:
-            visit(t - 1, code, state)
+            visit(t - 1, code, product)
         if t > n_max:
             return
         bit = a[t] = a[t - p]
-        gen(t + 1, p, 2 * code + bit, extend and extend(state, bit))
+        gen(t + 1, p, 2 * code + bit, factors and mul_entries(product, factors[bit]))
         if bit == 0:
             a[t] = 1
-            gen(t + 1, t, 2 * code + 1, extend and extend(state, 1))
+            gen(t + 1, t, 2 * code + 1, factors and mul_entries(product, factors[1]))
 
-    gen(1, 1, 0, root)
+    gen(1, 1, 0, factors and (1, 0, 0, 1))
+    # Every call but the first extends a prefix.
+    return calls - 1
 
 
 def _necklace_codes(n_max: int) -> list[list[int]]:
@@ -221,7 +230,8 @@ class BoxNorm:
     def matrix_norm(self, m: Mat2) -> Scalar:
         m11, m12, m21, m22 = m.entries()
         r0, r1 = abs(m11) + abs(m12), abs(m21) + abs(m22)
-        return r0 if r0 >= r1 else r1
+        # A nan row sum loses every comparison, so it is picked out.
+        return r1 if r1 > r0 or r1 != r1 else r0
 
 
 def _check_cap(n: int) -> None:
@@ -374,28 +384,9 @@ class _Scores:
         return rho, bars
 
 
-def _score_necklaces(ta, tb, scores):
-    """Score every necklace of length lo..hi inside the prenecklace
-    generator, each prefix carrying its int product; returns the number of
-    products formed.
-
-    A prefix one symbol longer multiplies one factor on the right.  The
-    entries are exact ints, so the association does not matter.
-    """
-    formed = 0
-
-    def extend(p, bit):
-        nonlocal formed
-        formed += 1
-        return mul_entries(p, tb if bit else ta)
-
-    _prenecklaces(scores.hi, scores.radius, extend, (1, 0, 0, 1))
-    return formed
-
-
 def _walk_tree(ta, tb, scores, leaf, norms, radii):
     """One depth-first walk of the suffix-product tree of (ta, tb) to depth
-    hi; fills scores and returns the number of nodes formed.
+    hi; fills scores.
 
     Scores the nodes at depths lo..hi: the norm of every node when `norms`
     is true (the box norm if `leaf` is None, else leaf(p, k)), and the
@@ -406,7 +397,6 @@ def _walk_tree(ta, tb, scores, leaf, norms, radii):
     finite = None if scores.exact else math.isfinite
     necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
     radius = scores.radius
-    visits = 0
     a11, a12, a21, a22 = ta
     b11, b12, b21, b22 = tb
     # A node is (*product, depth k, code).  Its children apply one more
@@ -416,7 +406,6 @@ def _walk_tree(ta, tb, scores, leaf, norms, radii):
     push, pop = stack.append, stack.pop
     while stack:
         p11, p12, p21, p22, k, code = pop()
-        visits += 1
         if k >= lo:
             if norms:
                 if leaf is None:
@@ -443,21 +432,23 @@ def _walk_tree(ta, tb, scores, leaf, norms, radii):
               b21 * p11 + b22 * p21, b21 * p12 + b22 * p22, k + 1, code | 1 << k))
         push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
               a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
-    return visits
 
 
 def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     """The scores of the products of (a, b) at word lengths lo..hi.
 
-    Scores the norm of every product when `norms` is true (BoxNorm if
-    `norm` is None, else norm.matrix_norm), and the rooted spectral radius
-    of every necklace when `radii` is true.  Returns (rho, bars, visits),
-    keyed by length k: rho[k] is the largest norm at length k to the power
-    1/k, bars[k] is (rho_bar, maximizers), and visits is the number of
-    products (or hull points) formed.  A score that is not finite (float
-    backend) or too large to convert to a float (exact backend) raises
-    ValueError naming the least word length where one occurs.
+    Scores the norm of every product when `norms` is true (the box norm if
+    `norm` is None or of type BoxNorm, else norm.matrix_norm), and the
+    rooted spectral radius of every necklace when `radii` is true.  Returns
+    (rho, bars, visits), keyed by length k: rho[k] is the largest norm at
+    length k to the power 1/k, bars[k] is (rho_bar, maximizers), and visits
+    is the number of products (or hull points) formed.  A score that is not
+    finite (float backend) or too large to convert to a float (exact
+    backend) raises ValueError naming the least word length where one
+    occurs.
     """
+    if type(norm) is BoxNorm:
+        norm = None
     d, (ta, tb) = scaled_entries((a, b))
     scores = _Scores(ta, tb, d, lo, hi, a.is_exact, radii)
     if a.is_exact and norm is None:
@@ -466,7 +457,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
             tops, visits = _box_tops(ta, tb, hi)
             scores.top[lo:] = tops[lo:]
         if radii:
-            visits += _score_necklaces(ta, tb, scores)
+            visits += _prenecklaces(hi, scores.radius, (ta, tb))
     else:
         dk = scores.dk
         if norm is None:
@@ -477,7 +468,8 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
         else:
             def leaf(p, k):
                 return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
-        visits = _walk_tree(ta, tb, scores, leaf, norms, radii)
+        _walk_tree(ta, tb, scores, leaf, norms, radii)
+        visits = 2 ** (hi + 1) - 2
     rho, bars = scores.result(norm is None, norms, radii)
     return rho, bars, visits
 
@@ -498,8 +490,11 @@ def rho_n(a: Mat2, b: Mat2, n: int, norm=None) -> Scalar:
     """Upper bound over all 2**n words: max of norm(product)**(1/n).
 
     `norm` is any object with matrix_norm(Mat2) -> Scalar; defaults to the
-    box norm.  The maximum itself is taken in the input backend (exact if
-    the matrices are exact) and only the final root is floating point.
+    box norm.  None and an object of type exactly BoxNorm take the box
+    norm's route (the hull for an exact pair); any other object, a BoxNorm
+    subclass or wrapper included, is called once per word of the full
+    tree.  The maximum itself is taken in the input backend (exact if the
+    matrices are exact) and only the final root is floating point.
     """
     _check_cap(n)
     rho, _, _ = _walk(a, b, n, n, norm=norm, radii=False)

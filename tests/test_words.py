@@ -366,6 +366,22 @@ class TestOneWalk:
             row.rho for row in bounds_table(main_exact.a, main_exact.b, n_max)
         ]
 
+    @pytest.mark.parametrize("case", sorted(c for c in WALK_CASES if c.endswith("box")))
+    def test_explicit_box_norm_is_the_default(self, monkeypatch, case):
+        # Bit for bit the default's rows, and by the default's route: no
+        # matrix_norm call.
+        mset, _ = WALK_CASES[case]()
+        a, b = mset.a, mset.b
+        expected = (bit_rows(bounds_table(a, b, 9)), rho_n(a, b, 9).value.hex())
+
+        def no_matrix_norm(self, m):
+            raise AssertionError("BoxNorm.matrix_norm called")
+
+        monkeypatch.setattr(BoxNorm, "matrix_norm", no_matrix_norm)
+        box = BoxNorm()
+        got = (bit_rows(bounds_table(a, b, 9, norm=box)), rho_n(a, b, 9, norm=box).value.hex())
+        assert got == expected
+
     def test_table_does_not_use_mat2_products(self, monkeypatch, main_exact):
         a, b = main_exact.a, main_exact.b
         expected = (bounds_table(a, b, 7), rho_bar_n(a, b, 7))
@@ -413,12 +429,31 @@ def main_c_st(draw):
     return Fraction(draw(st.integers(q + 1, q + q // 8)), q)
 
 
+def count_kernel_calls(monkeypatch):
+    """Wrap words' mul_entries and apply_entries with counters; returns the
+    dict of counts, which the calls fill in."""
+    calls = {"mul_entries": 0, "apply_entries": 0}
+
+    def counting(name):
+        real = getattr(matrix2, name)
+
+        def kernel(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return kernel
+
+    for name in calls:
+        monkeypatch.setattr(words, name, counting(name), raising=False)
+    return calls
+
+
 def assert_pruned_walk_matches(a, b, n):
-    # norm=BoxNorm() is the same norm through matrix_norm, which expands
+    # A wrapped BoxNorm is the same norm through matrix_norm, which expands
     # every node.
     pruned = bit_rows(bounds_table(a, b, n))
-    assert pruned == bit_rows(bounds_table(a, b, n, norm=BoxNorm()))
-    assert rho_n(a, b, n) == rho_n(a, b, n, norm=BoxNorm())
+    assert pruned == bit_rows(bounds_table(a, b, n, norm=CountingNorm(BoxNorm())))
+    assert rho_n(a, b, n) == rho_n(a, b, n, norm=CountingNorm(BoxNorm()))
 
 
 class TestPrunedWalk:
@@ -444,7 +479,7 @@ class TestPrunedWalk:
         mset = _exact_main(233, 224)
         _, _, visits = words._walk(mset.a, mset.b, 1, 11)
         assert visits == 110 + 932
-        _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=BoxNorm())
+        _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=CountingNorm(BoxNorm()))
         assert visits == 2**12 - 2
 
     def test_exact_oracle_forms_every_product_through_the_kernels(self, monkeypatch):
@@ -452,20 +487,17 @@ class TestPrunedWalk:
         # mul_entries: the kernel calls are the visits of the walk above.
         mset = _exact_main(233, 224)
         expected = bounds_table(mset.a, mset.b, 11)
-        calls = {"mul_entries": 0, "apply_entries": 0}
-
-        def counting(name):
-            real = getattr(matrix2, name)
-
-            def kernel(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return kernel
-
-        for name in calls:
-            monkeypatch.setattr(words, name, counting(name), raising=False)
+        calls = count_kernel_calls(monkeypatch)
         assert bounds_table(mset.a, mset.b, 11) == expected
+        assert calls == {"mul_entries": 932, "apply_entries": 110}
+
+    def test_explicit_box_norm_takes_the_hull_and_necklace_route(self, monkeypatch):
+        # BoxNorm() is the default norm spelled out: the same kernel calls,
+        # not the 4094 nodes of the full tree.
+        mset = _exact_main(233, 224)
+        expected = bounds_table(mset.a, mset.b, 11)
+        calls = count_kernel_calls(monkeypatch)
+        assert bounds_table(mset.a, mset.b, 11, norm=BoxNorm()) == expected
         assert calls == {"mul_entries": 932, "apply_entries": 110}
 
     @pytest.mark.parametrize("case", ["main_11_10", *EDGE_PAIRS])
@@ -516,6 +548,21 @@ class TestFloatOverflow:
         eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="word length 1:"):
             rho_n(nan_first_row, eye, 1)
+
+    @pytest.mark.parametrize(
+        "norm", [BoxNorm(), CountingNorm(BoxNorm())], ids=["box", "wrapped box"]
+    )
+    def test_nan_row_raises_under_an_explicit_box_norm(self, norm):
+        nan_first_row = Mat2.flt(math.nan, 0.0, 1.0, 1.0)
+        eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="float products overflow at word length 1:"):
+            rho_n(nan_first_row, eye, 1, norm=norm)
+
+    @pytest.mark.parametrize("m", [
+        Mat2.flt(math.nan, 0.0, 1.0, 1.0), Mat2.flt(1.0, 1.0, math.nan, 0.0),
+    ], ids=["first row", "second row"])
+    def test_box_norm_of_a_nan_row_is_nan(self, m):
+        assert math.isnan(BoxNorm().matrix_norm(m).value)
 
 
 class TestExactOverflow:
