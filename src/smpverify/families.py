@@ -12,6 +12,12 @@ rests on.
 
 The `alt` family keeps the textbook rotation shape.  Its entries involve
 sines and cosines, so that path runs on the float backend.
+
+normalize and eigenvectors_from_products run one body on both backends,
+on the scaled entries of matrix2.scaled_entries (ints over a common scale
+when exact, the floats themselves when not).  The fixed vectors v, w that
+seed the polygon come from matrix2.unit_first_vector, the one eigenvector
+routine of the package, on products formed with mul_entries.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .matrix2 import (
-    EigenvectorError,
     Mat2,
     Vec2,
-    eigenvector_unit_first,
+    eigen_residual,
     mul_entries,
     quarter_turn,
     scaled_entries,
     spectral_radius,
+    unit_first_vector,
 )
 from .scalar import REL_TOL, KappaContext, Record, Scalar, allclose, same_backend
 
@@ -202,7 +208,8 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
     (NormalizedSet.scaled, formed here once per set).  Only lam, the scale
     and the eigenvalue identity depend on the backend.  On ints lam = p/q
     is kappa**2 = c**6, checked to be a root of x^2 - tr(BAA) x + det(BAA)
-    as p^2 F^6 - tr(F^3 BAA) p q F^3 + det(F^3 BAA) q^2 == 0, and the only
+    as p^2 F^6 - tr(F^3 BAA) p q F^3 + det(F^3 BAA) q^2 == 0 (the
+    residual of matrix2.eigen_residual, as in the fixed vectors), and the only
     Fractions formed are lam, the scale and the entries of A~ and B~.  On
     floats lam is the spectral radius of BAA, checked to be finite before
     the cube identities (at a non-finite lam rounding fails them, which
@@ -230,9 +237,8 @@ def normalize(mset: MatrixSet, rel_tol: float = REL_TOL) -> NormalizedSet:
             raise ValueError(f"{name}**3 is not the identity; cannot normalize")
     if exact:
         # lam must be an eigenvalue of BAA: x^2 - tr*x + det annihilates it.
-        p, q = lam.value.numerator, lam.value.denominator
-        m11, m12, m21, m22 = mul_entries(mul_entries(bi, ai), ai)
-        if p * p * f3 * f3 - (m11 + m22) * p * q * f3 + (m11 * m22 - m12 * m21) * q * q:
+        p, q = lam.value.as_integer_ratio()
+        if eigen_residual(mul_entries(mul_entries(bi, ai), ai), p * f3, q):
             raise ValueError("kappa**2 is not an eigenvalue of B @ A @ A")
     else:
         p, q = 1, 1 / lam.value
@@ -270,37 +276,12 @@ def eigenvectors_from_products(
 
     Works on either backend and for any pair satisfying the normalization
     contract; the eigenvalue-1 residual is checked inside the extraction.
-    On the exact backend the triple products are formed as ints, G^3 times
-    the products, from norm.scaled (G the lcm of the denominators of A~
-    and B~), and each
-    vector is one Fraction; floats go through eigenvector_unit_first.
+    One body serves both backends: the triple products are formed with
+    mul_entries from norm.scaled, as G^3 times the products (G the lcm of
+    the denominators of A~ and B~) on ints and as the float products of
+    Mat2 @ on floats (G = 1), and each vector is matrix2.unit_first_vector
+    of its product over G^3, the body of eigenvector_unit_first.
     """
-    at, bt = norm.at, norm.bt
-    if at.is_exact:
-        g, (ati, bti) = norm.scaled
-        g3 = g**3
-        products = (
-            mul_entries(mul_entries(bti, ati), ati),
-            mul_entries(mul_entries(bti, bti), ati),
-        )
-        return tuple(_unit_first_fixed_vector(m, g3) for m in products)
-    one = Scalar.flt(1.0)
-    v = eigenvector_unit_first(bt @ at @ at, one, rel_tol)
-    w = eigenvector_unit_first(bt @ bt @ at, one, rel_tol)
-    return v, w
-
-
-def _unit_first_fixed_vector(m: tuple, s: int) -> Vec2:
-    """eigenvector_unit_first(M, 1) for M = m / s, m a row-major 4-tuple of
-    ints and s > 0: the same tests, messages and row choice, on ints."""
-    m11, m12, m21, m22 = m
-    t, d = m11 + m22, m11 * m22 - m12 * m21
-    if s * s - t * s + d != 0:
-        raise EigenvectorError("1 is not an eigenvalue")
-    if 2 * s == t:
-        raise EigenvectorError("eigenvalue is not simple")
-    # Rows of s (M - I); the eigenvector is orthogonal to the first nonzero.
-    a, b = (m11 - s, m12) if (m11 != s or m12 != 0) else (m21, m22 - s)
-    if b == 0:
-        raise EigenvectorError("eigenvector is parallel to (0, 1)")
-    return Vec2(Scalar(Fraction(1)), Scalar(Fraction(-a, b)))
+    g, (ati, bti) = norm.scaled
+    products = (mul_entries(mul_entries(bti, x), ati) for x in (ati, bti))
+    return tuple(unit_first_vector(m, g**3, 1, rel_tol) for m in products)

@@ -35,11 +35,20 @@ floats themselves, with scale 1, so a float product is bit for bit that
 of Mat2 @, and scalar.allclose compares the tuples exactly on ints and
 within the tolerance on floats.
 
+One eigenvector body serves both backends: unit_first_vector, on a tuple
+of scaled_entries and its scale (ints over a common denominator when
+exact, the floats themselves with scale 1 when not).  eigenvector_unit_first
+is that routine on scaled_entries((m,)), and
+families.eigenvectors_from_products calls it on the fixed-vector products
+of mul_entries.  Its float row rule, robust_row, also gives the real
+eigendirections of the float irreducibility test (permutability), and its
+residual, eigen_residual, the exact eigenvalue check of families.normalize.
+
 Where the kernel runs: Mat2 @; normalize and eigenvectors_from_products
-(families) and verify_tau (permutability); build_polygon and the images
-of the polygon's vertices (polytope); and the exact box-norm oracle of
-words, where each hull image is one apply_entries and each necklace
-prefix one mul_entries.  Two inline copies of product formulas stay, each
+(families), verify_tau and the float is_irreducible (permutability);
+build_polygon and the images of the polygon's vertices (polytope); and
+the exact box-norm oracle of words, where each hull image is one
+apply_entries and each necklace prefix one mul_entries.  Two inline copies of product formulas stay, each
 for a measured cost.  words._walk_tree, the float and norm-object walk,
 writes out mul_entries: through the kernel the float alt table at n = 12
 ran about 28% slower.  polytope._gauges writes out its sector formula
@@ -50,6 +59,7 @@ about 5% slower on float inputs and 6% on exact ones.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .scalar import REL_TOL, Record, Scalar, same_backend
 
@@ -65,6 +75,9 @@ __all__ = [
     "radius_from_invariants",
     "similarity",
     "eigenvector_unit_first",
+    "unit_first_vector",
+    "eigen_residual",
+    "robust_row",
     "common_scale",
     "scaled_entries",
     "mul_entries",
@@ -308,39 +321,71 @@ def eigenvector_unit_first(
 
     Raises EigenvectorError if lam is not an eigenvalue (exact residual on
     the exact backend, tolerance on float), if it is not simple, or if the
-    eigendirection is parallel to (0, 1).
+    eigendirection is parallel to (0, 1).  The body is unit_first_vector,
+    on the scaled entries of m.
     """
     if isinstance(lam, int):
         lam = Scalar.exact(lam) if m.is_exact else Scalar.flt(lam)
-    exact = same_backend(m, lam)
-    t, d = m.trace(), m.det()
-    residual = lam * lam - t * lam + d
-    simple = lam * 2 - t
+    same_backend(m, lam)
+    f, (e,) = scaled_entries((m,))
+    return unit_first_vector(e, f, lam.value, rel_tol)
+
+
+def unit_first_vector(e: tuple, f: int, lam, rel_tol: float = REL_TOL) -> Vec2:
+    """eigenvector_unit_first for M = e / f, e a row-major 4-tuple of
+    scaled_entries and f its scale: ints over f on the exact backend, the
+    floats themselves with f = 1 on floats.
+
+    With lam = p/q (as_integer_ratio on ints, p = lam and q = 1 on floats)
+    the tests read three quantities cleared of denominators: the residual
+    of lam (eigen_residual, (q f)^2 times lam^2 - tr(M) lam + det(M)), and
+    q f times 2 lam - tr(M) and M - lam I.  On ints they are exact, and
+    the eigenvector is orthogonal to the first nonzero row of q f (M - lam
+    I).  On floats q f = 1, so these are the float operations of the
+    unscaled formulas, in their order; the tests allow rel_tol and the row
+    is robust_row's.
+    """
+    e11, e12, e21, e22 = e
+    exact = not isinstance(e11, float)
+    p, q = lam.as_integer_ratio() if exact else (float(lam), 1)
+    pf = p * f
+    residual = eigen_residual(e, pf, q)
+    simple = 2 * pf - (e11 + e22) * q
     if exact:
-        if residual != 0:
-            raise EigenvectorError(f"{lam} is not an eigenvalue")
-        if simple == 0:
+        if residual:
+            raise EigenvectorError(f"{Fraction(p, q)} is not an eigenvalue")
+        if not simple:
             raise EigenvectorError("eigenvalue is not simple")
+        a, b = q * e11 - pf, q * e12
+        if not (a or b):
+            a, b = q * e21, q * e22 - pf
+        first_zero = b == 0
     else:
-        lam_f = float(lam)
-        if abs(float(residual)) > rel_tol * max(1.0, lam_f * lam_f):
-            raise EigenvectorError(f"{lam} is not an eigenvalue (residual too large)")
-        if abs(float(simple)) <= rel_tol * max(1.0, abs(lam_f)):
+        if abs(residual) > rel_tol * max(1.0, p * p):
+            raise EigenvectorError(f"{p!r} is not an eigenvalue (residual too large)")
+        if abs(simple) <= rel_tol * max(1.0, abs(p)):
             raise EigenvectorError("eigenvalue is not simple")
-    # Rows of (m - lam*I); the eigenvector is orthogonal to both, so take
-    # the more robust nonzero row (a, b) and use (b, -a).
-    rows = ((m.m11 - lam, m.m12), (m.m21, m.m22 - lam))
-    if exact:
-        row = rows[0] if (rows[0][0] != 0 or rows[0][1] != 0) else rows[1]
-    else:
-        row = max(rows, key=lambda r: abs(float(r[0])) + abs(float(r[1])))
-    a, b = row
-    x1, x2 = b, -a
-    if exact:
-        first_zero = x1 == 0
-    else:
-        first_zero = abs(float(x1)) <= rel_tol * abs(float(x2))
+        a, b = robust_row(e, p)
+        first_zero = abs(b) <= rel_tol * abs(a)
+    # The eigenvector (b, -a) is orthogonal to the row (a, b).
     if first_zero:
         raise EigenvectorError("eigenvector is parallel to (0, 1)")
-    one = Scalar.one_like(x1)
-    return Vec2(one, x2 / x1)
+    if exact:
+        return Vec2(Scalar(Fraction(1)), Scalar(Fraction(-a, b)))
+    return Vec2(Scalar(1.0), Scalar(-a / b))
+
+
+def eigen_residual(e: tuple, pf, q):
+    """(p f)^2 - t (p f) q + d q^2, for t and d the trace and determinant
+    of the row-major 4-tuple e: (q f)^2 times lam^2 - tr(M) lam + det(M)
+    for M = e / f and lam = p / q, so 0 iff lam is an eigenvalue of M."""
+    e11, e12, e21, e22 = e
+    return pf * pf - (e11 + e22) * pf * q + (e11 * e22 - e12 * e21) * q * q
+
+
+def robust_row(e: tuple, lam: float) -> tuple:
+    """The row (a, b) of the float matrix e - lam I, e a row-major 4-tuple,
+    with the larger |a| + |b|, the first on a tie.  An eigenvector of lam
+    is (b, -a)."""
+    rows = ((e[0] - lam, e[1]), (e[2], e[3] - lam))
+    return max(rows, key=lambda r: abs(r[0]) + abs(r[1]))

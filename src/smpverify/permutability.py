@@ -11,7 +11,11 @@ Irreducibility (no common real invariant line) is the one reducibility
 test of the package.  On exact pairs it is the 2x2 invariant criterion:
 two 2x2 matrices share an eigenvector iff det(AB - BA) = 0 (Shemesh,
 "Common eigenvectors of two matrices", Linear Algebra Appl. 62, 1984),
-and a matrix with non-real spectrum has no real one.
+and a matrix with non-real spectrum has no real one.  On float pairs it
+compares eigendirections within the tolerance, on the float tuples of
+matrix2.scaled_entries: each real eigendirection comes from
+matrix2.robust_row, the row rule of the package's one eigenvector routine
+(matrix2.unit_first_vector), and its image from apply_entries.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ import math
 from .matrix2 import (
     Mat2,
     SingularMatrixError,
-    Vec2,
+    apply_entries,
     mul_entries,
+    robust_row,
     scaled_entries,
     similarity,
 )
-from .scalar import REL_TOL, Record, Scalar, same_backend
+from .scalar import REL_TOL, Record, same_backend
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
 __all__ = [
@@ -58,38 +63,29 @@ class TauMap(Record):
         return similarity(self.s, x)
 
 
-def _float_real_eigendirections(m: Mat2, tol: float):
-    """Directions of real eigenvectors; None if m is (near) scalar."""
+def _float_real_eigendirections(m: tuple, tol: float):
+    """Directions of real eigenvectors of the float row-major 4-tuple m;
+    None if m is (near) scalar."""
+    m11, m12, m21, m22 = m
     # (m11 - m22)^2 + 4 m12 m21 rather than tr^2 - 4 det, which cancels to 0
     # in floats when the two eigenvalues nearly coincide.
-    diff = m.m11 - m.m22
-    disc = float(diff * diff + 4 * m.m12 * m.m21)
-    scale = max(abs(float(e)) for e in m.entries()) or 1.0
-    if (
-        abs(float(m.m12)) <= tol * scale
-        and abs(float(m.m21)) <= tol * scale
-        and abs(float(m.m11 - m.m22)) <= tol * scale
-    ):
+    diff = m11 - m22
+    disc = diff * diff + 4 * m12 * m21
+    scale = max(abs(e) for e in m) or 1.0
+    if abs(m12) <= tol * scale and abs(m21) <= tol * scale and abs(diff) <= tol * scale:
         return None
     if disc < 0:
         return []
-    tf = float(m.trace())
+    tf = m11 + m22
     r = math.sqrt(max(disc, 0.0))
-    dirs = []
-    for lf in ((tf + r) / 2, (tf - r) / 2):
-        lam = Scalar.flt(lf)
-        rows = ((m.m11 - lam, m.m12), (m.m21, m.m22 - lam))
-        row = max(rows, key=lambda rw: abs(float(rw[0])) + abs(float(rw[1])))
-        dirs.append(Vec2(row[1], -row[0]))
-    return dirs
+    rows = (robust_row(m, lam) for lam in ((tf + r) / 2, (tf - r) / 2))
+    return [(b, -a) for a, b in rows]
 
 
-def _float_direction_invariant(m: Mat2, u: Vec2, tol: float) -> bool:
-    v = m @ u
-    cross = float(v.x1 * u.x2 - v.x2 * u.x1)
-    scale = math.hypot(float(v.x1), float(v.x2)) * math.hypot(
-        float(u.x1), float(u.x2)
-    )
+def _float_direction_invariant(m: tuple, u: tuple, tol: float) -> bool:
+    v1, v2 = apply_entries(m, u)
+    cross = v1 * u[1] - v2 * u[0]
+    scale = math.hypot(v1, v2) * math.hypot(*u)
     return abs(cross) <= tol * max(1.0, scale)
 
 
@@ -110,13 +106,11 @@ def is_irreducible(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
         q = (a11 - a22) * b12 - (b11 - b22) * a12
         r = (a22 - a11) * b21 - (b22 - b11) * a21
         return p * p + q * r != 0
-    dirs_a = _float_real_eigendirections(a, rel_tol)
+    _, (ai, bi) = scaled_entries((a, b))
+    dirs_a = _float_real_eigendirections(ai, rel_tol)
     if dirs_a is None:
-        dirs_b = _float_real_eigendirections(b, rel_tol)
-        return dirs_b is not None and len(dirs_b) == 0
-    if not dirs_a:
-        return True
-    return not any(_float_direction_invariant(b, u, rel_tol) for u in dirs_a)
+        return _float_real_eigendirections(bi, rel_tol) == []
+    return not any(_float_direction_invariant(bi, u, rel_tol) for u in dirs_a)
 
 
 def friedland_5tuple(a: Mat2, b: Mat2):

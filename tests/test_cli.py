@@ -167,6 +167,33 @@ class TestCertify:
         assert code == 0
         assert "certified" in out
 
+    def test_exact_certificate_near_kappa_one(self, capsys):
+        # kappa = c**3 is about 1.0009, where the float runs below fail.
+        code, out, _ = run(
+            capsys, "certify", "--family", "main", "--c", "10003/10000", "--mu", "7/6"
+        )
+        assert code == 0
+        assert "certified: rho_bar = 100060009/100000000" in out
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="float rounding near kappa = 1: the order products miss their "
+        "closed forms, or v misses its fixed-point check (ROADMAP gap (a))",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "main", "--kappa", "1.001", "--mu", "1.167"),
+            ("--family", "main", "--kappa", "1.000001", "--mu", "1.166667"),
+            ("--family", "alt", "--kappa", "1.000001", "--mu", "1.010363"),
+        ],
+    )
+    def test_float_certificate_near_kappa_one(self, capsys, argv):
+        # Each mu lies inside its admissible interval [mu1, mu2].
+        code, out, _ = run(capsys, "certify", *argv)
+        assert code == 0
+        assert "certified: rho_bar = " in out
+
     def test_decimal_mu_downgrades_with_warning(self, capsys):
         code, out, err = run(
             capsys, "certify", "--family", "main", "--c", "11/10", "--mu", "1.25"

@@ -10,7 +10,10 @@ inputs (tests/data/certify_exact_inputs.txt), check that certify_smp runs
 no exact Mat2 @, and pin how many Fractions the inclusions reduce.  The
 float build_polygon, on the same tuple kernels, is checked bit for bit
 against the Mat2 @ construction, and the one normalize body, on floats,
-against the Mat2 @ and Mat2.isclose normalize it replaced.
+against the Mat2 @ and Mat2.isclose normalize it replaced.  The one
+eigenvector routine, matrix2.unit_first_vector, is checked against a copy
+of the Scalar body it replaced, on scaled ints and on floats (hex for hex),
+and the float fixed vectors and is_irreducible run no Mat2 @.
 """
 
 import math
@@ -19,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_words import exact_pair_st
 
@@ -45,8 +48,9 @@ from smpverify.matrix2 import (
     scaled_entries,
     similarity,
     spectral_radius,
+    unit_first_vector,
 )
-from smpverify.permutability import TauMap, verify_tau
+from smpverify.permutability import TauMap, is_irreducible, verify_tau
 from smpverify.polytope import (
     CheckResult,
     Polygon,
@@ -139,31 +143,130 @@ def eigenvalue_one_st():
     )
 
 
+def reference_eigenvector_unit_first(m: Mat2, lam, rel_tol=REL_TOL) -> Vec2:
+    """eigenvector_unit_first as a body of Scalar arithmetic on the entries
+    of m, with the same tests, messages and row choice: the reference of
+    the one routine on scaled entries, matrix2.unit_first_vector."""
+    if isinstance(lam, int):
+        lam = Scalar.exact(lam) if m.is_exact else Scalar.flt(lam)
+    exact = m.is_exact
+    if exact is not lam.is_exact:
+        raise BackendMismatchError("cannot combine exact and float values")
+    t, d = m.trace(), m.det()
+    residual = lam * lam - t * lam + d
+    simple = lam * 2 - t
+    if exact:
+        if residual != 0:
+            raise EigenvectorError(f"{lam} is not an eigenvalue")
+        if simple == 0:
+            raise EigenvectorError("eigenvalue is not simple")
+    else:
+        lam_f = float(lam)
+        if abs(float(residual)) > rel_tol * max(1.0, lam_f * lam_f):
+            raise EigenvectorError(f"{lam} is not an eigenvalue (residual too large)")
+        if abs(float(simple)) <= rel_tol * max(1.0, abs(lam_f)):
+            raise EigenvectorError("eigenvalue is not simple")
+    rows = ((m.m11 - lam, m.m12), (m.m21, m.m22 - lam))
+    if exact:
+        row = rows[0] if (rows[0][0] != 0 or rows[0][1] != 0) else rows[1]
+    else:
+        row = max(rows, key=lambda r: abs(float(r[0])) + abs(float(r[1])))
+    a, b = row
+    x1, x2 = b, -a
+    if exact:
+        first_zero = x1 == 0
+    else:
+        first_zero = abs(float(x1)) <= rel_tol * abs(float(x2))
+    if first_zero:
+        raise EigenvectorError("eigenvector is parallel to (0, 1)")
+    return Vec2(Scalar.one_like(x1), x2 / x1)
+
+
+def hex_outcome(fn, *args):
+    """outcome, with float vector entries as hex strings."""
+    got = outcome(fn, *args)
+    if isinstance(got, Vec2):
+        got = (got,)
+    if isinstance(got[0], type):
+        return got
+    return [(x.x1.value.hex(), x.x2.value.hex()) for x in got]
+
+
 class TestFixedVectors:
     @settings(max_examples=150, deadline=None)
-    @given(eigenvalue_one_st(), st.integers(1, 7))
-    def test_int_extraction_matches_eigenvector_unit_first(self, entries, scale):
+    @given(eigenvalue_one_st(), st.integers(1, 7), st.sampled_from((1, Fraction(3, 2), -2)))
+    def test_int_extraction_matches_eigenvector_unit_first(self, entries, scale, lam):
+        # The one routine on the scaled ints, times an extra scale, against
+        # the Scalar body.
         m = Mat2.exact(*entries)
-        expected = outcome(eigenvector_unit_first, m, 1)
+        expected = outcome(reference_eigenvector_unit_first, m, Scalar.exact(lam))
         s, (ints,) = scaled_entries((m,))
         s, ints = s * scale, tuple(e * scale for e in ints)
-        assert outcome(families._unit_first_fixed_vector, ints, s) == expected
+        assert outcome(unit_first_vector, ints, s, lam) == expected
+        assert outcome(eigenvector_unit_first, m, Scalar.exact(lam)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eigenvalue_one_st(),
+        st.sampled_from((0.0, 1e-15, -3e-13, 1e-9)),
+        st.sampled_from((1, 1.0, 1.5, -2.0)),
+        st.sampled_from((REL_TOL, 1e-16, 0.0, 1e-6)),
+    )
+    def test_float_extraction_matches_scalar_body(self, entries, shift, lam, rel_tol):
+        # Rounded and shifted entries put the tests near their tolerances.
+        m = Mat2.flt(*(float(e) + shift for e in entries))
+        lam = lam if isinstance(lam, int) else Scalar.flt(lam)
+        expected = hex_outcome(reference_eigenvector_unit_first, m, lam, rel_tol)
+        assert hex_outcome(eigenvector_unit_first, m, lam, rel_tol) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(main_c_mu())
     def test_main_pairs(self, case):
         norm = normalize(example_main_special(KappaContext(case[0])))
         at, bt = norm.at, norm.bt
-        expected = tuple(eigenvector_unit_first(m, 1) for m in (bt @ at @ at, bt @ bt @ at))
+        expected = tuple(
+            reference_eigenvector_unit_first(m, 1) for m in (bt @ at @ at, bt @ bt @ at)
+        )
         assert eigenvectors_from_products(norm) == expected
 
     def test_error_paths_match(self, main_exact, ctx11):
         # B and A exchanged: the fixed direction of B~A~A~ is then (0, 1).
         norm = normalize(custom_set(main_exact.b, main_exact.a, ctx=ctx11))
         at, bt = norm.at, norm.bt
-        expected = outcome(eigenvector_unit_first, bt @ at @ at, 1)
+        expected = outcome(reference_eigenvector_unit_first, bt @ at @ at, 1)
         assert expected == (EigenvectorError, "eigenvector is parallel to (0, 1)")
         assert outcome(eigenvectors_from_products, norm) == expected
+
+
+def float_reference_fixed_vectors(norm, rel_tol=REL_TOL):
+    """v, w of eigenvectors_from_products on the float backend, through
+    Mat2 @ and the Scalar body."""
+    at, bt = norm.at, norm.bt
+    return tuple(
+        reference_eigenvector_unit_first(m, Scalar.flt(1.0), rel_tol)
+        for m in (bt @ at @ at, bt @ bt @ at)
+    )
+
+
+class TestFloatFixedVectors:
+    """The float fixed vectors come from the tuple products and the one
+    routine; they are those of Mat2 @ and the Scalar body bit for bit,
+    with the same errors."""
+
+    @settings(max_examples=80, deadline=None)
+    @example("main", 1.331, REL_TOL)
+    @example("alt", 1.331, REL_TOL)
+    @given(
+        st.sampled_from(("main", "alt")),
+        st.one_of(st.floats(1.0001, 50.0), st.floats(1 + 1e-9, 1 + 1e-5)),
+        st.sampled_from((REL_TOL, 1e-16, 0.0)),
+    )
+    def test_drawn_main_and_alt_pairs(self, family, kappa, rel_tol):
+        # Pairs that fail normalize are TestFloatNormalize's.
+        norm = outcome(normalize, FAMILIES[family](kappa, DISTINGUISHED_PHI))
+        assume(not isinstance(norm, tuple))
+        expected = hex_outcome(float_reference_fixed_vectors, norm, rel_tol)
+        assert hex_outcome(eigenvectors_from_products, norm, rel_tol) == expected
 
 
 def reference_vertices(norm, v, w, mu):
@@ -504,6 +607,41 @@ def test_certify_smp_runs_no_exact_matmul(monkeypatch):
         None, "inclusions", "convexity", "convexity", None, "normalize",
         "permutable", "normalize", "eigenvectors",
     ]
+
+
+def float_runs():
+    """Float fixed vectors and irreducibility verdicts, certified and failing."""
+    fixed = [
+        normalize(FAMILIES[family](kappa, DISTINGUISHED_PHI))
+        for family in sorted(FAMILIES) for kappa in (1.331, 1.05, 1.000001)
+    ]
+    pairs = [
+        (m.a, m.b) for phi in (DISTINGUISHED_PHI, 1e-9, 0.0, math.pi)
+        for m in (example_alt(1.2, phi), example_main(1.2, phi))
+    ]
+    near_scalar = Mat2.flt(1.0, 1e-14, 0.0, 1.0)
+    pairs += [(near_scalar, Mat2.flt(2.0, 1.0, 0.0, 3.0)), (near_scalar, near_scalar)]
+    return fixed, pairs
+
+
+def test_float_fixed_vectors_and_irreducibility_run_no_matmul(monkeypatch):
+    fixed, pairs = float_runs()
+    expected = (
+        [outcome(eigenvectors_from_products, norm) for norm in fixed],
+        [is_irreducible(a, b) for a, b in pairs],
+    )
+
+    def refuse(self, other):
+        raise AssertionError("Mat2 @ inside the float fixed vectors or is_irreducible")
+
+    monkeypatch.setattr(Mat2, "__matmul__", refuse)
+    got = (
+        [outcome(eigenvectors_from_products, norm) for norm in fixed],
+        [is_irreducible(a, b) for a, b in pairs],
+    )
+    assert got == expected
+    # alt degenerates to {I, I} and {-I, -I} at phi = 0 and pi; main does not.
+    assert expected[1] == [True, True, True, True, False, True, False, True, False, False]
 
 
 BENCHMARK_INPUTS = Path(__file__).resolve().parent / "data" / "certify_exact_inputs.txt"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from smpverify.families import (
     DISTINGUISHED_PHI,
+    NormalizedSet,
     custom_set,
     eigenvectors_from_products,
     eigenvectors_vw,
@@ -18,7 +19,7 @@ from smpverify.families import (
     normalize,
     swap_pair,
 )
-from smpverify.matrix2 import Mat2, Vec2, spectral_radius
+from smpverify.matrix2 import EigenvectorError, Mat2, Vec2, spectral_radius
 from smpverify.permutability import TauMap, is_irreducible, tau_word, verify_tau
 from smpverify.scalar import KappaContext, Scalar
 from smpverify.words import (
@@ -294,6 +295,26 @@ class TestFixedVectors:
         ctx = KappaContext(c)
         norm = normalize(example_main_special(ctx))
         assert eigenvectors_from_products(norm) == eigenvectors_vw(ctx)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize(
+        "entries, exact_message, float_message",
+        [
+            ((2, 0, 0, 2), "1 is not an eigenvalue",
+             "1.0 is not an eigenvalue (residual too large)"),
+            ((1, 0, 0, 1), "eigenvalue is not simple", "eigenvalue is not simple"),
+            ((2, 0, 1, 1), "eigenvector is parallel to (0, 1)",
+             "eigenvector is parallel to (0, 1)"),
+        ],
+    )
+    def test_error_messages(self, exact, entries, exact_message, float_message):
+        # A~ = I and a hand-made B~, so B~A~A~ = B~ and v fails first.
+        make = Mat2.exact if exact else Mat2.flt
+        one = Scalar.exact(1) if exact else Scalar.flt(1.0)
+        norm = NormalizedSet(make(1, 0, 0, 1), make(*entries), one, one, None)
+        with pytest.raises(EigenvectorError) as err:
+            eigenvectors_from_products(norm)
+        assert str(err.value) == (exact_message if exact else float_message)
 
     def test_alt_fixed_vectors_satisfy_identities(self, alt_float):
         norm = normalize(alt_float)

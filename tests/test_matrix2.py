@@ -145,6 +145,28 @@ class TestEigenvectorUnitFirst:
         with pytest.raises(EigenvectorError):
             eigenvector_unit_first(m, Scalar.exact(1))
 
+    @pytest.mark.parametrize("make", [Mat2.exact, Mat2.flt])
+    @pytest.mark.parametrize(
+        "entries, lam, exact_message, float_message",
+        [
+            ((2, 0, 0, 2), 1, "1 is not an eigenvalue",
+             "1.0 is not an eigenvalue (residual too large)"),
+            ((1, 0, 0, 2), Fraction(3, 2), "3/2 is not an eigenvalue",
+             "1.5 is not an eigenvalue (residual too large)"),
+            ((1, 0, 0, 1), 1, "eigenvalue is not simple", "eigenvalue is not simple"),
+            ((1, 5, 0, 1), 1, "eigenvalue is not simple", "eigenvalue is not simple"),
+            ((2, 0, 1, 1), 1, "eigenvector is parallel to (0, 1)",
+             "eigenvector is parallel to (0, 1)"),
+        ],
+    )
+    def test_error_messages(self, make, entries, lam, exact_message, float_message):
+        m = make(*entries)
+        message = exact_message if m.is_exact else float_message
+        lam = Scalar.exact(lam) if m.is_exact else Scalar.flt(lam)
+        with pytest.raises(EigenvectorError) as err:
+            eigenvector_unit_first(m, lam)
+        assert str(err.value) == message
+
     def test_float_backend(self, main_float):
         lam = float(spectral_radius(main_float.b @ main_float.a @ main_float.a))
         m = (main_float.b @ main_float.a @ main_float.a).scale(
