@@ -195,18 +195,6 @@ def _warn(reason: str | None) -> None:
               file=sys.stderr)
 
 
-def _polygon_defect(poly) -> str | None:
-    """Why the polygon's gauge is not a norm, or None if it is."""
-    from .polytope import DegenerateSectorError, convexity_check, vertex_order_check
-
-    if not vertex_order_check(poly).passed:
-        return "its vertices are out of order"
-    try:
-        return None if convexity_check(poly) else "it is not convex"
-    except DegenerateSectorError as exc:
-        return f"it is degenerate ({exc})"
-
-
 def cmd_bounds(args, parser) -> int:
     from .words import bounds_table, format_bounds_csv, format_bounds_text
 
@@ -216,11 +204,10 @@ def cmd_bounds(args, parser) -> int:
     mset, mu, reason = _read_run(args, parser, "--norm polygon" if polygon else None)
     norm_obj = None
     if polygon:
-        from .polytope import _polygon_for
+        from .polytope import _norm_defect, _polygon_for
 
         _, norm_obj = _polygon_for(mset, mu)
-        defect = _polygon_defect(norm_obj)
-        if defect is not None:
+        if (defect := _norm_defect(norm_obj)) is not None:
             parser.error(f"--norm polygon needs a convex polygon: at --mu {args.mu} {defect}")
     _warn(reason)
     rows = bounds_table(mset.a, mset.b, args.max_n, norm=norm_obj)

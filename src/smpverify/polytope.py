@@ -78,7 +78,12 @@ gauges every a_i = A~ v_i and b_i = B~ v_i of a convex polygon, and the
 induced norms of A~ and B~ are the largest of those values: the points and
 the function that Polygon.matrix_norm would use, so the values are the
 same, bit for bit on floats.  Polygon.matrix_norm serves other matrices,
-such as the word products of `bounds --norm polygon`.
+such as the word products of `bounds --norm polygon` on a float pair.  On
+an exact pair that command takes the words oracle's hull route through
+Polygon._hull, which hands the oracle the six half-vertices D v_1..D v_6
+and the same largest-gauge routine (_largest_gauge) that matrix_norm
+calls, when _norm_defect finds the gauge a norm: positive order products
+and a convex polygon.
 
 The certificate is one record tree.  Each check, vertex_order_check and
 verify_inclusions included, is a CheckResult whose data holds the check's
@@ -110,7 +115,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, partial
 
 from .families import (
     MatrixSet,
@@ -353,6 +358,15 @@ def _gauges(poly: "Polygon", points, f, tol: float):
         yield ((num, den) if den > 0 else (-num, -den)) if exact else num / den
 
 
+# Exact gauges are (num, den) pairs, ordered by cross-multiplication.
+_BY_VALUE = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])
+
+
+def _largest_gauge(poly: "Polygon", points, f, tol: float = REL_TOL):
+    """The largest of the _gauges of the points (z1, z2) / (F D)."""
+    return max(_gauges(poly, points, f, tol), key=_BY_VALUE if poly.is_exact else None)
+
+
 class Polygon(Record):
     """Balanced twelve-gon: vertices in clockwise index order, plus the
     parameters that generated it.
@@ -411,11 +425,16 @@ class Polygon(Record):
         """
         same_backend(self, m)
         f, (entries,) = scaled_entries((m,))
-        gauges = _gauges(self, _image_points(self._edge_table, entries), f, rel_tol)
-        # Exact gauges are (num, den) pairs, ordered by cross-multiplication.
-        key = cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1]) if self.is_exact else None
-        largest = max(gauges, key=key)
+        largest = _largest_gauge(self, _image_points(self._edge_table, entries), f, rel_tol)
         return Scalar(Fraction(*largest) if self.is_exact else largest)
+
+    def _hull(self):
+        """The hook of the words oracle's hull route (words._walk): the six
+        half-vertices D v_1..D v_6 of the edge table and the score of a
+        hull level, its largest gauge over f; None when the polygon is a
+        float one or its gauge is not a norm."""
+        if self.is_exact and _norm_defect(self) is None:
+            return self._edge_table.vertices[:6], partial(_largest_gauge, self)
 
 
 def _coerce_mu(mu, exact: bool) -> Scalar:
@@ -738,6 +757,11 @@ class _Ratio:
         return _Ratio(other * self.den, self.num)
 
 
+def _order_products(verts: tuple) -> list:
+    """(V_i, T V_j) of the edge table's vertices for each of _ORDER_PAIRS."""
+    return [_cross(verts[i - 1], verts[j - 1]) for i, j in _ORDER_PAIRS]
+
+
 def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     """All fifteen products (v_i, T v_j), i < j <= 6, must be positive:
     the rays are then pairwise distinct and the clockwise traversal meets
@@ -753,8 +777,8 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     matched by cross-multiplication.
     """
     table = poly._edge_table
-    verts, dd = table.vertices, table.scale * table.scale
-    ints = [_cross(verts[i - 1], verts[j - 1]) for i, j in _ORDER_PAIRS]
+    dd = table.scale * table.scale
+    ints = _order_products(table.vertices)
     passed = all(p > 0 for p in ints)
     detail = next(
         (f"v{i},Tv{j} <= 0" for (i, j), p in zip(_ORDER_PAIRS, ints) if not p > 0), ""
@@ -796,6 +820,19 @@ def convexity_values(poly: Polygon) -> list[tuple[int, Scalar]]:
 
 def convexity_check(poly: Polygon, rel_tol: float = REL_TOL) -> bool:
     return all(h.ge(1, rel_tol) for _, h in poly._convexity_levels)
+
+
+def _norm_defect(poly: Polygon) -> str | None:
+    """Why the polygon's gauge is not a norm, or None if it is: every order
+    product (v_i, T v_j), i < j <= 6, must be positive and the polygon
+    convex.  The closed forms of vertex_order_check are audit data, not
+    part of this rule."""
+    if not all(p > 0 for p in _order_products(poly._edge_table.vertices)):
+        return "its vertices are out of order"
+    try:
+        return None if convexity_check(poly) else "it is not convex"
+    except DegenerateSectorError as exc:
+        return f"it is degenerate ({exc})"
 
 
 def polygon_gauge(poly: Polygon, x: Vec2, rel_tol: float = REL_TOL) -> Scalar:

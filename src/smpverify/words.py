@@ -16,10 +16,11 @@ over all 2**n words because norms are not cyclic-invariant.
 
 The box norm is the norm when `norm` is None or an object whose type is
 exactly BoxNorm; the route is the same for both spellings.  Float pairs,
-and any other norm object (a polygon, a subclass of BoxNorm or a wrapper
-around one), are scored by one depth-first walk of the tree of suffix
-products.  A node at depth k is the product of the last k factors of a
-word, and its two children multiply one more factor on the left, in the
+and every norm object other than the box norm and an exact polygon whose
+gauge is a norm (a float or non-convex polygon, a subclass of BoxNorm or a
+wrapper around a norm), are scored by one depth-first walk of the tree of
+suffix products.  A node at depth k is the product of the last k factors
+of a word, and its two children multiply one more factor on the left, in the
 operation order of Mat2 @.  rho_n to n, rho_bar_n to n and bounds_table to
 n_max are one walk each.  Every node's product is formed once, with the
 association of evaluate, so floats round exactly as Mat2 would.  The walk
@@ -32,18 +33,23 @@ the set of necklace codes for every length up to the walk's depth.  Every
 node is expanded; a necklace node gets a spectral radius and, with norms
 requested, every node at a scored depth gets a norm.
 
-An exact pair under the box norm walks no tree.  Both of its columns are
-computed exactly, so they are those of the full walk, bit for bit, from
-far fewer products.  rho_n comes from a hull of images (_box_tops): the
-box norm of M is the largest |coordinate| of M u over u in {(1, 1),
-(1, -1)}, and |coordinate| is convex, so the largest box norm of a
-length-k product is taken at a vertex of the symmetric convex hull P_k of
-those points M u.  P_k is also the symmetric hull of
-the images under A and B of the vertices of P_{k-1}.  This is the
-invariant-polytope iteration of Guglielmi and Protasov (Exact computation
-of joint spectral characteristics of linear operators, FoCM 2013) with the
-box norm read off each P_k; on the main pair at c = 11/10, P_k has at most
-24 vertices up to k = 20.  rho_bar_n scores each necklace inside the
+An exact pair under the box norm, or under an exact polygon whose gauge
+is a norm, walks no tree.  Both of its columns are computed exactly, so
+they are those of the full walk, bit for bit, from far fewer products.
+rho_n comes from a hull of images (_hull_tops), one routine for every
+polygonal norm: the norm of M induced by a balanced convex polygon with
+vertices +-u_i is the largest gauge of the points M u_i, and the gauge is
+convex, so the largest norm of a length-k product is taken at a vertex of
+the symmetric convex hull P_k of those points M u_i.  P_k is also the
+symmetric hull of the images under A and B of the vertices of P_{k-1}.
+This is the invariant-polytope iteration of Guglielmi and Protasov (Exact
+computation of joint spectral characteristics of linear operators, FoCM
+2013) with the norm read off each P_k.  The box norm is the polygon norm
+of the unit square: u in {(1, 1), (1, -1)}, and the gauge is the largest
+|coordinate|; on the main pair at c = 11/10, P_k has at most 24 vertices
+up to k = 20.  A polygon norm comes through a _hull hook on the norm's
+type (Polygon._hull), which gives its half-vertices and its largest gauge,
+so this module does not import the polygon's.  rho_bar_n scores each necklace inside the
 prenecklace generator itself, every prefix carrying its product with one
 more factor on the right; the entries are ints, so the association does
 not matter.  At n = 11 this forms about 1040 products and hull points,
@@ -69,9 +75,12 @@ float product that overflows.  The determinant is multiplicative, so an
 exact pair's radii read it from a table by length and count of B, and keep
 there too the rooted radius sqrt(det)**(1/k) of a complex eigenvalue pair.
 The box norm, spelled None or BoxNorm(), is never called: the exact hull
-compares ints and divides the largest by D**k once, and the float walk
-compares row sums inline.  Any other norm object gets one Mat2 per node,
-built from the tuple, through its matrix_norm(Mat2) method.  A Word is built only for the maximizers.
+compares ints, and the float walk compares row sums inline.  The hull
+scores a length by an unreduced int ratio, the largest |coordinate| over
+D**k or a polygon's largest gauge (compared by cross-multiplication), and
+reduces it to one Fraction per length.  Any other norm object gets one
+Mat2 per node, built from the tuple, through its matrix_norm(Mat2)
+method.  A Word is built only for the maximizers.
 """
 
 from __future__ import annotations
@@ -261,27 +270,32 @@ def _half_hull(points):
     return chain[:-1]
 
 
-def _box_tops(ta, tb, hi):
-    """(tops, images): tops[k] for k = 0..hi is the largest box norm of a
+# The box norm is the polygon norm of the unit square: its half-vertices,
+# and the score of a hull level over f = D**k, the largest |coordinate|.
+_SQUARE = ([(1, 1), (1, -1)], lambda half, f: (max(max(abs(x), abs(y)) for x, y in half), f))
+
+
+def _hull_tops(ta, tb, half, score, d, hi):
+    """(tops, images): tops[k] for k = 0..hi is the largest norm of a
     length-k product of the int tuples ta and tb, and images is the number
     of points formed.
 
-    tops[k] is the largest |coordinate| over the vertices of P_k, the
-    symmetric convex hull of A V_{k-1}, B V_{k-1} and their negations,
-    where V_{k-1} holds one vertex of each opposite pair of P_{k-1} and
-    V_0 = {(1, 1), (1, -1)}: see the module docstring.
+    The norm is that of a balanced polygon with half-vertices `half` (int
+    points).  tops[k] is score(V_k, D**k), an unreduced (num, den): the
+    largest gauge over V_k, which holds one vertex of each opposite pair of
+    P_k, the symmetric convex hull of A V_{k-1}, B V_{k-1} and their
+    negations, with V_0 = half: see the module docstring.  tops[0] is
+    (1, 1), the identity's, and an empty V_k (every image 0) scores (0, 1).
     """
-    half = [(1, 1), (1, -1)]
-    tops = [1]
-    images = 0
-    for _ in range(hi):
+    tops, images = [(1, 1)], 0
+    for k in range(1, hi + 1):
         points = set()
         for u in half:
             (ax, ay), (bx, by) = apply_entries(ta, u), apply_entries(tb, u)
             points.update(((ax, ay), (-ax, -ay), (bx, by), (-bx, -by)))
         images += 2 * len(half)
         half = _half_hull(sorted(points))
-        tops.append(max((max(abs(x), abs(y)) for x, y in half), default=0))
+        tops.append(score(half, d**k) if half else (0, 1))
     return tops, images
 
 
@@ -289,10 +303,11 @@ class _Scores:
     """The scores of one walk by word length k = lo..hi, and what they
     become: see the module docstring.
 
-    top[k] is the largest norm at length k, filled by the walk: D**k times
-    the box norm (norm is None) or the value of norm.matrix_norm.  radius()
-    scores one necklace product.  overflow is the least length whose score
-    is not finite (float backend) or too large for a float (exact).
+    top[k] is the largest norm at length k: a Fraction from the hull, the
+    row sum of the float walk's box norm, or the value of norm.matrix_norm.
+    radius() scores one necklace product.  overflow is the least length
+    whose score is not finite (float backend) or too large for a float
+    (exact).
     """
 
     def __init__(self, ta, tb, d, lo, hi, exact, radii):
@@ -350,17 +365,15 @@ class _Scores:
             self.elliptic[k][nb] = r
         self.scored[k].append((r, code))
 
-    def result(self, box, norms, radii):
+    def result(self, norms, radii):
         """(rho, bars) keyed by length, or ValueError at the least overflow."""
         lo, hi = self.lo, self.hi
         rho, bars = {}, {}
         overflow = self.overflow
         if norms:
             for k in range(lo, min(overflow, hi + 1)):
-                top = self.top[k]
                 try:
-                    # int / int rounds correctly, as float(Fraction) does.
-                    best = float(top / self.dk[k] if box else top)
+                    best = float(self.top[k])
                 except OverflowError:
                     overflow = k
                     break
@@ -451,26 +464,28 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
         norm = None
     d, (ta, tb) = scaled_entries((a, b))
     scores = _Scores(ta, tb, d, lo, hi, a.is_exact, radii)
-    if a.is_exact and norm is None:
+    # Any norm but the box norm takes the hull only through a _hull hook on
+    # its type, which gives (half, score) or None (Polygon._hull); wrappers
+    # and BoxNorm subclasses have none.
+    hook = getattr(type(norm), "_hull", None)
+    hull = _SQUARE if norm is None else hook and hook(norm)
+    if a.is_exact and hull is not None:
         visits = 0
         if norms:
-            tops, visits = _box_tops(ta, tb, hi)
-            scores.top[lo:] = tops[lo:]
+            tops, visits = _hull_tops(ta, tb, *hull, d, hi)
+            scores.top[lo:] = [Fraction(*top) for top in tops[lo:]]
         if radii:
             visits += _prenecklaces(hi, scores.radius, (ta, tb))
     else:
-        dk = scores.dk
-        if norm is None:
-            leaf = None
-        elif a.is_exact:
+        leaf = None
+        if norm is not None:
+            dk, unscale = scores.dk, Fraction if a.is_exact else lambda x, _: x
+
             def leaf(p, k):
-                return norm.matrix_norm(Mat2(*(Scalar(Fraction(x, dk[k])) for x in p)))
-        else:
-            def leaf(p, k):
-                return norm.matrix_norm(Mat2(*(Scalar(x) for x in p)))
+                return norm.matrix_norm(Mat2(*(Scalar(unscale(x, dk[k])) for x in p)))
         _walk_tree(ta, tb, scores, leaf, norms, radii)
         visits = 2 ** (hi + 1) - 2
-    rho, bars = scores.result(norm is None, norms, radii)
+    rho, bars = scores.result(norms, radii)
     return rho, bars, visits
 
 
@@ -490,10 +505,10 @@ def rho_n(a: Mat2, b: Mat2, n: int, norm=None) -> Scalar:
     """Upper bound over all 2**n words: max of norm(product)**(1/n).
 
     `norm` is any object with matrix_norm(Mat2) -> Scalar; defaults to the
-    box norm.  None and an object of type exactly BoxNorm take the box
-    norm's route (the hull for an exact pair); any other object, a BoxNorm
-    subclass or wrapper included, is called once per word of the full
-    tree.  The maximum itself is taken in the input backend (exact if the
+    box norm.  For an exact pair, None, an object of type exactly BoxNorm
+    and an exact Polygon whose gauge is a norm take the hull; any other
+    object, a BoxNorm subclass or wrapper included, is called once per
+    word of the full tree, as is every norm for a float pair.  The maximum itself is taken in the input backend (exact if the
     matrices are exact) and only the final root is floating point.
     """
     _check_cap(n)

@@ -52,6 +52,18 @@ class TestBounds:
         for line in out.splitlines()[1:5]:
             assert line.split()[2] == "1.21"
 
+    def test_float_polygon_norm_near_kappa_one(self, capsys):
+        # The order products are positive and the polygon is convex, so its
+        # gauge is a norm, though the order products miss their closed
+        # forms by rounding (the certificate's vertex_order fails).
+        code, out, _ = run(
+            capsys,
+            "bounds", "--family", "main", "--kappa", "1.001",
+            "--max-n", "3", "--norm", "polygon", "--mu", "1.167",
+        )
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == ["n", "1", "2", "3"]
+
     def test_zero_cap_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--family", "main", "--c", "11/10", "--max-n", "0"])

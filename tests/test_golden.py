@@ -8,9 +8,11 @@ escapes its sector on the exact one) and the alt family
 (no closed-form key); two runs at a 96-bit c, one certified and one with
 b3 and b9 escaping, pin the big-integer values of the exact path.  The
 bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
-n = 14 and to the word cap n = 20), a float walk (alt) and an exact
-polygon-norm walk; a run with `--csv table.csv` also pins the written file
-as the .csv of the same name.
+n = 14 and to the word cap n = 20), float walks (alt, under the box norm
+and under a polygon norm) and exact polygon-norm runs at 11/10: the
+extremal norm at mu = 5/4 to n = 8 and to the word cap, and the
+non-extremal one at mu = 13/10 to n = 12.  A run with `--csv table.csv`
+also pins the written file as the .csv of the same name.
 """
 
 from pathlib import Path
@@ -36,7 +38,10 @@ BOUNDS_CASES = (
     "bounds_exact_11_10",
     "bounds_exact_11_10_n20",
     "bounds_float_alt",
+    "bounds_float_polygon",
     "bounds_exact_polygon",
+    "bounds_exact_polygon_13_10",
+    "bounds_exact_polygon_n20",
 )
 
 
@@ -73,3 +78,17 @@ def test_bounds_report_is_unchanged(capsys, monkeypatch, tmp_path, case):
         assert written.read_bytes() == csv.read_bytes()
     else:
         assert not csv.exists()
+
+
+def test_extremal_polygon_norm_at_the_word_cap():
+    # Under the extremal norm rho_n is rho = 1.21 at every n; the lower
+    # bound and maximizer columns are those of the box-norm run.
+    _, _, polygon = _golden_run("bounds_exact_polygon_n20")
+    _, _, box = _golden_run("bounds_exact_11_10_n20")
+    polygon_rows = [line.split() for line in polygon.splitlines()[1:]]
+    box_rows = [line.split() for line in box.splitlines()[1:]]
+    assert [row[0] for row in polygon_rows] == [str(n) for n in range(1, 21)]
+    assert [row[2] for row in polygon_rows] == ["1.21"] * 20
+    assert [(n, bar, names) for n, bar, _, names in polygon_rows] == [
+        (n, bar, names) for n, bar, _, names in box_rows
+    ]

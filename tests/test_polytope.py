@@ -267,6 +267,27 @@ class TestVertexOrder:
         assert "order.closed_form_match" not in data
 
 
+class TestGaugeIsANorm:
+    """polytope._norm_defect, the rule of `bounds --norm polygon` and of the
+    words oracle's hull route: positive order products and convexity."""
+
+    def test_rounded_closed_forms_do_not_matter(self):
+        # Near kappa = 1 the float order products miss their closed forms
+        # by about 5.6e-12 relative, but they are positive and the polygon
+        # is convex.
+        _, poly = float_pipeline(1.001, 1.167)
+        data = dict(vertex_order_check(poly).data)
+        assert data["order.all_positive"] is True
+        assert data["order.closed_form_match"] is False
+        assert convexity_check(poly)
+        assert polytope._norm_defect(poly) is None
+
+    def test_defects(self, poly_exact):
+        assert polytope._norm_defect(poly_exact) is None
+        _, poly = float_pipeline(1.331, 1.04)
+        assert polytope._norm_defect(poly) == "it is not convex"
+
+
 class TestConvexity:
     def test_admissible_scale_is_convex(self, poly_exact):
         assert convexity_check(poly_exact)

@@ -15,8 +15,8 @@ from smpverify.families import (
     normalize,
 )
 from smpverify.matrix2 import Mat2
-from smpverify.polytope import build_polygon
-from smpverify.scalar import KappaContext, Scalar
+from smpverify.polytope import Polygon, build_polygon
+from smpverify.scalar import BackendMismatchError, KappaContext, Scalar
 from smpverify.words import (
     BoundsRow,
     BoxNorm,
@@ -508,14 +508,111 @@ class TestPrunedWalk:
         else:
             entries = EDGE_PAIRS[case]
             a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
-        # tops[m] is D**m times the largest box norm of the 2**m products.
+        # The box norm is the polygon norm of the unit square: tops[m] is
+        # (D**m times the largest box norm of the 2**m products, D**m).
         d, (ta, tb) = matrix2.scaled_entries((a, b))
-        tops, _ = words._box_tops(ta, tb, 9)
+        tops, _ = words._hull_tops(ta, tb, *words._SQUARE, d, 9)
         level = [Mat2.identity_like(a)]
         for m in range(1, 10):
             level = [f @ p for p in level for f in (a, b)]
             largest = max(BoxNorm().matrix_norm(p).value for p in level)
-            assert tops[m] == d**m * largest
+            assert tops[m] == (d**m * largest, d**m)
+
+
+# Exact polygons whose gauge is a norm: (c, mu) of the main pair.
+CONVEX_POLYGONS = [
+    ((11, 10), Fraction(121, 100)),
+    ((11, 10), Fraction(5, 4)),
+    ((11, 10), Fraction(129, 100)),
+    ((11, 10), Fraction(13, 10)),
+    ((11, 10), Fraction(34, 25)),
+    ((233, 224), Fraction(217, 200)),
+]
+
+
+def count_polygon_norms(monkeypatch):
+    """Wrap Polygon.matrix_norm with a counter; returns the list whose
+    length is the number of calls."""
+    calls = []
+    real = Polygon.matrix_norm
+
+    def counting(self, m, *args):
+        calls.append(m)
+        return real(self, m, *args)
+
+    monkeypatch.setattr(Polygon, "matrix_norm", counting)
+    return calls
+
+
+class TestPolygonHull:
+    """An exact pair under an exact polygon whose gauge is a norm takes the
+    hull of images, as under the box norm; every other norm object walks
+    the tree."""
+
+    @pytest.mark.parametrize(
+        "c, mu", CONVEX_POLYGONS, ids=[f"{p}/{q}-{mu}" for (p, q), mu in CONVEX_POLYGONS]
+    )
+    def test_hull_rows_equal_the_tree_walk(self, c, mu):
+        mset = _exact_main(*c)
+        poly = _polygon(mset, mu)
+        counter = CountingNorm(poly)
+        tree = bit_rows(bounds_table(mset.a, mset.b, 12, norm=counter))
+        assert counter.calls == 2**13 - 2
+        assert bit_rows(bounds_table(mset.a, mset.b, 12, norm=poly)) == tree
+
+    def test_convex_polygon_forms_no_mat2_product_and_no_matrix_norm(self, monkeypatch):
+        mset = _exact_main(11, 10)
+        poly = _polygon(mset, Fraction(5, 4))
+        expected = bit_rows(bounds_table(mset.a, mset.b, 10, norm=CountingNorm(poly)))
+
+        def refuse(*args):
+            raise AssertionError("a Mat2 product or a matrix_norm call")
+
+        monkeypatch.setattr(Polygon, "matrix_norm", refuse)
+        monkeypatch.setattr(Mat2, "__matmul__", refuse)
+        assert bit_rows(bounds_table(mset.a, mset.b, 10, norm=poly)) == expected
+        assert float(rho_n(mset.a, mset.b, 10, norm=poly)).hex() == expected[-1][2] == (1.21).hex()
+        _, _, visits = words._walk(mset.a, mset.b, 1, 10, norm=poly)
+        assert visits < 2**11 - 2
+
+    def test_non_convex_polygon_walks_the_tree(self, monkeypatch):
+        mset = _exact_main(11, 10)
+        poly = _polygon(mset, Fraction(26, 25))
+        expected = bit_rows(bounds_table(mset.a, mset.b, 8, norm=CountingNorm(poly)))
+        calls = count_polygon_norms(monkeypatch)
+        assert bit_rows(bounds_table(mset.a, mset.b, 8, norm=poly)) == expected
+        assert len(calls) == 2**9 - 2
+
+    def test_box_norm_subclass_and_wrapper_walk_the_tree(self, main_exact):
+        class Box(BoxNorm):
+            pass
+
+        a, b = main_exact.a, main_exact.b
+        expected = bit_rows(bounds_table(a, b, 8))
+        counter = CountingNorm(Box())
+        assert bit_rows(bounds_table(a, b, 8, norm=counter)) == expected
+        assert counter.calls == 2**9 - 2
+        _, _, visits = words._walk(a, b, 1, 8, norm=Box())
+        assert visits == 2**9 - 2
+
+    def test_wrapped_polygon_walks_the_tree(self, monkeypatch):
+        mset = _exact_main(11, 10)
+        counter = CountingNorm(_polygon(mset, Fraction(5, 4)))
+        calls = count_polygon_norms(monkeypatch)
+        rho_n(mset.a, mset.b, 6, norm=counter)
+        assert counter.calls == len(calls) == 2**6
+
+    def test_mixed_backends_raise_under_a_polygon(self, main_exact, main_float):
+        poly = _polygon(main_exact, Fraction(5, 4))
+        float_poly = _polygon(main_float, 1.25)
+        for norm in (poly, float_poly):
+            with pytest.raises(BackendMismatchError):
+                rho_n(main_exact.a, main_float.b, 3, norm=norm)
+            with pytest.raises(BackendMismatchError):
+                rho_n(main_float.a, main_exact.b, 3, norm=norm)
+        # A float polygon is no norm for the hull: the tree walk refuses it.
+        with pytest.raises(BackendMismatchError):
+            rho_n(main_exact.a, main_exact.b, 3, norm=float_poly)
 
 
 class TestFloatOverflow:
