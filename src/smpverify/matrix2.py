@@ -45,13 +45,14 @@ eigendirections of the float irreducibility test (permutability), and its
 residual, eigen_residual, the exact eigenvalue check of families.normalize.
 
 Where the kernel runs: Mat2 @; normalize and eigenvectors_from_products
-(families), verify_tau and the float is_irreducible (permutability);
-build_polygon and the images of the polygon's vertices (polytope); and
-the exact box-norm oracle of words, where each hull image is one
-apply_entries and each necklace prefix one mul_entries.  Two inline copies of product formulas stay, each
-for a measured cost.  words._walk_tree, the float and norm-object walk,
-writes out mul_entries: through the kernel the float alt table at n = 12
-ran about 28% slower.  polytope._gauges writes out its sector formula
+(families), verify_tau on both backends and the float is_irreducible
+(permutability); build_polygon and the images of the polygon's vertices
+(polytope); and the exact box-norm oracle of words, where each hull image
+is one apply_entries and each necklace prefix one mul_entries.  Two
+inline copies of product formulas stay, each for a measured cost.
+words._walk_tree, the float and norm-object walk, writes out
+mul_entries: through the kernel the float alt table at n = 12 ran about
+28% slower.  polytope._gauges writes out its sector formula
 (polytope._sector, not a kernel of this module): through it certify ran
 about 5% slower on float inputs and 6% on exact ones.
 """

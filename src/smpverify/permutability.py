@@ -7,6 +7,15 @@ are a complete invariant of simultaneous similarity in dimension 2), and
 permutability forces every odd-length product to share its spectrum with
 a product that has a different number of A-factors.
 
+The swap test verify_tau has one body for both backends: on the tuples
+of matrix2.scaled_entries it checks det S != 0 and the defining identities
+a S = S b and b S = S a through mul_entries, compared by scalar.allclose
+(exactly on ints, within the tolerance on floats).  A float S is first
+scaled by a power of two to a largest |entry| in [1, 2), so that the
+float verdict does not depend on S's scale; no other step looks at the
+backend.  It never forms S^-1;
+TauMap.apply and matrix2.similarity stay as the conjugation itself.
+
 Irreducibility (no common real invariant line) is the one reducibility
 test of the package.  On exact pairs it is the 2x2 invariant criterion:
 two 2x2 matrices share an eigenvector iff det(AB - BA) = 0 (Shemesh,
@@ -24,14 +33,13 @@ import math
 
 from .matrix2 import (
     Mat2,
-    SingularMatrixError,
     apply_entries,
     mul_entries,
     robust_row,
     scaled_entries,
     similarity,
 )
-from .scalar import REL_TOL, Record, same_backend
+from .scalar import REL_TOL, Record, allclose, same_backend
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
 __all__ = [
@@ -140,22 +148,28 @@ def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
 def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float = REL_TOL) -> bool:
     """Check the swap identities tau(a) == b and tau(b) == a; a singular s fails.
 
-    On exact matrices the test is a S == S b, b S == S a and det S != 0, on
-    the ints F a, F b and F S over the lcm F of their denominators: for an
-    invertible S that is S^-1 a S == b and S^-1 b S == a, with no inverse
-    formed.  Float matrices are conjugated and compared within rel_tol.
+    One body for both backends, on scaled_entries((a, b, S)): det S != 0,
+    then a S == S b and b S == S a through mul_entries and allclose.  On
+    exact matrices these are identities of the ints F a, F b and F S over
+    the lcm F of their denominators; on floats (F = 1) the products are
+    compared within rel_tol.  For an invertible S they say S^-1 a S == b
+    and S^-1 b S == a, with no inverse formed, so an ill-conditioned S
+    loses no accuracy to it.  A float S is first scaled by the power of
+    two that brings its largest |entry| into [1, 2), which rounds nothing:
+    the identities are homogeneous in S, and the tolerance, absolute near
+    0, would otherwise accept any tiny S and reject a large one.  Int
+    identities hold at every scale, so exact S is not rescaled.
     """
-    if a.is_exact and b.is_exact and tau.s.is_exact:
-        _, (ai, bi, si) = scaled_entries((a, b, tau.s))
-        return (
-            si[0] * si[3] != si[1] * si[2]
-            and mul_entries(ai, si) == mul_entries(si, bi)
-            and mul_entries(bi, si) == mul_entries(si, ai)
-        )
-    try:
-        return tau.apply(a).isclose(b, rel_tol) and tau.apply(b).isclose(a, rel_tol)
-    except SingularMatrixError:
-        return False
+    _, (ai, bi, si) = scaled_entries((a, b, tau.s))
+    top = max(map(abs, si)) or 1
+    if isinstance(top, float):
+        shift = 1 - math.frexp(top)[1]
+        si = tuple(math.ldexp(x, shift) for x in si)
+    return (
+        si[0] * si[3] != si[1] * si[2]
+        and allclose(mul_entries(ai, si), mul_entries(si, bi), rel_tol)
+        and allclose(mul_entries(bi, si), mul_entries(si, ai), rel_tol)
+    )
 
 
 def tau_word(w: Word) -> Word:

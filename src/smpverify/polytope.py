@@ -437,12 +437,12 @@ class Polygon(Record):
             return self._edge_table.vertices[:6], partial(_largest_gauge, self)
 
 
-def _coerce_mu(mu, exact: bool) -> Scalar:
+def _coerce_mu(mu, owner) -> Scalar:
+    """mu as a Scalar of owner's backend; a Scalar of the other backend
+    raises BackendMismatchError through same_backend."""
+    exact = owner.is_exact
     if isinstance(mu, Scalar):
-        if mu.is_exact != exact:
-            raise TypeError(
-                f"mu backend ({mu.backend}) does not match the set backend"
-            )
+        same_backend(owner, mu)
         return mu
     if isinstance(mu, (int, Fraction)):
         return Scalar.exact(mu) if exact else Scalar.flt(float(mu))
@@ -471,7 +471,7 @@ def build_polygon(
     Vec2.isclose within rel_tol, and the vertices are the floats of Mat2 @.
     """
     exact = same_backend(norm.at, v, w)
-    mu = _coerce_mu(mu, exact)
+    mu = _coerce_mu(mu, norm.at)
     if not mu > 0:
         raise ValueError(f"need mu > 0, got {mu}")
     base = _base_vertices(norm.scaled, v, w, mu, exact, rel_tol)
@@ -1086,7 +1086,7 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
 
     # parameters
     try:
-        mu_scalar = _coerce_mu(mu, mset.is_exact)
+        mu_scalar = _coerce_mu(mu, mset)
         irreducible = is_irreducible(mset.a, mset.b, rel_tol)
         ok = mu_scalar > 0 and irreducible
         detail = "" if ok else ("mu <= 0" if irreducible else "reducible pair")

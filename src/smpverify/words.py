@@ -78,9 +78,9 @@ The box norm, spelled None or BoxNorm(), is never called: the exact hull
 compares ints, and the float walk compares row sums inline.  The hull
 scores a length by an unreduced int ratio, the largest |coordinate| over
 D**k or a polygon's largest gauge (compared by cross-multiplication), and
-reduces it to one Fraction per length.  Any other norm object gets one
-Mat2 per node, built from the tuple, through its matrix_norm(Mat2)
-method.  A Word is built only for the maximizers.
+divides that pair, unreduced, into one float per length.  Any other norm
+object gets one Mat2 per node, built from the tuple, through its
+matrix_norm(Mat2) method.  A Word is built only for the maximizers.
 """
 
 from __future__ import annotations
@@ -303,8 +303,9 @@ class _Scores:
     """The scores of one walk by word length k = lo..hi, and what they
     become: see the module docstring.
 
-    top[k] is the largest norm at length k: a Fraction from the hull, the
-    row sum of the float walk's box norm, or the value of norm.matrix_norm.
+    top[k] is the largest norm at length k: an unreduced int pair
+    (num, den) from the hull, the row sum of the float walk's box norm, or
+    the value of norm.matrix_norm.
     radius() scores one necklace product.  overflow is the least length
     whose score is not finite (float backend) or too large for a float
     (exact).
@@ -372,8 +373,11 @@ class _Scores:
         overflow = self.overflow
         if norms:
             for k in range(lo, min(overflow, hi + 1)):
+                top = self.top[k]
                 try:
-                    best = float(self.top[k])
+                    # A hull score is an unreduced pair (num, den): int / int
+                    # rounds as float() of the Fraction would, with no gcd.
+                    best = top[0] / top[1] if type(top) is tuple else float(top)
                 except OverflowError:
                     overflow = k
                     break
@@ -473,7 +477,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
         visits = 0
         if norms:
             tops, visits = _hull_tops(ta, tb, *hull, d, hi)
-            scores.top[lo:] = [Fraction(*top) for top in tops[lo:]]
+            scores.top[lo:] = tops[lo:]
         if radii:
             visits += _prenecklaces(hi, scores.radius, (ta, tb))
     else:

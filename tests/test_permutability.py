@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from smpverify.families import DISTINGUISHED_PHI, example_alt, example_main
+from smpverify import matrix2
+from smpverify.families import DISTINGUISHED_PHI, example_alt, example_main, swap_pair
 from smpverify.matrix2 import Mat2, similarity
 from smpverify.permutability import (
     ReducibleSetError,
@@ -17,6 +19,7 @@ from smpverify.permutability import (
     swap_spectrum_check,
     verify_tau,
 )
+from smpverify.scalar import BackendMismatchError, Scalar
 from smpverify.words import Word, evaluate
 
 
@@ -150,6 +153,101 @@ class TestTau:
         mset = main_exact if exact else main_float
         singular = Mat2.exact(1, 1, 1, 1) if exact else Mat2.flt(1.0, 2.0, 0.5, 1.0)
         assert not verify_tau(mset.a, mset.b, TauMap(singular))
+
+
+def conjugation_reference(a: Mat2, b: Mat2, s: Mat2) -> bool:
+    """The swap identities by conjugation: S^-1 a S and S^-1 b S, formed
+    through Mat2.inverse, against b and a within the default tolerance."""
+    return similarity(s, a).isclose(b) and similarity(s, b).isclose(a)
+
+
+# (kappa, phi) of main pairs whose swap matrix is near singular: det S is
+# about 1e-8 at kappa 1.0001 and 1e-4 at kappa 1.01.
+NEAR_SINGULAR_MAIN = [
+    (kappa, phi)
+    for kappa in (1.0001, 1.01)
+    for phi in (1e-9, math.pi - 1e-9)
+]
+
+
+class TestOneSwapTest:
+    """verify_tau checks a S == S b and b S == S a on the scaled tuples, on
+    both backends, and never forms S^-1."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_product_inverse_or_similarity(self, monkeypatch, main_exact, main_float, exact):
+        mset = main_exact if exact else main_float
+
+        def refuse(*args):
+            raise AssertionError("verify_tau went through Mat2 arithmetic")
+
+        monkeypatch.setattr(Mat2, "__matmul__", refuse)
+        monkeypatch.setattr(Mat2, "inverse", refuse)
+        monkeypatch.setattr(matrix2, "similarity", refuse)
+        monkeypatch.setattr(TauMap, "apply", refuse)
+        eye = Mat2.identity_like(mset.a)
+        singular = Mat2.exact(1, 1, 1, 1) if exact else Mat2.flt(1.0, 2.0, 0.5, 1.0)
+        assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+        assert not verify_tau(mset.a, mset.b, TauMap(eye))
+        assert not verify_tau(mset.a, mset.b, TauMap(singular))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_verdict_does_not_depend_on_the_scale_of_s(self, main_exact, main_float, exact):
+        # The identities are homogeneous in S; the float tolerance, absolute
+        # near 0, must not accept a tiny multiple of I or reject a large S.
+        mset = main_exact if exact else main_float
+        eye = Mat2.identity_like(mset.a)
+        for k in (Fraction(1, 10**13), Fraction(1, 10**6), 10**6, 10**12):
+            factor = Scalar.exact(k) if exact else Scalar.flt(float(k))
+            assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s.scale(factor)))
+            assert not verify_tau(mset.a, mset.b, TauMap(eye.scale(factor)))
+
+    @pytest.mark.parametrize("build", [example_alt, example_main])
+    def test_float_grid_matches_conjugation(self, build):
+        for kappa in (1.05, 1.2, 1.331, 1.7, 2.5, 10.0):
+            for phi in (0.0, 0.4, 1.0, DISTINGUISHED_PHI, 2.5, math.pi):
+                mset = build(kappa, phi)
+                got = verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+                assert got and got == conjugation_reference(mset.a, mset.b, mset.tau_s)
+
+    def test_random_float_swaps_match_conjugation(self):
+        # A traceless S squares to -det(S) I, so S swaps a with S^-1 a S.
+        # |det S| stays above 1/4, and a perturbed b is off by at least 1e-9
+        # per entry, far outside the tolerance: both tests must then agree.
+        rng = random.Random(2407)
+        verdicts = set()
+        for _ in range(300):
+            while True:
+                p, q, r = (rng.uniform(-2, 2) for _ in range(3))
+                if abs(p * p + q * r) > 0.25:
+                    break
+            s = Mat2.flt(p, q, r, -p)
+            a = Mat2.flt(*(rng.uniform(-2, 2) for _ in range(4)))
+            eps = rng.choice((0.0, 1e-9))
+            b = Mat2.flt(*(
+                e.value + eps * rng.choice((-1, 1)) * (1 + rng.random())
+                for e in similarity(s, a).entries()
+            ))
+            got = verify_tau(a, b, TauMap(s))
+            assert got == conjugation_reference(a, b, s)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("kappa, phi", NEAR_SINGULAR_MAIN)
+    def test_near_singular_swap_matrix_swaps(self, kappa, phi):
+        mset = example_main(kappa, phi)
+        assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+        # The exact pair of the same t = +-2 and the same kappa.
+        t = round(2 * math.cos(phi))
+        exact = swap_pair(Scalar.exact(t), Scalar.exact(Fraction(kappa)))
+        assert verify_tau(exact.a, exact.b, TauMap(exact.tau_s))
+
+    @pytest.mark.parametrize("odd", [0, 1, 2])
+    def test_mixed_backends_raise(self, main_exact, main_float, odd):
+        args = [main_exact.a, main_exact.b, main_exact.tau_s]
+        args[odd] = (main_float.a, main_float.b, main_float.tau_s)[odd]
+        with pytest.raises(BackendMismatchError, match="cannot combine exact and float values"):
+            verify_tau(args[0], args[1], TauMap(args[2]))
 
 
 class TestSwapSpectrumReport:

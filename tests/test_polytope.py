@@ -37,7 +37,7 @@ from smpverify.polytope import (
     verify_inclusions,
     vertex_order_check,
 )
-from smpverify.scalar import REL_TOL, FloatKappa, KappaContext, Scalar
+from smpverify.scalar import REL_TOL, BackendMismatchError, FloatKappa, KappaContext, Scalar
 from smpverify.selftest import check_closed_form_tables
 
 MU54 = Scalar.exact(Fraction(5, 4))
@@ -113,6 +113,16 @@ class TestBuildPolygon:
         v, w = vw_exact
         with pytest.raises(ValueError):
             build_polygon(norm_exact, v, w, Scalar.exact(0))
+
+    def test_mu_of_the_other_backend_is_a_backend_mismatch(
+        self, norm_exact, vw_exact, main_float
+    ):
+        v, w = vw_exact
+        with pytest.raises(BackendMismatchError, match="^cannot combine exact and float values$"):
+            build_polygon(norm_exact, v, w, Scalar.flt(1.25))
+        norm = normalize(main_float)
+        with pytest.raises(BackendMismatchError, match="^cannot combine exact and float values$"):
+            build_polygon(norm, *eigenvectors_from_products(norm), MU54)
 
     def test_rejects_wrong_fixed_vector(self, norm_exact, vw_exact):
         v, w = vw_exact
@@ -932,6 +942,17 @@ class TestCertify:
     def test_float_mu_with_exact_set_is_a_parameter_failure(self, main_exact):
         cert = certify_smp(main_exact, 1.25)
         assert not cert.passed and cert.first_failure.name == "parameters"
+
+    @pytest.mark.parametrize("exact_set", [True, False])
+    def test_scalar_mu_of_the_other_backend_fails_parameters(
+        self, main_exact, main_float, exact_set
+    ):
+        # BackendMismatchError is a TypeError: a failed check, not a crash.
+        mset, mu = (main_exact, Scalar.flt(1.25)) if exact_set else (main_float, MU54)
+        cert = certify_smp(mset, mu)
+        assert [(c.name, c.passed, c.detail) for c in cert.checks] == [
+            ("parameters", False, "cannot combine exact and float values"),
+        ]
 
     @pytest.mark.parametrize(
         "exact_set, mu, header",

@@ -500,6 +500,20 @@ class TestPrunedWalk:
         assert bounds_table(mset.a, mset.b, 11, norm=BoxNorm()) == expected
         assert calls == {"mul_entries": 932, "apply_entries": 110}
 
+    def test_hull_scores_are_divided_without_a_fraction(self, monkeypatch):
+        # A hull score (num, den) becomes its float by int / int, which
+        # rounds as float() of the reduced Fraction does.
+        mset = _exact_main(11, 10)
+        norms = (None, _polygon(mset, Fraction(5, 4)))
+        expected = [bit_rows(bounds_table(mset.a, mset.b, 11, norm=n)) for n in norms]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction formed in the word oracle")
+
+        monkeypatch.setattr(words, "Fraction", refuse)
+        got = [bit_rows(bounds_table(mset.a, mset.b, 11, norm=n)) for n in norms]
+        assert got == expected
+
     @pytest.mark.parametrize("case", ["main_11_10", *EDGE_PAIRS])
     def test_hull_tops_equal_the_largest_box_norm(self, case):
         if case == "main_11_10":
