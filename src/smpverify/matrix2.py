@@ -45,8 +45,8 @@ eigendirections of the float irreducibility test (permutability), and its
 residual, eigen_residual, the exact eigenvalue check of families.normalize.
 
 Where the kernel runs: Mat2 @; normalize and eigenvectors_from_products
-(families), verify_tau on both backends and the float is_irreducible
-(permutability); build_polygon and the images of the polygon's vertices
+(families), verify_tau on both backends (on ints, a float pair's
+entries taken exactly) and the float is_irreducible (permutability); build_polygon and the images of the polygon's vertices
 (polytope); and the exact box-norm oracle of words, where each hull image
 is one apply_entries and each necklace prefix one mul_entries.  Two
 inline copies of product formulas stay, each for a measured cost.
@@ -142,9 +142,11 @@ class Vec2(Record):
 
 
 def common_scale(values) -> tuple[int, list[int]]:
-    """The lcm D of the denominators of some Fractions, and D times each."""
-    d = math.lcm(*(q.denominator for q in values))
-    return d, [q.numerator * (d // q.denominator) for q in values]
+    """The lcm D of the denominators of some Fractions, ints or finite
+    floats (each exactly its as_integer_ratio), and D times each."""
+    ratios = [q.as_integer_ratio() for q in values]
+    d = math.lcm(*(q for _, q in ratios))
+    return d, [p * (d // q) for p, q in ratios]
 
 
 def scaled_entries(mats) -> tuple[int, list[tuple]]:

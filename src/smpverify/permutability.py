@@ -7,14 +7,16 @@ are a complete invariant of simultaneous similarity in dimension 2), and
 permutability forces every odd-length product to share its spectrum with
 a product that has a different number of A-factors.
 
-The swap test verify_tau has one body for both backends: on the tuples
-of matrix2.scaled_entries it checks det S != 0 and the defining identities
-a S = S b and b S = S a through mul_entries, compared by scalar.allclose
-(exactly on ints, within the tolerance on floats).  A float S is first
-scaled by a power of two to a largest |entry| in [1, 2), so that the
-float verdict does not depend on S's scale; no other step looks at the
-backend.  It never forms S^-1;
-TauMap.apply and matrix2.similarity stay as the conjugation itself.
+The swap test verify_tau has one body for both backends.  It forms the
+residuals a S - S b and b S - S a exactly, on ints over one common
+denominator (matrix2.common_scale): a float is a dyadic rational, so it
+scales to an int exactly, as a Fraction does, and no product rounds.  An exact pair must
+have zero residuals; a float pair residuals small enough, against
+|det S|, that the conjugation errors S^-1 a S - b and S^-1 b S - a are
+within rel_tol at the scale of the pair, however ill-conditioned S is.
+The backend decides only the tolerance, 0 on ints.  It never forms
+S^-1; TauMap.apply and matrix2.similarity stay as the conjugation
+itself.
 
 Irreducibility (no common real invariant line) is the one reducibility
 test of the package.  On exact pairs it is the 2x2 invariant criterion:
@@ -34,12 +36,13 @@ import math
 from .matrix2 import (
     Mat2,
     apply_entries,
+    common_scale,
     mul_entries,
     robust_row,
     scaled_entries,
     similarity,
 )
-from .scalar import REL_TOL, Record, allclose, same_backend
+from .scalar import REL_TOL, Record, same_backend
 from .words import Word, cyclic_normal_form, evaluate, factor_counts
 
 __all__ = [
@@ -148,28 +151,32 @@ def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
 def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float = REL_TOL) -> bool:
     """Check the swap identities tau(a) == b and tau(b) == a; a singular s fails.
 
-    One body for both backends, on scaled_entries((a, b, S)): det S != 0,
-    then a S == S b and b S == S a through mul_entries and allclose.  On
-    exact matrices these are identities of the ints F a, F b and F S over
-    the lcm F of their denominators; on floats (F = 1) the products are
-    compared within rel_tol.  For an invertible S they say S^-1 a S == b
-    and S^-1 b S == a, with no inverse formed, so an ill-conditioned S
-    loses no accuracy to it.  A float S is first scaled by the power of
-    two that brings its largest |entry| into [1, 2), which rounds nothing:
-    the identities are homogeneous in S, and the tolerance, absolute near
-    0, would otherwise accept any tiny S and reject a large one.  Int
-    identities hold at every scale, so exact S is not rescaled.
+    One body for both backends, on the ints F a, F b and F S over the lcm
+    F of the denominators of all twelve entries (matrix2.common_scale; a
+    float is a dyadic rational, taken exactly): det S != 0, and the
+    residuals R = a S - S b and b S - S a, formed without rounding, satisfy
+    2 max|R| max|S| <= t |det S| max(F, max|F a|, max|F b|), with t = 0
+    on an exact pair and t = rel_tol on a float one.  Exactly, then, R = 0,
+    which for an invertible S is S^-1 a S == b and S^-1 b S == a with no
+    inverse formed.  On floats, since S^-1 R = adj(S) R / det S, a pass
+    bounds every entry of S^-1 a S - b and S^-1 b S - a by
+    rel_tol max(1, |a|, |b|), |.| the largest |entry|, at any scale and
+    conditioning of S.  An ill-conditioned S makes the test stricter, not
+    looser: the float pair must then be accurate beyond its own rounding.
+    A float pair with a non-finite entry fails.
     """
-    _, (ai, bi, si) = scaled_entries((a, b, tau.s))
-    top = max(map(abs, si)) or 1
-    if isinstance(top, float):
-        shift = 1 - math.frexp(top)[1]
-        si = tuple(math.ldexp(x, shift) for x in si)
-    return (
-        si[0] * si[3] != si[1] * si[2]
-        and allclose(mul_entries(ai, si), mul_entries(si, bi), rel_tol)
-        and allclose(mul_entries(bi, si), mul_entries(si, ai), rel_tol)
-    )
+    exact = same_backend(a, b, tau.s)
+    try:
+        f, values = common_scale([x for m in (a, b, tau.s) for x in m._values()])
+    except (OverflowError, ValueError):  # a float inf or nan
+        return False
+    ai, bi, si = values[:4], values[4:8], values[8:]
+    det = abs(si[0] * si[3] - si[1] * si[2])
+    left = mul_entries(ai, si) + mul_entries(bi, si)
+    residual = max(abs(x - y) for x, y in zip(left, mul_entries(si, bi) + mul_entries(si, ai)))
+    p, q = (0, 1) if exact else float(rel_tol).as_integer_ratio()
+    bound = p * det * max(f, *map(abs, ai + bi))
+    return det != 0 and 2 * q * residual * max(map(abs, si)) <= bound
 
 
 def tau_word(w: Word) -> Word:

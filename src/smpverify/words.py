@@ -303,9 +303,9 @@ class _Scores:
     """The scores of one walk by word length k = lo..hi, and what they
     become: see the module docstring.
 
-    top[k] is the largest norm at length k: an unreduced int pair
-    (num, den) from the hull, the row sum of the float walk's box norm, or
-    the value of norm.matrix_norm.
+    top[k] is the largest norm at length k: the hull's score (num, den)
+    divided as ints, the row sum of the float walk's box norm, or the value
+    of norm.matrix_norm.
     radius() scores one necklace product.  overflow is the least length
     whose score is not finite (float backend) or too large for a float
     (exact).
@@ -373,11 +373,8 @@ class _Scores:
         overflow = self.overflow
         if norms:
             for k in range(lo, min(overflow, hi + 1)):
-                top = self.top[k]
                 try:
-                    # A hull score is an unreduced pair (num, den): int / int
-                    # rounds as float() of the Fraction would, with no gcd.
-                    best = top[0] / top[1] if type(top) is tuple else float(top)
+                    best = float(self.top[k])
                 except OverflowError:
                     overflow = k
                     break
@@ -477,7 +474,13 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
         visits = 0
         if norms:
             tops, visits = _hull_tops(ta, tb, *hull, d, hi)
-            scores.top[lo:] = tops[lo:]
+            try:
+                for k in range(lo, hi + 1):
+                    # int / int rounds as float() of the reduced Fraction
+                    # would, with no gcd.
+                    scores.top[k] = tops[k][0] / tops[k][1]
+            except OverflowError:
+                scores.overflow = k
         if radii:
             visits += _prenecklaces(hi, scores.radius, (ta, tb))
     else:

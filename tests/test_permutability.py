@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from smpverify import matrix2
 from smpverify.families import DISTINGUISHED_PHI, example_alt, example_main, swap_pair
-from smpverify.matrix2 import Mat2, similarity
+from smpverify.matrix2 import Mat2, mul_entries, similarity
 from smpverify.permutability import (
     ReducibleSetError,
     TauMap,
@@ -19,7 +19,7 @@ from smpverify.permutability import (
     swap_spectrum_check,
     verify_tau,
 )
-from smpverify.scalar import BackendMismatchError, Scalar
+from smpverify.scalar import BackendMismatchError, Scalar, allclose
 from smpverify.words import Word, evaluate
 
 
@@ -161,6 +161,28 @@ def conjugation_reference(a: Mat2, b: Mat2, s: Mat2) -> bool:
     return similarity(s, a).isclose(b) and similarity(s, b).isclose(a)
 
 
+def exact_conjugation_error(a: Mat2, b: Mat2, s: Mat2) -> float:
+    """The largest |entry| of S^-1 a S - b and S^-1 b S - a, in Fractions
+    of the float entries (no rounding), over max(1, |a|, |b|)."""
+    fa, fb, fs = (Mat2.exact(*map(Fraction, m._values())) for m in (a, b, s))
+    errors = [
+        x - y
+        for p, m in ((similarity(fs, fa), fb), (similarity(fs, fb), fa))
+        for x, y in zip(p._values(), m._values())
+    ]
+    scale = max(1, *map(abs, fa._values() + fb._values()))
+    return float(max(map(abs, errors)) / scale)
+
+
+def products_close(a: Mat2, b: Mat2, s: Mat2) -> bool:
+    """a S == S b and b S == S a on float products within the default
+    tolerance: a test of the backward error only."""
+    ai, bi, si = (m._values() for m in (a, b, s))
+    return allclose(mul_entries(ai, si), mul_entries(si, bi)) and allclose(
+        mul_entries(bi, si), mul_entries(si, ai)
+    )
+
+
 # (kappa, phi) of main pairs whose swap matrix is near singular: det S is
 # about 1e-8 at kappa 1.0001 and 1e-4 at kappa 1.01.
 NEAR_SINGULAR_MAIN = [
@@ -171,8 +193,8 @@ NEAR_SINGULAR_MAIN = [
 
 
 class TestOneSwapTest:
-    """verify_tau checks a S == S b and b S == S a on the scaled tuples, on
-    both backends, and never forms S^-1."""
+    """verify_tau forms the residuals a S - S b and b S - S a exactly, on
+    both backends, bounds them against det S, and never forms S^-1."""
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_no_product_inverse_or_similarity(self, monkeypatch, main_exact, main_float, exact):
@@ -233,14 +255,70 @@ class TestOneSwapTest:
             verdicts.add(got)
         assert verdicts == {True, False}
 
+    def test_random_ill_conditioned_swaps_match_exact_conjugation(self):
+        # |det S| / max|S|**2 in [1e-3, 1e-1]: b is S^-1 a S rounded once,
+        # or that times 1 +- 1e-7 or more per entry.  The reference is the
+        # exact conjugation error of the floats, which a pass bounds by
+        # rel_tol max(1, |a|, |b|).
+        rng = random.Random(2410)
+        verdicts = set()
+        for _ in range(200):
+            while True:
+                p, q, r = (rng.uniform(-2, 2) for _ in range(3))
+                if 1e-3 < abs(p * p + q * r) / max(abs(p), abs(q), abs(r)) ** 2 < 1e-1:
+                    break
+            s = Mat2.flt(p, q, r, -p)
+            a = Mat2.flt(*(rng.uniform(-2, 2) for _ in range(4)))
+            exact = similarity(*(Mat2.exact(*map(Fraction, m._values())) for m in (s, a)))
+            eps = rng.choice((0.0, 1e-7))
+            b = Mat2.flt(*(
+                float(e.value) * (1 + eps * rng.choice((-1, 1)) * (1 + rng.random()))
+                for e in exact.entries()
+            ))
+            got = verify_tau(a, b, TauMap(s))
+            assert got == (exact_conjugation_error(a, b, s) <= 1e-12)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize("kappa, phi", NEAR_SINGULAR_MAIN)
-    def test_near_singular_swap_matrix_swaps(self, kappa, phi):
+    def test_near_singular_float_pair_misses_the_swap(self, kappa, phi):
+        # The swap of the pair is unique up to scale and has det S near 0,
+        # and the rounded float pair misses it by about cond(S) * eps: its
+        # exact conjugation error, over max(1, |a|, |b|) = 2, is 2.5e-9 at
+        # kappa 1.0001 and 9.9e-13 at 1.01, where it sits at the tolerance
+        # and the test, conservative by cond(S), fails it.  The trace/det
+        # criterion passes, and the exact pair of the same t = +-2 and kappa
+        # is swapped.
         mset = example_main(kappa, phi)
-        assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
-        # The exact pair of the same t = +-2 and the same kappa.
+        error = exact_conjugation_error(mset.a, mset.b, mset.tau_s)
+        assert error > (1e-9 if kappa == 1.0001 else 9e-13)
+        assert not verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+        assert friedland_permutable(mset.a, mset.b)
         t = round(2 * math.cos(phi))
         exact = swap_pair(Scalar.exact(t), Scalar.exact(Fraction(kappa)))
         assert verify_tau(exact.a, exact.b, TauMap(exact.tau_s))
+
+    @pytest.mark.parametrize("kappa, size", [(1.0001, 1e-5), (1.0001, 1e-6), (1.05, 1e-10)])
+    def test_error_hidden_by_a_near_singular_s_is_rejected(self, kappa, size):
+        # S = [[d, 1], [-1, -d]] maps u = (1, -d) near 0, and v = (1, 1) has
+        # v^T S near 0.  b + size * u v^T keeps a S - S b and b S - S a
+        # within the tolerance, but is off from S^-1 a S by size.
+        mset = example_main(kappa, 1e-9)
+        d = mset.tau_s.m11.value
+        if kappa == 1.05:
+            assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
+        b11, b12, b21, b22 = mset.b._values()
+        b = Mat2.flt(b11 + size, b12 + size, b21 - size * d, b22 - size * d)
+        assert products_close(mset.a, b, mset.tau_s)
+        assert exact_conjugation_error(mset.a, b, mset.tau_s) > size / 10
+        assert not verify_tau(mset.a, b, TauMap(mset.tau_s))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_entry_fails(self, main_float, bad):
+        s = main_float.tau_s
+        assert not verify_tau(main_float.a, main_float.b, TauMap(Mat2.flt(bad, 1.0, -1.0, 0.5)))
+        b11, b12, b21, b22 = main_float.b._values()
+        assert not verify_tau(main_float.a, Mat2.flt(b11, b12, b21, bad), TauMap(s))
 
     @pytest.mark.parametrize("odd", [0, 1, 2])
     def test_mixed_backends_raise(self, main_exact, main_float, odd):
