@@ -96,8 +96,7 @@ def _float_real_eigendirections(m: tuple, tol: float):
 def _float_direction_invariant(m: tuple, u: tuple, tol: float) -> bool:
     v1, v2 = apply_entries(m, u)
     cross = v1 * u[1] - v2 * u[0]
-    scale = math.hypot(v1, v2) * math.hypot(*u)
-    return abs(cross) <= tol * max(1.0, scale)
+    return abs(cross) <= tol * math.hypot(v1, v2) * math.hypot(*u)
 
 
 def is_irreducible(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
@@ -136,16 +135,22 @@ def friedland_5tuple(a: Mat2, b: Mat2):
 
 
 def friedland_permutable(a: Mat2, b: Mat2, rel_tol: float = REL_TOL) -> bool:
-    """Trace/determinant permutability test for an irreducible pair."""
+    """Trace/determinant permutability test for an irreducible pair.
+
+    An exact pair compares with ==.  A float pair compares at its own
+    scale m, the largest |entry| of the pair: traces within rel_tol m and
+    determinants within rel_tol m**2, so the verdict does not change when
+    the pair is scaled.
+    """
     if a == b:
         raise ValueError("the pair must consist of two distinct matrices")
     if not is_irreducible(a, b, rel_tol):
         raise ReducibleSetError(
             "criterion inapplicable: the pair has a common invariant line"
         )
-    return a.trace().isclose(b.trace(), rel_tol) and a.det().isclose(
-        b.det(), rel_tol
-    )
+    m = 0 if same_backend(a, b) else max(map(abs, a._values() + b._values()))
+    tol = rel_tol * m
+    return abs((a.trace() - b.trace()).value) <= tol and abs((a.det() - b.det()).value) <= tol * m
 
 
 def verify_tau(a: Mat2, b: Mat2, tau: TauMap, rel_tol: float = REL_TOL) -> bool:

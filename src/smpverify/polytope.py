@@ -77,13 +77,14 @@ certify_smp evaluates each of the 24 image gauges once.  verify_inclusions
 gauges every a_i = A~ v_i and b_i = B~ v_i of a convex polygon, and the
 induced norms of A~ and B~ are the largest of those values: the points and
 the function that Polygon.matrix_norm would use, so the values are the
-same, bit for bit on floats.  Polygon.matrix_norm serves other matrices,
-such as the word products of `bounds --norm polygon` on a float pair.  On
-an exact pair that command takes the words oracle's hull route through
+same, bit for bit on floats.  Polygon.matrix_norm serves other matrices.
+`bounds --norm polygon` takes the words oracle's hull route through
 Polygon._hull, which hands the oracle the six half-vertices D v_1..D v_6
 and the same largest-gauge routine (_largest_gauge) that matrix_norm
 calls, when _norm_defect finds the gauge a norm: positive order products
-and a convex polygon.
+and a convex polygon.  A float polygon offers the exact polygon of its
+vertices, each coordinate read as the dyadic rational it is, under that
+exact rule.
 
 The certificate is one record tree.  Each check, vertex_order_check and
 verify_inclusions included, is a CheckResult whose data holds the check's
@@ -431,10 +432,15 @@ class Polygon(Record):
     def _hull(self):
         """The hook of the words oracle's hull route (words._walk): the six
         half-vertices D v_1..D v_6 of the edge table and the score of a
-        hull level, its largest gauge over f; None when the polygon is a
-        float one or its gauge is not a norm."""
-        if self.is_exact and _norm_defect(self) is None:
-            return self._edge_table.vertices[:6], partial(_largest_gauge, self)
+        hull level, its largest gauge over f; None when the gauge is not a
+        norm.  A float polygon offers the exact polygon of its vertices
+        read as dyadic rationals, under the exact rule."""
+        poly = self if self.is_exact else Polygon(
+            tuple(Vec2.exact(v.x1.value, v.x2.value) for v in self.vertices),
+            self.mu, self.kappa, self.ctx, self.family,
+        )
+        if _norm_defect(poly) is None:
+            return poly._edge_table.vertices[:6], partial(_largest_gauge, poly)
 
 
 def _coerce_mu(mu, owner) -> Scalar:

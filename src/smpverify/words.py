@@ -15,27 +15,17 @@ spectral radius is invariant under rotation of factors); the second runs
 over all 2**n words because norms are not cyclic-invariant.
 
 The box norm is the norm when `norm` is None or an object whose type is
-exactly BoxNorm; the route is the same for both spellings.  Float pairs,
-and every norm object other than the box norm and an exact polygon whose
-gauge is a norm (a float or non-convex polygon, a subclass of BoxNorm or a
-wrapper around a norm), are scored by one depth-first walk of the tree of
-suffix products.  A node at depth k is the product of the last k factors
-of a word, and its two children multiply one more factor on the left, in the
-operation order of Mat2 @.  rho_n to n, rho_bar_n to n and bounds_table to
-n_max are one walk each.  Every node's product is formed once, with the
-association of evaluate, so floats round exactly as Mat2 would.  The walk
-keeps an explicit stack, never a whole level of the tree.
+exactly BoxNorm; the route is the same for both spellings.
 
-A node is named by an int code: A = 0, B = 1, with the leftmost display
-symbol in the top bit, so for one length code order is the lexicographic
-order of the display strings.  One run of the prenecklace generator fills
-the set of necklace codes for every length up to the walk's depth.  Every
-node is expanded; a necklace node gets a spectral radius and, with norms
-requested, every node at a scored depth gets a norm.
+Both backends take one route, on ints.  Every finite float is an exact
+dyadic rational, so the eight entries of a float pair are read exactly,
+as those of an exact pair are (matrix2.common_scale): the pair is scaled
+by the lcm D of its entry denominators, a length-k product is an int
+4-tuple standing for itself divided by D**k, and all arithmetic is on
+Python ints.  A float pair's table is that of the exact pair of its
+entries, bit for bit.  A pair with an entry that is not finite is
+refused.
 
-An exact pair under the box norm, or under an exact polygon whose gauge
-is a norm, walks no tree.  Both of its columns are computed exactly, so
-they are those of the full walk, bit for bit, from far fewer products.
 rho_n comes from a hull of images (_hull_tops), one routine for every
 polygonal norm: the norm of M induced by a balanced convex polygon with
 vertices +-u_i is the largest gauge of the points M u_i, and the gauge is
@@ -49,46 +39,56 @@ of the unit square: u in {(1, 1), (1, -1)}, and the gauge is the largest
 |coordinate|; on the main pair at c = 11/10, P_k has at most 24 vertices
 up to k = 20.  A polygon norm comes through a _hull hook on the norm's
 type (Polygon._hull), which gives its half-vertices and its largest gauge,
-so this module does not import the polygon's.  rho_bar_n scores each necklace inside the
-prenecklace generator itself, every prefix carrying its product with one
-more factor on the right; the entries are ints, so the association does
-not matter.  At n = 11 this forms about 1040 products and hull points,
-against 4094 nodes of the full tree.
+both exact (a float polygon's vertices read as dyadic rationals), or None
+when that gauge is not a norm; so this module does not import the
+polygon's.  rho_bar_n scores each necklace inside the prenecklace
+generator of Fredricksen, Kessler and Maiorana, every prefix carrying its
+product with one more factor on the right; the entries are ints, so the
+association does not matter.  At n = 11 this forms about 1040 products
+and hull points, against 4094 nodes of the full tree.  A hull image is
+one apply_entries and a necklace prefix one mul_entries, the kernels of
+matrix2.
 
-Both paths run on plain row-major 4-tuples rather than Mat2.  An exact
-pair is scaled by the lcm D of its eight entry denominators, so a length-k
-product is an int tuple standing for itself divided by D**k and all
-arithmetic is on Python ints.  A float pair keeps its floats, with D = 1.
-The exact oracle forms every product through the kernels of matrix2: a
-hull image is one apply_entries and a necklace prefix one mul_entries.
-The tree walk (_walk_tree) writes out mul_entries, in its operation
-order, because through the kernel the float alt table at n = 12 ran
-about 28% slower.
+Any other norm object, one without a usable hull (a wrapper around a
+norm, a BoxNorm subclass, a polygon whose gauge is not a norm), is
+scored by one depth-first walk of the tree of suffix products
+(_walk_tree), on the same ints.  A node at depth k is the product of the
+last k factors of a word, and its two children multiply one more factor
+on the left; every node is expanded, and the walk keeps an explicit
+stack, never a whole level of the tree.  Every node at a scored depth
+gets one Mat2 in the pair's own backend, the Fraction x / D**k of each
+entry x or that quotient correctly rounded to a float, and one
+matrix_norm(Mat2) call; a necklace node gets a spectral radius.
+rho_n to n, rho_bar_n to n and bounds_table to n_max are one walk each.
+
+A node is named by an int code: A = 0, B = 1, with the leftmost display
+symbol in the top bit, so for one length code order is the lexicographic
+order of the display strings.  One run of the prenecklace generator fills
+the set of necklace codes for every length up to the tree walk's depth.
 
 Floats enter only at the end of each product.  A radius forms trace,
 determinant and discriminant as ints, decides the discriminant's sign
 exactly, and then divides by D**k or D**(2k); int / int is correctly
 rounded, so every value matches float() of the exact rational, or raises
 OverflowError when that rational is too large for a float; the walk then
-raises ValueError naming the least such word length, as it does for a
-float product that overflows.  The determinant is multiplicative, so an
-exact pair's radii read it from a table by length and count of B, and keep
-there too the rooted radius sqrt(det)**(1/k) of a complex eigenvalue pair.
-The box norm, spelled None or BoxNorm(), is never called: the exact hull
-compares ints, and the float walk compares row sums inline.  The hull
-scores a length by an unreduced int ratio, the largest |coordinate| over
-D**k or a polygon's largest gauge (compared by cross-multiplication), and
-divides that pair, unreduced, into one float per length.  Any other norm
-object gets one Mat2 per node, built from the tuple, through its
-matrix_norm(Mat2) method.  A Word is built only for the maximizers.
+raises ValueError naming the least such word length.  The determinant is
+multiplicative, so the radii read it from a table by length and count of
+B, and keep there too the rooted radius sqrt(det)**(1/k) of a complex
+eigenvalue pair.  The box norm, spelled None or BoxNorm(), is never
+called: the hull compares ints.  The hull scores a length by an
+unreduced int ratio, the largest |coordinate| over D**k or a polygon's
+largest gauge (compared by cross-multiplication), and divides that pair,
+unreduced, into one float per length.  A Word is built only for the
+maximizers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import truediv
 
-from .matrix2 import Mat2, apply_entries, mul_entries, scaled_entries
+from .matrix2 import Mat2, apply_entries, common_scale, mul_entries
 from .scalar import Record, Scalar, same_backend
 from . import matrix2
 
@@ -304,21 +304,18 @@ class _Scores:
     become: see the module docstring.
 
     top[k] is the largest norm at length k: the hull's score (num, den)
-    divided as ints, the row sum of the float walk's box norm, or the value
-    of norm.matrix_norm.
-    radius() scores one necklace product.  overflow is the least length
-    whose score is not finite (float backend) or too large for a float
-    (exact).
+    divided as ints, or the value of norm.matrix_norm.  radius() scores
+    one necklace product.  overflow is the least length whose score is too
+    large for a float (inf or nan, for a float norm object).
     """
 
-    def __init__(self, ta, tb, d, lo, hi, exact, radii):
-        self.lo, self.hi, self.exact = lo, hi, exact
+    def __init__(self, ta, tb, d, lo, hi, radii):
+        self.lo, self.hi = lo, hi
         self.dk = [d**k for k in range(2 * hi + 1)]
         self.top = [None] * (hi + 1)
         self.scored = [[] for _ in range(hi + 1)]
         self.overflow = hi + 1
-        self.dets = self.elliptic = None
-        if radii and exact:
+        if radii:
             # det is multiplicative: a length-k product with nb factors B
             # has det det(A)**(k - nb) * det(B)**nb.  When its eigenvalues
             # are a complex pair, its rooted radius depends on that det
@@ -336,20 +333,10 @@ class _Scores:
         # p is D**k times the product: trace scales by D**k, det and
         # discriminant by D**(2k).  The discriminant's sign is decided
         # before any rounding.
-        p11, p12, p21, p22 = p
-        t = p11 + p22
-        if self.dets is None:
-            det = p11 * p22 - p12 * p21
-        else:
-            nb = code.bit_count()
-            det = self.dets[k][nb]
+        nb = code.bit_count()
+        t, det = p[0] + p[3], self.dets[k][nb]
         disc = t * t - 4 * det
-        if not self.exact and not math.isfinite(disc):
-            # A finite disc gives a finite radius; any other leaves the
-            # radius inf or nan.
-            self.overflow = min(self.overflow, k)
-            return
-        if disc < 0 and self.elliptic is not None and self.elliptic[k][nb] is not None:
+        if disc < 0 and self.elliptic[k][nb] is not None:
             self.scored[k].append((self.elliptic[k][nb], code))
             return
         dk = self.dk
@@ -358,11 +345,10 @@ class _Scores:
                 t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
             )
         except OverflowError:
-            # An exact quotient too large for a float.
             self.overflow = min(self.overflow, k)
             return
         r **= 1.0 / k
-        if disc < 0 and self.elliptic is not None:
+        if disc < 0:
             self.elliptic[k][nb] = r
         self.scored[k].append((r, code))
 
@@ -376,18 +362,16 @@ class _Scores:
                 try:
                     best = float(self.top[k])
                 except OverflowError:
+                    best = math.inf
+                # A float norm object's score past the float range is inf.
+                if not best < math.inf:
                     overflow = k
                     break
                 rho[k] = best ** (1.0 / k)
         if overflow <= hi:
-            if self.exact:
-                raise ValueError(
-                    f"exact products leave the float range at word length {overflow}: "
-                    "a norm, trace or determinant is too large for a float"
-                )
             raise ValueError(
-                f"float products overflow at word length {overflow}: "
-                "a norm or spectral radius is not finite"
+                f"exact products leave the float range at word length {overflow}: "
+                "a norm, trace or determinant is too large for a float"
             )
         if radii:
             for k in range(lo, hi + 1):
@@ -398,54 +382,35 @@ class _Scores:
         return rho, bars
 
 
-def _walk_tree(ta, tb, scores, leaf, norms, radii):
-    """One depth-first walk of the suffix-product tree of (ta, tb) to depth
-    hi; fills scores.
+def _walk_tree(ta, tb, scores, leaf, radii):
+    """One depth-first walk of the suffix-product tree of the int tuples
+    (ta, tb) to depth hi; fills scores.
 
-    Scores the nodes at depths lo..hi: the norm of every node when `norms`
-    is true (the box norm if `leaf` is None, else leaf(p, k)), and the
-    rooted spectral radius of every necklace when `radii` is true.  Every
-    node to depth hi is expanded.
+    Scores the nodes at depths lo..hi: leaf(p, k), the norm of every
+    node, and the rooted spectral radius of every necklace when `radii`
+    is true.  Every node to depth hi is expanded.  A leaf that raises
+    OverflowError (a product too large for a float) marks an overflow.
     """
     lo, hi, top = scores.lo, scores.hi, scores.top
-    finite = None if scores.exact else math.isfinite
     necklace = [set(c) for c in _necklace_codes(hi)] if radii else None
-    radius = scores.radius
-    a11, a12, a21, a22 = ta
-    b11, b12, b21, b22 = tb
-    # A node is (*product, depth k, code).  Its children apply one more
-    # factor on the left, in the operation order of Mat2 @, and set bit k
-    # of the code for B.
-    stack = [(*tb, 1, 1), (*ta, 1, 0)]
-    push, pop = stack.append, stack.pop
+    # A node is (product, depth k, code).  Its children apply one more
+    # factor on the left and set bit k of the code for B.
+    stack = [(tb, 1, 1), (ta, 1, 0)]
     while stack:
-        p11, p12, p21, p22, k, code = pop()
+        p, k, code = stack.pop()
         if k >= lo:
-            if norms:
-                if leaf is None:
-                    # BoxNorm, inlined: the larger absolute row sum.
-                    r0, r1 = abs(p11) + abs(p12), abs(p21) + abs(p22)
-                    v = r0 if r0 >= r1 else r1
-                else:
-                    v = leaf((p11, p12, p21, p22), k)
-                # Both row sums are checked: a nan row loses the comparison.
-                if finite is not None and not (
-                    finite(r0) and finite(r1) if leaf is None else finite(v)
-                ):
-                    scores.overflow = min(scores.overflow, k)
-                best = top[k]
-                if best is None or v > best:
+            try:
+                v = leaf(p, k)
+                if top[k] is None or v > top[k]:
                     top[k] = v
+            except OverflowError:
+                scores.overflow = min(scores.overflow, k)
             if radii and code in necklace[k]:
-                radius(k, code, (p11, p12, p21, p22))
+                scores.radius(k, code, p)
             if k == hi:
                 continue
-        # mul_entries(tb, p) and mul_entries(ta, p), written out: through
-        # the kernel the float alt table at n = 12 ran about 28% slower.
-        push((b11 * p11 + b12 * p21, b11 * p12 + b12 * p22,
-              b21 * p11 + b22 * p21, b21 * p12 + b22 * p22, k + 1, code | 1 << k))
-        push((a11 * p11 + a12 * p21, a11 * p12 + a12 * p22,
-              a21 * p11 + a22 * p21, a21 * p12 + a22 * p22, k + 1, code))
+        stack.append((mul_entries(tb, p), k + 1, code | 1 << k))
+        stack.append((mul_entries(ta, p), k + 1, code))
 
 
 def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
@@ -456,21 +421,29 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     rooted spectral radius of every necklace when `radii` is true.  Returns
     (rho, bars, visits), keyed by length k: rho[k] is the largest norm at
     length k to the power 1/k, bars[k] is (rho_bar, maximizers), and visits
-    is the number of products (or hull points) formed.  A score that is not
-    finite (float backend) or too large to convert to a float (exact
-    backend) raises ValueError naming the least word length where one
-    occurs.
+    is the number of products (or hull points) formed.  A score too large
+    to convert to a float raises ValueError naming the least word length
+    where one occurs; so does a pair with an entry that is not finite.
     """
     if type(norm) is BoxNorm:
         norm = None
-    d, (ta, tb) = scaled_entries((a, b))
-    scores = _Scores(ta, tb, d, lo, hi, a.is_exact, radii)
     # Any norm but the box norm takes the hull only through a _hull hook on
     # its type, which gives (half, score) or None (Polygon._hull); wrappers
-    # and BoxNorm subclasses have none.
+    # and BoxNorm subclasses have none.  A hooked norm is a polygon, with
+    # a backend of its own.
     hook = getattr(type(norm), "_hull", None)
+    exact = same_backend(a, b, *([norm] if hook else []))
+    entries = (*a._values(), *b._values())
+    for x in entries:
+        # A comparison, not math.isfinite, which rounds a Fraction to a
+        # float and so overflows past the float range.
+        if not -math.inf < x < math.inf:
+            raise ValueError(f"the pair's entries must be finite, got {x!r}")
+    d, flat = common_scale(entries)
+    ta, tb = tuple(flat[:4]), tuple(flat[4:])
+    scores = _Scores(ta, tb, d, lo, hi, radii)
     hull = _SQUARE if norm is None else hook and hook(norm)
-    if a.is_exact and hull is not None:
+    if hull is not None:
         visits = 0
         if norms:
             tops, visits = _hull_tops(ta, tb, *hull, d, hi)
@@ -484,13 +457,14 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
         if radii:
             visits += _prenecklaces(hi, scores.radius, (ta, tb))
     else:
-        leaf = None
-        if norm is not None:
-            dk, unscale = scores.dk, Fraction if a.is_exact else lambda x, _: x
+        # The norm object sees each product in the pair's backend: the
+        # Fraction x / D**k, or that quotient correctly rounded to a float.
+        dk, unscale = scores.dk, Fraction if exact else truediv
 
-            def leaf(p, k):
-                return norm.matrix_norm(Mat2(*(Scalar(unscale(x, dk[k])) for x in p)))
-        _walk_tree(ta, tb, scores, leaf, norms, radii)
+        def leaf(p, k):
+            return norm.matrix_norm(Mat2(*(Scalar(unscale(x, dk[k])) for x in p)))
+
+        _walk_tree(ta, tb, scores, leaf, radii)
         visits = 2 ** (hi + 1) - 2
     rho, bars = scores.result(norms, radii)
     return rho, bars, visits
@@ -512,11 +486,12 @@ def rho_n(a: Mat2, b: Mat2, n: int, norm=None) -> Scalar:
     """Upper bound over all 2**n words: max of norm(product)**(1/n).
 
     `norm` is any object with matrix_norm(Mat2) -> Scalar; defaults to the
-    box norm.  For an exact pair, None, an object of type exactly BoxNorm
-    and an exact Polygon whose gauge is a norm take the hull; any other
-    object, a BoxNorm subclass or wrapper included, is called once per
-    word of the full tree, as is every norm for a float pair.  The maximum itself is taken in the input backend (exact if the
-    matrices are exact) and only the final root is floating point.
+    box norm.  None, an object of type exactly BoxNorm and a Polygon whose
+    gauge, read exactly, is a norm take the hull; any other object, a
+    BoxNorm subclass or wrapper included, is called once per word of the
+    full tree, on the product in the pair's own backend.  Products are
+    formed exactly, on the pair's entries read as rationals, and only the
+    final root is floating point.
     """
     _check_cap(n)
     rho, _, _ = _walk(a, b, n, n, norm=norm, radii=False)

@@ -85,9 +85,9 @@ class TestBounds:
         [
             (["--kappa", "1e200", "--max-n", "4"], "A @ B has a non-finite entry"),
             (["--family", "alt", "--kappa", "1e200", "--max-n", "4"], "A @ B has a non-finite entry"),
-            (["--kappa", "1e100", "--max-n", "3"], "overflow at word length 2"),
-            (["--family", "alt", "--kappa", "1e100", "--max-n", "3"], "overflow at word length 2"),
-            (["--kappa", "1e20", "--max-n", "18"], "overflow at word length 8"),
+            (["--kappa", "1e100", "--max-n", "3"], "float range at word length 2"),
+            (["--family", "alt", "--kappa", "1e100", "--max-n", "3"], "float range at word length 2"),
+            (["--kappa", "1e20", "--max-n", "18"], "float range at word length 8"),
         ],
     )
     def test_float_overflow_is_a_usage_error(self, capsys, argv, message):

@@ -8,7 +8,7 @@ escapes its sector on the exact one) and the alt family
 (no closed-form key); two runs at a 96-bit c, one certified and one with
 b3 and b9 escaping, pin the big-integer values of the exact path.  The
 bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
-n = 14 and to the word cap n = 20), float walks (alt, under the box norm
+n = 14 and to the word cap n = 20), float runs (alt, under the box norm
 and under a polygon norm) and exact polygon-norm runs at 11/10: the
 extremal norm at mu = 5/4 to n = 8 and to the word cap, and the
 non-extremal one at mu = 13/10 to n = 12.  A run with `--csv table.csv`

@@ -136,6 +136,31 @@ class TestFriedland:
                 assert verify_tau(mset.a, mset.b, TauMap(mset.tau_s))
 
 
+def scaled_pair(entries, k):
+    """The float pair of the eight entries, each times 2**k (exactly)."""
+    a, b = (Mat2.flt(*(math.ldexp(x, k) for x in entries[i:i + 4])) for i in (0, 4))
+    return a, b
+
+
+class TestScaleFreeFloatPredicates:
+    """A float pair's verdicts do not change when the pair is scaled by a
+    power of two, which rounds nothing."""
+
+    def test_criterion_fails_a_non_permutable_pair_at_every_scale(self):
+        # tr A = 0 and tr B = 1e-13: the pair is not permutable, however
+        # small its entries.
+        entries = (0.0, -1e-13, 1e-13, 0.0, 0.0, -2e-13, 1e-13, 1e-13)
+        verdicts = {friedland_permutable(*scaled_pair(entries, k)) for k in range(-60, 61)}
+        assert verdicts == {False}
+
+    def test_irreducible_pair_is_irreducible_at_every_scale(self):
+        # A is diagonal; B leaves neither axis invariant and shares no
+        # eigendirection with A.
+        entries = (1e-13, 0.0, 0.0, 2e-13, 3e-13, 1e-13, 1e-13, 5e-13)
+        verdicts = {is_irreducible(*scaled_pair(entries, k)) for k in range(-60, 61)}
+        assert verdicts == {True}
+
+
 class TestTau:
     def test_tau_is_multiplicative_on_products(self, main_exact):
         tau = TauMap(main_exact.tau_s)

@@ -14,7 +14,7 @@ from smpverify.families import (
     example_main_special,
     normalize,
 )
-from smpverify.matrix2 import Mat2
+from smpverify.matrix2 import Mat2, Vec2
 from smpverify.polytope import Polygon, build_polygon
 from smpverify.scalar import BackendMismatchError, KappaContext, Scalar
 from smpverify.words import (
@@ -209,10 +209,25 @@ def brute_bounds(a, b, n, tie_rel_tol=1e-9, norm=None):
     return best, float(best_norm) ** (1.0 / n), maximizers
 
 
+def dyadic(m):
+    """The matrix read exactly: a float entry as the dyadic rational it is."""
+    return Mat2.exact(*(Fraction(x) for x in m._values()))
+
+
+def dyadic_polygon(poly):
+    """The polygon with its vertices read exactly, as dyadic."""
+    if poly.is_exact:
+        return poly
+    vertices = tuple(Vec2.exact(v.x1.value, v.x2.value) for v in poly.vertices)
+    return Polygon(vertices, poly.mu, poly.kappa, poly.ctx, poly.family)
+
+
 def assert_matches_brute_force(a, b, n):
+    # The oracle reads a float pair as the exact pair of its entries, so the
+    # reference is the exact brute force of that pair, rounded once.
     row = rho_bar_n(a, b, n)
     got = (row.rho_bar, float(rho_n(a, b, n)), tuple(w.display for w in row.maximizers))
-    assert got == brute_bounds(a, b, n)
+    assert got == brute_bounds(dyadic(a), dyadic(b), n)
 
 
 class CountingNorm:
@@ -334,7 +349,8 @@ def brute_rows(a, b, n_max, norm=None):
 def assert_one_walk_matches(a, b, n_max, norm=None):
     table = bit_rows(bounds_table(a, b, n_max, norm=norm))
     assert table == bit_rows(per_n_rows(a, b, n_max, norm=norm))
-    assert table == brute_rows(a, b, n_max, norm=norm)
+    exact_norm = None if norm is None else dyadic_polygon(norm)
+    assert table == brute_rows(dyadic(a), dyadic(b), n_max, norm=exact_norm)
 
 
 class TestOneWalk:
@@ -559,7 +575,7 @@ def count_polygon_norms(monkeypatch):
 
 
 class TestPolygonHull:
-    """An exact pair under an exact polygon whose gauge is a norm takes the
+    """A pair under a polygon whose gauge, read exactly, is a norm takes the
     hull of images, as under the box norm; every other norm object walks
     the tree."""
 
@@ -624,13 +640,16 @@ class TestPolygonHull:
                 rho_n(main_exact.a, main_float.b, 3, norm=norm)
             with pytest.raises(BackendMismatchError):
                 rho_n(main_float.a, main_exact.b, 3, norm=norm)
-        # A float polygon is no norm for the hull: the tree walk refuses it.
+        # A float polygon is refused with an exact pair, before either is
+        # read as ints.
         with pytest.raises(BackendMismatchError):
             rho_n(main_exact.a, main_exact.b, 3, norm=float_poly)
 
 
 class TestFloatOverflow:
-    """A non-finite float score is an error, not a dropped or inf row."""
+    """A float pair is read exactly: a score past the float range is an
+    error naming the least word length, and a non-finite entry is refused
+    up front."""
 
     @pytest.mark.parametrize(
         "call, length",
@@ -644,7 +663,7 @@ class TestFloatOverflow:
     )
     def test_raises_naming_the_least_word_length(self, call, length):
         mset = example_main(1e100, DISTINGUISHED_PHI)
-        with pytest.raises(ValueError, match=f"overflow at word length {length}:"):
+        with pytest.raises(ValueError, match=f"float range at word length {length}:"):
             call(mset.a, mset.b)
 
     def test_finite_rows_below_the_overflow_are_unchanged(self):
@@ -653,11 +672,11 @@ class TestFloatOverflow:
         assert bounds_table(mset.a, mset.b, 1)[0].rho == 1e100
 
     def test_nan_row_does_not_hide_behind_a_finite_row(self):
-        # The box norm takes the larger row sum; a nan first row loses that
-        # comparison, so both row sums are checked.
+        # A nan entry has no exact value, so the pair is refused before any
+        # product is formed.
         nan_first_row = Mat2.flt(math.nan, 0.0, 1.0, 1.0)
         eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="word length 1:"):
+        with pytest.raises(ValueError, match="entries must be finite, got nan$"):
             rho_n(nan_first_row, eye, 1)
 
     @pytest.mark.parametrize(
@@ -666,14 +685,54 @@ class TestFloatOverflow:
     def test_nan_row_raises_under_an_explicit_box_norm(self, norm):
         nan_first_row = Mat2.flt(math.nan, 0.0, 1.0, 1.0)
         eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError, match="float products overflow at word length 1:"):
+        with pytest.raises(ValueError, match="entries must be finite, got nan$"):
             rho_n(nan_first_row, eye, 1, norm=norm)
+
+    def test_wrapped_norm_past_the_float_range_raises(self):
+        # The entries are finite, but the wrapped box norm's float row sum
+        # 2e308 is inf.
+        a, eye = Mat2.flt(1e308, 1e308, 0.0, 0.0), Mat2.flt(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="at word length 1:"):
+            rho_n(a, eye, 1, norm=CountingNorm(BoxNorm()))
 
     @pytest.mark.parametrize("m", [
         Mat2.flt(math.nan, 0.0, 1.0, 1.0), Mat2.flt(1.0, 1.0, math.nan, 0.0),
     ], ids=["first row", "second row"])
     def test_box_norm_of_a_nan_row_is_nan(self, m):
         assert math.isnan(BoxNorm().matrix_norm(m).value)
+
+
+float_entry_st = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+float_pair_st = st.tuples(*([float_entry_st] * 8))
+
+
+class TestFloatPairIsDyadic:
+    """A float pair is the exact pair of its entries, each the dyadic
+    rational it stands for: its table is that pair's, bit for bit."""
+
+    @pytest.mark.parametrize("mu", [None, 1.25], ids=["box", "polygon"])
+    @settings(max_examples=25, deadline=None)
+    @given(float_pair_st, st.integers(1, 8))
+    def test_random_float_pair_is_its_exact_pair(self, mu, entries, n_max):
+        a, b = Mat2.flt(*entries[:4]), Mat2.flt(*entries[4:])
+        norm = exact_norm = None
+        if mu is not None:
+            norm = _polygon(example_main(1.331, DISTINGUISHED_PHI), mu)
+            exact_norm = dyadic_polygon(norm)
+        got = bit_rows(bounds_table(a, b, n_max, norm=norm))
+        assert got == bit_rows(bounds_table(dyadic(a), dyadic(b), n_max, norm=exact_norm))
+
+    def test_powers_of_one_class_print_one_value(self):
+        # AAB, AABAAB and AABAABAAB are powers of one class, so their
+        # rooted radii are one number.
+        mset = example_alt(1.331, DISTINGUISHED_PHI)
+        rows = bounds_table(mset.a, mset.b, 9)
+        assert {rows[n - 1].rho_bar for n in (3, 6, 9)} == {1.1801381103921764}
+
+    def test_infinite_entry_is_refused(self):
+        eye = Mat2.flt(1.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="entries must be finite, got -inf$"):
+            bounds_table(eye, Mat2.flt(1.0, -math.inf, 0.0, 1.0), 2)
 
 
 class TestExactOverflow:
