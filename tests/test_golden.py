@@ -11,8 +11,11 @@ bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
 n = 14 and to the word cap n = 20), float runs (alt, under the box norm
 and under a polygon norm) and exact polygon-norm runs at 11/10: the
 extremal norm at mu = 5/4 to n = 8 and to the word cap, and the
-non-extremal one at mu = 13/10 to n = 12.  A run with `--csv table.csv`
-also pins the written file as the .csv of the same name.
+non-extremal one at mu = 13/10 to n = 12, and an exact custom pair to
+n = 14 whose determinants differ, one of them negative, and whose
+maximizers change with n.  A run with `--csv table.csv` also pins the
+written file as the .csv of the same name, and a run with `--matrices F`
+reads F from tests/data/.
 """
 
 from pathlib import Path
@@ -22,6 +25,7 @@ import pytest
 from smpverify.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = GOLDEN.parent / "data"
 KV_CASES = (
     "exact_certified",
     "exact_inclusions_fail",
@@ -42,6 +46,7 @@ BOUNDS_CASES = (
     "bounds_exact_polygon",
     "bounds_exact_polygon_13_10",
     "bounds_exact_polygon_n20",
+    "bounds_exact_unequal_det",
 )
 
 
@@ -69,6 +74,9 @@ def test_bounds_report_is_unchanged(capsys, monkeypatch, tmp_path, case):
     argv, status, expected = _golden_run(case)
     assert argv[0] == "bounds"
     monkeypatch.chdir(tmp_path)
+    if "--matrices" in argv:
+        pair = argv[argv.index("--matrices") + 1]
+        (tmp_path / pair).write_bytes((DATA / pair).read_bytes())
     code = main(argv)
     captured = capsys.readouterr()
     assert (f"exit {code}", captured.out, captured.err) == (status, expected, "")
