@@ -49,8 +49,8 @@ Where the kernel runs: Mat2 @; normalize and eigenvectors_from_products
 entries taken exactly) and the float is_irreducible (permutability);
 build_polygon and the images of the polygon's vertices (polytope); and
 the word oracle of words, on ints for both backends, where each hull
-image is one apply_entries and each necklace prefix or tree node one
-mul_entries.
+image is one apply_entries, each necklace prefix or tree node one
+mul_entries and each longest necklace one trace_entries.
 One inline copy of a product formula stays, for a measured cost:
 polytope._gauges writes out its sector formula (polytope._sector, not a
 kernel of this module), because through it certify ran about 5% slower
@@ -83,6 +83,7 @@ __all__ = [
     "scaled_entries",
     "mul_entries",
     "apply_entries",
+    "trace_entries",
 ]
 
 
@@ -176,6 +177,13 @@ def apply_entries(m: tuple, x: tuple) -> tuple:
     mul_entries."""
     x1, x2 = x
     return (m[0] * x1 + m[1] * x2, m[2] * x1 + m[3] * x2)
+
+
+def trace_entries(a: tuple, b: tuple) -> int | float:
+    """The trace of the product of two row-major 4-tuples: the diagonal of
+    mul_entries(a, b) summed, with no off-diagonal entry formed.  The word
+    oracle calls it on ints, where the order of the sum does not matter."""
+    return a[0] * b[0] + a[1] * b[2] + a[2] * b[1] + a[3] * b[3]
 
 
 def dot(x: Vec2, y: Vec2) -> Scalar:

@@ -41,13 +41,15 @@ up to k = 20.  A polygon norm comes through a _hull hook on the norm's
 type (Polygon._hull), which gives its half-vertices and its largest gauge,
 both exact (a float polygon's vertices read as dyadic rationals), or None
 when that gauge is not a norm; so this module does not import the
-polygon's.  rho_bar_n scores each necklace inside the prenecklace
-generator of Fredricksen, Kessler and Maiorana, every prefix carrying its
-product with one more factor on the right; the entries are ints, so the
-association does not matter.  At n = 11 this forms about 1040 products
-and hull points, against 4094 nodes of the full tree.  A hull image is
-one apply_entries and a necklace prefix one mul_entries, the kernels of
-matrix2.
+polygon's.  rho_bar_n to n runs the prenecklace generator of
+Fredricksen, Kessler and Maiorana, every prefix shorter than n carrying
+its product with one more factor on the right (the entries are ints, so
+the association does not matter); a necklace of length n is formed only
+as its trace, and a prefix of length n that is not a necklace not at
+all.  At n = 11 on the main pair at c = 233/224 this forms 520 products,
+188 traces and 110 hull points, against 4094 nodes of the full tree.  A
+hull image is one apply_entries, a prefix product one mul_entries and a
+length-n trace one trace_entries, the kernels of matrix2.
 
 Any other norm object, one without a usable hull (a wrapper around a
 norm, a BoxNorm subclass, a polygon whose gauge is not a norm), is
@@ -58,7 +60,8 @@ on the left; every node is expanded, and the walk keeps an explicit
 stack, never a whole level of the tree.  Every node at a scored depth
 gets one Mat2 in the pair's own backend, the Fraction x / D**k of each
 entry x or that quotient correctly rounded to a float, and one
-matrix_norm(Mat2) call; a necklace node gets a spectral radius.
+matrix_norm(Mat2) call; a necklace node gives its trace to the scoring
+below.
 rho_n to n, rho_bar_n to n and bounds_table to n_max are one walk each.
 
 A node is named by an int code: A = 0, B = 1, with the leftmost display
@@ -66,20 +69,28 @@ symbol in the top bit, so for one length code order is the lexicographic
 order of the display strings.  One run of the prenecklace generator fills
 the set of necklace codes for every length up to the tree walk's depth.
 
-Floats enter only at the end of each product.  A radius forms trace,
-determinant and discriminant as ints, decides the discriminant's sign
-exactly, and then divides by D**k or D**(2k); int / int is correctly
-rounded, so every value matches float() of the exact rational, or raises
-OverflowError when that rational is too large for a float; the walk then
-raises ValueError naming the least such word length.  The determinant is
-multiplicative, so the radii read it from a table by length and count of
-B, and keep there too the rooted radius sqrt(det)**(1/k) of a complex
-eigenvalue pair.  The box norm, spelled None or BoxNorm(), is never
-called: the hull compares ints.  The hull scores a length by an
-unreduced int ratio, the largest |coordinate| over D**k or a polygon's
-largest gauge (compared by cross-multiplication), and divides that pair,
-unreduced, into one float per length.  A Word is built only for the
-maximizers.
+Floats enter only at the end.  Each walk hands the scoring (_Scores) the
+length k, code, count nb of B and int trace of every necklace.  The
+determinant is multiplicative, so a table by k and nb gives it, and the
+necklaces of one (k, nb) group share it; within a group the spectral
+radius does not decrease as |trace| grows: it is sqrt(det) for a complex
+eigenvalue pair (trace**2 < 4 det) and (|trace| + sqrt(disc)) / 2
+otherwise.  So a group is ranked on exact ints, and floats are formed only
+where the result can be read: the rooted radius of each group's largest
+|trace|, which gives rho_bar_n and every overflow; then, in the groups
+that reach the tie cut, the radii in decreasing |trace| until one falls
+below the cut by more than rounding, the elliptic members all at once, as
+they share one radius: rho_bar_n at n = 11 on c = 251/236 forms 14 radii
+for its 188 necklaces.  A radius forms determinant and discriminant as
+ints, decides the discriminant's sign exactly, and then divides by D**k or
+D**(2k); int / int is correctly rounded, so every value matches float() of
+the exact rational, or raises OverflowError when that rational is too
+large for a float; the walk then raises ValueError naming the least such
+word length.  The box norm, spelled None or BoxNorm(), is never called:
+the hull compares ints.  The hull scores a length by an unreduced int
+ratio, the largest |coordinate| over D**k or a polygon's largest gauge
+(compared by cross-multiplication), and divides that pair, unreduced, into
+one float per length.  A Word is built only for the maximizers.
 """
 
 from __future__ import annotations
@@ -88,7 +99,7 @@ import math
 from fractions import Fraction
 from operator import truediv
 
-from .matrix2 import Mat2, apply_entries, common_scale, mul_entries
+from .matrix2 import Mat2, apply_entries, common_scale, mul_entries, trace_entries
 from .scalar import Record, Scalar, same_backend
 from . import matrix2
 
@@ -177,44 +188,58 @@ def _display(code: int, n: int) -> str:
 
 def _prenecklaces(n_max, visit, factors=None):
     """Run the recursive prenecklace generator of Fredricksen, Kessler and
-    Maiorana to length n_max, calling visit(k, code, product) at each
-    necklace of length k = 0..n_max; returns the number of prefixes it
-    extended.
+    Maiorana to length n_max >= 1, calling visit(k, code, nb, trace) at
+    each necklace of length k = 0..n_max, nb its count of B; returns the
+    number of products and traces it formed.
 
     Every prefix it visits is a prenecklace, and one of length k with
     period p is a necklace iff p divides k.  It visits the prefixes of each
     length in lexicographic order, which is code order.  With factors =
-    (ta, tb), each prefix carries its product: the empty prefix the
-    identity, and one a symbol longer one mul_entries with the symbol's
-    factor on the right; without factors every product is None.
+    (ta, tb), each prefix shorter than n_max carries its product: the empty
+    prefix the identity, and one a symbol longer one mul_entries with the
+    symbol's factor on the right; a necklace's trace is read off its
+    product.  A length-n_max necklace is formed only as its trace, one
+    trace_entries of its prefix's product and its last factor, and a
+    length-n_max prefix that is not a necklace is not formed at all.
+    Without factors every trace is None.
     """
     a = [0] * (n_max + 1)
-    calls = 0
+    formed = 0
 
-    def gen(t: int, p: int, code: int, product) -> None:
-        # a[1..t-1] is a prenecklace with period p, code encodes it, and
-        # product is its product.
-        nonlocal calls
-        calls += 1
+    def gen(t: int, p: int, code: int, nb: int, product) -> None:
+        # a[1..t-1] is a prenecklace with period p, code encodes it, nb
+        # counts its B, and product is its product.
+        nonlocal formed
+        formed += 1
         if (t - 1) % p == 0:
-            visit(t - 1, code, product)
-        if t > n_max:
-            return
+            visit(t - 1, code, nb, product and product[0] + product[3])
         bit = a[t] = a[t - p]
-        gen(t + 1, p, 2 * code + bit, factors and mul_entries(product, factors[bit]))
+        code *= 2
+        if t < n_max:
+            gen(t + 1, p, code + bit, nb + bit, factors and mul_entries(product, factors[bit]))
+            if bit == 0:
+                a[t] = 1
+                gen(t + 1, t, code + 1, nb + 1, factors and mul_entries(product, factors[1]))
+            return
+        # The children have length n_max: the first, with period p, is a
+        # necklace iff p divides n_max, and the second, with period n_max,
+        # always is.
+        if n_max % p == 0:
+            formed += 1
+            visit(n_max, code + bit, nb + bit, factors and trace_entries(product, factors[bit]))
         if bit == 0:
-            a[t] = 1
-            gen(t + 1, t, 2 * code + 1, factors and mul_entries(product, factors[1]))
+            formed += 1
+            visit(n_max, code + 1, nb + 1, factors and trace_entries(product, factors[1]))
 
-    gen(1, 1, 0, factors and (1, 0, 0, 1))
-    # Every call but the first extends a prefix.
-    return calls - 1
+    gen(1, 1, 0, 0, factors and (1, 0, 0, 1))
+    # Every call of gen but the first forms a product.
+    return formed - 1
 
 
 def _necklace_codes(n_max: int) -> list[list[int]]:
     """Codes of the necklaces of each length k = 0..n_max, ascending."""
     codes: list[list[int]] = [[] for _ in range(n_max + 1)]
-    _prenecklaces(n_max, lambda k, code, _: codes[k].append(code))
+    _prenecklaces(n_max, lambda k, code, nb, trace: codes[k].append(code))
     return codes
 
 
@@ -304,59 +329,100 @@ class _Scores:
     become: see the module docstring.
 
     top[k] is the largest norm at length k: the hull's score (num, den)
-    divided as ints, or the value of norm.matrix_norm.  radius() scores
-    one necklace product.  overflow is the least length whose score is too
-    large for a float (inf or nan, for a float norm object).
+    divided as ints, or the value of norm.matrix_norm.  necklace() keeps
+    one necklace's |trace| in its group: the necklaces of one length and
+    one count of B, which share a determinant.  overflow is the least
+    length whose score is too large for a float (inf or nan, for a float
+    norm object).
     """
 
     def __init__(self, ta, tb, d, lo, hi, radii):
         self.lo, self.hi = lo, hi
         self.dk = [d**k for k in range(2 * hi + 1)]
         self.top = [None] * (hi + 1)
-        self.scored = [[] for _ in range(hi + 1)]
         self.overflow = hi + 1
         if radii:
             # det is multiplicative: a length-k product with nb factors B
-            # has det det(A)**(k - nb) * det(B)**nb.  When its eigenvalues
-            # are a complex pair, its rooted radius depends on that det
-            # alone.
+            # has det det(A)**(k - nb) * det(B)**nb.
             da = ta[0] * ta[3] - ta[1] * ta[2]
             db = tb[0] * tb[3] - tb[1] * tb[2]
             self.dets = [[da ** (k - nb) * db**nb for nb in range(k + 1)] for k in range(hi + 1)]
-            self.elliptic = [[None] * (k + 1) for k in range(hi + 1)]
+            # groups[k][nb]: (|trace|, code) of each kept necklace.
+            self.groups = [[[] for _ in range(k + 1)] for k in range(hi + 1)]
 
-    def radius(self, k, code, p):
-        """Score the necklace `code` of length k, whose product is p, if k
-        is at least lo."""
-        if k < self.lo:
-            return
-        # p is D**k times the product: trace scales by D**k, det and
+    def necklace(self, k, code, nb, trace):
+        """Keep the necklace `code` of length k, with nb factors B and
+        product trace `trace`, if k is at least lo."""
+        if k >= self.lo:
+            self.groups[k][nb].append((abs(trace), code))
+
+    def rooted(self, k, nb, t):
+        """The rooted spectral radius of a necklace of group (k, nb) with
+        |trace| t, or OverflowError when the product's trace, determinant
+        or discriminant is too large for a float."""
+        # t is D**k times the product's: trace scales by D**k, det and
         # discriminant by D**(2k).  The discriminant's sign is decided
-        # before any rounding.
-        nb = code.bit_count()
-        t, det = p[0] + p[3], self.dets[k][nb]
+        # before any rounding, and the radius depends on |trace| alone.
+        det, dk = self.dets[k][nb], self.dk
         disc = t * t - 4 * det
-        if disc < 0 and self.elliptic[k][nb] is not None:
-            self.scored[k].append((self.elliptic[k][nb], code))
-            return
-        dk = self.dk
-        try:
-            r = matrix2.radius_from_invariants(
-                t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
-            )
-        except OverflowError:
-            self.overflow = min(self.overflow, k)
-            return
-        r **= 1.0 / k
-        if disc < 0:
-            self.elliptic[k][nb] = r
-        self.scored[k].append((r, code))
+        r = matrix2.radius_from_invariants(
+            t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
+        )
+        return r ** (1.0 / k)
+
+    def bar(self, k, tops):
+        """(rho_bar, maximizers) at length k; tops[nb] is the rooted radius
+        of the largest |trace| of group (k, nb).
+
+        Within a group the radius does not decrease as |trace| grows, so a
+        group is scanned in decreasing |trace| until a radius falls below
+        the cut by more than the rounding of the radius and its root; the
+        members left are below the cut.  The elliptic members (trace**2 <
+        4 det) come last and share one radius, sqrt(det)**(1/k).  The
+        maximum and the cut are then those of every necklace's radius.
+        """
+        best = max(tops)
+        cut = best - _TIE_TOL * max(1.0, abs(best))
+        # Each step of the radius formula is a correctly rounded operation,
+        # so the radius does not decrease with |trace|; the root can break
+        # that order by about an ulp, and an elliptic radius can lie an ulp
+        # above a real one of its group.  Four ulps below the cut leave
+        # every smaller |trace| of the group below the cut.
+        stop = cut - 4 * math.ulp(cut)
+        scanned = []
+        for nb, r in enumerate(tops):
+            if r < stop:
+                continue
+            group, det4 = self.groups[k][nb], 4 * self.dets[k][nb]
+            group.sort(reverse=True)
+            for i, (t, code) in enumerate(group):
+                if i:
+                    r = self.rooted(k, nb, t)
+                if t * t < det4:
+                    if r >= stop:
+                        scanned += [(r, c) for _, c in group[i:]]
+                    break
+                scanned.append((r, code))
+                if r < stop:
+                    break
+        best = max(r for r, _ in scanned)
+        cut = best - _TIE_TOL * max(1.0, abs(best))
+        codes = sorted(c for r, c in scanned if r >= cut)
+        return best, tuple(Word.from_display(_display(c, k)) for c in codes)
 
     def result(self, norms, radii):
         """(rho, bars) keyed by length, or ValueError at the least overflow."""
         lo, hi = self.lo, self.hi
-        rho, bars = {}, {}
+        rho, bars, tops = {}, {}, {}
         overflow = self.overflow
+        if radii:
+            # A group's largest |trace| overflows if any member does.
+            for k in range(lo, min(overflow, hi + 1)):
+                try:
+                    tops[k] = [self.rooted(k, nb, max(g)[0]) for nb, g in enumerate(self.groups[k])]
+                except OverflowError:
+                    overflow = k
+                    break
         if norms:
             for k in range(lo, min(overflow, hi + 1)):
                 try:
@@ -373,12 +439,8 @@ class _Scores:
                 f"exact products leave the float range at word length {overflow}: "
                 "a norm, trace or determinant is too large for a float"
             )
-        if radii:
-            for k in range(lo, hi + 1):
-                best = max(r for r, _ in self.scored[k])
-                cut = best - _TIE_TOL * max(1.0, abs(best))
-                codes = sorted(c for r, c in self.scored[k] if r >= cut)
-                bars[k] = (best, tuple(Word.from_display(_display(c, k)) for c in codes))
+        for k in tops:
+            bars[k] = self.bar(k, tops[k])
         return rho, bars
 
 
@@ -387,7 +449,7 @@ def _walk_tree(ta, tb, scores, leaf, radii):
     (ta, tb) to depth hi; fills scores.
 
     Scores the nodes at depths lo..hi: leaf(p, k), the norm of every
-    node, and the rooted spectral radius of every necklace when `radii`
+    node, and every necklace's trace through scores.necklace when `radii`
     is true.  Every node to depth hi is expanded.  A leaf that raises
     OverflowError (a product too large for a float) marks an overflow.
     """
@@ -406,7 +468,7 @@ def _walk_tree(ta, tb, scores, leaf, radii):
             except OverflowError:
                 scores.overflow = min(scores.overflow, k)
             if radii and code in necklace[k]:
-                scores.radius(k, code, p)
+                scores.necklace(k, code, code.bit_count(), p[0] + p[3])
             if k == hi:
                 continue
         stack.append((mul_entries(tb, p), k + 1, code | 1 << k))
@@ -421,9 +483,10 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     rooted spectral radius of every necklace when `radii` is true.  Returns
     (rho, bars, visits), keyed by length k: rho[k] is the largest norm at
     length k to the power 1/k, bars[k] is (rho_bar, maximizers), and visits
-    is the number of products (or hull points) formed.  A score too large
-    to convert to a float raises ValueError naming the least word length
-    where one occurs; so does a pair with an entry that is not finite.
+    is the number of products, length-hi traces and hull points formed.  A
+    score too large to convert to a float raises ValueError naming the
+    least word length where one occurs; so does a pair with an entry that
+    is not finite.
     """
     if type(norm) is BoxNorm:
         norm = None
@@ -455,7 +518,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
             except OverflowError:
                 scores.overflow = k
         if radii:
-            visits += _prenecklaces(hi, scores.radius, (ta, tb))
+            visits += _prenecklaces(hi, scores.necklace, (ta, tb))
     else:
         # The norm object sees each product in the pair's backend: the
         # Fraction x / D**k, or that quotient correctly rounded to a float.

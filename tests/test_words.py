@@ -241,6 +241,25 @@ class CountingNorm:
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 pair_st = st.tuples(*([fractions_st] * 8))
+float_entry_st = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+float_pair_st = st.tuples(*([float_entry_st] * 8))
+
+
+def _det(e):
+    return e[0] * e[3] - e[1] * e[2]
+
+
+# Pairs whose determinants differ and are not both positive: the necklaces
+# of one length fall into groups of several determinants, some negative.
+unequal_det_pair_st = pair_st.filter(
+    lambda e: _det(e[:4]) != _det(e[4:]) and min(_det(e[:4]), _det(e[4:])) < 0
+)
+# det A = 11/8 and det B = -5/6, with maximizers that change with n (the
+# pair of tests/data/unequal_det_pair.txt).
+UNEQUAL_DET_PAIR = (Fraction(3, 4), 1, -1, Fraction(1, 2), 1, Fraction(1, 3), 1, Fraction(-1, 2))
+# det A = 3/2 and det B = -7/6: A**n, elliptic, ties (AB)**(n/2), whose
+# eigenvalues are real, at every even n.
+CROSS_TIE_PAIR = (1, 1, -1, Fraction(1, 2), Fraction(1, 2), 1, 1, Fraction(-1, 3))
 
 
 class TestScaledOracle:
@@ -266,6 +285,20 @@ class TestScaledOracle:
     )
     def test_random_exact_pair(self, entries, n):
         a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_matches_brute_force(a, b, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(unequal_det_pair_st, st.integers(1, 7))
+    @example(UNEQUAL_DET_PAIR, 7)
+    @example(CROSS_TIE_PAIR, 6)
+    def test_unequal_and_negative_determinants(self, entries, n):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_matches_brute_force(a, b, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(float_pair_st, st.integers(1, 6))
+    def test_random_float_pair(self, entries, n):
+        a, b = Mat2.flt(*entries[:4]), Mat2.flt(*entries[4:])
         assert_matches_brute_force(a, b, n)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -366,6 +399,20 @@ class TestOneWalk:
         a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
         assert_one_walk_matches(a, b, n_max)
 
+    @settings(max_examples=10, deadline=None)
+    @given(unequal_det_pair_st, st.integers(1, 9))
+    @example(UNEQUAL_DET_PAIR, 9)
+    @example(CROSS_TIE_PAIR, 8)
+    def test_unequal_and_negative_determinants(self, entries, n_max):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_one_walk_matches(a, b, n_max)
+
+    @settings(max_examples=10, deadline=None)
+    @given(float_pair_st, st.integers(1, 8))
+    def test_random_float_pair(self, entries, n_max):
+        a, b = Mat2.flt(*entries[:4]), Mat2.flt(*entries[4:])
+        assert_one_walk_matches(a, b, n_max)
+
     def test_necklace_codes_match_brute_force(self):
         codes = words._necklace_codes(14)
         for n in range(1, 15):
@@ -446,9 +493,9 @@ def main_c_st(draw):
 
 
 def count_kernel_calls(monkeypatch):
-    """Wrap words' mul_entries and apply_entries with counters; returns the
-    dict of counts, which the calls fill in."""
-    calls = {"mul_entries": 0, "apply_entries": 0}
+    """Wrap words' mul_entries, apply_entries and trace_entries with
+    counters; returns the dict of counts, which the calls fill in."""
+    calls = {"mul_entries": 0, "apply_entries": 0, "trace_entries": 0}
 
     def counting(name):
         real = getattr(matrix2, name)
@@ -490,22 +537,24 @@ class TestPrunedWalk:
         assert_pruned_walk_matches(mset.a, mset.b, n)
 
     def test_exact_main_visits_fewer_than_half_the_nodes(self):
-        # 110 hull images and 932 prenecklace products; the branch and
-        # bound walk this replaced formed 1734 products.
+        # 110 hull images, 520 prenecklace products and the traces of the
+        # 188 necklaces of length 11; the branch and bound walk this
+        # replaced formed 1734 products.
         mset = _exact_main(233, 224)
         _, _, visits = words._walk(mset.a, mset.b, 1, 11)
-        assert visits == 110 + 932
+        assert visits == 110 + 520 + 188
         _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=CountingNorm(BoxNorm()))
         assert visits == 2**12 - 2
 
     def test_exact_oracle_forms_every_product_through_the_kernels(self, monkeypatch):
-        # Each hull image is one apply_entries and each prefix product one
-        # mul_entries: the kernel calls are the visits of the walk above.
+        # Each hull image is one apply_entries, each prefix product one
+        # mul_entries and each length-11 necklace one trace_entries: the
+        # kernel calls are the visits of the walk above.
         mset = _exact_main(233, 224)
         expected = bounds_table(mset.a, mset.b, 11)
         calls = count_kernel_calls(monkeypatch)
         assert bounds_table(mset.a, mset.b, 11) == expected
-        assert calls == {"mul_entries": 932, "apply_entries": 110}
+        assert calls == {"mul_entries": 520, "apply_entries": 110, "trace_entries": 188}
 
     def test_explicit_box_norm_takes_the_hull_and_necklace_route(self, monkeypatch):
         # BoxNorm() is the default norm spelled out: the same kernel calls,
@@ -514,7 +563,7 @@ class TestPrunedWalk:
         expected = bounds_table(mset.a, mset.b, 11)
         calls = count_kernel_calls(monkeypatch)
         assert bounds_table(mset.a, mset.b, 11, norm=BoxNorm()) == expected
-        assert calls == {"mul_entries": 932, "apply_entries": 110}
+        assert calls == {"mul_entries": 520, "apply_entries": 110, "trace_entries": 188}
 
     def test_hull_scores_are_divided_without_a_fraction(self, monkeypatch):
         # A hull score (num, den) becomes its float by int / int, which
@@ -547,6 +596,77 @@ class TestPrunedWalk:
             level = [f @ p for p in level for f in (a, b)]
             largest = max(BoxNorm().matrix_norm(p).value for p in level)
             assert tops[m] == (d**m * largest, d**m)
+
+
+def count_radius_evaluations(monkeypatch):
+    """Wrap matrix2.radius_from_invariants with a counter; returns the list
+    whose length is the number of calls."""
+    calls = []
+    real = matrix2.radius_from_invariants
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrix2, "radius_from_invariants", counting)
+    return calls
+
+
+class TestTraceScoring:
+    """The necklaces of one length and one count of B share a determinant,
+    so within that group the radius does not decrease as |trace| grows: a
+    float radius is formed for each group's largest |trace|, once for its
+    elliptic members, and for the members near the cut."""
+
+    def test_elliptic_blocks_list_every_necklace(self):
+        # At c = 233/224 every length-11 product has complex eigenvalues:
+        # each group is one elliptic block of radius 1, and all 188
+        # necklaces tie.
+        mset = _exact_main(233, 224)
+        a, b = mset.a, mset.b
+        for w in necklaces(11):
+            m = evaluate(w, a, b)
+            assert m.trace().value ** 2 < 4 * m.det().value
+        row = rho_bar_n(a, b, 11)
+        assert row.rho_bar == 1.0
+        assert len(row.maximizers) == 188
+        assert row.maximizers == tuple(necklaces(11))
+
+    def test_elliptic_members_tie_with_real_ones_above_them(self):
+        # A quarter turn and a shear by 1/4, both of det 1: to n = 9 no
+        # product has a radius above 1, and a group can hold products of
+        # trace +-2, scanned first, and elliptic ones, of the same radius
+        # 1: every necklace is listed.
+        a, b = Mat2.exact(0, -1, 1, 0), Mat2.exact(1, Fraction(1, 4), 0, 1)
+        for n in (8, 9):
+            row = rho_bar_n(a, b, n)
+            assert row.rho_bar == 1.0
+            assert row.maximizers == tuple(necklaces(n))
+        assert_matches_brute_force(a, b, 8)
+
+    def test_a_necklace_and_its_reversal_tie_in_one_group(self):
+        # A 2x2 product and its reversal have one trace, so a necklace that
+        # is not its own reversal ties with that reversal in its group
+        # (det A = 11/4, det B = 9/2): the scan past the group's largest
+        # |trace| lists both.
+        entries = (1, Fraction(-3, 2), Fraction(1, 2), 2, Fraction(-1, 2), -4, 1, -1)
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        row = rho_bar_n(a, b, 7)
+        assert [w.display for w in row.maximizers] == ["AABABBB", "AABBBAB"]
+        assert_matches_brute_force(a, b, 7)
+
+    def test_radius_evaluations_at_251_236(self, monkeypatch):
+        # One radius for each of the 12 groups at n = 11, and one more in
+        # each of the two groups that hold a maximizer, whose next |trace|
+        # falls below the cut.  A radius for every necklace would take 32:
+        # its 20 products with real eigenvalues and one per elliptic group.
+        mset = _exact_main(251, 236)
+        expected = rho_bar_n(mset.a, mset.b, 11)
+        calls = count_radius_evaluations(monkeypatch)
+        row = rho_bar_n(mset.a, mset.b, 11)
+        assert row == expected
+        assert [w.display for w in row.maximizers] == ["AABAABABBAB", "AABABBABBAB"]
+        assert len(calls) == 14
 
 
 # Exact polygons whose gauge is a norm: (c, mu) of the main pair.
@@ -700,10 +820,6 @@ class TestFloatOverflow:
     ], ids=["first row", "second row"])
     def test_box_norm_of_a_nan_row_is_nan(self, m):
         assert math.isnan(BoxNorm().matrix_norm(m).value)
-
-
-float_entry_st = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
-float_pair_st = st.tuples(*([float_entry_st] * 8))
 
 
 class TestFloatPairIsDyadic:
