@@ -244,18 +244,11 @@ pair_st = st.tuples(*([fractions_st] * 8))
 float_entry_st = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 float_pair_st = st.tuples(*([float_entry_st] * 8))
 
-
-def _det(e):
-    return e[0] * e[3] - e[1] * e[2]
-
-
-# Pairs whose determinants differ and are not both positive: the necklaces
-# of one length fall into groups of several determinants, some negative.
-unequal_det_pair_st = pair_st.filter(
-    lambda e: _det(e[:4]) != _det(e[4:]) and min(_det(e[:4]), _det(e[4:])) < 0
-)
-# det A = 11/8 and det B = -5/6, with maximizers that change with n (the
-# pair of tests/data/unequal_det_pair.txt).
+# pair_st draws pairs of unequal determinants, one of them negative, about
+# two times in three, so the necklaces of one length fall into groups of
+# several determinants.  Two such pairs are pinned as examples.  det A =
+# 11/8 and det B = -5/6, with maximizers that change with n (the pair of
+# tests/data/unequal_det_pair.txt):
 UNEQUAL_DET_PAIR = (Fraction(3, 4), 1, -1, Fraction(1, 2), 1, Fraction(1, 3), 1, Fraction(-1, 2))
 # det A = 3/2 and det B = -7/6: A**n, elliptic, ties (AB)**(n/2), whose
 # eigenvalues are real, at every even n.
@@ -283,15 +276,9 @@ class TestScaledOracle:
          Fraction(3, 5), Fraction(-7, 11), Fraction(1, 9), Fraction(2)),
         5,
     )
-    def test_random_exact_pair(self, entries, n):
-        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
-        assert_matches_brute_force(a, b, n)
-
-    @settings(max_examples=25, deadline=None)
-    @given(unequal_det_pair_st, st.integers(1, 7))
     @example(UNEQUAL_DET_PAIR, 7)
     @example(CROSS_TIE_PAIR, 6)
-    def test_unequal_and_negative_determinants(self, entries, n):
+    def test_random_exact_pair(self, entries, n):
         a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
         assert_matches_brute_force(a, b, n)
 
@@ -395,15 +382,9 @@ class TestOneWalk:
 
     @settings(max_examples=10, deadline=None)
     @given(pair_st, st.integers(1, 9))
-    def test_random_exact_pair(self, entries, n_max):
-        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
-        assert_one_walk_matches(a, b, n_max)
-
-    @settings(max_examples=10, deadline=None)
-    @given(unequal_det_pair_st, st.integers(1, 9))
     @example(UNEQUAL_DET_PAIR, 9)
     @example(CROSS_TIE_PAIR, 8)
-    def test_unequal_and_negative_determinants(self, entries, n_max):
+    def test_random_exact_pair(self, entries, n_max):
         a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
         assert_one_walk_matches(a, b, n_max)
 
@@ -633,10 +614,10 @@ class TestTraceScoring:
         assert row.maximizers == tuple(necklaces(11))
 
     def test_elliptic_members_tie_with_real_ones_above_them(self):
-        # A quarter turn and a shear by 1/4, both of det 1: to n = 9 no
-        # product has a radius above 1, and a group can hold products of
-        # trace +-2, scanned first, and elliptic ones, of the same radius
-        # 1: every necklace is listed.
+        # A quarter turn and a shear by 1/4, both of det 1: at n = 8 and 9
+        # no product has a radius above 1, and a group can hold products
+        # of trace +-2, scanned first, and elliptic ones, of the same
+        # radius 1: every necklace is listed.
         a, b = Mat2.exact(0, -1, 1, 0), Mat2.exact(1, Fraction(1, 4), 0, 1)
         for n in (8, 9):
             row = rho_bar_n(a, b, n)
