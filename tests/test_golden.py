@@ -13,7 +13,7 @@ and under a polygon norm) and exact polygon-norm runs at 11/10: the
 extremal norm at mu = 5/4 to n = 8 and to the word cap, and the
 non-extremal one at mu = 13/10 to n = 12, and an exact custom pair to
 n = 14 whose determinants differ, one of them negative, and whose
-maximizers change with n.  A run with `--csv table.csv` also pins the
+maximizers change with n, and one to n = 16 with det A = 0 and det B < 0.  A run with `--csv table.csv` also pins the
 written file as the .csv of the same name, and a run with `--matrices F`
 reads F from tests/data/.
 """
@@ -47,6 +47,7 @@ BOUNDS_CASES = (
     "bounds_exact_polygon_13_10",
     "bounds_exact_polygon_n20",
     "bounds_exact_unequal_det",
+    "bounds_exact_singular_negdet",
 )
 
 
