@@ -34,14 +34,18 @@ the symmetric convex hull P_k of those points M u_i.  P_k is also the
 symmetric hull of the images under A and B of the vertices of P_{k-1}.
 This is the invariant-polytope iteration of Guglielmi and Protasov (Exact
 computation of joint spectral characteristics of linear operators, FoCM
-2013) with the norm read off each P_k.  The box norm is the polygon norm
-of the unit square: u in {(1, 1), (1, -1)}, and the gauge is the largest
-|coordinate|; on the main pair at c = 11/10, P_k has at most 24 vertices
-up to k = 20.  A polygon norm comes through a _hull hook on the norm's
-type (Polygon._hull), which gives its half-vertices and its largest gauge,
-both exact (a float polygon's vertices read as dyadic rationals), or None
-when that gauge is not a norm; so this module does not import the
-polygon's.  rho_bar_n to n runs the prenecklace generator of
+2013) with the norm read off each P_k.  P_k is kept as its lower chain, in
+counterclockwise order, so from k = 2 on the lower chain of A P_{k-1} is a
+run of its consecutive images (reversed when det A < 0) from the least,
+and only the runs of A and B are sorted into P_k: 134 points at n = 11 on
+the main pair at c = 233/224, against 220 images.  The box norm is the
+polygon norm of the unit square: u in {(1, 1), (1, -1)}, and the gauge is
+the largest |coordinate|; on the main pair at c = 11/10, P_k has at most
+24 vertices up to k = 20.  A polygon norm comes through a _hull hook on
+the norm's type (Polygon._hull), which gives its half-vertices and its
+largest gauge, both exact (a float polygon's vertices read as dyadic
+rationals), or None when that gauge is not a norm; so this module does
+not import the polygon's.  rho_bar_n to n runs the prenecklace generator of
 Fredricksen, Kessler and Maiorana, every prefix shorter than n carrying
 its product with one more factor on the right (the entries are ints, so
 the association does not matter); a necklace of length n is formed only
@@ -72,21 +76,25 @@ the set of necklace codes for every length up to the tree walk's depth.
 Floats enter only at the end.  Each walk hands the scoring (_Scores) the
 length k, code, count nb of B and int trace of every necklace.  The
 determinant is multiplicative, so a table by k and nb gives it, and the
-necklaces of one (k, nb) group share it; within a group the spectral
-radius does not decrease as |trace| grows: it is sqrt(det) for a complex
-eigenvalue pair (trace**2 < 4 det) and (|trace| + sqrt(disc)) / 2
+necklaces are grouped by length and by the determinant's int value: one
+group per length when det A = det B, as on the main and alt pairs, two (by
+the parity of nb) when det A = -det B, and one per count of B when the
+determinants are nonzero and differ in absolute value.  Within a group the
+spectral radius does not decrease as |trace| grows: it is sqrt(det) for a
+complex eigenvalue pair (trace**2 < 4 det) and (|trace| + sqrt(disc)) / 2
 otherwise.  So a group is ranked on exact ints, and floats are formed only
 where the result can be read: the rooted radius of each group's largest
 |trace|, which gives rho_bar_n and every overflow; then, in the groups
 that reach the tie cut, the radii in decreasing |trace| until one falls
 below the cut by more than rounding, the elliptic members all at once, as
-they share one radius: rho_bar_n at n = 11 on c = 251/236 forms 14 radii
-for its 188 necklaces.  A radius forms determinant and discriminant as
-ints, decides the discriminant's sign exactly, and then divides by D**k or
-D**(2k); int / int is correctly rounded, so every value matches float() of
-the exact rational, or raises OverflowError when that rational is too
-large for a float; the walk then raises ValueError naming the least such
-word length.  The box norm, spelled None or BoxNorm(), is never called:
+they share one radius; a group whose largest |trace| is elliptic is taken
+whole.  rho_bar_n at n = 11 on c = 251/236 forms 3 radii for its 188
+necklaces, which make one group.  A radius forms determinant and
+discriminant as ints, decides the discriminant's sign exactly, and then
+divides by D**k or D**(2k); int / int is correctly rounded, so every
+value matches float() of the exact rational, or raises OverflowError when
+that rational is too large for a float; the walk then raises ValueError
+naming the least such word length.  The box norm, spelled None or BoxNorm(), is never called:
 the hull compares ints.  The hull scores a length by an unreduced int
 ratio, the largest |coordinate| over D**k or a polygon's largest gauge
 (compared by cross-multiplication), and divides that pair, unreduced, into
@@ -142,6 +150,14 @@ class Word(Record):
     def from_display(cls, text: str) -> "Word":
         """Build from the juxtaposition form, e.g. 'BAA' for B @ A @ A."""
         return cls(tuple(reversed(text)))
+
+    @classmethod
+    def _from_code(cls, code: int, n: int) -> "Word":
+        """The word of a length-n code (see the module docstring), built
+        unchecked: every code names a valid word."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "symbols", tuple(_display(code, n)[::-1]))
+        return w
 
     @property
     def display(self) -> str:
@@ -278,11 +294,12 @@ def _check_cap(n: int) -> None:
 def _half_hull(points):
     """One vertex of each opposite pair of the convex hull of `points`.
 
-    `points` is a sorted list of int pairs, closed under negation.  Its
-    first point p is the lexicographically least and -p the greatest, so
-    the lower hull runs from p to -p, and the upper hull is its negation.
-    Returns the lower hull without -p: empty when every point is 0, [p]
-    when the points are collinear.
+    `points` is a sorted list of int pairs, repeats allowed, that holds the
+    lower hull of a set closed under negation: its first point p is the
+    lexicographically least and its last -p the greatest, so the lower hull
+    runs from p to -p, and the upper hull is its negation.  Returns the
+    lower hull without -p: empty when p is 0, [p] when the points are
+    collinear.
     """
     chain = []
     for x, y in points:
@@ -292,7 +309,8 @@ def _half_hull(points):
                 break
             chain.pop()
         chain.append((x, y))
-    return chain[:-1]
+    # A chain that ends where it starts holds only 0, or nothing.
+    return chain[:-1] if chain[:1] != chain[-1:] else []
 
 
 # The box norm is the polygon norm of the unit square: its half-vertices,
@@ -311,17 +329,43 @@ def _hull_tops(ta, tb, half, score, d, hi):
     P_k, the symmetric convex hull of A V_{k-1}, B V_{k-1} and their
     negations, with V_0 = half: see the module docstring.  tops[0] is
     (1, 1), the identity's, and an empty V_k (every image 0) scores (0, 1).
+
+    From k = 2 on, V_{k-1} (h points) is _half_hull's strictly convex
+    lower chain, in counterclockwise order, so the images M V_{k-1},
+    -M V_{k-1} are the counterclockwise vertex cycle of M P_{k-1}
+    (clockwise when det M < 0), and the lower chain of M P_{k-1} is the
+    h + 1 entries of that cycle from its least point on: only these chains
+    are sorted, 2h + 2 points.  Every image is sorted at the seed level,
+    whose order is not known, when det M = 0, which makes the images
+    collinear, and when V_{k-1} is empty.
     """
     tops, images = [(1, 1)], 0
+    dets = [t[0] * t[3] - t[1] * t[2] for t in (ta, tb)]
     for k in range(1, hi + 1):
-        points = set()
-        for u in half:
-            (ax, ay), (bx, by) = apply_entries(ta, u), apply_entries(tb, u)
-            points.update(((ax, ay), (-ax, -ay), (bx, by), (-bx, -by)))
-        images += 2 * len(half)
+        h, points = len(half), []
+        for t, det in zip((ta, tb), dets):
+            ring = [apply_entries(t, u) for u in half]
+            ring += [(-x, -y) for x, y in ring]
+            if k > 1 and det and h:
+                ring = (ring[::-1] if det < 0 else ring) * 2
+                i = ring.index(min(ring))
+                ring = ring[i : i + h + 1]
+            points += ring
+        images += 2 * h
         half = _half_hull(sorted(points))
         tops.append(score(half, d**k) if half else (0, 1))
     return tops, images
+
+
+def _descending(group):
+    """The (|trace|, code) members of a group in decreasing order.  A scan
+    seldom passes the first eight, so the rest are sorted only when it
+    does."""
+    # Imported here: certify imports this module and never scans a group.
+    import heapq
+
+    yield from heapq.nlargest(8, group)
+    yield from sorted(group, reverse=True)[8:]
 
 
 class _Scores:
@@ -331,7 +375,8 @@ class _Scores:
     top[k] is the largest norm at length k: the hull's score (num, den)
     divided as ints, or the value of norm.matrix_norm.  necklace() keeps
     one necklace's |trace| in its group: the necklaces of one length and
-    one count of B, which share a determinant.  overflow is the least
+    one determinant, keyed by the determinant's int value, so a pair with
+    det A = det B has one group per length.  overflow is the least
     length whose score is too large for a float (inf or nan, for a float
     norm object).
     """
@@ -346,24 +391,26 @@ class _Scores:
             # has det det(A)**(k - nb) * det(B)**nb.
             da = ta[0] * ta[3] - ta[1] * ta[2]
             db = tb[0] * tb[3] - tb[1] * tb[2]
-            self.dets = [[da ** (k - nb) * db**nb for nb in range(k + 1)] for k in range(hi + 1)]
-            # groups[k][nb]: (|trace|, code) of each kept necklace.
-            self.groups = [[[] for _ in range(k + 1)] for k in range(hi + 1)]
+            dets = [[da ** (k - nb) * db**nb for nb in range(k + 1)] for k in range(hi + 1)]
+            # groups[k][det]: (|trace|, code) of each kept necklace;
+            # lists[k][nb] is the list of those with nb factors B.
+            self.groups = [{} for _ in dets]
+            self.lists = [[g.setdefault(x, []) for x in row] for g, row in zip(self.groups, dets)]
 
     def necklace(self, k, code, nb, trace):
         """Keep the necklace `code` of length k, with nb factors B and
         product trace `trace`, if k is at least lo."""
         if k >= self.lo:
-            self.groups[k][nb].append((abs(trace), code))
+            self.lists[k][nb].append((abs(trace), code))
 
-    def rooted(self, k, nb, t):
-        """The rooted spectral radius of a necklace of group (k, nb) with
-        |trace| t, or OverflowError when the product's trace, determinant
-        or discriminant is too large for a float."""
-        # t is D**k times the product's: trace scales by D**k, det and
-        # discriminant by D**(2k).  The discriminant's sign is decided
-        # before any rounding, and the radius depends on |trace| alone.
-        det, dk = self.dets[k][nb], self.dk
+    def rooted(self, k, det, t):
+        """The rooted spectral radius of a necklace of length k with
+        determinant det and |trace| t, or OverflowError when the product's
+        trace, determinant or discriminant is too large for a float."""
+        # t and det are D**k and D**(2k) times the product's, and so is the
+        # discriminant.  Its sign is decided before any rounding, and the
+        # radius depends on |trace| alone.
+        dk = self.dk
         disc = t * t - 4 * det
         r = matrix2.radius_from_invariants(
             t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
@@ -371,17 +418,20 @@ class _Scores:
         return r ** (1.0 / k)
 
     def bar(self, k, tops):
-        """(rho_bar, maximizers) at length k; tops[nb] is the rooted radius
-        of the largest |trace| of group (k, nb).
+        """(rho_bar, maximizers) at length k; tops holds (r, det, t) for
+        each group of length k: its determinant, its largest |trace| t and
+        the rooted radius r of t.
 
         Within a group the radius does not decrease as |trace| grows, so a
         group is scanned in decreasing |trace| until a radius falls below
         the cut by more than the rounding of the radius and its root; the
         members left are below the cut.  The elliptic members (trace**2 <
-        4 det) come last and share one radius, sqrt(det)**(1/k).  The
-        maximum and the cut are then those of every necklace's radius.
+        4 det) come last and share one radius, sqrt(det)**(1/k); a group
+        whose top is elliptic is all elliptic, and is taken whole, without
+        sorting.  The maximum and the cut are then those of every
+        necklace's radius.
         """
-        best = max(tops)
+        best = max(r for r, _, _ in tops)
         cut = best - _TIE_TOL * max(1.0, abs(best))
         # Each step of the radius formula is a correctly rounded operation,
         # so the radius does not decrease with |trace|; the root can break
@@ -390,17 +440,18 @@ class _Scores:
         # every smaller |trace| of the group below the cut.
         stop = cut - 4 * math.ulp(cut)
         scanned = []
-        for nb, r in enumerate(tops):
+        for r, det, top in tops:
             if r < stop:
                 continue
-            group, det4 = self.groups[k][nb], 4 * self.dets[k][nb]
-            group.sort(reverse=True)
-            for i, (t, code) in enumerate(group):
+            group, det4 = self.groups[k][det], 4 * det
+            for i, (t, code) in enumerate(_descending(group) if top * top >= det4 else group):
                 if i:
-                    r = self.rooted(k, nb, t)
+                    r = self.rooted(k, det, t)
                 if t * t < det4:
+                    # The members left are the group's elliptic ones; at
+                    # i = 0 the group is all elliptic.
                     if r >= stop:
-                        scanned += [(r, c) for _, c in group[i:]]
+                        scanned += [(r, c) for u, c in group if not i or u * u < det4]
                     break
                 scanned.append((r, code))
                 if r < stop:
@@ -408,7 +459,7 @@ class _Scores:
         best = max(r for r, _ in scanned)
         cut = best - _TIE_TOL * max(1.0, abs(best))
         codes = sorted(c for r, c in scanned if r >= cut)
-        return best, tuple(Word.from_display(_display(c, k)) for c in codes)
+        return best, tuple(Word._from_code(c, k) for c in codes)
 
     def result(self, norms, radii):
         """(rho, bars) keyed by length, or ValueError at the least overflow."""
@@ -419,7 +470,11 @@ class _Scores:
             # A group's largest |trace| overflows if any member does.
             for k in range(lo, min(overflow, hi + 1)):
                 try:
-                    tops[k] = [self.rooted(k, nb, max(g)[0]) for nb, g in enumerate(self.groups[k])]
+                    tops[k] = [
+                        (self.rooted(k, det, t), det, t)
+                        for det, g in self.groups[k].items()
+                        for t in [max(g)[0]]
+                    ]
                 except OverflowError:
                     overflow = k
                     break

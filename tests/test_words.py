@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -55,6 +57,20 @@ class TestWord:
             Word(())
         with pytest.raises(ValueError):
             Word.from_display("AXB")
+
+    def test_maximizers_built_from_codes_are_whole_words(self):
+        # The oracle builds its maximizers from their codes, unchecked; each
+        # is the word its display names, and copies and pickles as one.
+        mset = example_main_special(KappaContext(Fraction(233, 224)))
+        rows = bounds_table(mset.a, mset.b, 11)
+        maximizers = [w for row in rows for w in row.maximizers]
+        assert rows[-1].maximizers == tuple(necklaces(11))
+        assert len(maximizers) == 377
+        for w in maximizers:
+            checked = Word.from_display(w.display)
+            assert w == checked and hash(w) == hash(checked)
+            assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+            assert type(w.symbols) is tuple and len(w) == len(w.symbols)
 
 
 class TestEvaluate:
@@ -579,6 +595,79 @@ class TestPrunedWalk:
             assert tops[m] == (d**m * largest, d**m)
 
 
+def reference_hull_levels(ta, tb, half, hi):
+    """V_1..V_hi of the hull of images, each from every image of the level
+    below and its negation, sorted."""
+    levels = []
+    for _ in range(hi):
+        points = set()
+        for u in half:
+            (ax, ay), (bx, by) = matrix2.apply_entries(ta, u), matrix2.apply_entries(tb, u)
+            points.update(((ax, ay), (-ax, -ay), (bx, by), (-bx, -by)))
+        half = words._half_hull(sorted(points))
+        levels.append(half)
+    return levels
+
+
+def record_hull_levels(monkeypatch):
+    """Wrap words._half_hull; returns the list of (points handed in, level
+    returned) of each call."""
+    calls = []
+    real = words._half_hull
+
+    def recording(points):
+        half = real(points)
+        calls.append((len(points), half))
+        return half
+
+    monkeypatch.setattr(words, "_half_hull", recording)
+    return calls
+
+
+class TestHullChains:
+    """From level 2 on, the hull sorts only the lower chain of each image
+    polygon, read off the vertex cycle of the level below; its levels are
+    those of a hull that sorts every image."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_pair_st)
+    @example(_singular(UNEQUAL_DET_PAIR))
+    @example(EDGE_PAIRS["nilpotent_pair"])
+    def test_levels_equal_the_sort_of_every_image(self, entries):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        d, (ta, tb) = matrix2.scaled_entries((a, b))
+        expected = reference_hull_levels(ta, tb, words._SQUARE[0], 10)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = record_hull_levels(monkeypatch)
+            words._hull_tops(ta, tb, *words._SQUARE, d, 10)
+        assert [half for _, half in calls] == expected
+
+    def test_levels_under_a_polygon_with_a_clockwise_seed(self, monkeypatch):
+        # The exact polygon's six half-vertices run clockwise, so the seed
+        # level sorts every image; the levels above read the chains.
+        mset = _exact_main(11, 10)
+        half, score = _polygon(mset, Fraction(5, 4))._hull()
+        cross = [(x1 * y2 - y1 * x2) for (x1, y1), (x2, y2) in zip(half, half[1:])]
+        assert all(c < 0 for c in cross)
+        d, (ta, tb) = matrix2.scaled_entries((mset.a, mset.b))
+        expected = reference_hull_levels(ta, tb, half, 12)
+        calls = record_hull_levels(monkeypatch)
+        words._hull_tops(ta, tb, half, score, d, 12)
+        assert [h for _, h in calls] == expected
+
+    def test_points_sorted_at_233_224(self, monkeypatch):
+        # 2h + 2 chain points per level from level 2 on, against the 220
+        # distinct images that sorting every image hands in; the seed level
+        # hands in all 8 images of the square.
+        mset = _exact_main(233, 224)
+        expected = bounds_table(mset.a, mset.b, 11)
+        calls = record_hull_levels(monkeypatch)
+        assert bounds_table(mset.a, mset.b, 11) == expected
+        assert [n for n, _ in calls] == [8, 8, 8, 10, 12, 12, 12, 14, 16, 16, 18]
+        assert [n for n, _ in calls][1:] == [2 * len(h) + 2 for _, h in calls[:-1]]
+        assert sum(n for n, _ in calls) == 134
+
+
 def count_radius_evaluations(monkeypatch):
     """Wrap matrix2.radius_from_invariants with a counter; returns the list
     whose length is the number of calls."""
@@ -594,10 +683,10 @@ def count_radius_evaluations(monkeypatch):
 
 
 class TestTraceScoring:
-    """The necklaces of one length and one count of B share a determinant,
-    so within that group the radius does not decrease as |trace| grows: a
-    float radius is formed for each group's largest |trace|, once for its
-    elliptic members, and for the members near the cut."""
+    """The necklaces are grouped by length and determinant, so within a
+    group the radius does not decrease as |trace| grows: a float radius is
+    formed for each group's largest |trace|, once for its elliptic members,
+    and for the members near the cut."""
 
     def test_elliptic_blocks_list_every_necklace(self):
         # At c = 233/224 every length-11 product has complex eigenvalues:
@@ -625,6 +714,18 @@ class TestTraceScoring:
             assert row.maximizers == tuple(necklaces(n))
         assert_matches_brute_force(a, b, 8)
 
+    def test_real_ties_past_the_first_eight_members(self, monkeypatch):
+        # With A = B every product is a power of A, whose eigenvalues are
+        # real: all 36 necklaces of length 8 tie, so the scan runs past the
+        # eight largest members into the sorted rest of the group, and
+        # forms one radius per member.
+        a = Mat2.exact(2, 1, 1, 1)
+        calls = count_radius_evaluations(monkeypatch)
+        row = rho_bar_n(a, a, 8)
+        assert row.maximizers == tuple(necklaces(8))
+        assert len(calls) == 36
+        assert_matches_brute_force(a, a, 8)
+
     def test_a_necklace_and_its_reversal_tie_in_one_group(self):
         # A 2x2 product and its reversal have one trace, so a necklace that
         # is not its own reversal ties with that reversal in its group
@@ -637,17 +738,48 @@ class TestTraceScoring:
         assert_matches_brute_force(a, b, 7)
 
     def test_radius_evaluations_at_251_236(self, monkeypatch):
-        # One radius for each of the 12 groups at n = 11, and one more in
-        # each of the two groups that hold a maximizer, whose next |trace|
-        # falls below the cut.  A radius for every necklace would take 32:
-        # its 20 products with real eigenvalues and one per elliptic group.
+        # det A = det B, so the 188 necklaces of length 11 are one group:
+        # one radius for its largest |trace|, one for the second maximizer,
+        # which ties with it, and one for the next |trace|, which falls
+        # below the cut.  Grouped by count of B, the 12 groups took 14; a
+        # radius for every necklace would take 32: its 20 products with
+        # real eigenvalues and one per elliptic group.
         mset = _exact_main(251, 236)
         expected = rho_bar_n(mset.a, mset.b, 11)
         calls = count_radius_evaluations(monkeypatch)
         row = rho_bar_n(mset.a, mset.b, 11)
         assert row == expected
         assert [w.display for w in row.maximizers] == ["AABAABABBAB", "AABABBABBAB"]
-        assert len(calls) == 14
+        assert len(calls) == 3
+
+    def test_radius_evaluations_with_opposite_determinants(self, monkeypatch):
+        # det A = 3/2 = -det B: the necklaces of length 11 fall into two
+        # groups by the parity of their count of B, one radius each, and one
+        # more for the next |trace| in the maximizer's group, below the cut.
+        # Grouped by count of B, the 12 groups took 13.
+        a = Mat2.exact(Fraction(1, 2), 1, Fraction(-3, 2), 0)
+        b = Mat2.exact(1, Fraction(1, 3), Fraction(3, 2), -1)
+        assert a.det().value == -b.det().value
+        expected = rho_bar_n(a, b, 11)
+        calls = count_radius_evaluations(monkeypatch)
+        row = rho_bar_n(a, b, 11)
+        assert row == expected
+        assert [w.display for w in row.maximizers] == ["AAAABABABAB"]
+        assert len(calls) == 3
+        assert_matches_brute_force(a, b, 9)
+
+    def test_radius_evaluations_with_unequal_determinants(self, monkeypatch):
+        # det A = 11/8 and det B = -5/6 differ in absolute value, so each of
+        # the 12 counts of B at n = 11 has a determinant of its own: one
+        # radius per group, and one more in the maximizer's group.
+        entries = UNEQUAL_DET_PAIR
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        expected = rho_bar_n(a, b, 11)
+        calls = count_radius_evaluations(monkeypatch)
+        row = rho_bar_n(a, b, 11)
+        assert row == expected
+        assert [w.display for w in row.maximizers] == ["AAAABABABAB"]
+        assert len(calls) == 13
 
 
 # Exact polygons whose gauge is a norm: (c, mu) of the main pair.
