@@ -326,6 +326,8 @@ def cmd_selftest(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; its `commands` maps each subcommand's name to
+    the subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="smpverify",
         description="verification workbench for spectrum maximizing products "
@@ -372,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in reference checks")
     p.set_defaults(func=cmd_selftest, parser=p)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -381,9 +384,24 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed once, by the parser of the subcommand that argv[0]
+    names: the top-level parser would hand it the rest of argv as it is.
+    Any other argv, and one with arguments the subcommand does not know,
+    goes to the top-level parser, which writes every usage message and
+    error, "unrecognized arguments" included."""
     parser = _shared_parser()
-    args = parser.parse_args(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.func(args, args.parser)
         sys.stdout.flush()

@@ -56,28 +56,34 @@ edge rows and the six convexity chords (v_{i-1}, v_{i+1}), taking
 (y, Tx) = -(x, Ty).  _sector gives the numerators of s, t and h to the
 convexity levels and to the four sector tests of verify_inclusions, and
 raises their DegenerateSectorError.  The images M v_i come from
-matrix2.apply_entries.  One copy stays: the gauge search (_gauges) writes
-out _sector, because through it certify ran about 5% slower on float
-inputs and 6% on exact ones.
+matrix2.apply_entries; on a balanced table (Polygon._balanced: exact, and
+D v_{i+6} == -D v_i, as on every built polygon) only those of v_1..v_6,
+and M v_{i+6} is -M v_i.  One copy stays: the gauge search (_gauges)
+writes out _sector, because through it certify ran about 5% slower on
+float inputs and 6% on exact ones.
 
 The values the report prints are one Fraction per distinct value.  The
 sector tests' s, t and h, the order products (V_i, T V_j) / D^2 and the
 convexity levels (V_{i+1} - V_{i-1}, T V_i) / (V_{i+1}, T V_{i-1}) are
 each reduced once.  A gauge whose pair cross-multiplies equal to 1, to
 1/lam, to the sector test's h of the same point or to the gauge of an
-earlier point with the same pair (the mirror a_{k+6} = -a_k) reuses that
-Fraction; only the others are reduced.  Polygon.matrix_norm compares its
-twelve pairs by cross-multiplication and reduces only the largest.  On
-the float backend D = F = 1 and every value is formed with the operations
-of Mat2 @, sector_coords and triangle_h in their order, so it is
-bit-identical to theirs: each check has one code path for both backends.
-The tolerance is read at call time and never stored.
+earlier point with the same pair reuses that Fraction; only the others
+are reduced.  On a mirrored sweep (below) a_{k+6} = -a_k and
+b_{k+6} = -b_k are not searched and take the Fraction of a_k and b_k.
+Polygon.matrix_norm compares its twelve pairs by cross-multiplication and
+reduces only the largest.  On the float backend D = F = 1 and every value
+is formed with the operations of Mat2 @, sector_coords and triangle_h in
+their order, so it is bit-identical to theirs: each check has one code
+path for both backends.  The tolerance is read at call time and never
+stored.
 
-certify_smp evaluates each of the 24 image gauges once.  verify_inclusions
+certify_smp evaluates each image gauge at most once.  verify_inclusions
 gauges every a_i = A~ v_i and b_i = B~ v_i of a convex polygon, and the
-induced norms of A~ and B~ are the largest of those values: the points and
-the function that Polygon.matrix_norm would use, so the values are the
-same, bit for bit on floats.  Polygon.matrix_norm serves other matrices.
+induced norms of A~ and B~ are the largest of those values, read off the
+raw Fractions or floats of the sweep: the points and the function that
+Polygon.matrix_norm would use, so the values are the same, bit for bit on
+floats.  An exact norm is 1 as soon as one gauge equals 1, since every
+gauge has passed.  Polygon.matrix_norm serves other matrices.
 `bounds --norm polygon` takes the words oracle's hull route through
 Polygon._hull, which hands the oracle the six half-vertices D v_1..D v_6
 and the same largest-gauge routine (_largest_gauge) that matrix_norm
@@ -90,7 +96,7 @@ The certificate is one record tree.  Each check, vertex_order_check and
 verify_inclusions included, is a CheckResult whose data holds the check's
 (key, value) pairs in report order, with typed values: a Scalar, a bool or
 a str.  Certificate.as_kv is the only place where a value becomes text,
-so `certify --kv` is a view of that tree.
+each Scalar unwrapped once, so `certify --kv` is a view of that tree.
 
 The float gauge keeps the sector rule: the first sector in index order
 whose s and t pass the tolerance test.  The equivalent max_i |(f_i, z)|
@@ -103,9 +109,14 @@ before and wraps round through all twelve.  The images of consecutive
 vertices go round in vertex order, so the 24 searches take about two
 turns in all, not 24 scans from sector 1.  Any sector that holds an
 exact point gives it the same h, so the values are those of the index
-order.  On a table whose sectors do not tile the plane once, each search
-runs in index order, and so raises DegenerateSectorError exactly where
-polygon_gauge, which always searches in index order, raises it.
+order.  On such a table that is also balanced the gauge is even, h(-z) =
+h(z), so the sweep is mirrored: it searches a1..a6, b1..b6 only, and
+a_{i+6}, b_{i+6} take the gauge and verdict of a_i, b_i.  The float sweep
+always searches all 24, since a mirrored one changed the last digits of
+most float reports.  On a table whose sectors do not tile the plane
+once, each search runs in index order, and so raises
+DegenerateSectorError exactly where polygon_gauge, which always searches
+in index order, raises it.
 
 Thresholds are closed forms (at phi = 2pi/3 alt is main in other
 coordinates) and kappa_max is decided exactly; empirical_mu_thresholds reads
@@ -142,6 +153,7 @@ from .scalar import (
     Record,
     Scalar,
     allclose,
+    isclose,
     le,
     same_backend,
 )
@@ -283,10 +295,15 @@ def _ratio(num, den, exact: bool) -> Scalar:
     return Scalar(Fraction(num, den) if exact else num / den)
 
 
-def _image_points(table: _EdgeTable, entries) -> list[tuple]:
+def _image_points(table: _EdgeTable, entries, balanced: bool) -> list[tuple]:
     """(F M)(D v_i) for the twelve table vertices, through apply_entries
-    as Mat2 @: the image M v_i times E = F D."""
-    return [apply_entries(entries, x) for x in table.vertices]
+    as Mat2 @: the image M v_i times E = F D.  On a balanced table
+    (Polygon._balanced) the images of v_7..v_12 are those of v_1..v_6,
+    negated."""
+    if not balanced:
+        return [apply_entries(entries, x) for x in table.vertices]
+    half = [apply_entries(entries, x) for x in table.vertices[:6]]
+    return half + [(-z1, -z2) for z1, z2 in half]
 
 
 def _convexity_levels(table: _EdgeTable, exact: bool) -> tuple:
@@ -403,6 +420,16 @@ class Polygon(Record):
         return _convexity_levels(self._edge_table, self.is_exact)
 
     @cached_property
+    def _balanced(self) -> bool:
+        """Whether the polygon is exact and its edge table balanced on its
+        ints, D v_{i+6} == -D v_i for i = 1..6, as on every polygon that
+        build_polygon makes."""
+        verts = self._edge_table.vertices
+        return self.is_exact and all(
+            y == (-x1, -x2) for (x1, x2), y in zip(verts, verts[6:])
+        )
+
+    @cached_property
     def _tiled(self) -> bool:
         """Whether the exact sectors (v_i, v_{i+1}) tile the plane once:
         each (v_i, T v_{i+1}) > 0, so every step turns clockwise by less
@@ -426,7 +453,8 @@ class Polygon(Record):
         """
         same_backend(self, m)
         f, (entries,) = scaled_entries((m,))
-        largest = _largest_gauge(self, _image_points(self._edge_table, entries), f, rel_tol)
+        points = _image_points(self._edge_table, entries, self._balanced)
+        largest = _largest_gauge(self, points, f, rel_tol)
         return Scalar(Fraction(*largest) if self.is_exact else largest)
 
     def _hull(self):
@@ -899,10 +927,25 @@ def verify_inclusions(
     generic gauge.  A verdict disagreement between the sector test and the
     gauge test raises RuntimeError: it would mean the geometry primitives
     contradict each other.
+
+    On a balanced edge table (every built exact polygon) the images of
+    v_7..v_12 are those of v_1..v_6, negated.  If its sectors also tile
+    the plane once (Polygon._tiled), the gauge of -z is that of z, so the
+    gauge sweep searches only a1..a6, b1..b6, and a_{i+6}, b_{i+6} take
+    the reduced gauge and the verdict of a_i, b_i; the cross-check still
+    runs for all 24 labels.  The float sweep searches all 24 images.
     """
+    return _inclusions(poly, norm, rel_tol)[0]
+
+
+def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
+    """verify_inclusions, and the raw gauges it swept, (a gauges, b gauges)
+    in label order (Fractions or floats; a1..a6, b1..b6 when mirrored), or
+    None when the polygon is not convex."""
     exact, table = same_backend(poly, norm.at), poly._edge_table
     f, (at, bt) = norm.scaled
-    lists = {"a": _image_points(table, at), "b": _image_points(table, bt)}
+    balanced = poly._balanced
+    lists = {"a": _image_points(table, at, balanced), "b": _image_points(table, bt, balanced)}
     data, failures = [], []
 
     lam = norm.lam.value
@@ -936,26 +979,39 @@ def verify_inclusions(
         if not ok:
             failures.append(label)
 
+    swept = None
     if convexity_check(poly, rel_tol):
         inv_lam, seen = (1 / lam if exact else None), {}
-        # One sweep over a1..a12, b1..b12: b1 lies next to a12 (b7 next to a6).
-        labels = [f"{kind}{idx}" for kind in "ab" for idx in range(1, 13)]
-        for label, g in zip(labels, _gauges(poly, lists["a"] + lists["b"], f, rel_tol)):
-            ok = g[0] <= g[1] if exact else le(g, 1, rel_tol)
-            if exact:  # g = (num, den); the mirror -z of a point z gives its pair
-                known = (seen.get(g), _ONE, inv_lam, sector_h.get(label))
-                seen[g] = g = _reduced(*g, known)
-            if sector_ok.get(label, ok) != ok:
-                raise RuntimeError(f"sector test and gauge test disagree on {label}")
-            data += [
-                (f"inclusion.gauge.{label}", Scalar(g)),
-                (f"inclusion.gauge.{label}.passed", ok),
-            ]
-            if not ok:
-                failures.append(label)
+        mirrored = balanced and poly._tiled
+        # One sweep over a1..a12, b1..b12 (b1 lies next to a12, b7 next to
+        # a6), or over a1..a6, b1..b6 when the rest are their mirrors.
+        points = [z for kind in "ab" for z in lists[kind][:6 if mirrored else 12]]
+        gauges, swept = _gauges(poly, points, f, rel_tol), ([], [])
+        for kind, values in zip("ab", swept):
+            verdicts = []
+            for idx in range(1, 13):
+                label = f"{kind}{idx}"
+                if mirrored and idx > 6:
+                    g, ok = values[idx - 7], verdicts[idx - 7]
+                else:
+                    g = next(gauges)
+                    ok = g[0] <= g[1] if exact else le(g, 1, rel_tol)
+                    if exact:  # g = (num, den); the mirror -z of a point z gives its pair
+                        known = (seen.get(g), _ONE, inv_lam, sector_h.get(label))
+                        seen[g] = g = _reduced(*g, known)
+                    values.append(g)
+                    verdicts.append(ok)
+                if sector_ok.get(label, ok) != ok:
+                    raise RuntimeError(f"sector test and gauge test disagree on {label}")
+                data += [
+                    (f"inclusion.gauge.{label}", Scalar(g)),
+                    (f"inclusion.gauge.{label}.passed", ok),
+                ]
+                if not ok:
+                    failures.append(label)
 
     detail = "escaping points: " + ",".join(dict.fromkeys(failures)) if failures else ""
-    return CheckResult("inclusions", not failures, detail, tuple(data))
+    return CheckResult("inclusions", not failures, detail, tuple(data)), swept
 
 
 # -- certificates ----------------------------------------------------------
@@ -984,6 +1040,13 @@ _CHECK_SEQUENCE = (
     "inclusions",
     "extremal_norm",
 )
+
+
+def _text(v) -> str:
+    """A report value as Certificate.as_kv prints it."""
+    if v.__class__ is Scalar:
+        return str(v.value) if v.is_exact else repr(v.value)
+    return ("true" if v else "false") if v.__class__ is bool else str(v)
 
 
 class Certificate(Record):
@@ -1020,7 +1083,9 @@ class Certificate(Record):
 
     def as_kv(self) -> list[tuple[str, str]]:
         """The report as (key, text) pairs: the one place where a value
-        becomes text, a bool as true/false and anything else by str."""
+        becomes text.  A bool prints as true/false; a Scalar is unwrapped
+        once and prints as Scalar.__str__ does, a float by repr and a
+        Fraction by str; anything else prints by str."""
         items = [
             ("family", self.family), ("backend", self.backend), ("kappa", self.kappa)
         ]
@@ -1040,9 +1105,7 @@ class Certificate(Record):
             items.append((f"smp.{k}.members", ";".join(smp.members)))
             items.append((f"smp.{k}.count_a", smp.count_a))
             items.append((f"smp.{k}.count_b", smp.count_b))
-        return [
-            (key, str(v).lower() if isinstance(v, bool) else str(v)) for key, v in items
-        ]
+        return [(key, _text(v)) for key, v in items]
 
     def as_text(self) -> str:
         lines = [
@@ -1072,6 +1135,10 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
 
     Never raises on a failed condition: every failure is recorded in the
     certificate and later steps that depend on it are simply not run.
+    The extremal norm check takes the induced norms of A~ and B~ as the
+    largest raw gauges of the inclusion sweep (a mirrored exact sweep
+    holds a1..a6 and b1..b6, whose mirrors have the same gauges), with no
+    second gauge evaluation and no Scalar comparison.
     """
     checks: list[CheckResult] = []
 
@@ -1165,25 +1232,25 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
         "" if convex_ok else "polygon is not convex",
         ((f"convexity.h.v{i}", h) for i, h in convexity_values(poly)),
     )
-    incl = verify_inclusions(poly, norm, rel_tol)
+    incl, swept = _inclusions(poly, norm, rel_tol)
     checks.append(incl)
     if not (order.passed and convex_ok and incl.passed):
         return finish()
 
     # The induced norms of A~ and B~ are the largest gauges of the images
-    # a_i and b_i, which verify_inclusions has evaluated on this convex
-    # polygon with this tolerance: Polygon.matrix_norm would recompute the
-    # same values from the same points.
-    gauges = dict(incl.data)
-    norms = tuple(
-        max(gauges[f"inclusion.gauge.{kind}{i}"] for i in range(1, 13)) for kind in "ab"
-    )
-    ok = all(n.isclose(1, rel_tol) and n.le(1, rel_tol) for n in norms)
+    # a_i and b_i, which _inclusions has swept on this convex polygon with
+    # this tolerance (a mirrored sweep leaves out only the equal gauges of
+    # the mirrors): Polygon.matrix_norm would recompute the same values
+    # from the same points.  Every exact gauge has passed, so is <= 1, and
+    # an exact norm is 1 as soon as one gauge equals 1.
+    exact = mset.is_exact
+    norms = [_ONE if exact and 1 in values else max(values) for values in swept]
+    ok = all(isclose(n, 1, rel_tol) and le(n, 1, rel_tol) for n in norms)
     add(
         "extremal_norm",
         ok,
         "" if ok else "an induced norm differs from 1",
-        (("norm.at", norms[0]), ("norm.bt", norms[1])),
+        (("norm.at", Scalar(norms[0])), ("norm.bt", Scalar(norms[1]))),
     )
     if not ok:
         return finish()

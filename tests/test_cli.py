@@ -767,6 +767,44 @@ class TestSharedParser:
             assert (code, captured.out, captured.err) == expected[name]
 
 
+    def test_a_subcommand_argv_is_parsed_once(self, capsys, monkeypatch):
+        # The subcommand's parser reads it; the top-level parser never runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand argv")
+
+        monkeypatch.setattr(cli._shared_parser(), "parse_args", refuse)
+        assert run(capsys, "certify", "--c", "11/10", "--mu", "5/4")[0] == 0
+        assert run(capsys, "bounds", "--c", "11/10", "--max-n", "3")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--family", "main", "--c", "11/10", "--mu", "5/4", "--no-such-flag"],
+            ["certify", "--no-such-flag", "x", "--c", "11/10", "--mu", "5/4"],
+            ["certify", "--c", "11/10", "--mu", "5/4", "--", "--kv"],
+            ["selftest", "extra"],
+            ["certify", "--help"],
+            ["bounds", "--c", "11/10", "-h"],
+            ["bounds", "--max-n", "x"],
+            ["certify", "--tol"],
+            [],
+            ["-h"],
+            ["--no-such-flag", "certify"],
+            ["cert", "--c", "11/10"],
+        ],
+    )
+    def test_messages_match_the_top_level_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+
+        assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
 def test_selftest_refuses_to_run_without_assertions():
     code, out, _ = run_fresh("selftest", flags=("-O",))
     assert code != 0

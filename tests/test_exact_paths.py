@@ -799,3 +799,66 @@ class TestSweepGuard:
         poly = three_turn_polygon()
         m = Mat2.exact(*m)
         assert poly.matrix_norm(m).value == largest_index_order_gauge(poly, m)
+
+
+def swept_counts(monkeypatch):
+    """The number of points of each gauge sweep run from here on."""
+    counts, real = [], polytope._gauges
+
+    def counting(poly, points, f, tol):
+        points = list(points)
+        counts.append(len(points))
+        return real(poly, points, f, tol)
+
+    monkeypatch.setattr(polytope, "_gauges", counting)
+    return counts
+
+
+class TestMirroredSweep:
+    """On a balanced exact edge table whose sectors tile the plane once, the
+    inclusion sweep searches a1..a6, b1..b6, and a_{i+6}, b_{i+6} take the
+    gauge and the verdict of a_i, b_i."""
+
+    def test_built_polygons_sweep_twelve_points(self, monkeypatch):
+        # Certified and escaping: every benchmark input is convex.
+        cases = benchmark_inputs() + [golden_96bit()]
+        polygons = [main_polygon(c, mu) for c, mu in cases]
+        assert all(poly._balanced and poly._tiled for poly, _ in polygons)
+        counts = swept_counts(monkeypatch)
+        for poly, norm in polygons:
+            data = dict(verify_inclusions(poly, norm).data)
+            for kind in "ab":
+                for i in range(1, 7):
+                    key, mirror = (f"inclusion.gauge.{kind}{j}" for j in (i, i + 6))
+                    assert data[mirror] == data[key]
+                    assert data[f"{mirror}.passed"] is data[f"{key}.passed"]
+        assert counts == [12] * len(cases)
+
+    def test_mirrored_images_are_the_images(self):
+        poly, norm = main_polygon(*golden_96bit())
+        _, (at, _) = norm.scaled
+        table = poly._edge_table
+        assert polytope._image_points(table, at, True) == polytope._image_points(table, at, False)
+        assert not three_turn_polygon()._balanced
+
+    def test_unbalanced_polygon_sweeps_24_points(self, monkeypatch):
+        # v7..v12 pushed out by one part in 10**6: convex, with sectors that
+        # tile the plane once, but not balanced.
+        poly, norm = main_polygon(Fraction(11, 10), Fraction(5, 4))
+        grow = Scalar.exact(Fraction(10**6 + 1, 10**6))
+        verts = poly.vertices[:6] + tuple(v.scale(grow) for v in poly.vertices[6:])
+        other = rebuilt(poly, verts, "main")
+        assert convexity_check(other) and other._tiled and not other._balanced
+        counts = swept_counts(monkeypatch)
+        verify_inclusions(other, norm)
+        assert counts == [24]
+        assert_gauges_match_index_order(other, norm)
+
+    @pytest.mark.parametrize("family, mu", [("main", 1.25), ("alt", 1.07)])
+    def test_float_sweep_searches_24_points(self, monkeypatch, family, mu):
+        norm = normalize(FAMILIES[family](1.331, DISTINGUISHED_PHI))
+        poly = build_polygon(norm, *eigenvectors_from_products(norm), mu)
+        assert convexity_check(poly) and not poly._balanced
+        counts = swept_counts(monkeypatch)
+        assert verify_inclusions(poly, norm).passed
+        assert counts == [24]
