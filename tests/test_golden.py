@@ -6,7 +6,10 @@ exact and a certified float run, failing inclusions on both backends (b3
 and b9 escape), a non-convex polygon on both backends (no gauge keys; a6
 escapes its sector on the exact one) and the alt family
 (no closed-form key); two runs at a 96-bit c, one certified and one with
-b3 and b9 escaping, pin the big-integer values of the exact path.  The
+b3 and b9 escaping, pin the big-integer values of the exact path; and
+two certified custom pairs take the two other `permutable` paths: an
+exact pair with no swap matrix (the trace/det criterion) and a float pair
+with one (the float swap test).  The
 bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
 n = 14 and to the word cap n = 20), float runs (alt, under the box norm
 and under a polygon norm) and exact polygon-norm runs at 11/10: the
@@ -36,6 +39,8 @@ KV_CASES = (
     "alt_certified",
     "exact_96bit_certified",
     "exact_96bit_escapes",
+    "custom_criterion_certified",
+    "custom_float_swap_certified",
 )
 BOUNDS_CASES = (
     "bounds_exact_233_224",
@@ -61,10 +66,19 @@ def _golden_run(case):
     return argv, status, expected
 
 
+def _copy_pair_file(argv, directory):
+    """Copy the --matrices file of argv, if any, from tests/data/."""
+    if "--matrices" in argv:
+        pair = argv[argv.index("--matrices") + 1]
+        (directory / pair).write_bytes((DATA / pair).read_bytes())
+
+
 @pytest.mark.parametrize("case", KV_CASES)
-def test_kv_report_is_unchanged(capsys, case):
+def test_kv_report_is_unchanged(capsys, monkeypatch, tmp_path, case):
     argv, status, expected = _golden_run(case)
     assert argv[-1] == "--kv"
+    monkeypatch.chdir(tmp_path)
+    _copy_pair_file(argv, tmp_path)
     code = main(argv)
     captured = capsys.readouterr()
     assert (f"exit {code}", captured.out, captured.err) == (status, expected, "")
@@ -75,9 +89,7 @@ def test_bounds_report_is_unchanged(capsys, monkeypatch, tmp_path, case):
     argv, status, expected = _golden_run(case)
     assert argv[0] == "bounds"
     monkeypatch.chdir(tmp_path)
-    if "--matrices" in argv:
-        pair = argv[argv.index("--matrices") + 1]
-        (tmp_path / pair).write_bytes((DATA / pair).read_bytes())
+    _copy_pair_file(argv, tmp_path)
     code = main(argv)
     captured = capsys.readouterr()
     assert (f"exit {code}", captured.out, captured.err) == (status, expected, "")
