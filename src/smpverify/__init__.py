@@ -23,8 +23,8 @@ _EXPORTS = {
     "eigenvector_unit_first quarter_turn similarity spectral_radius",
     "words": "BoundsRow BoxNorm Word bounds_table cyclic_normal_form evaluate "
     "factor_counts necklaces rho_bar_n rho_n",
-    "permutability": "ReducibleSetError TauMap SwapSpectrumReport friedland_5tuple "
-    "friedland_permutable is_irreducible tau_word swap_spectrum_check verify_tau",
+    "permutability": "ReducibleSetError TauMap friedland_5tuple friedland_permutable "
+    "is_irreducible swap_partner tau_word verify_tau",
     "families": "DISTINGUISHED_PHI MatrixSet NormalizedSet custom_set "
     "eigenvectors_from_products eigenvectors_vw example_alt example_main "
     "example_main_special normalize swap_pair",

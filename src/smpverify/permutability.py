@@ -5,7 +5,9 @@ exchanges the two matrices.  For irreducible pairs this reduces to a
 trace/determinant test (the five traces tr A, tr A^2, tr B, tr B^2, tr AB
 are a complete invariant of simultaneous similarity in dimension 2), and
 permutability forces every odd-length product to share its spectrum with
-a product that has a different number of A-factors.
+a product that has a different number of A-factors: swap_partner names
+the cyclic class of that product, so a spectrum maximizing product of odd
+length brings a second class with it.
 
 The swap test verify_tau has one body for both backends.  It forms the
 residuals a S - S b and b S - S a exactly, on ints over one common
@@ -43,18 +45,17 @@ from .matrix2 import (
     similarity,
 )
 from .scalar import REL_TOL, Record, same_backend
-from .words import Word, cyclic_normal_form, evaluate, factor_counts
+from .words import Word, cyclic_normal_form
 
 __all__ = [
     "TauMap",
     "ReducibleSetError",
-    "SwapSpectrumReport",
     "is_irreducible",
     "friedland_5tuple",
     "friedland_permutable",
     "verify_tau",
     "tau_word",
-    "swap_spectrum_check",
+    "swap_partner",
 ]
 
 
@@ -190,65 +191,14 @@ def tau_word(w: Word) -> Word:
     return Word(tuple(swap[s] for s in w.symbols))
 
 
-class SwapSpectrumReport(Record):
-    """Spectrum and factor-count comparison of a product and its swap image."""
+def swap_partner(w: Word) -> Word | None:
+    """The cyclic class that the swap pairs with w's, as its normal form;
+    None when the swap maps w's class to itself.
 
-    __slots__ = (
-        "word", "image_word", "trace_equal", "det_equal", "counts", "image_counts",
-        "odd_length", "counts_differ", "normal_forms_distinct",
-    )
-
-    def __init__(
-        self, word: Word, image_word: Word, trace_equal: bool, det_equal: bool,
-        counts: tuple[int, int], image_counts: tuple[int, int], odd_length: bool,
-        counts_differ: bool | None, normal_forms_distinct: bool | None,
-    ):
-        self._init(
-            word, image_word, trace_equal, det_equal, counts, image_counts,
-            odd_length, counts_differ, normal_forms_distinct,
-        )
-
-    @property
-    def passed(self) -> bool:
-        ok = self.trace_equal and self.det_equal
-        if self.odd_length:
-            ok = ok and bool(self.counts_differ) and bool(self.normal_forms_distinct)
-        return ok
-
-
-def swap_spectrum_check(
-    a: Mat2, b: Mat2, tau: TauMap, w: Word, rel_tol: float = REL_TOL
-) -> SwapSpectrumReport:
-    """Compare a word's product with its swap image's product.
-
-    Requires the swap identities to hold for tau; checks isospectrality
-    (trace and determinant) and, for odd lengths, that the factor counts
-    and the cyclic classes differ.
+    For a pair that tau swaps, tau(evaluate(w)) == evaluate(tau_word(w)),
+    so the two products are similar and share their spectrum.  An odd word
+    has unequal factor counts, which the swap exchanges, so its partner is
+    always another class; an even word such as AB or AABB may have none.
     """
-    if not verify_tau(a, b, tau, rel_tol):
-        raise ValueError("tau does not swap the pair")
-    iw = tau_word(w)
-    m = evaluate(w, a, b)
-    tm = evaluate(iw, a, b)
-    trace_equal = m.trace().isclose(tm.trace(), rel_tol)
-    det_equal = m.det().isclose(tm.det(), rel_tol)
-    counts = factor_counts(w)
-    image_counts = factor_counts(iw)
-    odd = len(w) % 2 == 1
-    counts_differ = counts != image_counts if odd else None
-    distinct = (
-        cyclic_normal_form(w).display != cyclic_normal_form(iw).display
-        if odd
-        else None
-    )
-    return SwapSpectrumReport(
-        word=w,
-        image_word=iw,
-        trace_equal=trace_equal,
-        det_equal=det_equal,
-        counts=counts,
-        image_counts=image_counts,
-        odd_length=odd,
-        counts_differ=counts_differ,
-        normal_forms_distinct=distinct,
-    )
+    partner = cyclic_normal_form(tau_word(w))
+    return None if partner == cyclic_normal_form(w) else partner

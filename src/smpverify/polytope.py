@@ -6,8 +6,11 @@ applying -A~ and -B~; the other six are their mirror images through the
 origin.  If the resulting balanced polygon is convex and swallowed by
 both A~ and B~, its Minkowski gauge is a norm in which both matrices are
 contractions by the cube root of lam, which pins the generalized spectral
-radius of the original pair to lam**(1/3) and certifies the length-3
-products as spectrum maximizing.
+radius of the original pair to lam**(1/3) and certifies BAA, whose top
+eigenvalue is lam, as spectrum maximizing.  The pair has passed its
+permutability check by then, so the swap image ABB of BAA is similar to
+it: the certificate's second class is swap_partner(BAA), with the factor
+counts reversed.
 
 Membership in a sector or triangle spanned by two vertices x, y reduces to
 sign tests on the three ratios
@@ -145,7 +148,7 @@ from .matrix2 import (
     rot90,
     scaled_entries,
 )
-from .permutability import TauMap, friedland_permutable, is_irreducible, verify_tau
+from .permutability import TauMap, friedland_permutable, is_irreducible, swap_partner, verify_tau
 from .scalar import (
     REL_TOL,
     FloatKappa,
@@ -157,7 +160,7 @@ from .scalar import (
     le,
     same_backend,
 )
-from .words import Word, factor_counts
+from .words import Word, cyclic_normal_form, factor_counts
 
 __all__ = [
     "Polygon",
@@ -1029,6 +1032,10 @@ class SmpClass(Record):
         return tuple(sorted({d[i:] + d[:i] for i in range(len(d))}))
 
 
+# The one candidate cycle: the product whose top eigenvalue normalize
+# reads.  Its swap partner is the certificate's second class.
+_CANDIDATE = Word.from_display("BAA")
+
 _CHECK_SEQUENCE = (
     "parameters",
     "permutable",
@@ -1135,6 +1142,9 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
 
     Never raises on a failed condition: every failure is recorded in the
     certificate and later steps that depend on it are simply not run.
+    A certified pair gets two spectrum maximizing classes: that of the
+    candidate BAA and its swap_partner, isospectral to it because the
+    permutable check passed; a failed certificate gets none.
     The extremal norm check takes the induced norms of A~ and B~ as the
     largest raw gauges of the inclusion sweep (a mirrored exact sweep
     holds a1..a6 and b1..b6, whose mirrors have the same gauges), with no
@@ -1255,5 +1265,5 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     if not ok:
         return finish()
 
-    smp = [Word.from_display(w) for w in ("AAB", "ABB")]
+    smp = (cyclic_normal_form(_CANDIDATE), swap_partner(_CANDIDATE))
     return finish(rho_bar=norm.scale, smp=(SmpClass(w, *factor_counts(w)) for w in smp))

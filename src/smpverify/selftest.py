@@ -34,8 +34,8 @@ from .permutability import (
     TauMap,
     friedland_permutable,
     is_irreducible,
+    swap_partner,
     tau_word,
-    swap_spectrum_check,
     verify_tau,
 )
 from .scalar import KappaContext, Scalar
@@ -122,7 +122,7 @@ def check_cube_words_evaluate():
 
 
 def check_necklace_basics():
-    assert [w.display for w in necklaces(3)] == ["AAA", "AAB", "ABB", "BBB"]
+    assert [w.display for w in necklaces(3)] == "AAA AAB ABB BBB".split()
     assert words.cyclic_normal_form(Word.from_display("ABA")).display == "AAB"
 
 
@@ -175,13 +175,14 @@ def check_tau_word():
 
 
 def check_swap_spectrum_report():
+    # BAA and its swap image ABB have equal exact spectra on the exact main
+    # pair, and swap_partner names ABB's class; an even AB has no partner.
     mset = example_main_special(_ctx())
-    tau = TauMap(mset.tau_s)
-    report = swap_spectrum_check(mset.a, mset.b, tau, Word.from_display("BAA"))
-    assert report.passed
-    assert report.counts == (2, 1) and report.image_counts == (1, 2)
-    even = swap_spectrum_check(mset.a, mset.b, tau, Word.from_display("AB"))
-    assert even.passed and even.counts_differ is None
+    baa, abb = (evaluate(Word.from_display(w), mset.a, mset.b) for w in ("BAA", "ABB"))
+    assert baa.trace() == abb.trace() and baa.det() == abb.det()
+    partner = swap_partner(Word.from_display("BAA"))
+    assert partner == Word.from_display("ABB") and factor_counts(partner) == (1, 2)
+    assert swap_partner(Word.from_display("AB")) is None
 
 
 def check_main_matches_special():
@@ -425,7 +426,8 @@ def check_certificates():
     cert = polytope.certify_smp(example_main_special(_ctx()), Fraction(5, 4))
     assert cert.passed
     assert cert.rho_bar == Scalar.exact(Fraction(121, 100))
-    assert [s.representative.display for s in cert.smp_classes] == ["AAB", "ABB"]
+    classes = [(s.representative.display, s.count_a, s.count_b) for s in cert.smp_classes]
+    assert classes == [("AAB", 2, 1), ("ABB", 1, 2)]
     bad = polytope.certify_smp(example_main_special(_ctx()), Fraction(34, 25))
     assert not bad.passed and bad.first_failure.name == "inclusions"
     alt = polytope.certify_smp(example_alt(1.331, DISTINGUISHED_PHI), 1.07, 1e-9)

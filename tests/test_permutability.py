@@ -15,12 +15,12 @@ from smpverify.permutability import (
     friedland_5tuple,
     friedland_permutable,
     is_irreducible,
+    swap_partner,
     tau_word,
-    swap_spectrum_check,
     verify_tau,
 )
 from smpverify.scalar import BackendMismatchError, Scalar, allclose
-from smpverify.words import Word, evaluate
+from smpverify.words import Word, cyclic_normal_form, evaluate, factor_counts
 
 
 def alt_pair(kappa, phi):
@@ -353,35 +353,55 @@ class TestOneSwapTest:
             verify_tau(args[0], args[1], TauMap(args[2]))
 
 
+def swap_spectrum(mset, w):
+    """Exact (trace, det) of w's product and of its swap image's."""
+    products = (evaluate(x, mset.a, mset.b) for x in (w, tau_word(w)))
+    return [(m.trace(), m.det()) for m in products]
+
+
 class TestSwapSpectrumReport:
+    """A word's product and its swap image's share their spectrum, and
+    swap_partner names the image's class."""
+
     def test_odd_word_report(self, main_exact):
-        tau = TauMap(main_exact.tau_s)
-        rep = swap_spectrum_check(
-            main_exact.a, main_exact.b, tau, Word.from_display("BAA")
-        )
-        assert rep.passed
-        assert rep.counts == (2, 1) and rep.image_counts == (1, 2)
-        assert rep.normal_forms_distinct
+        w = Word.from_display("BAA")
+        same, image = swap_spectrum(main_exact, w)
+        assert same == image
+        partner = swap_partner(w)
+        assert factor_counts(w) == (2, 1) and factor_counts(partner) == (1, 2)
+        assert partner != cyclic_normal_form(w)
 
     def test_even_word_skips_count_clause(self, main_exact):
-        tau = TauMap(main_exact.tau_s)
-        rep = swap_spectrum_check(
-            main_exact.a, main_exact.b, tau, Word.from_display("AB")
-        )
-        assert rep.passed
-        assert rep.counts_differ is None and rep.normal_forms_distinct is None
+        w = Word.from_display("AB")
+        same, image = swap_spectrum(main_exact, w)
+        assert same == image
+        assert swap_partner(w) is None
 
     def test_longer_odd_word(self, main_exact):
-        tau = TauMap(main_exact.tau_s)
-        rep = swap_spectrum_check(
-            main_exact.a, main_exact.b, tau, Word.from_display("BBABA")
-        )
-        assert rep.counts == (2, 3) and rep.image_counts == (3, 2)
-        assert rep.passed
+        w = Word.from_display("BBABA")
+        same, image = swap_spectrum(main_exact, w)
+        assert same == image
+        partner = swap_partner(w)
+        assert factor_counts(w) == (2, 3) and factor_counts(partner) == (3, 2)
+        assert partner != cyclic_normal_form(w)
 
     def test_bad_tau_rejected(self, main_exact):
+        # The identity does not swap the pair; certify_smp then stops at
+        # permutable with no partner class (test_polytope's identity swap).
         eye = Mat2.identity_like(main_exact.a)
-        with pytest.raises(ValueError):
-            swap_spectrum_check(
-                main_exact.a, main_exact.b, TauMap(eye), Word.from_display("BAA")
-            )
+        assert not verify_tau(main_exact.a, main_exact.b, TauMap(eye))
+
+
+class TestSwapPartner:
+    @pytest.mark.parametrize(
+        "word, partner", [("BAA", "ABB"), ("ABB", "AAB"), ("ABABB", "AABAB"), ("AAAB", "ABBB")]
+    )
+    def test_partner_class(self, word, partner):
+        # ABABB and AABAB, counts (2, 3) and (3, 2), are the n = 5
+        # maximizers of the main family at phi = 2pi/5.  An even word has
+        # a partner when its counts differ.
+        assert swap_partner(Word.from_display(word)) == Word.from_display(partner)
+
+    @pytest.mark.parametrize("word", ["AB", "AABB"])
+    def test_self_swapped_class_has_no_partner(self, word):
+        assert swap_partner(Word.from_display(word)) is None

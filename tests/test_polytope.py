@@ -980,6 +980,8 @@ class TestCertify:
             ("parameters", True, ""),
             ("permutable", False, "tau does not swap the pair"),
         ]
+        # No verified swap, so no partner class.
+        assert cert.smp_classes == ()
 
     @pytest.mark.parametrize(
         "case, c, failed",
@@ -1007,6 +1009,9 @@ class TestCertify:
         passed = [("parameters", True, ""), ("permutable", True, "")]
         expected = passed[: ["parameters", "permutable", "normalize"].index(failed[0])]
         assert [(ch.name, ch.passed, ch.detail) for ch in cert.checks] == [*expected, failed]
+        # A failed certificate names no class; with the identity swap the
+        # pair is not swapped, so swap_partner is never reached.
+        assert cert.smp_classes == ()
 
     def test_kv_report_carries_audit_trail(self, main_exact):
         cert = certify_smp(main_exact, Fraction(5, 4))

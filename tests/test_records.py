@@ -1,8 +1,8 @@
 """Contract of the package's immutable value records.
 
 KappaContext, FloatKappa, Vec2, Mat2, Word, BoundsRow, MatrixSet,
-NormalizedSet, the polygon and certificate records of polytope, TauMap,
-SwapSpectrumReport and FigureSpec behave as frozen records: constructed
+NormalizedSet, the polygon and certificate records of polytope, TauMap
+and FigureSpec behave as frozen records: constructed
 positionally or by keyword, compared and hashed as the tuple of their
 fields, read-only, and validated at construction with the messages pinned
 here.
@@ -25,7 +25,7 @@ from smpverify.families import (
 )
 from smpverify.figures import FigureSpec
 from smpverify.matrix2 import Mat2, Vec2
-from smpverify.permutability import TauMap, swap_spectrum_check
+from smpverify.permutability import TauMap
 from smpverify.polytope import (
     CheckResult,
     Polygon,
@@ -53,12 +53,6 @@ def _poly(k):
     norm = _norm()
     v, w = eigenvectors_from_products(norm)
     return build_polygon(norm, v, w, Fraction(125 + k, 100))
-
-
-def _swap_report(k):
-    mset = _mset()
-    word = Word.from_display("AAB" * k)
-    return swap_spectrum_check(mset.a, mset.b, TauMap(mset.tau_s), word)
 
 
 # name -> (factory of an instance from a key, its field names)
@@ -99,13 +93,6 @@ RECORDS = {
         ("family", "backend", "kappa", "c", "mu", "checks", "rho_bar", "smp_classes"),
     ),
     "TauMap": (lambda k: TauMap(Mat2.exact(k, 1, 1, 0)), ("s",)),
-    "SwapSpectrumReport": (
-        _swap_report,
-        (
-            "word", "image_word", "trace_equal", "det_equal", "counts",
-            "image_counts", "odd_length", "counts_differ", "normal_forms_distinct",
-        ),
-    ),
     "FigureSpec": (
         lambda k: FigureSpec(_poly(k), images(_poly(k), _norm())),
         ("polygon", "images"),
