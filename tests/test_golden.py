@@ -10,8 +10,10 @@ b3 and b9 escaping, pin the big-integer values of the exact path; and
 two certified custom pairs take the two other `permutable` paths: an
 exact pair with no swap matrix (the trace/det criterion) and a float pair
 with one (the float swap test).  The
-bounds cases cover exact box-norm runs (main at 233/224, and at 11/10 to
-n = 14 and to the word cap n = 20), float runs (alt, under the box norm
+bounds cases cover exact box-norm runs (main at 233/224, where every
+necklace of a length can tie, at 251/236, where the top of a length's
+group is hyperbolic and one or two necklaces are its maximizers, and at
+11/10 to n = 14 and to the word cap n = 20), float runs (alt, under the box norm
 and under a polygon norm) and exact polygon-norm runs at 11/10: the
 extremal norm at mu = 5/4 to n = 8 and to the word cap, and the
 non-extremal one at mu = 13/10 to n = 12, and an exact custom pair to
@@ -44,6 +46,7 @@ KV_CASES = (
 )
 BOUNDS_CASES = (
     "bounds_exact_233_224",
+    "bounds_exact_251_236",
     "bounds_exact_11_10",
     "bounds_exact_11_10_n20",
     "bounds_float_alt",
