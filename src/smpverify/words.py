@@ -73,13 +73,17 @@ symbol in the top bit, so for one length code order is the lexicographic
 order of the display strings.  One run of the prenecklace generator fills
 the set of necklace codes for every length up to the tree walk's depth.
 
-Floats enter only at the end.  Each walk hands the scoring (_Scores) the
-length k, code, count nb of B and int trace of every necklace.  The
-determinant is multiplicative, so a table by k and nb gives it, and the
-necklaces are grouped by length and by the determinant's int value: one
-group per length when det A = det B, as on the main and alt pairs, two (by
-the parity of nb) when det A = -det B, and one per count of B when the
-determinants are nonzero and differ in absolute value.  Within a group the
+Floats enter only at the end.  Each walk appends the |trace| (an int)
+and code of every necklace straight to its group in the scoring
+(_Scores), a list found by the necklace's length k and count nb of B,
+with no call per necklace; the recursion's closure is deleted on return,
+so no reference cycle keeps the groups alive.  The determinant is
+multiplicative, so a table by k and nb gives it, built by running
+products, and the necklaces are grouped by length and by the
+determinant's int value: one group per length when det A = det B, as on
+the main and alt pairs, two (by the parity of nb) when det A = -det B,
+and one per count of B when the determinants are nonzero and differ in
+absolute value.  Within a group the
 spectral radius does not decrease as |trace| grows: it is sqrt(det) for a
 complex eigenvalue pair (trace**2 < 4 det) and (|trace| + sqrt(disc)) / 2
 otherwise.  So a group is ranked on exact ints, and floats are formed only
@@ -98,14 +102,18 @@ naming the least such word length.  The box norm, spelled None or BoxNorm(), is 
 the hull compares ints.  The hull scores a length by an unreduced int
 ratio, the largest |coordinate| over D**k or a polygon's largest gauge
 (compared by cross-multiplication), and divides that pair, unreduced, into
-one float per length.  A Word is built only for the maximizers.
+one float per length.  A Word is built only for the maximizers, from its
+code, with one format spec per length, and keeps the display string it
+was built from, so formatting the table does not form it again.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import truediv
+from functools import cached_property
+from itertools import accumulate, repeat
+from operator import mul, truediv
 
 from .matrix2 import Mat2, apply_entries, common_scale, mul_entries, trace_entries
 from .scalar import Record, Scalar, same_backend
@@ -135,9 +143,14 @@ _TIE_TOL = 1e-9
 
 
 class Word(Record):
-    """A nonempty word over {A, B} in application order."""
+    """A nonempty word over {A, B} in application order.
 
-    __slots__ = ("symbols",)
+    The display form is computed once and kept, outside the fields, for
+    the life of the word; a word built from a code gets it with its
+    symbols.
+    """
+
+    __slots__ = ("symbols", "__dict__")
 
     def __init__(self, symbols: tuple[str, ...]):
         if len(symbols) == 0:
@@ -152,14 +165,16 @@ class Word(Record):
         return cls(tuple(reversed(text)))
 
     @classmethod
-    def _from_code(cls, code: int, n: int) -> "Word":
-        """The word of a length-n code (see the module docstring), built
-        unchecked: every code names a valid word."""
+    def _from_code(cls, code: int, spec: str) -> "Word":
+        """The word of a length-n code (see the module docstring), spec
+        being _spec(n), built unchecked: every code names a valid word."""
         w = cls.__new__(cls)
-        object.__setattr__(w, "symbols", tuple(_display(code, n)[::-1]))
+        display = format(code, spec).translate(_BITS_TO_SYMBOLS)
+        object.__setattr__(w, "symbols", tuple(display[::-1]))
+        w.__dict__["display"] = display
         return w
 
-    @property
+    @cached_property
     def display(self) -> str:
         return "".join(reversed(self.symbols))
 
@@ -191,33 +206,44 @@ def necklaces(n: int) -> list[Word]:
     """One representative per cyclic class of {A,B}**n, sorted."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return [Word.from_display(_display(code, n)) for code in _necklace_codes(n)[n]]
+    spec = _spec(n)
+    return [Word._from_code(code, spec) for code in _necklace_codes(n)[n]]
 
 
 _BITS_TO_SYMBOLS = str.maketrans("01", "AB")
 
 
+def _spec(n: int) -> str:
+    """The format spec of the binary digits of a length-n code."""
+    return f"0{n}b"
+
+
 def _display(code: int, n: int) -> str:
     """Display string of a length-n code."""
-    return format(code, f"0{n}b").translate(_BITS_TO_SYMBOLS)
+    return format(code, _spec(n)).translate(_BITS_TO_SYMBOLS)
 
 
-def _prenecklaces(n_max, visit, factors=None):
+def _prenecklaces(n_max, lists, lo=0, factors=None):
     """Run the recursive prenecklace generator of Fredricksen, Kessler and
-    Maiorana to length n_max >= 1, calling visit(k, code, nb, trace) at
-    each necklace of length k = 0..n_max, nb its count of B; returns the
+    Maiorana to length n_max >= 1, appending each necklace of length k =
+    lo..n_max straight to lists[k][nb], nb its count of B; returns the
     number of products and traces it formed.
 
-    Every prefix it visits is a prenecklace, and one of length k with
-    period p is a necklace iff p divides k.  It visits the prefixes of each
-    length in lexicographic order, which is code order.  With factors =
-    (ta, tb), each prefix shorter than n_max carries its product: the empty
-    prefix the identity, and one a symbol longer one mul_entries with the
-    symbol's factor on the right; a necklace's trace is read off its
-    product.  A length-n_max necklace is formed only as its trace, one
-    trace_entries of its prefix's product and its last factor, and a
-    length-n_max prefix that is not a necklace is not formed at all.
-    Without factors every trace is None.
+    With factors = (ta, tb) a necklace is appended as (|trace|, code), its
+    group entry in _Scores; without, as its code.  Every prefix it visits
+    is a prenecklace, and one of length k with period p is a necklace iff
+    p divides k.  It visits the prefixes of each length in lexicographic
+    order, which is code order.  With factors, each prefix shorter than
+    n_max carries its product: the empty prefix the identity, and one a
+    symbol longer one mul_entries with the symbol's factor on the right; a
+    necklace's trace is read off its product.  A length-n_max necklace is
+    formed only as its trace, one trace_entries of its prefix's product
+    and its last factor, and a length-n_max prefix that is not a necklace
+    is not formed at all.
+
+    The recursion is a closure that calls itself, a reference cycle that
+    holds `lists`; it is broken on return, so the lists are freed by
+    reference counting, without waiting for a cyclic collection.
     """
     a = [0] * (n_max + 1)
     formed = 0
@@ -227,8 +253,8 @@ def _prenecklaces(n_max, visit, factors=None):
         # counts its B, and product is its product.
         nonlocal formed
         formed += 1
-        if (t - 1) % p == 0:
-            visit(t - 1, code, nb, product and product[0] + product[3])
+        if (t - 1) % p == 0 and t > lo:
+            lists[t - 1][nb].append((abs(product[0] + product[3]), code) if factors else code)
         bit = a[t] = a[t - p]
         code *= 2
         if t < n_max:
@@ -242,12 +268,17 @@ def _prenecklaces(n_max, visit, factors=None):
         # always is.
         if n_max % p == 0:
             formed += 1
-            visit(n_max, code + bit, nb + bit, factors and trace_entries(product, factors[bit]))
+            lists[n_max][nb + bit].append(
+                (abs(trace_entries(product, factors[bit])), code + bit) if factors else code + bit
+            )
         if bit == 0:
             formed += 1
-            visit(n_max, code + 1, nb + 1, factors and trace_entries(product, factors[1]))
+            lists[n_max][nb + 1].append(
+                (abs(trace_entries(product, factors[1])), code + 1) if factors else code + 1
+            )
 
     gen(1, 1, 0, 0, factors and (1, 0, 0, 1))
+    del gen
     # Every call of gen but the first forms a product.
     return formed - 1
 
@@ -255,7 +286,8 @@ def _prenecklaces(n_max, visit, factors=None):
 def _necklace_codes(n_max: int) -> list[list[int]]:
     """Codes of the necklaces of each length k = 0..n_max, ascending."""
     codes: list[list[int]] = [[] for _ in range(n_max + 1)]
-    _prenecklaces(n_max, lambda k, code, nb, trace: codes[k].append(code))
+    # Every count of B of one length appends to that length's list.
+    _prenecklaces(n_max, [[c] * (k + 1) for k, c in enumerate(codes)])
     return codes
 
 
@@ -357,6 +389,11 @@ def _hull_tops(ta, tb, half, score, d, hi):
     return tops, images
 
 
+def _powers(x, n):
+    """[x**0, x**1, ..., x**n], by running products."""
+    return list(accumulate(repeat(x, n), mul, initial=1))
+
+
 def _descending(group):
     """The (|trace|, code) members of a group in decreasing order.  A scan
     seldom passes the first eight, so the rest are sorted only when it
@@ -373,35 +410,30 @@ class _Scores:
     become: see the module docstring.
 
     top[k] is the largest norm at length k: the hull's score (num, den)
-    divided as ints, or the value of norm.matrix_norm.  necklace() keeps
-    one necklace's |trace| in its group: the necklaces of one length and
-    one determinant, keyed by the determinant's int value, so a pair with
-    det A = det B has one group per length.  overflow is the least
-    length whose score is too large for a float (inf or nan, for a float
-    norm object).
+    divided as ints, or the value of norm.matrix_norm.  A walk keeps each
+    necklace's (|trace|, code) in its group by appending it to
+    lists[k][nb]: the group is the necklaces of one length and one
+    determinant, keyed by the determinant's int value, so a pair with
+    det A = det B has one group per length, and lists[k][nb] is the group
+    of the count nb of B.  overflow is the least length whose score is
+    too large for a float (inf or nan, for a float norm object).
     """
 
     def __init__(self, ta, tb, d, lo, hi, radii):
         self.lo, self.hi = lo, hi
-        self.dk = [d**k for k in range(2 * hi + 1)]
+        self.dk = _powers(d, 2 * hi)
         self.top = [None] * (hi + 1)
         self.overflow = hi + 1
         if radii:
             # det is multiplicative: a length-k product with nb factors B
             # has det det(A)**(k - nb) * det(B)**nb.
-            da = ta[0] * ta[3] - ta[1] * ta[2]
-            db = tb[0] * tb[3] - tb[1] * tb[2]
-            dets = [[da ** (k - nb) * db**nb for nb in range(k + 1)] for k in range(hi + 1)]
+            da = _powers(ta[0] * ta[3] - ta[1] * ta[2], hi)
+            db = _powers(tb[0] * tb[3] - tb[1] * tb[2], hi)
+            dets = [[da[k - nb] * db[nb] for nb in range(k + 1)] for k in range(hi + 1)]
             # groups[k][det]: (|trace|, code) of each kept necklace;
             # lists[k][nb] is the list of those with nb factors B.
             self.groups = [{} for _ in dets]
             self.lists = [[g.setdefault(x, []) for x in row] for g, row in zip(self.groups, dets)]
-
-    def necklace(self, k, code, nb, trace):
-        """Keep the necklace `code` of length k, with nb factors B and
-        product trace `trace`, if k is at least lo."""
-        if k >= self.lo:
-            self.lists[k][nb].append((abs(trace), code))
 
     def rooted(self, k, det, t):
         """The rooted spectral radius of a necklace of length k with
@@ -459,7 +491,8 @@ class _Scores:
         best = max(r for r, _ in scanned)
         cut = best - _TIE_TOL * max(1.0, abs(best))
         codes = sorted(c for r, c in scanned if r >= cut)
-        return best, tuple(Word._from_code(c, k) for c in codes)
+        spec = _spec(k)
+        return best, tuple([Word._from_code(c, spec) for c in codes])
 
     def result(self, norms, radii):
         """(rho, bars) keyed by length, or ValueError at the least overflow."""
@@ -504,8 +537,8 @@ def _walk_tree(ta, tb, scores, leaf, radii):
     (ta, tb) to depth hi; fills scores.
 
     Scores the nodes at depths lo..hi: leaf(p, k), the norm of every
-    node, and every necklace's trace through scores.necklace when `radii`
-    is true.  Every node to depth hi is expanded.  A leaf that raises
+    node, and every necklace's |trace|, appended to its group, when
+    `radii` is true.  Every node to depth hi is expanded.  A leaf that raises
     OverflowError (a product too large for a float) marks an overflow.
     """
     lo, hi, top = scores.lo, scores.hi, scores.top
@@ -523,7 +556,7 @@ def _walk_tree(ta, tb, scores, leaf, radii):
             except OverflowError:
                 scores.overflow = min(scores.overflow, k)
             if radii and code in necklace[k]:
-                scores.necklace(k, code, code.bit_count(), p[0] + p[3])
+                scores.lists[k][code.bit_count()].append((abs(p[0] + p[3]), code))
             if k == hi:
                 continue
         stack.append((mul_entries(tb, p), k + 1, code | 1 << k))
@@ -573,7 +606,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
             except OverflowError:
                 scores.overflow = k
         if radii:
-            visits += _prenecklaces(hi, scores.necklace, (ta, tb))
+            visits += _prenecklaces(hi, scores.lists, lo, (ta, tb))
     else:
         # The norm object sees each product in the pair's backend: the
         # Fraction x / D**k, or that quotient correctly rounded to a float.

@@ -1,7 +1,11 @@
 import copy
+import gc
 import math
 import pickle
+import weakref
+from collections import defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -71,6 +75,25 @@ class TestWord:
             assert w == checked and hash(w) == hash(checked)
             assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
             assert type(w.symbols) is tuple and len(w) == len(w.symbols)
+
+    def test_display_is_cached_outside_the_fields(self, main_exact):
+        rows = bounds_table(main_exact.a, main_exact.b, 9)
+        built = [
+            Word(("A", "A", "B")),
+            Word.from_display("ABABB"),
+            cyclic_normal_form(Word.from_display("BABAA")),
+            *necklaces(6),
+            *(w for row in rows for w in row.maximizers),
+        ]
+        for w in built:
+            assert w.display == "".join(reversed(w.symbols)) == str(w)
+            # A word whose display was never read sees none of the cache.
+            fresh = Word(w.symbols)
+            assert "display" not in fresh.__dict__ and w.__dict__["display"] == w.display
+            assert w == fresh and hash(w) == hash(fresh) and repr(w) == repr(fresh)
+            assert pickle.dumps(w) == pickle.dumps(fresh)
+            for clone in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+                assert clone == w and clone.display == w.display
 
 
 class TestEvaluate:
@@ -269,6 +292,10 @@ UNEQUAL_DET_PAIR = (Fraction(3, 4), 1, -1, Fraction(1, 2), 1, Fraction(1, 3), 1,
 # det A = 3/2 and det B = -7/6: A**n, elliptic, ties (AB)**(n/2), whose
 # eigenvalues are real, at every even n.
 CROSS_TIE_PAIR = (1, 1, -1, Fraction(1, 2), Fraction(1, 2), 1, 1, Fraction(-1, 3))
+# det A = 0 and det B = -4 (the pair of tests/data/singular_negdet_pair.txt).
+SINGULAR_NEGDET_PAIR = (
+    Fraction(-3, 2), -1, 4, Fraction(8, 3), 2, 4, Fraction(3, 5), Fraction(-4, 5)
+)
 
 
 class TestScaledOracle:
@@ -780,6 +807,114 @@ class TestTraceScoring:
         assert row == expected
         assert [w.display for w in row.maximizers] == ["AAAABABABAB"]
         assert len(calls) == 13
+
+
+def record_scores():
+    """(patch, kept): while the patch is active, each words._Scores a walk
+    makes is appended to the list kept."""
+    kept = []
+
+    class Recording(words._Scores):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
+    return mock.patch.object(words, "_Scores", Recording), kept
+
+
+def denominators_lcm(a, b):
+    return math.lcm(*(Fraction(x).denominator for x in (*a._values(), *b._values())))
+
+
+def brute_groups(a, b, k):
+    """The necklaces of length k by determinant, apart from the walk: each
+    necklace's (|trace|, code), its product's trace and determinant scaled
+    by D**k and D**(2k), D the lcm of the pair's entry denominators."""
+    d = denominators_lcm(a, b)
+    groups = defaultdict(list)
+    for w in necklaces(k):
+        m = evaluate(w, a, b)
+        trace, det = m.trace().value * d**k, m.det().value * d ** (2 * k)
+        assert trace.denominator == det.denominator == 1
+        code = int(w.display.translate(str.maketrans("AB", "01")), 2)
+        groups[int(det)].append((abs(int(trace)), code))
+    return {det: sorted(g) for det, g in groups.items()}
+
+
+def assert_recorded_groups_match(a, b, n_max):
+    patch, kept = record_scores()
+    with patch:
+        bounds_table(a, b, n_max)
+        rho_bar_n(a, b, n_max)
+    table, single = kept
+    da, db = (m.det().value for m in (a, b))
+    d = denominators_lcm(a, b)
+    for k in range(1, n_max + 1):
+        expected = brute_groups(a, b, k)
+        assert {det: sorted(g) for det, g in table.groups[k].items()} == expected
+        # lists[k][nb] is the group of the count nb of B.
+        for nb in range(k + 1):
+            det = da ** (k - nb) * db**nb * d ** (2 * k)
+            assert table.lists[k][nb] is table.groups[k][det]
+        # rho_bar_n records its own length only.
+        recorded = {det: sorted(g) for det, g in single.groups[k].items() if g}
+        assert recorded == (expected if k == n_max else {})
+
+
+class TestNecklaceGroups:
+    """The walk appends each necklace's (|trace|, code) straight to the
+    group of its length and determinant; the groups are those of a brute
+    force over necklaces(k), and the walk leaves no reference cycle."""
+
+    @pytest.mark.parametrize(
+        "case", ["main_233_224", "main_251_236", "unequal_det", "singular_negdet"]
+    )
+    def test_recorded_groups_match_brute_force(self, case):
+        if case.startswith("main"):
+            mset = _exact_main(*map(int, case.split("_")[1:]))
+            a, b = mset.a, mset.b
+        else:
+            entries = {"unequal_det": UNEQUAL_DET_PAIR, "singular_negdet": SINGULAR_NEGDET_PAIR}
+            a, b = Mat2.exact(*entries[case][:4]), Mat2.exact(*entries[case][4:])
+        assert_recorded_groups_match(a, b, 10)
+
+    @settings(max_examples=10, deadline=None)
+    @given(pair_st, st.integers(1, 8))
+    def test_random_exact_pair(self, entries, n_max):
+        a, b = Mat2.exact(*entries[:4]), Mat2.exact(*entries[4:])
+        assert_recorded_groups_match(a, b, n_max)
+
+    def test_tree_walk_records_the_same_groups(self, main_exact):
+        patch, kept = record_scores()
+        with patch:
+            bounds_table(main_exact.a, main_exact.b, 7)
+            bounds_table(main_exact.a, main_exact.b, 7, norm=CountingNorm(BoxNorm()))
+        necklace, tree = kept
+        for k in range(1, 8):
+            assert {det: sorted(g) for det, g in tree.groups[k].items()} == {
+                det: sorted(g) for det, g in necklace.groups[k].items()
+            }
+
+    @pytest.mark.parametrize("norm", [None, "tree"])
+    def test_scores_are_freed_on_return(self, main_exact, norm):
+        # The recursion refers to itself; with that cycle broken, the
+        # scores of a walk, which hold every necklace's trace, are freed
+        # without a cyclic collection, and the walk leaves no cyclic
+        # garbage.
+        norm = CountingNorm(BoxNorm()) if norm else None
+        patch, kept = record_scores()
+        with patch:
+            gc.collect()
+            gc.disable()
+            try:
+                bounds_table(main_exact.a, main_exact.b, 9, norm=norm)
+                (scores,) = (weakref.ref(x) for x in kept)
+                kept.clear()
+                freed = scores() is None
+                garbage = gc.collect()
+            finally:
+                gc.enable()
+        assert freed and garbage == 0
 
 
 # Exact polygons whose gauge is a norm: (c, mu) of the main pair.
