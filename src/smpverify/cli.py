@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 
 from .families import (
+    DISTINGUISHED_PHI,
     at_distinguished_angle,
     custom_set,
     example_alt,
@@ -38,8 +39,10 @@ __all__ = ["main", "build_parser"]
 
 def _parse_phi(text: str | None) -> float:
     """Angles as decimals or multiples of pi: '2pi/3', 'pi/4', 'pi', '1.5';
-    None, for no --phi, is 2pi/3."""
-    t = ("2pi/3" if text is None else text).strip().lower().replace(" ", "")
+    None, for no --phi, is 2pi/3, the value '2pi/3' parses to."""
+    if text is None:
+        return DISTINGUISHED_PHI
+    t = text.strip().lower().replace(" ", "")
     if "pi" in t:
         m = re.fullmatch(r"([+-]?\d*\.?\d*)pi(?:/([\d.]+))?", t)
         if m is None:

@@ -130,7 +130,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, partial
+from functools import cache, cached_property, cmp_to_key, partial
 
 from .families import (
     MatrixSet,
@@ -742,9 +742,10 @@ class CheckResult(Record):
 
 
 _ORDER_PAIRS = tuple((i, j) for i in range(1, 6) for j in range(i + 1, 7))
+_ORDER_KEYS = tuple(f"order.v{i}_Tv{j}" for i, j in _ORDER_PAIRS)
 
 
-def _order_products_closed(pw, mu: Scalar) -> dict:
+def _order_products_closed(pw, mu) -> dict:
     """Closed forms of (v_i, T v_j) for the zero-corner family."""
     k2 = pw(6)
     k4 = pw(12)
@@ -794,9 +795,39 @@ class _Ratio:
         return _Ratio(other * self.den, self.num)
 
 
+# The powers kappa**(k/3) that _order_products_closed reads, in the order
+# of their first use there: a float power that overflows is then the one
+# FloatKappa.power would have raised for first.
+_CLOSED_POWERS = (6, 12, 3, 1, 7)
+
+
+def _closed_products(kappa: KappaContext | FloatKappa, mu) -> dict:
+    """_order_products_closed on raw numbers, each power of kappa formed
+    once: unreduced _Ratio values of c = kappa**(1/3) and the Fraction mu,
+    or floats of FloatKappa.power and the float mu, which round as the
+    Scalar operations do."""
+    if isinstance(kappa, KappaContext):
+        p, q = kappa.c.numerator, kappa.c.denominator
+        powers = {k: _Ratio(p**k, q**k) for k in _CLOSED_POWERS}
+        mu = _Ratio(mu.numerator, mu.denominator)
+    else:
+        powers = {k: kappa.power(k).value for k in _CLOSED_POWERS}
+    return _order_products_closed(powers.__getitem__, mu)
+
+
 def _order_products(verts: tuple) -> list:
     """(V_i, T V_j) of the edge table's vertices for each of _ORDER_PAIRS."""
     return [_cross(verts[i - 1], verts[j - 1]) for i, j in _ORDER_PAIRS]
+
+
+def _order_failure(ints: list, exact: bool) -> str:
+    """The detail of a failed order check: its first product that is out
+    of float range or not positive."""
+    for (i, j), p in zip(_ORDER_PAIRS, ints):
+        if not (exact or math.isfinite(p)):
+            return f"v{i},Tv{j} is out of float range"
+        if not p > 0:
+            return f"v{i},Tv{j} <= 0"
 
 
 def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
@@ -805,41 +836,39 @@ def vertex_order_check(poly: Polygon, rel_tol: float = REL_TOL) -> CheckResult:
     the vertices in index order, for any kappa > 1 and mu > 0.  On the
     zero-corner family each product must also match its closed form.  A
     failed check names the first product that is not positive, as
-    "v1,Tv6 <= 0", or else says "closed forms differ".
+    "v1,Tv6 <= 0", or that overflowed, as "v1,Tv3 is out of float range"
+    (inf, or the nan of inf - inf, has no sign to read), or else says
+    "closed forms differ".
 
     Each product is P = (V_i, T V_j) of the edge table's vertices V = D v,
     positive iff P > 0, and on the exact backend an int, reduced once, as
     P / D^2, for the report; on floats (D = 1) it rounds as Vec2 dot does.
-    The exact closed forms are evaluated on unreduced _Ratio values and
-    matched by cross-multiplication.
+    The closed forms are evaluated on raw numbers (_closed_products), each
+    power of kappa formed once: on the exact backend unreduced _Ratio
+    values, matched by cross-multiplication; on floats the floats the
+    Scalar operations would give, bit for bit, matched through isclose.  A
+    power that overflows raises FloatKappa.power's ValueError.
     """
     table = poly._edge_table
+    exact = poly.is_exact
     dd = table.scale * table.scale
     ints = _order_products(table.vertices)
-    passed = all(p > 0 for p in ints)
-    detail = next(
-        (f"v{i},Tv{j} <= 0" for (i, j), p in zip(_ORDER_PAIRS, ints) if not p > 0), ""
-    )
-    products = [_ratio(p, dd, poly.is_exact) for p in ints]
-    data = [(f"order.v{i}_Tv{j}", val) for (i, j), val in zip(_ORDER_PAIRS, products)]
-    data.append(("order.all_positive", passed))
+    positive = all(p > 0 for p in ints)
+    passed = positive and (exact or all(map(math.isfinite, ints)))
+    detail = "" if passed else _order_failure(ints, exact)
+    data = [(key, _ratio(p, dd, exact)) for key, p in zip(_ORDER_KEYS, ints)]
+    data.append(("order.all_positive", positive))
     if poly.family == "main":
         kappa = _as_kappa(poly.ctx if poly.ctx is not None else poly.kappa)
-        if poly.is_exact:
-            c, mu = kappa.c, poly.mu.value
-            closed = _order_products_closed(
-                lambda k: _Ratio(c.numerator**k, c.denominator**k),
-                _Ratio(mu.numerator, mu.denominator),
-            )
+        closed = _closed_products(kappa, poly.mu.value)
+        if exact:
             match = all(
                 p * closed[pair].den == closed[pair].num * dd
                 for pair, p in zip(_ORDER_PAIRS, ints)
             )
         else:
-            closed = _order_products_closed(kappa.power, poly.mu)
             match = all(
-                val.isclose(closed[pair], rel_tol)
-                for pair, val in zip(_ORDER_PAIRS, products)
+                isclose(p, closed[pair], rel_tol) for pair, p in zip(_ORDER_PAIRS, ints)
             )
         data.append(("order.closed_form_match", match))
         if passed and not match:
@@ -853,6 +882,9 @@ def convexity_values(poly: Polygon) -> list[tuple[int, Scalar]]:
     every level is >= 1 (the mirrored half repeats by symmetry).  The
     levels are computed once per polygon."""
     return list(poly._convexity_levels)
+
+
+_CONVEXITY_KEYS = tuple(f"convexity.h.v{i}" for i in range(1, 7))
 
 
 def convexity_check(poly: Polygon, rel_tol: float = REL_TOL) -> bool:
@@ -910,6 +942,24 @@ _NONOBVIOUS = (
     ("b7", "b", 7, (2, 3)),
 )
 
+# Report keys of the inclusions, formed once per process: per identity
+# its key; per nonobvious point its sector text and the keys of its
+# sector, s, t, h and verdict lines; per image label its gauge keys.
+_IDENTITY_KEYS = tuple(
+    f"inclusion.identity.{label.split(' ')[0]}" for label, *_ in _AUTOMATIC_IDENTITIES
+)
+_SECTOR_KEYS = tuple(
+    (f"v{i},v{j}", *(f"inclusion.{label}.{x}" for x in ("sector", "s", "t", "h", "passed")))
+    for label, _, _, (i, j) in _NONOBVIOUS
+)
+_GAUGE_KEYS = {
+    kind: tuple(
+        (f"{kind}{i}", f"inclusion.gauge.{kind}{i}", f"inclusion.gauge.{kind}{i}.passed")
+        for i in range(1, 13)
+    )
+    for kind in "ab"
+}
+
 
 def _on_vertex(z, v, f: int, p, q, rel_tol: float) -> bool:
     """Whether the image z, over E = F D, is the table vertex v, over D,
@@ -941,10 +991,13 @@ def verify_inclusions(
     return _inclusions(poly, norm, rel_tol)[0]
 
 
-def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
+def _inclusions(
+    poly: Polygon, norm: NormalizedSet, rel_tol: float, convex: bool | None = None
+):
     """verify_inclusions, and the raw gauges it swept, (a gauges, b gauges)
     in label order (Fractions or floats; a1..a6, b1..b6 when mirrored), or
-    None when the polygon is not convex."""
+    None when the polygon is not convex.  convex is convexity_check(poly,
+    rel_tol) when the caller has it, else None, and it is computed here."""
     exact, table = same_backend(poly, norm.at), poly._edge_table
     f, (at, bt) = norm.scaled
     balanced = poly._balanced
@@ -953,16 +1006,16 @@ def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
 
     lam = norm.lam.value
     lam_pq = (lam.numerator, lam.denominator) if exact else (1, 1 / lam)
-    for label, kind, idx, target, scaled in _AUTOMATIC_IDENTITIES:
+    for key, (label, kind, idx, target, scaled) in zip(_IDENTITY_KEYS, _AUTOMATIC_IDENTITIES):
         point = lists[kind][idx - 1]
         p, q = lam_pq if scaled else (1, 1)
         ok = _on_vertex(point, table.vertices[target - 1], f, p, q, rel_tol)
-        data.append((f"inclusion.identity.{label.split(' ')[0]}", ok))
+        data.append((key, ok))
         if not ok:
             failures.append(label)
 
     sector_ok, sector_h = {}, {}
-    for label, kind, idx, (i, j) in _NONOBVIOUS:
+    for keys, (label, kind, idx, (i, j)) in zip(_SECTOR_KEYS, _NONOBVIOUS):
         row = table.edges[i - 1]
         sn, tn, hn = _sector(row, lists[kind][idx - 1])
         fy = f * row[5]
@@ -970,20 +1023,14 @@ def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
         # Exact s, t and 1 - h are -sn, tn and fy - hn over fy: signs decide.
         ok = all(_same_sign(n, fy) for n in (-sn, tn, fy - hn)) if exact else (
             s.ge(0, rel_tol) and t.ge(0, rel_tol) and h.le(1, rel_tol))
-        base = f"inclusion.{label}"
-        data += [
-            (f"{base}.sector", f"v{i},v{j}"),
-            (f"{base}.s", s),
-            (f"{base}.t", t),
-            (f"{base}.h", h),
-            (f"{base}.passed", ok),
-        ]
+        sector, *names = keys
+        data += zip(names, (sector, s, t, h, ok))
         sector_ok[label], sector_h[label] = ok, h.value
         if not ok:
             failures.append(label)
 
     swept = None
-    if convexity_check(poly, rel_tol):
+    if convexity_check(poly, rel_tol) if convex is None else convex:
         inv_lam, seen = (1 / lam if exact else None), {}
         mirrored = balanced and poly._tiled
         # One sweep over a1..a12, b1..b12 (b1 lies next to a12, b7 next to
@@ -992,8 +1039,7 @@ def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
         gauges, swept = _gauges(poly, points, f, rel_tol), ([], [])
         for kind, values in zip("ab", swept):
             verdicts = []
-            for idx in range(1, 13):
-                label = f"{kind}{idx}"
+            for idx, (label, key, passed_key) in enumerate(_GAUGE_KEYS[kind], start=1):
                 if mirrored and idx > 6:
                     g, ok = values[idx - 7], verdicts[idx - 7]
                 else:
@@ -1006,10 +1052,7 @@ def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
                     verdicts.append(ok)
                 if sector_ok.get(label, ok) != ok:
                     raise RuntimeError(f"sector test and gauge test disagree on {label}")
-                data += [
-                    (f"inclusion.gauge.{label}", Scalar(g)),
-                    (f"inclusion.gauge.{label}.passed", ok),
-                ]
+                data += [(key, Scalar(g)), (passed_key, ok)]
                 if not ok:
                     failures.append(label)
 
@@ -1021,12 +1064,17 @@ def _inclusions(poly: Polygon, norm: NormalizedSet, rel_tol: float):
 
 
 class SmpClass(Record):
-    __slots__ = ("representative", "count_a", "count_b")
+    """A spectrum maximizing cyclic class: its normal form and factor
+    counts.  The members, the rotations of the representative's display
+    form, are computed on first use and kept, outside the fields, for the
+    life of the record."""
+
+    __slots__ = ("representative", "count_a", "count_b", "__dict__")
 
     def __init__(self, representative: Word, count_a: int, count_b: int):
         self._init(representative, count_a, count_b)
 
-    @property
+    @cached_property
     def members(self) -> tuple[str, ...]:
         d = self.representative.display
         return tuple(sorted({d[i:] + d[:i] for i in range(len(d))}))
@@ -1035,6 +1083,16 @@ class SmpClass(Record):
 # The one candidate cycle: the product whose top eigenvalue normalize
 # reads.  Its swap partner is the certificate's second class.
 _CANDIDATE = Word.from_display("BAA")
+
+
+@cache
+def _smp_classes(candidate: Word) -> tuple[SmpClass, SmpClass]:
+    """The classes of a certified candidate cycle: its own and that of its
+    swap_partner.  They depend on the cycle alone, so they are built on
+    the first certified run of a process and shared by every later one."""
+    words = (cyclic_normal_form(candidate), swap_partner(candidate))
+    return tuple(SmpClass(w, *factor_counts(w)) for w in words)
+
 
 _CHECK_SEQUENCE = (
     "parameters",
@@ -1059,10 +1117,12 @@ def _text(v) -> str:
 class Certificate(Record):
     """Full verification record; rho_bar is present only when every check
     passed, and then equals the cube root of the top triple-product
-    eigenvalue (kappa**(2/3) for the zero-corner family)."""
+    eigenvalue (kappa**(2/3) for the zero-corner family).  The verdict,
+    passed, is computed on first read and kept outside the fields."""
 
     __slots__ = (
-        "family", "backend", "kappa", "c", "mu", "checks", "rho_bar", "smp_classes"
+        "family", "backend", "kappa", "c", "mu", "checks", "rho_bar", "smp_classes",
+        "__dict__",
     )
 
     def __init__(
@@ -1072,7 +1132,7 @@ class Certificate(Record):
     ):
         self._init(family, backend, kappa, c, mu, checks, rho_bar, smp_classes)
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         names = {c.name: c.passed for c in self.checks}
         return all(names.get(n, False) for n in _CHECK_SEQUENCE)
@@ -1144,8 +1204,13 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     certificate and later steps that depend on it are simply not run.
     A certified pair gets two spectrum maximizing classes: that of the
     candidate BAA and its swap_partner, isospectral to it because the
-    permutable check passed; a failed certificate gets none.
-    The extremal norm check takes the induced norms of A~ and B~ as the
+    permutable check passed; a failed certificate gets none.  The two
+    classes depend on the candidate alone: _smp_classes builds them on
+    the first certified run of the process, after every check has passed,
+    and later certificates share them.  The report keys are module tables,
+    formed once per process.
+    The inclusions reuse the convexity verdict just computed.  The
+    extremal norm check takes the induced norms of A~ and B~ as the
     largest raw gauges of the inclusion sweep (a mirrored exact sweep
     holds a1..a6 and b1..b6, whose mirrors have the same gauges), with no
     second gauge evaluation and no Scalar comparison.
@@ -1240,9 +1305,9 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
         "convexity",
         convex_ok,
         "" if convex_ok else "polygon is not convex",
-        ((f"convexity.h.v{i}", h) for i, h in convexity_values(poly)),
+        zip(_CONVEXITY_KEYS, (h for _, h in poly._convexity_levels)),
     )
-    incl, swept = _inclusions(poly, norm, rel_tol)
+    incl, swept = _inclusions(poly, norm, rel_tol, convex_ok)
     checks.append(incl)
     if not (order.passed and convex_ok and incl.passed):
         return finish()
@@ -1265,5 +1330,4 @@ def certify_smp(mset: MatrixSet, mu, rel_tol: float = REL_TOL) -> Certificate:
     if not ok:
         return finish()
 
-    smp = (cyclic_normal_form(_CANDIDATE), swap_partner(_CANDIDATE))
-    return finish(rho_bar=norm.scale, smp=(SmpClass(w, *factor_counts(w)) for w in smp))
+    return finish(rho_bar=norm.scale, smp=_smp_classes(_CANDIDATE))

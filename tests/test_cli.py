@@ -171,6 +171,14 @@ class TestCertify:
         assert code == 1
         assert "[FAIL] vertex_order  (v1,Tv6 <= 0)" in out
 
+    @pytest.mark.parametrize("mu", ["1e160", "1e200", "1e308"])
+    def test_overflowing_order_product_is_out_of_float_range(self, capsys, mu):
+        # Every product is positive for mu > 0; (v1, T v3) is inf in floats.
+        code, out, err = run(capsys, "certify", "--kappa", "1.331", "--mu", mu)
+        assert code == 1 and err == ""
+        assert "  [FAIL] vertex_order  (v1,Tv3 is out of float range)" in out.splitlines()
+        assert out.splitlines()[-1] == "  NOT certified; first failing check: vertex_order"
+
     def test_alt_float_certified(self, capsys):
         code, out, _ = run(
             capsys,
@@ -748,6 +756,16 @@ class TestSharedParser:
         finally:
             cli._shared_parser.cache_clear()
         assert len(calls) == 1
+
+    def test_default_angle_is_not_parsed_per_run(self, monkeypatch):
+        # No --phi is the value '2pi/3' parses to, bit for bit, without the regex.
+        expected = cli._parse_phi("2pi/3")
+
+        def refuse(*args):
+            raise AssertionError("the default angle was parsed")
+
+        monkeypatch.setattr(cli.re, "fullmatch", refuse)
+        assert cli._parse_phi(None).hex() == expected.hex()
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()

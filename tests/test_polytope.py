@@ -1,8 +1,10 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smpverify import polytope
@@ -20,6 +22,7 @@ from smpverify.matrix2 import Mat2, Vec2, dot, rot90
 from smpverify.polytope import (
     DegenerateSectorError,
     Polygon,
+    SmpClass,
     admissible_mu_interval,
     alt_mu_thresholds,
     build_polygon,
@@ -39,6 +42,7 @@ from smpverify.polytope import (
 )
 from smpverify.scalar import REL_TOL, BackendMismatchError, FloatKappa, KappaContext, Scalar
 from smpverify.selftest import check_closed_form_tables
+from smpverify.words import Word
 
 MU54 = Scalar.exact(Fraction(5, 4))
 
@@ -275,6 +279,66 @@ class TestVertexOrder:
         data = dict(vertex_order_check(poly).data)
         assert data["order.all_positive"] is True
         assert "order.closed_form_match" not in data
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(1, 1e6, exclude_min=True),
+        st.floats(0, 3, exclude_min=True),
+    )
+    @example(1.001, 1.167)
+    def test_raw_float_closed_forms_match_the_scalar_route(self, kappa, mu):
+        # Bit for bit: the same float operations in the same order.
+        fk = FloatKappa(kappa)
+        raw = polytope._closed_products(fk, mu)
+        expected = polytope._order_products_closed(fk.power, Scalar.flt(mu))
+        assert raw.keys() == expected.keys()
+        assert [x.hex() for x in raw.values()] == [x.value.hex() for x in expected.values()]
+
+    def test_rounded_closed_forms_still_fail_near_kappa_one(self):
+        # Six products miss their closed forms by about 5.6e-12 relative,
+        # more than the default tolerance.
+        _, poly = float_pipeline(1.001, 1.167)
+        report = vertex_order_check(poly)
+        assert (report.passed, report.detail) == (False, "closed forms differ")
+        assert dict(report.data)["order.closed_form_match"] is False
+
+    @pytest.mark.parametrize("kappa, k_thirds", [(1e100, 12), (1e140, 12), (1e200, 6)])
+    def test_overflowing_power_raises_float_kappa_message(self, kappa, k_thirds):
+        # The first power that overflows is the one the Scalar route hit
+        # first: at 1e140 kappa**(7/3) overflows too, but kappa**4 came first.
+        _, poly = float_pipeline(1.331, 1.25)
+        huge = Polygon(poly.vertices, poly.mu, Scalar.flt(kappa), None, "main")
+        with pytest.raises(ValueError) as expected:
+            FloatKappa(kappa).power(k_thirds)
+        with pytest.raises(ValueError) as got:
+            vertex_order_check(huge)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"{kappa!r}**({k_thirds}/3) is out of float range"
+
+    @pytest.mark.parametrize("mu", [1e160, 1e200, 1e308])
+    def test_overflowing_product_is_out_of_float_range(self, mu):
+        # (v1, T v3) overflows to inf and (v1, T v5) to inf - inf = nan,
+        # though every product is positive for mu > 0.
+        _, poly = float_pipeline(1.331, mu)
+        report = vertex_order_check(poly)
+        data = dict(report.data)
+        assert (report.passed, report.detail) == (False, "v1,Tv3 is out of float range")
+        assert data["order.v1_Tv3"].value == math.inf
+        assert data["order.all_positive"] is False
+
+    def test_infinite_positive_product_fails(self):
+        # Six rays 30 degrees apart, clockwise from up; v1 and v4 are
+        # stretched so that only (v1, T v4) overflows, to +inf.
+        big = 1e160
+        c, h = math.cos(math.pi / 6), 0.5
+        half = [(0.0, big), (h, c), (c, h), (big, 0.0), (c, -h), (h, -c)]
+        verts = [Vec2.flt(x, y) for x, y in half] + [Vec2.flt(-x, -y) for x, y in half]
+        poly = Polygon(tuple(verts), Scalar.flt(1.0), Scalar.flt(1.331), None, "custom")
+        report = vertex_order_check(poly)
+        data = dict(report.data)
+        assert data["order.v1_Tv4"].value == math.inf
+        assert data["order.all_positive"] is True
+        assert (report.passed, report.detail) == (False, "v1,Tv4 is out of float range")
 
 
 class TestGaugeIsANorm:
@@ -1029,6 +1093,74 @@ class TestCertify:
         assert "rho_bar = 121/100" in text
         bad = certify_smp(main_exact, Fraction(34, 25)).as_text()
         assert "NOT certified" in bad and "inclusions" in bad
+
+
+class TestFixedParts:
+    """The parts of a certificate that do not depend on the run are built
+    once per process."""
+
+    def test_smp_classes_built_once_per_candidate(self, monkeypatch, main_exact, alt_float):
+        calls = {"swap_partner": 0, "cyclic_normal_form": 0}
+
+        def counting(name):
+            fn = getattr(polytope, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        polytope._smp_classes.cache_clear()
+        for name in calls:
+            monkeypatch.setattr(polytope, name, counting(name))
+        runs = [(main_exact, MU54), (alt_float, 1.07), (main_exact, Fraction(123, 100))] * 2
+        certs = [certify_smp(mset, mu) for mset, mu in runs]
+        assert calls == {"swap_partner": 1, "cyclic_normal_form": 1}
+        assert certs[:3] == certs[3:]
+        expected = (
+            SmpClass(Word.from_display("AAB"), 2, 1),
+            SmpClass(Word.from_display("ABB"), 1, 2),
+        )
+        assert all(cert.passed and cert.smp_classes == expected for cert in certs)
+
+    def test_failed_certificates_name_no_class(self, main_exact):
+        assert certify_smp(main_exact, MU54).smp_classes  # the cache is filled
+        for mu in (Fraction(34, 25), Fraction(26, 25)):
+            cert = certify_smp(main_exact, mu)
+            assert not cert.passed and cert.smp_classes == ()
+        cert = certify_smp(example_main(1.331, DISTINGUISHED_PHI), 1.36)
+        assert not cert.passed and cert.smp_classes == ()
+
+    def test_members_are_cached_outside_the_fields(self, main_exact):
+        for smp in certify_smp(main_exact, MU54).smp_classes:
+            d = smp.representative.display
+            assert smp.members == tuple(sorted(d[i:] + d[:i] for i in range(3)))
+            # A class whose members were never read sees none of the cache.
+            fresh = SmpClass(smp.representative, smp.count_a, smp.count_b)
+            assert "members" not in fresh.__dict__ and smp.__dict__["members"] == smp.members
+            assert smp == fresh and hash(smp) == hash(fresh) and repr(smp) == repr(fresh)
+            assert pickle.dumps(smp) == pickle.dumps(fresh)
+            for clone in (copy.copy(smp), copy.deepcopy(smp), pickle.loads(pickle.dumps(smp))):
+                assert clone == smp and clone.members == smp.members
+
+    def test_passed_is_cached_outside_the_fields(self, main_exact):
+        cert = certify_smp(main_exact, MU54)
+        fresh = polytope.Certificate(*cert._fields())
+        assert cert.passed and cert.__dict__["passed"] is True
+        assert "passed" not in fresh.__dict__
+        assert cert == fresh and hash(cert) == hash(fresh) and repr(cert) == repr(fresh)
+        assert pickle.dumps(cert) == pickle.dumps(fresh)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_convexity_checked_once_per_certificate(self, monkeypatch, main_exact, exact):
+        calls = []
+        check = polytope.convexity_check
+        monkeypatch.setattr(
+            polytope, "convexity_check", lambda *args: calls.append(1) or check(*args)
+        )
+        mset, mu = (main_exact, MU54) if exact else (example_main(1.331, DISTINGUISHED_PHI), 1.25)
+        assert certify_smp(mset, mu).passed
+        assert len(calls) == 1
 
 
 class TestConformance:
