@@ -11,7 +11,8 @@ two certified custom pairs take the two other `permutable` paths: an
 exact pair with no swap matrix (the trace/det criterion) and a float pair
 with one (the float swap test).  The
 bounds cases cover exact box-norm runs (main at 233/224, where every
-necklace of a length can tie, at 251/236, where the top of a length's
+necklace of a length can tie, to n = 11 and to n = 16, where nearly every
+trace of the last two lengths is printed, at 251/236, where the top of a length's
 group is hyperbolic and one or two necklaces are its maximizers, and at
 11/10 to n = 14 and to the word cap n = 20), float runs (alt, under the box norm
 and under a polygon norm) and exact polygon-norm runs at 11/10: the
@@ -46,6 +47,7 @@ KV_CASES = (
 )
 BOUNDS_CASES = (
     "bounds_exact_233_224",
+    "bounds_exact_233_224_n16",
     "bounds_exact_251_236",
     "bounds_exact_11_10",
     "bounds_exact_11_10_n20",
