@@ -49,8 +49,9 @@ Where the kernel runs: Mat2 @; normalize and eigenvectors_from_products
 entries taken exactly) and the float is_irreducible (permutability);
 build_polygon and the images of the polygon's vertices (polytope); and
 the word oracle of words, on ints for both backends, where each hull
-image is one apply_entries, each necklace prefix or tree node one
-mul_entries and each longest necklace one trace_entries.
+image is one apply_entries, each necklace prefix, pair product or tree
+node one mul_entries and each necklace of the last two lengths one
+trace_entries.
 One inline copy of a product formula stays, for a measured cost:
 polytope._gauges writes out its sector formula (polytope._sector, not a
 kernel of this module), because through it certify ran about 5% slower
@@ -60,6 +61,7 @@ on float inputs and 6% on exact ones.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .scalar import REL_TOL, Record, Scalar, same_backend
@@ -74,6 +76,7 @@ __all__ = [
     "quarter_turn",
     "spectral_radius",
     "radius_from_invariants",
+    "radius_of_ratios",
     "similarity",
     "eigenvector_unit_first",
     "unit_first_vector",
@@ -276,34 +279,68 @@ def quarter_turn(exact: bool = True) -> Mat2:
     return Mat2.exact(0, -1, 1, 0) if exact else Mat2.flt(0.0, -1.0, 1.0, 0.0)
 
 
+# The least positive normal float: a value below it has lost bits.
+_TINY = sys.float_info.min
+
+
 def spectral_radius(m: Mat2) -> Scalar:
     """Largest eigenvalue modulus; always a float-backend scalar.
 
     The discriminant sign is decided on the input backend, so the complex
-    vs. real branch is exact for exact matrices.  An exact trace or
-    determinant too large for a float is scaled first; a radius too large
-    for a float raises ValueError.
+    vs. real branch is exact for exact matrices, which take
+    radius_of_ratios on their entries over one denominator.  Where a step
+    of the float formula over- or underflows, the trace and determinant
+    are first scaled by 2**-e and 4**-e, which scales the radius by 2**-e;
+    elsewhere no bit changes.  An exact radius too large for a float
+    raises ValueError.
     """
-    t, d = m.trace(), m.det()
-    try:
-        return Scalar.flt(_radius(t, d, 0))
-    except OverflowError:
-        # The radius is homogeneous: (t / 2**e, d / 4**e) has radius r / 2**e.
-        e = max(int(abs(t.value)).bit_length(), int(abs(d.value)).bit_length() // 2)
-    try:
-        return Scalar.flt(_radius(t / 2**e, d / 4**e, e))
-    except OverflowError:
-        raise ValueError(
-            "exact matrix leaves the float range: its spectral radius is too "
-            "large for a float"
-        ) from None
+    if m.is_exact:
+        f, (a, b, c, d) = common_scale(m._values())
+        try:
+            return Scalar.flt(radius_of_ratios(a + d, a * d - b * c, f, f * f))
+        except OverflowError:
+            raise ValueError(
+                "exact matrix leaves the float range: its spectral radius is too "
+                "large for a float"
+            ) from None
+    t, d = m.trace().value, m.det().value
+    e, disc = 0, t * t - 4 * d
+    # t * t, 4 d or their difference overflowed, or t * t underflowed.
+    if not abs(disc) < math.inf or 0 < t * t < _TINY:
+        e = math.frexp(max(abs(t), math.sqrt(abs(d))))[1]
+        t, d = math.ldexp(t, -e), math.ldexp(d, -2 * e)
+        disc = t * t - 4 * d
+    return Scalar.flt(math.ldexp(radius_from_invariants(t, d, disc if disc >= 0 else None), e))
 
 
-def _radius(t: Scalar, d: Scalar, e: int) -> float:
-    """2**e times the spectral radius of trace t and determinant d."""
+def radius_of_ratios(t: int, d: int, f: int, f2: int) -> float:
+    """The spectral radius of trace t / f and determinant d / f2 (ints, f2
+    = f * f > 0), or OverflowError when it is too large for a float.
+
+    The discriminant's sign is decided on the ints, and each quotient is
+    int / int, correctly rounded.  Where a quotient leaves the normal float
+    range, the ints are first scaled by 2**-e and 4**-e, which scales the
+    radius by 2**-e; elsewhere no bit changes.
+    """
     disc = t * t - 4 * d
-    disc_f = float(disc) if disc >= 0 else None
-    return math.ldexp(radius_from_invariants(float(t), float(d), disc_f), e)
+    try:
+        tf, df = t / f, d / f2
+        discf = disc / f2 if disc >= 0 else None
+        if (
+            (not t or abs(tf) >= _TINY)
+            and (not d or abs(df) >= _TINY)
+            and (not disc or discf is None or discf >= _TINY)
+        ):
+            return radius_from_invariants(tf, df, discf)
+    except OverflowError:
+        pass
+    e = max(abs(t).bit_length() - f.bit_length(), (abs(d).bit_length() - f2.bit_length()) // 2)
+    if e > 0:
+        f, f2 = f << e, f2 << 2 * e
+    else:
+        t, d, disc = t << -e, d << -2 * e, disc << -2 * e
+    discf = disc / f2 if disc >= 0 else None
+    return math.ldexp(radius_from_invariants(t / f, d / f2, discf), e)
 
 
 def radius_from_invariants(t: float, d: float, disc: float | None) -> float:

@@ -37,7 +37,8 @@ The gauge, the matrix norm, the convexity levels, the inclusion checks
 and the exact vertex order check all read one edge table per polygon,
 built on first use: per edge (v_i, v_{i+1}) the rotated endpoints
 T v_{i+1} and T v_i, the products (v_i, T v_{i+1}) and (v_{i+1}, T v_i),
-the difference v_{i+1} - v_i and a collinearity flag.  On the exact
+the difference v_{i+1} - v_i and why the edge is degenerate, if it is
+(collinear, or on floats out of float range).  On the exact
 backend the vertices are scaled by the lcm D of their 24 denominators, so
 the table holds ints V = D v, and a matrix M by the lcm F of its
 denominators (of A~ and B~ together in the inclusions), so each image
@@ -189,7 +190,8 @@ __all__ = [
 
 
 class DegenerateSectorError(ValueError):
-    """The two sector generators lie on one line."""
+    """The two sector generators lie on one line or, on floats, their
+    cross product is out of float range."""
 
 
 def _as_kappa(kappa) -> KappaContext | FloatKappa:
@@ -203,18 +205,27 @@ def _as_kappa(kappa) -> KappaContext | FloatKappa:
     return FloatKappa(float(kappa))
 
 
-def _collinear(x1, x2, y1, y2, denom, exact: bool) -> bool:
-    """Whether x, y are collinear, given denom = +-(x, Ty): exactly zero on
-    ints; on floats, denom is negligible next to |x| |y|."""
+_COLLINEAR = "sector generators are collinear"
+
+
+def _degenerate(x1, x2, y1, y2, denom, exact: bool) -> str | None:
+    """Why the sector of x, y, given denom = +-(x, Ty), is degenerate, or
+    None.  It is collinear when denom is exactly zero on ints; on floats,
+    when denom is negligible next to |x| |y|, unless denom or |x| |y| is
+    past the float range, which is named as such."""
     if exact:
-        return denom == 0
-    return abs(denom) <= 1e-14 * max(1.0, math.hypot(x1, x2) * math.hypot(y1, y2))
+        return None if denom else _COLLINEAR
+    size = math.hypot(x1, x2) * math.hypot(y1, y2)
+    if not (abs(denom) < math.inf and size < math.inf):
+        return "sector generators are out of float range"
+    return _COLLINEAR if abs(denom) <= 1e-14 * max(1.0, size) else None
 
 
 def _check_denominator(x: Vec2, y: Vec2, denom: Scalar) -> None:
     x1, x2, y1, y2 = x.x1.value, x.x2.value, y.x1.value, y.x2.value
-    if _collinear(x1, x2, y1, y2, denom.value, denom.is_exact):
-        raise DegenerateSectorError("sector generators are collinear")
+    degenerate = _degenerate(x1, x2, y1, y2, denom.value, denom.is_exact)
+    if degenerate:
+        raise DegenerateSectorError(degenerate)
 
 
 def sector_coords(x: Vec2, y: Vec2, z: Vec2) -> tuple[Scalar, Scalar]:
@@ -245,7 +256,7 @@ class _EdgeTable(Record):
 
     `scale` is D (1 on the float backend) and `vertices` holds D * v_i.
     Each edge row (x, y) = (v_i, v_{i+1}) is
-    (Ty_1, Ty_2, Tx_1, Tx_2, (x, Ty), (y, Tx), d_1, d_2, collinear)
+    (Ty_1, Ty_2, Tx_1, Tx_2, (x, Ty), (y, Tx), d_1, d_2, degenerate)
     with d = y - x.  (y, Tx) == -(x, Ty) holds for floats too, bit for
     bit: both sums round the same two products, with opposite signs.
     """
@@ -265,19 +276,19 @@ def _row(x: tuple, y: tuple, exact: bool) -> tuple:
     """The _EdgeTable row of the chord from x to y."""
     (x1, x2), (y1, y2) = x, y
     x_ty = _cross(x, y)
-    collinear = _collinear(x1, x2, y1, y2, x_ty, exact)
-    return (-y2, y1, -x2, x1, x_ty, -x_ty, y1 - x1, y2 - x2, collinear)
+    degenerate = _degenerate(x1, x2, y1, y2, x_ty, exact)
+    return (-y2, y1, -x2, x1, x_ty, -x_ty, y1 - x1, y2 - x2, degenerate)
 
 
 def _sector(row: tuple, z: tuple) -> tuple:
     """The numerators (z, Ty), (z, Tx) and (y - x, Tz) of s, t and h of
     the point z in the sector of a row (x, y), whose denominators are
     (x, Ty), (y, Tx) and (y, Tx); the operations of sector_coords and
-    triangle_h in their order.  A collinear row raises
+    triangle_h in their order.  A degenerate row raises
     DegenerateSectorError."""
-    ty1, ty2, tx1, tx2, _, _, d1, d2, collinear = row
-    if collinear:
-        raise DegenerateSectorError("sector generators are collinear")
+    ty1, ty2, tx1, tx2, _, _, d1, d2, degenerate = row
+    if degenerate:
+        raise DegenerateSectorError(degenerate)
     z1, z2 = z
     return z1 * ty1 + z2 * ty2, z1 * tx1 + z2 * tx2, _cross((d1, d2), z)
 
@@ -363,9 +374,9 @@ def _gauges(poly: "Polygon", points, f, tol: float):
         # _sector, written out: through it certify ran about 5% slower on
         # float inputs and 6% on exact ones.
         for k in range(start, start + 12):
-            ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, collinear = edges[k % 12]
-            if collinear:
-                raise DegenerateSectorError("sector generators are collinear")
+            ty1, ty2, tx1, tx2, x_ty, y_tx, d1, d2, degenerate = edges[k % 12]
+            if degenerate:
+                raise DegenerateSectorError(degenerate)
             s = z1 * ty1 + z2 * ty2
             if not exact:  # ge(x, 0, tol), inlined: this runs per sector
                 if s / x_ty >= -tol and (z1 * tx1 + z2 * tx2) / y_tx >= -tol:

@@ -46,14 +46,17 @@ the norm's type (Polygon._hull), which gives its half-vertices and its
 largest gauge, both exact (a float polygon's vertices read as dyadic
 rationals), or None when that gauge is not a norm; so this module does
 not import the polygon's.  rho_bar_n to n runs the prenecklace generator of
-Fredricksen, Kessler and Maiorana, every prefix shorter than n carrying
-its product with one more factor on the right (the entries are ints, so
-the association does not matter); a necklace of length n is formed only
-as its trace, and a prefix of length n that is not a necklace not at
-all.  At n = 11 on the main pair at c = 233/224 this forms 520 products,
-188 traces and 110 hull points, against 4094 nodes of the full tree.  A
-hull image is one apply_entries, a prefix product one mul_entries and a
-length-n trace one trace_entries, the kernels of matrix2.
+Fredricksen, Kessler and Maiorana, every prefix shorter than n - 1
+carrying its product with one more factor on the right (the entries are
+ints, so the association does not matter); a prefix of length n - 2
+expands the last two lengths inline, each necklace among them formed only
+as its trace, with one factor or with one of the four pair products AA,
+AB, BA, BB, and a prefix of those lengths that is not a necklace not at
+all.  At n = 11 on the main pair at c = 233/224 this forms 298 products
+(4 of them the pair products), 296 traces and 110 hull points, against
+4094 nodes of the full tree.  A hull image is one apply_entries, a
+product one mul_entries and a trace of the last two lengths one
+trace_entries, the kernels of matrix2.
 
 Any other norm object, one without a usable hull (a wrapper around a
 norm, a BoxNorm subclass, a polygon whose gauge is not a norm), is
@@ -95,23 +98,27 @@ they share one radius; a group whose largest |trace| is elliptic is taken
 whole.  rho_bar_n at n = 11 on c = 251/236 forms 3 radii for its 188
 necklaces, which make one group.  A radius forms determinant and
 discriminant as ints, decides the discriminant's sign exactly, and then
-divides by D**k or D**(2k); int / int is correctly rounded, so every
-value matches float() of the exact rational, or raises OverflowError when
-that rational is too large for a float; the walk then raises ValueError
-naming the least such word length.  The box norm, spelled None or BoxNorm(), is never called:
+divides by D**k or D**(2k) (matrix2.radius_of_ratios, which first scales
+both by a power of two where a quotient leaves the normal float range);
+int / int is correctly rounded, so every value matches float() of the
+exact rational, or raises OverflowError when the radius is too large
+for a float; the walk then raises ValueError naming the least such word
+length.  The box norm, spelled None or BoxNorm(), is never called:
 the hull compares ints.  The hull scores a length by an unreduced int
 ratio, the largest |coordinate| over D**k or a polygon's largest gauge
 (compared by cross-multiplication), and divides that pair, unreduced, into
 one float per length.  A Word is built only for the maximizers, from its
-code, with one format spec per length, and keeps the display string it
-was built from, so formatting the table does not form it again.
+code, and keeps the display string it was built from, so formatting the
+table does not form it again; a necklace word depends on its code and
+length alone, so one bounded table per process (_necklace_word) builds
+each once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul, truediv
 
@@ -218,6 +225,13 @@ def _spec(n: int) -> str:
     return f"0{n}b"
 
 
+@lru_cache(maxsize=4096)
+def _necklace_word(code: int, n: int) -> Word:
+    """The Word of a length-n code.  It depends on nothing else, so a
+    process builds it once while it stays among the 4096 last used."""
+    return Word._from_code(code, _spec(n))
+
+
 def _display(code: int, n: int) -> str:
     """Display string of a length-n code."""
     return format(code, _spec(n)).translate(_BITS_TO_SYMBOLS)
@@ -234,53 +248,74 @@ def _prenecklaces(n_max, lists, lo=0, factors=None):
     is a prenecklace, and one of length k with period p is a necklace iff
     p divides k.  It visits the prefixes of each length in lexicographic
     order, which is code order.  With factors, each prefix shorter than
-    n_max carries its product: the empty prefix the identity, and one a
-    symbol longer one mul_entries with the symbol's factor on the right; a
-    necklace's trace is read off its product.  A length-n_max necklace is
-    formed only as its trace, one trace_entries of its prefix's product
-    and its last factor, and a length-n_max prefix that is not a necklace
-    is not formed at all.
+    n_max - 1 carries its product: the empty prefix the identity, and one
+    a symbol longer one mul_entries with the symbol's factor on the right;
+    a necklace's trace is read off its product.  A prefix of length
+    n_max - 2 expands its children and grandchildren inline: each necklace
+    among them is formed only as its trace, one trace_entries of the
+    prefix's product and its last factor or, for a grandchild, one of the
+    four pair products AA, AB, BA, BB, formed once.  No product of length
+    n_max - 1 is formed, and a prefix of the last two lengths that is not a
+    necklace is not formed at all.  For n_max <= 2 the expansion is one
+    level: the prefixes of length n_max - 1 carry their products and form
+    their children's traces, and no pair product is formed.
 
     The recursion is a closure that calls itself, a reference cycle that
     holds `lists`; it is broken on return, so the lists are freed by
     reference counting, without waiting for a cyclic collection.
     """
     a = [0] * (n_max + 1)
+    # The prefixes of length `last` - 1 expand the rest inline.
+    last = n_max - 1 if n_max > 2 else n_max
     formed = 0
+    if factors and last < n_max:
+        pairs = [[mul_entries(x, y) for y in factors] for x in factors]
+        formed = 4
 
     def gen(t: int, p: int, code: int, nb: int, product) -> None:
         # a[1..t-1] is a prenecklace with period p, code encodes it, nb
         # counts its B, and product is its product.
         nonlocal formed
-        formed += 1
         if (t - 1) % p == 0 and t > lo:
             lists[t - 1][nb].append((abs(product[0] + product[3]), code) if factors else code)
         bit = a[t] = a[t - p]
         code *= 2
-        if t < n_max:
+        if t < last:
+            formed += 2 - bit
             gen(t + 1, p, code + bit, nb + bit, factors and mul_entries(product, factors[bit]))
             if bit == 0:
                 a[t] = 1
                 gen(t + 1, t, code + 1, nb + 1, factors and mul_entries(product, factors[1]))
             return
-        # The children have length n_max: the first, with period p, is a
-        # necklace iff p divides n_max, and the second, with period n_max,
-        # always is.
-        if n_max % p == 0:
-            formed += 1
-            lists[n_max][nb + bit].append(
-                (abs(trace_entries(product, factors[bit])), code + bit) if factors else code + bit
-            )
-        if bit == 0:
-            formed += 1
-            lists[n_max][nb + 1].append(
-                (abs(trace_entries(product, factors[1])), code + 1) if factors else code + 1
-            )
+        # The children have length t and period q: the first p, a
+        # necklace iff p divides t, and the second t, always a necklace.
+        for c, q in ((0, p), (1, t)) if bit == 0 else ((1, p),):
+            a[t] = c
+            child = code + c
+            if t % q == 0 and t >= lo:
+                formed += 1
+                lists[t][nb + c].append(
+                    (abs(trace_entries(product, factors[c])), child) if factors else child
+                )
+            if t == n_max:
+                continue
+            # Its children have length n_max: the first, with period q,
+            # is a necklace iff q divides n_max, and the second always is.
+            g, child = a[n_max - q], 2 * child
+            if n_max % q == 0:
+                formed += 1
+                lists[n_max][nb + c + g].append(
+                    (abs(trace_entries(product, pairs[c][g])), child + g) if factors else child + g
+                )
+            if g == 0:
+                formed += 1
+                lists[n_max][nb + c + 1].append(
+                    (abs(trace_entries(product, pairs[c][1])), child + 1) if factors else child + 1
+                )
 
     gen(1, 1, 0, 0, factors and (1, 0, 0, 1))
     del gen
-    # Every call of gen but the first forms a product.
-    return formed - 1
+    return formed
 
 
 def _necklace_codes(n_max: int) -> list[list[int]]:
@@ -437,17 +472,12 @@ class _Scores:
 
     def rooted(self, k, det, t):
         """The rooted spectral radius of a necklace of length k with
-        determinant det and |trace| t, or OverflowError when the product's
-        trace, determinant or discriminant is too large for a float."""
-        # t and det are D**k and D**(2k) times the product's, and so is the
-        # discriminant.  Its sign is decided before any rounding, and the
-        # radius depends on |trace| alone.
+        determinant det and |trace| t, or OverflowError when the radius is
+        too large for a float."""
+        # t and det are D**k and D**(2k) times the product's; the radius
+        # depends on |trace| alone.
         dk = self.dk
-        disc = t * t - 4 * det
-        r = matrix2.radius_from_invariants(
-            t / dk[k], det / dk[2 * k], disc / dk[2 * k] if disc >= 0 else None
-        )
-        return r ** (1.0 / k)
+        return matrix2.radius_of_ratios(t, det, dk[k], dk[2 * k]) ** (1.0 / k)
 
     def bar(self, k, tops):
         """(rho_bar, maximizers) at length k; tops holds (r, det, t) for
@@ -491,8 +521,7 @@ class _Scores:
         best = max(r for r, _ in scanned)
         cut = best - _TIE_TOL * max(1.0, abs(best))
         codes = sorted(c for r, c in scanned if r >= cut)
-        spec = _spec(k)
-        return best, tuple([Word._from_code(c, spec) for c in codes])
+        return best, tuple([_necklace_word(c, k) for c in codes])
 
     def result(self, norms, radii):
         """(rho, bars) keyed by length, or ValueError at the least overflow."""
@@ -571,7 +600,7 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
     rooted spectral radius of every necklace when `radii` is true.  Returns
     (rho, bars, visits), keyed by length k: rho[k] is the largest norm at
     length k to the power 1/k, bars[k] is (rho_bar, maximizers), and visits
-    is the number of products, length-hi traces and hull points formed.  A
+    is the number of products, traces and hull points formed.  A
     score too large to convert to a float raises ValueError naming the
     least word length where one occurs; so does a pair with an entry that
     is not finite.

@@ -12,6 +12,9 @@ from smpverify.polytope import Certificate
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 # An exact --c whose cube is beyond the float range: 1 followed by 110 zeros.
 BEYOND_FLOAT = "1" + "0" * 110
+# An exact --c whose length-2 box norms, about 1e360, are beyond the float
+# range, though every length-1 norm and radius is a float.
+ABOVE_HALF_FLOAT = "1" + "0" * 60
 
 
 def run_fresh(*argv, flags=()):
@@ -85,9 +88,9 @@ class TestBounds:
         [
             (["--kappa", "1e200", "--max-n", "4"], "A @ B has a non-finite entry"),
             (["--family", "alt", "--kappa", "1e200", "--max-n", "4"], "A @ B has a non-finite entry"),
-            (["--kappa", "1e100", "--max-n", "3"], "float range at word length 2"),
-            (["--family", "alt", "--kappa", "1e100", "--max-n", "3"], "float range at word length 2"),
-            (["--kappa", "1e20", "--max-n", "18"], "float range at word length 8"),
+            (["--kappa", "1e100", "--max-n", "5"], "float range at word length 4"),
+            (["--family", "alt", "--kappa", "1e100", "--max-n", "5"], "float range at word length 4"),
+            (["--kappa", "1e40", "--max-n", "18"], "float range at word length 8"),
         ],
     )
     def test_float_overflow_is_a_usage_error(self, capsys, argv, message):
@@ -101,6 +104,21 @@ class TestBounds:
         assert "Traceback" not in captured.err
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and message in errors[0]
+
+    def test_radius_whose_square_overflows(self, capsys, tmp_path):
+        # The radius 1e200 of A is a float, though its square is not; at
+        # length 2 the radius 1e400 is not.
+        path = tmp_path / "pair.txt"
+        path.write_text("1e200 0 0 1\n1 0 0 1\n")
+        argv = ["bounds", "--family", "custom", "--matrices", str(path)]
+        code, out, err = run(capsys, *argv, "--max-n", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split() == ["1", "1e+200", "1e+200", "A"]
+        code, out, err = run(capsys, *argv, "--max-n", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(
+            "smpverify bounds: error: exact products leave the float range at word length 2:"
+        )
 
     def test_csv_output(self, capsys, tmp_path):
         path = tmp_path / "bounds.csv"
@@ -178,6 +196,14 @@ class TestCertify:
         assert code == 1 and err == ""
         assert "  [FAIL] vertex_order  (v1,Tv3 is out of float range)" in out.splitlines()
         assert out.splitlines()[-1] == "  NOT certified; first failing check: vertex_order"
+
+    @pytest.mark.parametrize("mu", ["1e160", "1e200", "1e308"])
+    def test_overflowing_convexity_chord_is_out_of_float_range(self, capsys, mu):
+        # The chords (v1, v3) and (v3, v5) have (x, Ty) = inf: past the
+        # float range, not collinear.
+        code, out, err = run(capsys, "certify", "--kappa", "1.331", "--mu", mu)
+        assert code == 1 and err == ""
+        assert "  [FAIL] convexity  (sector generators are out of float range)" in out.splitlines()
 
     def test_alt_float_certified(self, capsys):
         code, out, _ = run(
@@ -365,20 +391,14 @@ class TestBadInput:
         # Both families name the kappa given on the command line.
         assert "1e+100" in errors[0]
 
-    @pytest.mark.parametrize("family", ["main", "alt"])
-    def test_certify_lam_out_of_float_range_fails_at_normalize(self, capsys, family):
-        # A and B are finite, but lam = rho(BAA) is not: that is named at
-        # normalize, not reported as a later check failing on rounding.
-        code, out, err = run(
-            capsys, "certify", "--family", family, "--kappa", "1e150", "--mu", "1.2"
-        )
-        assert code == 1 and err == ""
-        assert "[pass] normalize" not in out
-        assert (
-            "  [FAIL] normalize  (lam = inf is out of float range; cannot normalize)"
-            in out.splitlines()
-        )
-        assert out.splitlines()[-1] == "  NOT certified; first failing check: normalize"
+    def test_certify_kappa_whose_closed_forms_overflow(self, capsys):
+        # lam = rho(BAA) = kappa**2 = 1e300 is a float, though its square
+        # is not, so normalize passes; kappa**4, in the closed forms of the
+        # vertex order, is out of float range, a usage error.
+        code, out, err = run(capsys, "certify", "--kappa", "1e150", "--mu", "1.2")
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["smpverify certify: error: 1e+150**(12/3) is out of float range"]
 
     @pytest.mark.parametrize("kappa", ["1e20", "1e50"])
     def test_collinear_sector_fails_convexity(self, capsys, kappa):
@@ -404,7 +424,7 @@ class TestBadInput:
         "argv, message",
         [
             (
-                ["--c", "10000000000000000000000000000000000000000", "--max-n", "4"],
+                ["--c", ABOVE_HALF_FLOAT, "--max-n", "4"],
                 "exact products leave the float range at word length 2",
             ),
         ],
@@ -433,7 +453,7 @@ class TestBadInput:
             (["certify", "--c", "1/0", "--mu", "5/4"],
              "division by zero: Fraction(1, 0)"),
             (["bounds", "--c", "11/10", "--max-n", "0"], "--max-n must be >= 1"),
-            (["bounds", "--c", "10000000000000000000000000000000000000000", "--max-n", "4"],
+            (["bounds", "--c", ABOVE_HALF_FLOAT, "--max-n", "4"],
              "exact products leave the float range at word length 2: "
              "a norm, trace or determinant is too large for a float"),
         ],

@@ -501,7 +501,10 @@ class TestFloatNormalize:
         self.check(pair)
 
     def test_infinite_lam(self):
-        got = self.check(example_main(1e150, DISTINGUISHED_PHI))
+        # A and B are finite, but the spectral radius of BAA = B is
+        # 1.5e308 times the golden ratio.
+        eye, big = Mat2.flt(1.0, 0.0, 0.0, 1.0), Mat2.flt(1.5e308, 1.5e308, 1.5e308, 0.0)
+        got = self.check(custom_set(eye, big))
         assert got == (ValueError, "lam = inf is out of float range; cannot normalize")
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smpverify.matrix2 import (
@@ -99,6 +99,42 @@ class TestSpectralRadius:
                 spectral_radius(Mat2.exact(*entries))
         else:
             assert float(spectral_radius(Mat2.exact(*entries))) == radius
+
+    def test_float_radius_whose_square_overflows(self):
+        # t * t = 1e400 is past the float range; the radius 1e200 is not.
+        assert spectral_radius(Mat2.flt(1e200, 0.0, 0.0, 1.0)).value == 1e200
+
+    def test_exact_determinant_below_float_range(self):
+        # det = 3e-400 and the discriminant 1e-400 round to 0.0; the
+        # scaled invariants keep them.
+        tiny = Fraction(1, 10**200)
+        assert spectral_radius(Mat2.exact(tiny, 0, 0, 3 * tiny)).value == 3e-200
+        assert spectral_radius(Mat2.exact(0, -tiny, tiny, 0)).value == 1e-200
+
+    # Quarter integers, so that every product and sum of the scaled
+    # entries is exact, subnormal ones included.
+    quarters = st.lists(st.integers(-12, 12).map(lambda x: x / 4), min_size=4, max_size=4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(quarters, st.integers(-520, 509))
+    @example([3.0, 3.0, 3.0, -3.0], 509)
+    @example([0.25, 0.0, 0.0, 0.75], -520)
+    def test_float_radius_scales_bit_for_bit(self, entries, k):
+        # 2**k M has the trace and determinant of M times 2**k and 4**k,
+        # exactly; where t * t or the discriminant over- or underflows, the
+        # radius comes from invariants scaled back, with the bits of M's.
+        m = Mat2.flt(*entries)
+        scaled = Mat2.flt(*(math.ldexp(x, k) for x in entries))
+        assert spectral_radius(scaled).value == math.ldexp(spectral_radius(m).value, k)
+
+    @settings(max_examples=80, deadline=None)
+    @given(quarters, st.integers(-1000, 1000))
+    @example([3.0, 3.0, 3.0, -3.0], 1000)
+    @example([0.25, 0.0, 0.0, 0.75], -1000)
+    def test_exact_radius_scales_bit_for_bit(self, entries, k):
+        m = Mat2.exact(*(Fraction(x) for x in entries))
+        scaled = Mat2.exact(*(Fraction(x) * Fraction(2) ** k for x in entries))
+        assert spectral_radius(scaled).value == math.ldexp(spectral_radius(m).value, k)
 
     def test_exact_branch_against_numpy_oracle(self):
         rng = np.random.default_rng(7)

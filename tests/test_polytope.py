@@ -909,6 +909,21 @@ class TestEdgeTableInclusions:
             inclusion_report(poly, norm), reference_inclusions(poly, norm), poly.is_exact
         )
 
+    @pytest.mark.parametrize(
+        "x, y, reason",
+        [
+            ((1e200, 1.0), (1.0, 1e200), "out of float range"),  # (x, Ty) = inf
+            ((1e300, 0.0), (1e10, 1e-5), "out of float range"),  # |x| |y| = inf
+            ((1e100, 1e100), (2e100, 2e100), "collinear"),
+            ((1e20, 1.0), (1e20, 2.0), "collinear"),  # (x, Ty) negligible next to |x| |y|
+        ],
+    )
+    def test_float_sector_out_of_range_is_not_collinear(self, x, y, reason):
+        x, y, z = Vec2.flt(*x), Vec2.flt(*y), Vec2.flt(1.0, 1.0)
+        for fn in (sector_coords, triangle_h):
+            with pytest.raises(DegenerateSectorError, match=f"^sector generators are {reason}$"):
+                fn(x, y, z)
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_collinear_chord_raises(self, exact, norm_exact):
         points = list(DODECAGON)

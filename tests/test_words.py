@@ -76,6 +76,22 @@ class TestWord:
             assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
             assert type(w.symbols) is tuple and len(w) == len(w.symbols)
 
+    def test_maximizers_come_from_one_bounded_table(self):
+        # A necklace word depends on its code and length alone: two tables,
+        # of two pairs, share each maximizer they both list, built with its
+        # display; the table of words is bounded.
+        tie, top = (
+            bounds_table(m.a, m.b, 11)
+            for m in (_exact_main(233, 224), _exact_main(251, 236))
+        )
+        assert [w.display for w in tie[-1].maximizers] == brute_necklaces(11)
+        shared = {w.display: w for w in tie[-1].maximizers}
+        for w in top[-1].maximizers:
+            assert "display" in w.__dict__
+            assert w is shared[w.display]
+            assert w == Word.from_display(w.display)
+        assert 0 < words._necklace_word.cache_info().maxsize < math.inf
+
     def test_display_is_cached_outside_the_fields(self, main_exact):
         rows = bounds_table(main_exact.a, main_exact.b, 9)
         built = [
@@ -561,24 +577,26 @@ class TestPrunedWalk:
         assert_pruned_walk_matches(mset.a, mset.b, n)
 
     def test_exact_main_visits_fewer_than_half_the_nodes(self):
-        # 110 hull images, 520 prenecklace products and the traces of the
-        # 188 necklaces of length 11; the branch and bound walk this
-        # replaced formed 1734 products.
+        # 110 hull images, 294 prenecklace products of length 1..9, the
+        # four pair products, and the traces of the 108 necklaces of
+        # length 10 and the 188 of length 11; the branch and bound walk
+        # this replaced formed 1734 products.
         mset = _exact_main(233, 224)
         _, _, visits = words._walk(mset.a, mset.b, 1, 11)
-        assert visits == 110 + 520 + 188
+        assert visits == 110 + 294 + 4 + 108 + 188
         _, _, visits = words._walk(mset.a, mset.b, 1, 11, norm=CountingNorm(BoxNorm()))
         assert visits == 2**12 - 2
 
     def test_exact_oracle_forms_every_product_through_the_kernels(self, monkeypatch):
-        # Each hull image is one apply_entries, each prefix product one
-        # mul_entries and each length-11 necklace one trace_entries: the
-        # kernel calls are the visits of the walk above.
+        # Each hull image is one apply_entries, each prefix product and
+        # pair product one mul_entries and each necklace of length 10 or
+        # 11 one trace_entries: the kernel calls are the visits of the
+        # walk above.
         mset = _exact_main(233, 224)
         expected = bounds_table(mset.a, mset.b, 11)
         calls = count_kernel_calls(monkeypatch)
         assert bounds_table(mset.a, mset.b, 11) == expected
-        assert calls == {"mul_entries": 520, "apply_entries": 110, "trace_entries": 188}
+        assert calls == {"mul_entries": 298, "apply_entries": 110, "trace_entries": 296}
 
     def test_explicit_box_norm_takes_the_hull_and_necklace_route(self, monkeypatch):
         # BoxNorm() is the default norm spelled out: the same kernel calls,
@@ -587,7 +605,7 @@ class TestPrunedWalk:
         expected = bounds_table(mset.a, mset.b, 11)
         calls = count_kernel_calls(monkeypatch)
         assert bounds_table(mset.a, mset.b, 11, norm=BoxNorm()) == expected
-        assert calls == {"mul_entries": 520, "apply_entries": 110, "trace_entries": 188}
+        assert calls == {"mul_entries": 298, "apply_entries": 110, "trace_entries": 296}
 
     def test_hull_scores_are_divided_without_a_fraction(self, monkeypatch):
         # A hull score (num, den) becomes its float by int / int, which
@@ -861,10 +879,58 @@ def assert_recorded_groups_match(a, b, n_max):
         assert recorded == (expected if k == n_max else {})
 
 
+def enumerated_lists(a, b, n, lo):
+    """lists[k][nb] of _prenecklaces with factors, apart from the walk:
+    for each length k = lo..n, the (|trace|, code) of every word that is
+    its own least rotation, in code order, its trace D**k times that of
+    evaluate() on the pair read as Fractions."""
+    a, b = dyadic(a), dyadic(b)
+    d = denominators_lcm(a, b)
+    lists = [[[] for _ in range(k + 1)] for k in range(n + 1)]
+    for k in range(max(lo, 1), n + 1):
+        for code in range(2**k):
+            s = format(code, f"0{k}b").translate(str.maketrans("01", "AB"))
+            if s == min(s[i:] + s[:i] for i in range(k)):
+                trace = evaluate(Word.from_display(s), a, b).trace().value * d**k
+                assert trace.denominator == 1
+                lists[k][s.count("B")].append((abs(int(trace)), code))
+    return lists
+
+
+walk_pair_st = st.one_of(
+    pair_st,  # unequal determinants, one negative, about two times in three
+    pair_st.map(_singular),  # det A = 0
+    float_pair_st,
+)
+
+
 class TestNecklaceGroups:
     """The walk appends each necklace's (|trace|, code) straight to the
     group of its length and determinant; the groups are those of a brute
     force over necklaces(k), and the walk leaves no reference cycle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(walk_pair_st, st.integers(1, 10), st.sampled_from([1, -2, -1, 0]))
+    @example(UNEQUAL_DET_PAIR, 10, -2)
+    @example(SINGULAR_NEGDET_PAIR, 10, -1)
+    @example(CROSS_TIE_PAIR, 3, -2)
+    @example(SINGULAR_NEGDET_PAIR, 2, 1)
+    @example(UNEQUAL_DET_PAIR, 1, 0)
+    def test_prenecklace_lists_match_an_enumeration(self, entries, n, lo):
+        # lo is 1 or n - 2, n - 1 or n: the last two lengths, which are
+        # formed from the prefixes of length n - 2 inline, cut by lo or not.
+        lo = max(1, lo if lo == 1 else n + lo)
+        make = Mat2.flt if isinstance(entries[0], float) else Mat2.exact
+        a, b = make(*entries[:4]), make(*entries[4:])
+        _, flat = matrix2.common_scale((*a._values(), *b._values()))
+        lists = [[[] for _ in range(k + 1)] for k in range(n + 1)]
+        words._prenecklaces(n, lists, lo, (tuple(flat[:4]), tuple(flat[4:])))
+        expected = enumerated_lists(a, b, n, lo)
+        assert lists == expected
+        # Without factors, the same necklaces as bare codes.
+        codes = [[[] for _ in range(k + 1)] for k in range(n + 1)]
+        words._prenecklaces(n, codes, lo)
+        assert codes == [[[c for _, c in g] for g in row] for row in expected]
 
     @pytest.mark.parametrize(
         "case", ["main_233_224", "main_251_236", "unequal_det", "singular_negdet"]
@@ -1014,6 +1080,31 @@ class TestPolygonHull:
             rho_n(main_exact.a, main_exact.b, 3, norm=float_poly)
 
 
+# A real number rounds to a float past the largest, inf, from here on.
+FLOAT_OVERFLOW = Fraction(2**1024 - 2**970)
+
+
+def least_overflow_length(a, b, lo, hi, radii=True, norms=True):
+    """Apart from the walk: the least length k = lo..hi at which, on the
+    pair read exactly, some product's spectral radius (when `radii`) or box
+    norm (when `norms`) rounds past the float range, or None.  The radius
+    is compared on Fractions: with disc = t**2 - 4 det, it is sqrt(det)
+    when disc < 0 and (|t| + sqrt(disc)) / 2 otherwise."""
+    a, b = dyadic(a), dyadic(b)
+    level = [Mat2.identity_like(a)]
+    for k in range(1, hi + 1):
+        level = [f @ p for p in level for f in (a, b)]
+        if k < lo:
+            continue
+        for m in level:
+            t, det = m.trace().value, m.det().value
+            disc, s = t * t - 4 * det, 2 * FLOAT_OVERFLOW - abs(t)
+            radius_over = det >= FLOAT_OVERFLOW**2 if disc < 0 else s <= 0 or disc >= s * s
+            if (radii and radius_over) or (norms and BoxNorm().matrix_norm(m).value >= FLOAT_OVERFLOW):
+                return k
+    return None
+
+
 class TestFloatOverflow:
     """A float pair is read exactly: a score past the float range is an
     error naming the least word length, and a non-finite entry is refused
@@ -1022,11 +1113,11 @@ class TestFloatOverflow:
     @pytest.mark.parametrize(
         "call, length",
         [
-            (lambda a, b: rho_bar_n(a, b, 2), 2),
             (lambda a, b: rho_bar_n(a, b, 5), 5),
             (lambda a, b: rho_n(a, b, 4), 4),
             (lambda a, b: rho_n(a, b, 4, norm=BoxNorm()), 4),
-            (lambda a, b: bounds_table(a, b, 3), 2),
+            (lambda a, b: rho_bar_n(a, b, 4), 4),
+            (lambda a, b: bounds_table(a, b, 5), 4),
         ],
     )
     def test_raises_naming_the_least_word_length(self, call, length):
@@ -1034,10 +1125,35 @@ class TestFloatOverflow:
         with pytest.raises(ValueError, match=f"float range at word length {length}:"):
             call(mset.a, mset.b)
 
+    @pytest.mark.parametrize(
+        "lo, hi, radii, norms, length",
+        [(5, 5, True, False, 5), (4, 4, False, True, 4), (4, 4, True, False, 4),
+         (1, 5, True, True, 4), (2, 2, True, True, None), (3, 3, True, False, None)],
+    )
+    def test_overflow_lengths_match_a_fraction_brute_force(self, lo, hi, radii, norms, length):
+        # The lengths above, recomputed on Fractions: the largest radius at
+        # length 2 is about 1e200, whose square is not a float, and at
+        # length 3 about 1e200 too; the first to leave the float range are
+        # the radii and the box norms at length 4.
+        mset = example_main(1e100, DISTINGUISHED_PHI)
+        assert least_overflow_length(mset.a, mset.b, lo, hi, radii, norms) == length
+
     def test_finite_rows_below_the_overflow_are_unchanged(self):
         mset = example_main(1e100, DISTINGUISHED_PHI)
         assert float(rho_n(mset.a, mset.b, 3)) == 9.999999999999872e99
         assert bounds_table(mset.a, mset.b, 1)[0].rho == 1e100
+        # A radius whose square leaves the float range is still a float.
+        assert rho_bar_n(mset.a, mset.b, 2).rho_bar == 1e100
+        assert [row.rho_bar for row in bounds_table(mset.a, mset.b, 3)][1:] == [
+            1e100, 4.6415888336127394e66
+        ]
+
+    def test_radius_whose_square_overflows_is_a_float(self):
+        big, eye = Mat2.flt(1e200, 0.0, 0.0, 1.0), Mat2.flt(1.0, 0.0, 0.0, 1.0)
+        row = bounds_table(big, eye, 1)[0]
+        assert (row.rho_bar, row.rho) == (1e200, 1e200)
+        with pytest.raises(ValueError, match="float range at word length 2:"):
+            bounds_table(big, eye, 2)
 
     def test_nan_row_does_not_hide_behind_a_finite_row(self):
         # A nan entry has no exact value, so the pair is refused before any
@@ -1108,16 +1224,16 @@ class TestExactOverflow:
     @pytest.mark.parametrize(
         "call, length",
         [
-            (lambda a, b, poly: rho_bar_n(a, b, 2), 2),
+            (lambda a, b, poly: rho_bar_n(a, b, 4), 4),
             (lambda a, b, poly: rho_bar_n(a, b, 5), 5),
             (lambda a, b, poly: rho_n(a, b, 3), 3),
             (lambda a, b, poly: rho_n(a, b, 4, norm=BoxNorm()), 4),
             (lambda a, b, poly: rho_n(a, b, 3, norm=poly), 3),
-            (lambda a, b, poly: bounds_table(a, b, 4), 2),
-            (lambda a, b, poly: bounds_table(a, b, 4, norm=poly), 2),
+            (lambda a, b, poly: bounds_table(a, b, 4), 3),
+            (lambda a, b, poly: bounds_table(a, b, 4, norm=poly), 3),
         ],
         ids=[
-            "rho_bar_n 2", "rho_bar_n 5", "rho_n 3", "rho_n 4 box", "rho_n 3 polygon",
+            "rho_bar_n 4", "rho_bar_n 5", "rho_n 3", "rho_n 4 box", "rho_n 3 polygon",
             "bounds_table 4", "bounds_table 4 polygon",
         ],
     )
@@ -1127,6 +1243,18 @@ class TestExactOverflow:
         with pytest.raises(ValueError, match=f"float range at word length {length}:"):
             call(mset.a, mset.b, poly)
 
+    @pytest.mark.parametrize(
+        "lo, hi, radii, norms, length",
+        [(4, 4, True, False, 4), (5, 5, True, False, 5), (3, 3, False, True, 3),
+         (1, 4, True, True, 3), (1, 3, True, False, None)],
+    )
+    def test_overflow_lengths_match_a_fraction_brute_force(self, lo, hi, radii, norms, length):
+        # The box-norm lengths above, recomputed on Fractions: the radii
+        # fit a float to length 3 (about 1e240 at length 2), the box norms
+        # to length 2.
+        mset = _exact_main(self.C40, 1)
+        assert least_overflow_length(mset.a, mset.b, lo, hi, radii, norms) == length
+
     def test_rows_below_the_overflow_are_unchanged(self):
         mset = _exact_main(self.C40, 1)
         a, b = mset.a, mset.b
@@ -1135,3 +1263,13 @@ class TestExactOverflow:
         assert float(rho_n(a, b, 2)) == float(box) ** 0.5
         assert bounds_table(a, b, 1)[0].rho == 1e120
         assert rho_bar_n(a, b, 1).rho_bar == 1.0
+        # The largest radius at length 2 is 1e240, whose square is not a
+        # float.
+        assert rho_bar_n(a, b, 2).rho_bar == 1e120
+
+    def test_radius_whose_square_is_below_the_float_range(self):
+        # det A = 3e-400 and the discriminants round to 0.0; the radii
+        # 3e-200 of A and 2e-200 of B do not.
+        tiny = Fraction(1, 10**200)
+        a, b = Mat2.exact(tiny, 0, 0, 3 * tiny), Mat2.exact(2 * tiny, 0, 0, 0)
+        assert rho_bar_n(a, b, 1).rho_bar == 3e-200
