@@ -61,7 +61,6 @@ on float inputs and 6% on exact ones.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
 from .scalar import REL_TOL, Record, Scalar, same_backend
@@ -279,19 +278,16 @@ def quarter_turn(exact: bool = True) -> Mat2:
     return Mat2.exact(0, -1, 1, 0) if exact else Mat2.flt(0.0, -1.0, 1.0, 0.0)
 
 
-# The least positive normal float: a value below it has lost bits.
-_TINY = sys.float_info.min
-
-
 def spectral_radius(m: Mat2) -> Scalar:
     """Largest eigenvalue modulus; always a float-backend scalar.
 
     The discriminant sign is decided on the input backend, so the complex
     vs. real branch is exact for exact matrices, which take
-    radius_of_ratios on their entries over one denominator.  Where a step
-    of the float formula over- or underflows, the trace and determinant
-    are first scaled by 2**-e and 4**-e, which scales the radius by 2**-e;
-    elsewhere no bit changes.  An exact radius too large for a float
+    radius_of_ratios on their entries over one denominator.  The float
+    trace and determinant are scaled by 2**-e and 4**-e, with 2**e the
+    power of two just above the larger of |t| and sqrt(|d|), and the
+    radius by 2**e back, so no step of the formula over- or underflows
+    where the radius fits a float.  An exact radius too large for a float
     raises ValueError.
     """
     if m.is_exact:
@@ -304,12 +300,9 @@ def spectral_radius(m: Mat2) -> Scalar:
                 "large for a float"
             ) from None
     t, d = m.trace().value, m.det().value
-    e, disc = 0, t * t - 4 * d
-    # t * t, 4 d or their difference overflowed, or t * t underflowed.
-    if not abs(disc) < math.inf or 0 < t * t < _TINY:
-        e = math.frexp(max(abs(t), math.sqrt(abs(d))))[1]
-        t, d = math.ldexp(t, -e), math.ldexp(d, -2 * e)
-        disc = t * t - 4 * d
+    e = math.frexp(max(abs(t), math.sqrt(abs(d))))[1]
+    t, d = math.ldexp(t, -e), math.ldexp(d, -2 * e)
+    disc = t * t - 4 * d
     return Scalar.flt(math.ldexp(radius_from_invariants(t, d, disc if disc >= 0 else None), e))
 
 
@@ -317,23 +310,12 @@ def radius_of_ratios(t: int, d: int, f: int, f2: int) -> float:
     """The spectral radius of trace t / f and determinant d / f2 (ints, f2
     = f * f > 0), or OverflowError when it is too large for a float.
 
-    The discriminant's sign is decided on the ints, and each quotient is
-    int / int, correctly rounded.  Where a quotient leaves the normal float
-    range, the ints are first scaled by 2**-e and 4**-e, which scales the
-    radius by 2**-e; elsewhere no bit changes.
+    The discriminant's sign is decided on the ints.  The ratios are scaled
+    by 2**-e and 4**-e, with e from the bit lengths, so that the larger of
+    |t / f| and sqrt(|d / f2|) is about 1; each scaled quotient is int /
+    int, correctly rounded, and the radius is scaled by 2**e back.
     """
     disc = t * t - 4 * d
-    try:
-        tf, df = t / f, d / f2
-        discf = disc / f2 if disc >= 0 else None
-        if (
-            (not t or abs(tf) >= _TINY)
-            and (not d or abs(df) >= _TINY)
-            and (not disc or discf is None or discf >= _TINY)
-        ):
-            return radius_from_invariants(tf, df, discf)
-    except OverflowError:
-        pass
     e = max(abs(t).bit_length() - f.bit_length(), (abs(d).bit_length() - f2.bit_length()) // 2)
     if e > 0:
         f, f2 = f << e, f2 << 2 * e

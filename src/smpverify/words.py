@@ -99,26 +99,24 @@ whole.  rho_bar_n at n = 11 on c = 251/236 forms 3 radii for its 188
 necklaces, which make one group.  A radius forms determinant and
 discriminant as ints, decides the discriminant's sign exactly, and then
 divides by D**k or D**(2k) (matrix2.radius_of_ratios, which first scales
-both by a power of two where a quotient leaves the normal float range);
-int / int is correctly rounded, so every value matches float() of the
-exact rational, or raises OverflowError when the radius is too large
-for a float; the walk then raises ValueError naming the least such word
-length.  The box norm, spelled None or BoxNorm(), is never called:
+both by a power of two, so that no quotient leaves the float range where
+the radius fits); int / int is correctly rounded, so every value matches
+float() of the exact rational, or raises OverflowError when the radius is
+too large for a float; the walk then raises ValueError naming the least
+such word length.  The box norm, spelled None or BoxNorm(), is never called:
 the hull compares ints.  The hull scores a length by an unreduced int
 ratio, the largest |coordinate| over D**k or a polygon's largest gauge
 (compared by cross-multiplication), and divides that pair, unreduced, into
 one float per length.  A Word is built only for the maximizers, from its
-code, and keeps the display string it was built from, so formatting the
-table does not form it again; a necklace word depends on its code and
-length alone, so one bounded table per process (_necklace_word) builds
-each once.
+code, all those of one length in one loop, and keeps the display string
+it was built from, so formatting the table does not form it again.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul, truediv
 
@@ -172,14 +170,18 @@ class Word(Record):
         return cls(tuple(reversed(text)))
 
     @classmethod
-    def _from_code(cls, code: int, spec: str) -> "Word":
-        """The word of a length-n code (see the module docstring), spec
-        being _spec(n), built unchecked: every code names a valid word."""
-        w = cls.__new__(cls)
-        display = format(code, spec).translate(_BITS_TO_SYMBOLS)
-        object.__setattr__(w, "symbols", tuple(display[::-1]))
-        w.__dict__["display"] = display
-        return w
+    def _from_codes(cls, codes, n: int) -> list["Word"]:
+        """The words of the length-n codes (see the module docstring), in
+        their order, built unchecked: every code names a valid word."""
+        new, set_symbols, top, built = cls.__new__, cls.symbols.__set__, 1 << n, []
+        for code in codes:
+            # The bit 2**n makes bin() give all n digits after "0b1".
+            display = bin(code | top)[3:].translate(_BITS_TO_SYMBOLS)
+            w = new(cls)
+            set_symbols(w, tuple(display[::-1]))
+            w.__dict__["display"] = display
+            built.append(w)
+        return built
 
     @cached_property
     def display(self) -> str:
@@ -213,35 +215,22 @@ def necklaces(n: int) -> list[Word]:
     """One representative per cyclic class of {A,B}**n, sorted."""
     if n < 1:
         raise ValueError("need n >= 1")
-    spec = _spec(n)
-    return [Word._from_code(code, spec) for code in _necklace_codes(n)[n]]
+    return Word._from_codes(_necklace_codes(n)[n], n)
 
 
 _BITS_TO_SYMBOLS = str.maketrans("01", "AB")
 
 
-def _spec(n: int) -> str:
-    """The format spec of the binary digits of a length-n code."""
-    return f"0{n}b"
-
-
-@lru_cache(maxsize=4096)
-def _necklace_word(code: int, n: int) -> Word:
-    """The Word of a length-n code.  It depends on nothing else, so a
-    process builds it once while it stays among the 4096 last used."""
-    return Word._from_code(code, _spec(n))
-
-
 def _display(code: int, n: int) -> str:
     """Display string of a length-n code."""
-    return format(code, _spec(n)).translate(_BITS_TO_SYMBOLS)
+    return bin(code | 1 << n)[3:].translate(_BITS_TO_SYMBOLS)
 
 
 def _prenecklaces(n_max, lists, lo=0, factors=None):
     """Run the recursive prenecklace generator of Fredricksen, Kessler and
     Maiorana to length n_max >= 1, appending each necklace of length k =
     lo..n_max straight to lists[k][nb], nb its count of B; returns the
-    number of products and traces it formed.
+    number of products it formed.
 
     With factors = (ta, tb) a necklace is appended as (|trace|, code), its
     group entry in _Scores; without, as its code.  Every prefix it visits
@@ -256,19 +245,16 @@ def _prenecklaces(n_max, lists, lo=0, factors=None):
     prefix's product and its last factor or, for a grandchild, one of the
     four pair products AA, AB, BA, BB, formed once.  No product of length
     n_max - 1 is formed, and a prefix of the last two lengths that is not a
-    necklace is not formed at all.  For n_max <= 2 the expansion is one
-    level: the prefixes of length n_max - 1 carry their products and form
-    their children's traces, and no pair product is formed.
+    necklace is not formed at all.  For n_max = 1 the empty prefix expands
+    its children alone, and no pair product is formed.
 
     The recursion is a closure that calls itself, a reference cycle that
     holds `lists`; it is broken on return, so the lists are freed by
     reference counting, without waiting for a cyclic collection.
     """
     a = [0] * (n_max + 1)
-    # The prefixes of length `last` - 1 expand the rest inline.
-    last = n_max - 1 if n_max > 2 else n_max
     formed = 0
-    if factors and last < n_max:
+    if factors and n_max > 1:
         pairs = [[mul_entries(x, y) for y in factors] for x in factors]
         formed = 4
 
@@ -280,7 +266,7 @@ def _prenecklaces(n_max, lists, lo=0, factors=None):
             lists[t - 1][nb].append((abs(product[0] + product[3]), code) if factors else code)
         bit = a[t] = a[t - p]
         code *= 2
-        if t < last:
+        if t < n_max - 1:
             formed += 2 - bit
             gen(t + 1, p, code + bit, nb + bit, factors and mul_entries(product, factors[bit]))
             if bit == 0:
@@ -293,7 +279,6 @@ def _prenecklaces(n_max, lists, lo=0, factors=None):
             a[t] = c
             child = code + c
             if t % q == 0 and t >= lo:
-                formed += 1
                 lists[t][nb + c].append(
                     (abs(trace_entries(product, factors[c])), child) if factors else child
                 )
@@ -303,12 +288,10 @@ def _prenecklaces(n_max, lists, lo=0, factors=None):
             # is a necklace iff q divides n_max, and the second always is.
             g, child = a[n_max - q], 2 * child
             if n_max % q == 0:
-                formed += 1
                 lists[n_max][nb + c + g].append(
                     (abs(trace_entries(product, pairs[c][g])), child + g) if factors else child + g
                 )
             if g == 0:
-                formed += 1
                 lists[n_max][nb + c + 1].append(
                     (abs(trace_entries(product, pairs[c][1])), child + 1) if factors else child + 1
                 )
@@ -521,7 +504,7 @@ class _Scores:
         best = max(r for r, _ in scanned)
         cut = best - _TIE_TOL * max(1.0, abs(best))
         codes = sorted(c for r, c in scanned if r >= cut)
-        return best, tuple([_necklace_word(c, k) for c in codes])
+        return best, tuple(Word._from_codes(codes, k))
 
     def result(self, norms, radii):
         """(rho, bars) keyed by length, or ValueError at the least overflow."""
@@ -554,7 +537,7 @@ class _Scores:
         if overflow <= hi:
             raise ValueError(
                 f"exact products leave the float range at word length {overflow}: "
-                "a norm, trace or determinant is too large for a float"
+                "a norm or spectral radius is too large for a float"
             )
         for k in tops:
             bars[k] = self.bar(k, tops[k])
@@ -635,7 +618,10 @@ def _walk(a, b, lo, hi, norm=None, norms=True, radii=True):
             except OverflowError:
                 scores.overflow = k
         if radii:
-            visits += _prenecklaces(hi, scores.lists, lo, (ta, tb))
+            # Each necklace of the last two lengths is formed as one trace.
+            visits += _prenecklaces(hi, scores.lists, lo, (ta, tb)) + sum(
+                len(g) for k in range(max(lo, hi - 1), hi + 1) for g in scores.groups[k].values()
+            )
     else:
         # The norm object sees each product in the pair's backend: the
         # Fraction x / D**k, or that quotient correctly rounded to a float.

@@ -455,7 +455,7 @@ class TestBadInput:
             (["bounds", "--c", "11/10", "--max-n", "0"], "--max-n must be >= 1"),
             (["bounds", "--c", ABOVE_HALF_FLOAT, "--max-n", "4"],
              "exact products leave the float range at word length 2: "
-             "a norm, trace or determinant is too large for a float"),
+             "a norm or spectral radius is too large for a float"),
         ],
     )
     def test_errors_from_a_command_use_its_own_usage(self, argv, message):

@@ -13,10 +13,15 @@ from smpverify.matrix2 import (
     Vec2,
     dot,
     eigenvector_unit_first,
+    radius_from_invariants,
+    radius_of_ratios,
     similarity,
     spectral_radius,
 )
 from smpverify.scalar import BackendMismatchError, Scalar
+
+# The least positive normal float.
+NORMAL = 2.0**-1022
 
 small_fractions = st.fractions(
     min_value=-5, max_value=5, max_denominator=7
@@ -125,6 +130,52 @@ class TestSpectralRadius:
         # radius comes from invariants scaled back, with the bits of M's.
         m = Mat2.flt(*entries)
         scaled = Mat2.flt(*(math.ldexp(x, k) for x in entries))
+        assert spectral_radius(scaled).value == math.ldexp(spectral_radius(m).value, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-1e200, 1e200, allow_subnormal=False), min_size=4, max_size=4))
+    @example([1e-100, 2.0, -3.0, 1e100])
+    def test_float_radius_keeps_the_plain_formula_bits(self, entries):
+        # Where no step of the plain formula leaves the normal float range,
+        # the scaled formula gives its bits.
+        m = Mat2.flt(*entries)
+        t, d = m.trace().value, m.det().value
+        disc = t * t - 4 * d
+        # t * t is the one step that can round below the normal range: 4 d
+        # is exact there, and so is a difference that lands there.
+        if (t == 0 or NORMAL <= t * t) and abs(4 * d) < math.inf and abs(disc) < math.inf:
+            plain = radius_from_invariants(t, d, disc if disc >= 0 else None)
+            assert spectral_radius(m).value == plain
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(-(2**1100), 2**1100), st.integers(-(2**1100), 2**1100),
+           st.integers(1, 2**600))
+    @example(3, -(2**900), 2**400)
+    def test_ratio_radius_keeps_the_plain_formula_bits(self, t, d, f):
+        # Where each quotient t / f, d / f**2 and disc / f**2 is exactly 0
+        # or a normal float, the scaled ratios give the bits of the plain ones.
+        f2, disc = f * f, t * t - 4 * d
+        try:
+            quotients = (t / f, d / f2, disc / f2)
+        except OverflowError:
+            return
+        if all(n == 0 or NORMAL <= abs(x) for n, x in zip((t, d, disc), quotients)):
+            plain = radius_from_invariants(t / f, d / f2, disc / f2 if disc >= 0 else None)
+            assert radius_of_ratios(t, d, f, f2) == plain
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-12, 12).map(lambda x: x / 4), min_size=2, max_size=2),
+           st.booleans(), st.integers(-1072, 509))
+    @example([0.25, 0.0], True, -1072)
+    @example([3.0, -1.0], False, -566)
+    def test_float_singular_radius_scales_bit_for_bit(self, row, first, k):
+        # With one zero row the determinant is exactly 0 at every scale, and
+        # each entry times 2**k is exact down to 2**-1074, so the radius,
+        # |trace|, stays exact where t * t underflows to 0.
+        entries = [*row, 0.0, 0.0] if first else [0.0, 0.0, *row]
+        m = Mat2.flt(*entries)
+        scaled = Mat2.flt(*(math.ldexp(x, k) for x in entries))
+        assert spectral_radius(m).value == abs(m.trace().value)
         assert spectral_radius(scaled).value == math.ldexp(spectral_radius(m).value, k)
 
     @settings(max_examples=80, deadline=None)

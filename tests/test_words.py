@@ -76,21 +76,16 @@ class TestWord:
             assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
             assert type(w.symbols) is tuple and len(w) == len(w.symbols)
 
-    def test_maximizers_come_from_one_bounded_table(self):
-        # A necklace word depends on its code and length alone: two tables,
-        # of two pairs, share each maximizer they both list, built with its
-        # display; the table of words is bounded.
-        tie, top = (
-            bounds_table(m.a, m.b, 11)
-            for m in (_exact_main(233, 224), _exact_main(251, 236))
-        )
-        assert [w.display for w in tie[-1].maximizers] == brute_necklaces(11)
-        shared = {w.display: w for w in tie[-1].maximizers}
-        for w in top[-1].maximizers:
+    def test_tied_maximizers_are_built_with_their_display(self):
+        # At c = 233/224 every necklace of length 11 ties: each maximizer is
+        # built from its code with its display and equals the word of that
+        # display.
+        mset = _exact_main(233, 224)
+        maximizers = bounds_table(mset.a, mset.b, 11)[-1].maximizers
+        assert [w.display for w in maximizers] == brute_necklaces(11)
+        for w in maximizers:
             assert "display" in w.__dict__
-            assert w is shared[w.display]
             assert w == Word.from_display(w.display)
-        assert 0 < words._necklace_word.cache_info().maxsize < math.inf
 
     def test_display_is_cached_outside_the_fields(self, main_exact):
         rows = bounds_table(main_exact.a, main_exact.b, 9)
